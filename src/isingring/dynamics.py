@@ -44,7 +44,8 @@ class SystemState:
             raise ValueError("amplitude arrays do not match the grid")
         for u, v in ((self.u_plus, self.v_plus), (self.u_minus, self.v_minus)):
             drift = np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0)
-            if drift.size and drift.max() > NORM_TOL:
+            # negated so that a NaN drift fails the check too
+            if drift.size and not drift.max() <= NORM_TOL:
                 raise ValueError(f"mode normalization drift {drift.max():.3e} exceeds {NORM_TOL}")
 
 
@@ -66,6 +67,9 @@ class DriverSpec:
     def __post_init__(self):
         if self.kind not in ("quench", "kick"):
             raise ValueError(f"kind must be 'quench' or 'kick', got {self.kind!r}")
+        for name in ("g_f", "g", "tau", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def init_ferro(grid: MomentumGrid) -> SystemState:

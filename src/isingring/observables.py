@@ -1,11 +1,14 @@
 """Magnetizations of the evolving two-sector BCS state.
 
 The longitudinal components require the cross-parity matrix element
-``<psi(t)| c_1 |psi(t)>``, which splits into three terms: the overlap of the
-even-sector product with the odd-sector normal modes (the k = 0 occupation
-annihilated), and two sums in which a single Fourier component of ``c_1``
-breaks one BCS pair in the ket of either sector.  Every term is assembled
-as a fermion word and evaluated by the Wick engine.
+``<psi(t)| c_1 |psi(t)>``, the sum of ``<psi_e| c_1 |psi_o>`` and
+``<psi_o| c_1 |psi_e>``.  Each is a single fermion word of length 2N: the
+bra, the Fourier sum ``sum_k e^{ik} c_k`` of ``c_1`` on the ket's grid as
+one linear operator, and the ket.  One sample therefore costs two
+Pfaffians.  Wick's theorem is linear in each factor, so each word equals
+the sum over Fourier components: the k = 0 component annihilates the odd
+ket's ``c^dag_0``, and the +-k components break the BCS pair k into
+``v_k (e^{ik} c^dag_{-k} - e^{-ik} c^dag_k)``.
 
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
@@ -21,14 +24,15 @@ import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
 from .model import MomentumGrid
-from .wick import FermionWord, LinearOperator, vacuum_expectation
+from .wick import EVEN, ODD, FermionWord, LinearOperator, ModeIndex, vacuum_expectation
 
 __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series"]
 
-# Canonical-ordering sign of each term, frozen by requiring
-# expectation_c1(init_ferro) = +1/2 and regression-tested against exact
-# diagonalization on both drivers.  Mutable only as a fault-injection hook
-# for the validation suite's negative control.
+# Signs scaling, in order: the k = 0 coefficient of c_1 on the odd grid, its
+# other odd-grid coefficients, and the whole of c_1 on the even grid.
+# Frozen by requiring expectation_c1(init_ferro) = +1/2 and
+# regression-tested against exact diagonalization on both drivers.  Mutable
+# only as a fault-injection hook for the validation suite's negative control.
 _TERM_SIGNS = (1.0, 1.0, 1.0)
 
 
@@ -42,89 +46,63 @@ class MagnetizationSample:
     mz: float
 
 
-def _bra_pair(mode, u, v):
-    """``<X_p|`` as the operator pair ``(c_{-p}, eta_p)`` on the bra side."""
-    neg = mode.negate()
-    c_neg = LinearOperator(ann={neg: 1.0})
-    eta = LinearOperator(ann={mode: np.conj(v)}, cre={neg: np.conj(u)})
-    return [c_neg, eta]
+def _bra(modes, u, v):
+    """``<X|`` as the operator pairs ``(c_{-p}, eta_p)``, last mode first."""
+    ops = []
+    for mode, up, vp in zip(reversed(modes), u[::-1], v[::-1]):
+        neg = mode.negate()
+        ops += [LinearOperator(ann={neg: 1.0}),
+                LinearOperator(ann={mode: np.conj(vp)}, cre={neg: np.conj(up)})]
+    return ops
 
 
-def _ket_pair(mode, u, v):
-    """``|X_k>`` as the operator pair ``(eta^dag_k, c^dag_{-k})``."""
-    neg = mode.negate()
-    etadag = LinearOperator(ann={neg: u}, cre={mode: v})
-    cdag_neg = LinearOperator(cre={neg: 1.0})
-    return [etadag, cdag_neg]
+def _ket(modes, u, v):
+    """``|X>`` as the operator pairs ``(eta^dag_k, c^dag_{-k})``."""
+    ops = []
+    for mode, uk, vk in zip(modes, u, v):
+        neg = mode.negate()
+        ops += [LinearOperator(ann={neg: uk}, cre={mode: vk}), LinearOperator(cre={neg: 1.0})]
+    return ops
 
 
-def _broken_pair_op(mode):
-    """The unpaired remainder ``e^{ik} c^dag_{-k} - e^{-ik} c^dag_k``."""
-    k = mode.momentum
-    return LinearOperator(cre={mode.negate(): np.exp(1j * k), mode: -np.exp(-1j * k)})
+def _c1_words(state: SystemState):
+    """``[(coefficient, word), ...]`` whose weighted vacuum expectations sum to ``<c_1>``.
 
-
-def _c1_terms(state: SystemState):
-    """The three terms of ``<c_1>`` as lists of ``(coefficient, word)``.
-
-    Summing ``coeff * vacuum_expectation(word)`` over each list and adding
-    the three totals gives :func:`expectation_c1`.  Exposed separately so
-    the validation suite can report term-level diagnostics.
+    The first word is ``<psi_e| c_1 |psi_o>``, the second
+    ``<psi_o| c_1 |psi_e>``; ``c_1`` enters without its ``N^{-1/2}``, which
+    sits in the coefficients.
     """
     grid = state.grid
     n = grid.n_sites
+    s1, s2, s3 = _TERM_SIGNS
     plus = grid.positive_plus()
     minus = grid.positive_minus()
-    u_p, v_p = state.u_plus, state.v_plus
-    u_m, v_m = state.u_minus, state.v_minus
     zero_mode = grid.special_zero()
-    cdag_zero = LinearOperator(cre={zero_mode: 1.0})
-    c_zero = LinearOperator(ann={zero_mode: 1.0})
 
-    bra_even = []
-    for i in reversed(range(len(plus))):
-        bra_even += _bra_pair(plus[i], u_p[i], v_p[i])
-    bra_odd = []
-    for i in reversed(range(len(minus))):
-        bra_odd += _bra_pair(minus[i], u_m[i], v_m[i])
-    bra_odd.append(c_zero)
-
-    ket_odd = []
-    for i, mode in enumerate(minus):
-        ket_odd += _ket_pair(mode, u_m[i], v_m[i])
+    c1_odd = LinearOperator(ann={
+        m: (s1 if m == zero_mode else s2) * np.exp(1j * m.momentum)
+        for m in (ModeIndex(ODD, i, n) for i in range(-n, n, 2))
+    })
+    c1_even = LinearOperator(ann={
+        m: s3 * np.exp(1j * m.momentum) for m in (ModeIndex(EVEN, i, n) for i in range(1 - n, n, 2))
+    })
+    bra_even = _bra(plus, state.u_plus, state.v_plus)
+    bra_odd = _bra(minus, state.u_minus, state.v_minus) + [LinearOperator(ann={zero_mode: 1.0})]
+    ket_even = _ket(plus, state.u_plus, state.v_plus)
+    ket_odd = _ket(minus, state.u_minus, state.v_minus) + [LinearOperator(cre={zero_mode: 1.0})]
 
     phase = np.exp(-1j * state.gamma)
     pref12 = phase / (2.0 * np.sqrt(n))
     pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
-
-    term1 = [(pref12, FermionWord(tuple(bra_even + ket_odd)))]
-
-    term2 = []
-    for i, mode in enumerate(minus):
-        ket = [_broken_pair_op(mode), cdag_zero]
-        for j, other in enumerate(minus):
-            if j != i:
-                ket += _ket_pair(other, u_m[j], v_m[j])
-        term2.append((pref12 * v_m[i], FermionWord(tuple(bra_even + ket))))
-
-    term3 = []
-    for i, mode in enumerate(plus):
-        ket = [_broken_pair_op(mode)]
-        for j, other in enumerate(plus):
-            if j != i:
-                ket += _ket_pair(other, u_p[j], v_p[j])
-        term3.append((pref3 * v_p[i], FermionWord(tuple(bra_odd + ket))))
-
-    return term1, term2, term3
+    return [
+        (pref12, FermionWord(tuple(bra_even + [c1_odd] + ket_odd))),
+        (pref3, FermionWord(tuple(bra_odd + [c1_even] + ket_even))),
+    ]
 
 
 def expectation_c1(state: SystemState) -> complex:
     """Cross-parity matrix element ``<psi(t)| c_1 |psi(t)>``."""
-    totals = [
-        sum(coeff * vacuum_expectation(word) for coeff, word in term)
-        for term in _c1_terms(state)
-    ]
-    return sum(s * t for s, t in zip(_TERM_SIGNS, totals))
+    return sum(coeff * vacuum_expectation(word) for coeff, word in _c1_words(state))
 
 
 def magnetization(state: SystemState) -> MagnetizationSample:
@@ -155,6 +133,8 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     counts and samples are stroboscopic, taken just after the n-th kick.
     """
     schedule = list(schedule)
+    if not np.all(np.isfinite(schedule)):
+        raise ValueError("schedule entries must be finite")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     if not schedule:

@@ -106,6 +106,13 @@ class TestQuenchCommand:
         )
         assert rc == 2
 
+    def test_nan_field_rejected_without_output(self, tmp_path):
+        out = tmp_path / "q.csv"
+        rc = main(["quench", "--n", "6", "--gf", "nan", "--tmax", "1.0", "--dt", "0.5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestKickCommand:
     def test_writes_stroboscopic_series(self, tmp_path):
@@ -126,6 +133,15 @@ class TestKickCommand:
              "--kicks", "0", "--out", str(tmp_path / "k.csv")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--tau", "--epsilon"])
+    def test_nan_drive_rejected_without_output(self, tmp_path, flag):
+        argv = {"--g": "0.1", "--tau": "0.5", "--epsilon": "0.02", "--kicks": "3"}
+        argv[flag] = "nan"
+        out = tmp_path / "k.csv"
+        rc = main(["kick", "--n", "6", "--out", str(out)] + [x for kv in argv.items() for x in kv])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestScanCommands:

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from isingring import observables, oracle_ed
-from isingring.dynamics import DriverSpec, evolve_kick_step, evolve_quench, init_ferro
+from isingring.dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
 from isingring.model import MomentumGrid
 from isingring.observables import (
     MagnetizationSample,
-    _c1_terms,
+    _c1_words,
     expectation_c1,
     magnetization,
     run_series,
 )
 from isingring.wick import FermionWord, vacuum_expectation
+from tests_support import bcs_amplitudes, expectation_c1_reference
 
 
 class TestInitialState:
@@ -70,10 +71,9 @@ class TestInternalConsistency:
         state = evolve_quench(init_ferro(MomentumGrid(8)), 0.7, 1.1)
         direct = expectation_c1(state)
         adjoint = 0.0 + 0.0j
-        for term in _c1_terms(state):
-            for coeff, word in term:
-                daggered = FermionWord(tuple(op.dagger() for op in reversed(word.ops)))
-                adjoint += np.conj(coeff) * vacuum_expectation(daggered)
+        for coeff, word in _c1_words(state):
+            daggered = FermionWord(tuple(op.dagger() for op in reversed(word.ops)))
+            adjoint += np.conj(coeff) * vacuum_expectation(daggered)
         assert adjoint == pytest.approx(np.conj(direct), abs=1e-12)
 
     def test_zero_field_quench_is_stationary(self):
@@ -105,6 +105,44 @@ class TestInternalConsistency:
         samples = run_series(DriverSpec("quench", g_f=0.8), MomentumGrid(n), times)
         engine = np.array([[s.mx, s.my, s.mz] for s in samples])
         assert np.abs(engine - exact).max() > 1e-3
+
+
+def _random_state(n, seed):
+    """A random normalized state with one exact v = 0 mode and one |u| < 1e-12 mode."""
+    grid = MomentumGrid(n)
+    rng = np.random.default_rng(seed)
+    u_p, v_p = np.array(bcs_amplitudes(rng, n // 2)).T
+    u_m, v_m = np.array(bcs_amplitudes(rng, n // 2 - 1)).T
+    u_p[0], v_p[0] = np.exp(0.3j), 0.0
+    u_m[-1], v_m[-1] = 1e-14, np.sqrt(1.0 - 1e-28) * np.exp(-1.1j)
+    return SystemState(grid, u_p, v_p, u_m, v_m, gamma=rng.uniform(-5, 5), time=0.0)
+
+
+class TestAgainstPerWordReference:
+    """The two-word evaluation against the N-word three-term decomposition."""
+
+    @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
+                                       (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 20, 30])
+    def test_matches_reference(self, n, signs, monkeypatch):
+        grid = MomentumGrid(n)
+        kicked = init_ferro(grid)
+        for _ in range(7):
+            kicked = evolve_kick_step(kicked, 0.6, 0.35, 0.05)
+        states = [
+            evolve_quench(init_ferro(grid), 0.5, 3.7),
+            kicked,
+            _random_state(n, seed=n),
+            _random_state(n, seed=n + 1000),
+        ]
+        monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
+        for state in states:
+            reference = expectation_c1_reference(state, signs)
+            assert abs(expectation_c1(state) - reference) < 1e-12
+
+    def test_two_words_of_length_two_n(self):
+        state = evolve_quench(init_ferro(MomentumGrid(10)), 0.7, 1.1)
+        assert [len(word) for _, word in _c1_words(state)] == [20, 20]
 
 
 class TestRunSeries:
@@ -141,6 +179,15 @@ class TestRunSeries:
             run_series(driver, MomentumGrid(6), [-1.0, 0.5])
         with pytest.raises(ValueError):
             run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [1.5, 2.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), [0.5, bad])
+
+    def test_non_finite_kick_count_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [1, float("inf")])
 
     def test_empty_schedule(self):
         assert run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), []) == []

@@ -1,8 +1,8 @@
-"""Shared helpers for building BCS bra/ket operator words in tests."""
+"""Shared helpers for tests: BCS bra/ket operator words and the per-word ``<c_1>`` reference."""
 
 import numpy as np
 
-from isingring.wick import LinearOperator
+from isingring.wick import FermionWord, LinearOperator, vacuum_expectation
 
 
 def bcs_amplitudes(rng, count, min_v=0.0):
@@ -37,3 +37,56 @@ def ket_word(pairs):
         ops.append(LinearOperator(ann={neg: u}, cre={mode: v}))
         ops.append(LinearOperator(cre={neg: 1.0}))
     return ops
+
+
+def _broken_pair_op(mode):
+    """The unpaired remainder ``e^{ik} c^dag_{-k} - e^{-ik} c^dag_k``."""
+    k = mode.momentum
+    return LinearOperator(cre={mode.negate(): np.exp(1j * k), mode: -np.exp(-1j * k)})
+
+
+def c1_terms_reference(state):
+    """``<c_1>`` split into three terms, each a list of ``(coefficient, word)``.
+
+    The per-word reference path: term 1 is the overlap of the even bra with
+    the odd normal modes (``c_0`` having annihilated ``c^dag_0``); terms 2
+    and 3 each hold one word per pair that a Fourier component of ``c_1``
+    breaks, in the odd and the even ket.  ``sum(s_i * total_i)`` with the
+    three signs of ``observables._TERM_SIGNS`` reproduces
+    ``expectation_c1`` under the same signs, using N words instead of two.
+    """
+    grid = state.grid
+    n = grid.n_sites
+    plus = list(zip(grid.positive_plus(), state.u_plus, state.v_plus))
+    minus = list(zip(grid.positive_minus(), state.u_minus, state.v_minus))
+    zero_mode = grid.special_zero()
+    bra_even = bra_word(plus)
+    bra_odd = bra_word(minus) + [LinearOperator(ann={zero_mode: 1.0})]
+
+    phase = np.exp(-1j * state.gamma)
+    pref12 = phase / (2.0 * np.sqrt(n))
+    pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
+
+    term1 = [(pref12, FermionWord(tuple(bra_even + ket_word(minus))))]
+    term2 = [
+        (pref12 * v, FermionWord(tuple(
+            bra_even + [_broken_pair_op(mode), LinearOperator(cre={zero_mode: 1.0})]
+            + ket_word(minus[:i] + minus[i + 1:])
+        )))
+        for i, (mode, _, v) in enumerate(minus)
+    ]
+    term3 = [
+        (pref3 * v, FermionWord(tuple(
+            bra_odd + [_broken_pair_op(mode)] + ket_word(plus[:i] + plus[i + 1:])
+        )))
+        for i, (mode, _, v) in enumerate(plus)
+    ]
+    return term1, term2, term3
+
+
+def expectation_c1_reference(state, signs=(1.0, 1.0, 1.0)):
+    """Sign-weighted sum of the three reference terms."""
+    return sum(
+        s * sum(coeff * vacuum_expectation(word) for coeff, word in term)
+        for s, term in zip(signs, c1_terms_reference(state))
+    )
