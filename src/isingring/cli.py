@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from . import model, oracle_ed
-from .dynamics import DriverSpec, evolve_kick_step, init_ferro
+from .dynamics import DriverSpec
 from .model import MomentumGrid
-from .observables import magnetization, run_series
+from .observables import run_series
 
 __all__ = ["main", "refine_extremum", "refined_minimum", "refined_maximum", "validate_suite"]
 

@@ -1,10 +1,11 @@
 """Time evolution of the two-parity-sector BCS state.
 
 Both implemented drivers (sudden quench and periodic delta kick) are
-piecewise time-independent, so each step is an exact 2x2 mode propagator
-rather than an ODE integration.  The odd-sector special modes are frozen in
-the occupation ``|vac>_{-pi} |0>``; only their accumulated phase ``gamma``
-evolves.
+piecewise time-independent, so all modes advance together, as arrays, by
+exact 2x2 propagators in closed form; a kick series takes one closed-form
+power of the one-period Floquet matrix per sample, not a loop over kicks.
+The odd-sector special modes are frozen in the occupation
+``|vac>_{-pi} |0>``; only their accumulated phase ``gamma`` evolves.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MomentumGrid, mode_hamiltonian_even
+from .model import MomentumGrid, mode_coefficients
 
-__all__ = ["SystemState", "DriverSpec", "init_ferro", "mode_unitary", "evolve_quench", "evolve_kick_step"]
+__all__ = ["SystemState", "DriverSpec", "init_ferro", "evolve_quench", "evolve_kick_step"]
 
 NORM_TOL = 1e-10
 
@@ -74,8 +75,8 @@ class DriverSpec:
 
 def init_ferro(grid: MomentumGrid) -> SystemState:
     """The +x fully polarized state: ``(u, v) = (sin k/2, cos k/2)`` per mode."""
-    kp = np.array([m.momentum for m in grid.positive_plus()])
-    km = np.array([m.momentum for m in grid.positive_minus()])
+    h = grid.n_sites // 2
+    kp, km = grid.k_plus[h:], grid.k_minus[h + 1:]
     return SystemState(
         grid=grid,
         u_plus=np.sin(kp / 2.0).astype(complex),
@@ -87,36 +88,36 @@ def init_ferro(grid: MomentumGrid) -> SystemState:
     )
 
 
-def mode_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """Exact ``exp(-i h t)`` of a Hermitian 2x2 matrix.
+def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: int = 1):
+    """Apply ``F_k^kicks``, ``F_k = diag(e^{i phi}, e^{-i phi}) exp(-i H_k t)``, to every mode.
 
-    Splits off the trace and uses the closed form
-    ``cos(w t) I - i sin(w t) d / w`` for the traceless part ``d`` with
-    eigenvalues ``+-w``.
+    ``H_k = [[a, b], [b, -a]]`` is traceless, so ``exp(-i H_k t) =
+    cos(w t) I - i sin(w t) / w H_k`` with ``w = hypot(a, b)``, and ``F_k =
+    [[alpha, beta], [-conj beta, conj alpha]]`` is in SU(2).  Its power is
+    ``cos(n theta) I + sin(n theta) / sin(theta) (F - cos(theta) I)``; theta
+    comes from atan2, which keeps full precision near ``F = +-I``.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2) or np.abs(h - h.conj().T).max() > 1e-12:
-        raise ValueError("mode generator must be a Hermitian 2x2 matrix")
-    half_trace = 0.5 * np.real(h[0, 0] + h[1, 1])
-    d = h - half_trace * np.eye(2)
-    w = np.sqrt(np.real(d[0, 0]) ** 2 + np.abs(d[0, 1]) ** 2)
-    if w < 1e-300:
-        u = np.eye(2, dtype=complex)
-    else:
-        u = np.cos(w * t) * np.eye(2) - 1j * np.sin(w * t) / w * d
-    return np.exp(-1j * half_trace * t) * u
-
-
-def _advance_modes(momenta, u, v, g, t, kick_phase=None):
-    u_out = np.empty_like(u)
-    v_out = np.empty_like(v)
-    for i, k in enumerate(momenta):
-        prop = mode_unitary(mode_hamiltonian_even(k, g), t)
-        if kick_phase is not None:
-            prop = np.diag([np.conj(kick_phase), kick_phase]) @ prop
-        u_out[i] = prop[0, 0] * u[i] + prop[0, 1] * v[i]
-        v_out[i] = prop[1, 0] * u[i] + prop[1, 1] * v[i]
-    return u_out, v_out
+    h = state.grid.n_sites // 2
+    k = np.concatenate([state.grid.k_plus[h:], state.grid.k_minus[h + 1:]])
+    u = np.concatenate([state.u_plus, state.u_minus])
+    v = np.concatenate([state.v_plus, state.v_minus])
+    a, b = mode_coefficients(k, g)
+    w = np.hypot(a, b)  # >= 2 |sin k| > 0 on every normal mode
+    sin_over_w = np.sin(w * t) / w
+    phase = np.exp(1j * phi)
+    alpha = phase * (np.cos(w * t) - 1j * sin_over_w * a)
+    beta = phase * (-1j * sin_over_w * b)
+    if kicks != 1:
+        sin_theta = np.hypot(alpha.imag, np.abs(beta))
+        theta = np.arctan2(sin_theta, alpha.real)
+        # sin(theta) = 0 means F = +-I exactly, where F - cos(theta) I vanishes
+        ratio = np.divide(np.sin(kicks * theta), sin_theta,
+                          out=np.zeros_like(sin_theta), where=sin_theta > 0)
+        alpha = np.cos(kicks * theta) + 1j * ratio * alpha.imag
+        beta = ratio * beta
+    u, v = alpha * u + beta * v, np.conj(alpha) * v - np.conj(beta) * u
+    return SystemState(state.grid, u[:h], v[:h], u[h:], v[h:],
+                       state.gamma - 2.0 * t * kicks, state.time + t * kicks)
 
 
 def evolve_quench(state: SystemState, g_f: float, dt: float) -> SystemState:
@@ -125,30 +126,22 @@ def evolve_quench(state: SystemState, g_f: float, dt: float) -> SystemState:
     The special-mode phase integrates to ``gamma -= 2 dt`` independently of
     ``g_f`` (the two diagonal special-mode entries sum to -4).
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    grid = state.grid
-    kp = [m.momentum for m in grid.positive_plus()]
-    km = [m.momentum for m in grid.positive_minus()]
-    u_p, v_p = _advance_modes(kp, state.u_plus, state.v_plus, g_f, dt)
-    u_m, v_m = _advance_modes(km, state.u_minus, state.v_minus, g_f, dt)
-    return SystemState(grid, u_p, v_p, u_m, v_m, state.gamma - 2.0 * dt, state.time + dt)
+    if not 0 <= dt < np.inf:
+        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
+    return _propagate(state, g_f, dt)
 
 
-def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float) -> SystemState:
-    """One kick period: Hamiltonian evolution over ``tau``, then the kick.
+def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float,
+                     kicks: int = 1) -> SystemState:
+    """``kicks`` periods, each Hamiltonian evolution over ``tau`` and then the kick.
 
     The kick generator per normal mode is ``2 diag(-1, 1)``, i.e. the
     propagator ``diag(e^{i phi}, e^{-i phi})`` with ``phi = pi (1 - eps)``.
     On the frozen special modes the kick phases ``e^{+i phi/2}`` (from
     ``|vac>_{-pi}``) and ``e^{-i phi/2}`` (from ``|0>``) cancel, so gamma
-    only accumulates the Hamiltonian part -2 tau per kick.
+    only accumulates the Hamiltonian part -2 tau per kick.  Any number of
+    kicks costs one closed-form Floquet power.
     """
-    phi = np.pi * (1.0 - epsilon)
-    kick_phase = np.exp(-1j * phi)  # lower component; upper gets the conjugate
-    grid = state.grid
-    kp = [m.momentum for m in grid.positive_plus()]
-    km = [m.momentum for m in grid.positive_minus()]
-    u_p, v_p = _advance_modes(kp, state.u_plus, state.v_plus, g, tau, kick_phase)
-    u_m, v_m = _advance_modes(km, state.u_minus, state.v_minus, g, tau, kick_phase)
-    return SystemState(grid, u_p, v_p, u_m, v_m, state.gamma - 2.0 * tau, state.time + tau)
+    if not isinstance(kicks, (int, np.integer)) or kicks < 0:
+        raise ValueError(f"kicks must be a nonnegative integer, got {kicks!r}")
+    return _propagate(state, g, tau, np.pi * (1.0 - epsilon), kicks)

@@ -18,6 +18,7 @@ __all__ = [
     "MomentumGrid",
     "dispersion",
     "bogoliubov_angle",
+    "mode_coefficients",
     "mode_hamiltonian_even",
     "special_mode_energies",
     "sgs_energies",
@@ -94,11 +95,15 @@ def bogoliubov_angle(k: float, g: float):
     return num_s / norm, num_c / norm
 
 
+def mode_coefficients(k, g):
+    """``(a, b) = (2 (cos k + g), -2 sin k)`` of ``H_k = [[a, b], [b, -a]]``, k scalar or array."""
+    return 2.0 * (np.cos(k) + g), -2.0 * np.sin(k)
+
+
 def mode_hamiltonian_even(k: float, g: float) -> np.ndarray:
     """Mode Hamiltonian in the even basis ``{|vac>, c^dag_k c^dag_-k |vac>}``."""
-    return 2.0 * np.array(
-        [[np.cos(k) + g, -np.sin(k)], [-np.sin(k), -np.cos(k) - g]], dtype=complex
-    )
+    a, b = mode_coefficients(k, g)
+    return np.array([[a, b], [b, -a]], dtype=complex)
 
 
 def special_mode_energies(g: float):

@@ -130,7 +130,9 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
 
     For a quench the schedule lists sample times (each reached exactly from
     t = 0, the generator being time-independent).  For kicks it lists kick
-    counts and samples are stroboscopic, taken just after the n-th kick.
+    counts and samples are stroboscopic, taken just after the n-th kick;
+    each sample is one closed-form jump from the previous one, whatever the
+    number of kicks between them.
     """
     schedule = list(schedule)
     if not np.all(np.isfinite(schedule)):
@@ -151,10 +153,9 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
             raise ValueError("kick schedule entries must be nonnegative integers")
         state = init_ferro(grid)
         done = 0
-        for target in schedule:
-            while done < target:
-                state = evolve_kick_step(state, driver.g, driver.tau, driver.epsilon)
-                done += 1
+        for target in map(int, schedule):
+            state = evolve_kick_step(state, driver.g, driver.tau, driver.epsilon, target - done)
+            done = target
             states.append(state)
 
     if threads > 1:

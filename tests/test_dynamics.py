@@ -1,18 +1,42 @@
 """Tests for the per-mode propagators and the two drivers."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from isingring.dynamics import (
+    NORM_TOL,
     DriverSpec,
     SystemState,
     evolve_kick_step,
     evolve_quench,
     init_ferro,
-    mode_unitary,
 )
 from isingring.model import MomentumGrid, mode_hamiltonian_even
+from tests_support import bcs_amplitudes, mode_unitary, stepped_reference
+
+
+def random_state(rng, grid, zero_v_mode=None):
+    """Random normalized amplitudes; optionally one even mode with v = 0 exactly."""
+    n = grid.n_sites
+    plus = np.array(bcs_amplitudes(rng, n // 2))
+    minus = np.array(bcs_amplitudes(rng, n // 2 - 1))
+    if zero_v_mode is not None:
+        plus[zero_v_mode] = (np.exp(0.4j), 0.0)
+    return SystemState(grid, plus[:, 0], plus[:, 1], minus[:, 0], minus[:, 1], 0.3, 0.0)
+
+
+def max_deviation(state, amplitudes):
+    ours = (state.u_plus, state.v_plus, state.u_minus, state.v_minus)
+    return max(np.abs(a - b).max() for a, b in zip(ours, amplitudes))
+
+
+def max_norm_drift(state):
+    return max(
+        np.abs(np.abs(state.u_plus) ** 2 + np.abs(state.v_plus) ** 2 - 1.0).max(),
+        np.abs(np.abs(state.u_minus) ** 2 + np.abs(state.v_minus) ** 2 - 1.0).max(),
+    )
 
 
 class TestModeUnitary:
@@ -120,8 +144,20 @@ class TestDriverSpec:
             evolve_quench(state, np.nan, 1.0)
         with pytest.raises(ValueError):
             evolve_kick_step(state, 0.5, np.nan, 0.02)
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
             evolve_quench(state, 0.5, np.inf)
+
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, -0.1])
+    def test_bad_dt_rejected_before_any_trigonometry(self, dt):
+        # under errstate(all="raise") an inf reaching sin would raise FloatingPointError
+        with pytest.raises(ValueError, match="dt must be finite and nonnegative"), \
+                np.errstate(all="raise"):
+            evolve_quench(init_ferro(MomentumGrid(6)), 0.5, dt)
+
+    @pytest.mark.parametrize("kicks", [-1, 1.5, 2.0, "3", None])
+    def test_bad_kick_count_rejected(self, kicks):
+        with pytest.raises(ValueError, match="kicks must be a nonnegative integer"):
+            evolve_kick_step(init_ferro(MomentumGrid(6)), 0.5, 0.3, 0.02, kicks)
 
 
 class TestQuench:
@@ -193,11 +229,7 @@ class TestKick:
         state = init_ferro(MomentumGrid(10))
         for _ in range(10_000):
             state = evolve_kick_step(state, 0.3, 0.25, 0.02)
-        drift = max(
-            np.abs(np.abs(state.u_plus) ** 2 + np.abs(state.v_plus) ** 2 - 1.0).max(),
-            np.abs(np.abs(state.u_minus) ** 2 + np.abs(state.v_minus) ** 2 - 1.0).max(),
-        )
-        assert drift < 1e-9
+        assert max_norm_drift(state) < 1e-9
 
     def test_sectors_evolve_independently(self):
         grid = MomentumGrid(8)
@@ -218,3 +250,96 @@ class TestKick:
         np.testing.assert_allclose(a.u_plus, b.u_plus, atol=1e-14)
         np.testing.assert_allclose(a.v_plus, b.v_plus, atol=1e-14)
         np.testing.assert_allclose(phase * a.u_minus, b.u_minus, atol=1e-14)
+
+
+def stepping_tol(kicks):
+    """1e-12, widened to five rounding units per kick beyond 900 kicks.
+
+    Both the closed-form power and n single steps drift from the exact
+    ``F^n`` by about n eps: against 40-digit arithmetic each is 0.5e-12 to
+    5e-12 off at 10^4 kicks, so the two cannot agree to 1e-12 there.
+    """
+    return max(1e-12, 5 * kicks * np.finfo(float).eps)
+
+
+def exact_kicks(state, g, tau, eps, kicks):
+    """``(u_plus, v_plus, u_minus, v_minus)`` after ``kicks`` periods in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        phase = mpmath.exp(1j * mpmath.pi * (1 - mpmath.mpf(eps)))
+        kick = mpmath.diag([phase, mpmath.conj(phase)])
+        out = []
+        for modes, u, v in ((state.grid.positive_plus(), state.u_plus, state.v_plus),
+                            (state.grid.positive_minus(), state.u_minus, state.v_minus)):
+            rows = []
+            for mode, uk, vk in zip(modes, u, v):
+                k = mpmath.mpf(mode.momentum)
+                a, b = 2 * (mpmath.cos(k) + g), -2 * mpmath.sin(k)
+                floquet = kick * mpmath.expm(-1j * tau * mpmath.matrix([[a, b], [b, -a]]))
+                rows.append([complex(x) for x in floquet**kicks * mpmath.matrix([uk, vk])])
+            out += [np.array(rows)[:, 0], np.array(rows)[:, 1]]
+        return out
+
+
+class TestAgainstPerModeReference:
+    """The closed-form array drivers against n scalar per-mode steps."""
+
+    @pytest.mark.parametrize("kicks", [0, 1, 7, 500, 10_000])
+    def test_kick_jump_matches_single_steps(self, kicks):
+        g, tau, eps = 0.3, 0.25, 0.02
+        state = random_state(np.random.default_rng(kicks), MomentumGrid(10))
+        jumped = evolve_kick_step(state, g, tau, eps, kicks)
+        reference = stepped_reference(state, g, tau, np.pi * (1.0 - eps), kicks)
+        assert max_deviation(jumped, reference) < stepping_tol(kicks)
+        assert jumped.gamma == pytest.approx(state.gamma - 2.0 * tau * kicks, abs=1e-12)
+        assert jumped.time == pytest.approx(tau * kicks, abs=1e-12)
+
+    def test_numpy_integer_kick_count(self):
+        state = init_ferro(MomentumGrid(8))
+        a = evolve_kick_step(state, 0.3, 0.25, 0.02, np.int64(9))
+        b = evolve_kick_step(state, 0.3, 0.25, 0.02, 9)
+        np.testing.assert_array_equal(a.u_plus, b.u_plus)
+        np.testing.assert_array_equal(a.v_minus, b.v_minus)
+
+    @pytest.mark.parametrize("g, tau, eps", [
+        (0.0, np.pi / 2, 0.0),  # F = +-I up to rounding
+        (0.0, 0.5, 0.0),        # perfect kick at zero field, where v crosses 0
+        (0.5, 0.0, 1.0),        # F = I exactly: sin(theta) = 0, no division
+        (0.5, 1e-9, 1.0),       # theta ~ 3e-9, where arccos(Re F00) loses half the digits
+    ])
+    @pytest.mark.parametrize("kicks", [1, 7, 500, 10_000])
+    def test_degenerate_drives(self, g, tau, eps, kicks):
+        state = random_state(np.random.default_rng(5), MomentumGrid(8), zero_v_mode=1)
+        with np.errstate(all="raise"):
+            jumped = evolve_kick_step(state, g, tau, eps, kicks)
+        reference = stepped_reference(state, g, tau, np.pi * (1.0 - eps), kicks)
+        assert max_deviation(jumped, reference) < stepping_tol(kicks)
+        assert max_norm_drift(jumped) < 1e-13
+
+    def test_identity_floquet_leaves_state_unchanged(self):
+        state = random_state(np.random.default_rng(6), MomentumGrid(8))
+        for kicks in (1, 2, 10**6):
+            out = evolve_kick_step(state, 0.5, 0.0, 1.0, kicks)
+            np.testing.assert_array_equal(out.u_plus, state.u_plus)
+            np.testing.assert_array_equal(out.v_minus, state.v_minus)
+
+    def test_quench_matches_reference_on_random_inputs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            grid = MomentumGrid(2 * int(rng.integers(2, 16)))
+            g, t = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 60.0)
+            state = random_state(rng, grid)
+            out = evolve_quench(state, g, t)
+            assert max_deviation(out, stepped_reference(state, g, t)) < 1e-12
+
+    @pytest.mark.parametrize("kicks", [10_000, 10**6])
+    def test_kick_jump_matches_exact_power(self, kicks):
+        g, tau, eps = 0.5, 0.5, 0.02
+        state = random_state(np.random.default_rng(8), MomentumGrid(8))
+        jumped = evolve_kick_step(state, g, tau, eps, kicks)
+        assert max_deviation(jumped, exact_kicks(state, g, tau, eps, kicks)) < stepping_tol(kicks)
+
+    def test_million_kick_jump_keeps_norms(self):
+        state = init_ferro(MomentumGrid(40))
+        out = evolve_kick_step(state, 0.5, 0.5, 0.02, 10**6)
+        assert max_norm_drift(out) < NORM_TOL
+        assert out.time == pytest.approx(0.5e6)

@@ -52,6 +52,17 @@ class TestAgainstDenseOracle:
         engine = np.array([[s.mx, s.my, s.mz] for s in samples])
         assert np.abs(engine - exact).max() < 1e-8
 
+    def test_long_kick_run_sampled_sparsely(self):
+        # each sample is one Floquet jump from the previous one, up to 2000 kicks
+        n = 8
+        g, tau, eps, n_kicks = 0.4, 0.5, 0.03, 2000
+        exact = oracle_ed.kick_trajectory(n, g, tau, eps, n_kicks)
+        schedule = [1, 2, 37, 500, 501, 1234, 1999, 2000]
+        driver = DriverSpec("kick", g=g, tau=tau, epsilon=eps)
+        samples = run_series(driver, MomentumGrid(n), schedule)
+        engine = np.array([[s.mx, s.my, s.mz] for s in samples])
+        assert np.abs(engine - exact[np.array(schedule) - 1]).max() < 1e-8
+
     def test_longitudinal_vector_components_match_ed_separately(self):
         # mx and my individually, not just in combination
         n = 6

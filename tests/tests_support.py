@@ -1,7 +1,9 @@
-"""Shared helpers for tests: BCS bra/ket operator words and the per-word ``<c_1>`` reference."""
+"""Shared helpers for tests: BCS bra/ket operator words, the per-word ``<c_1>``
+reference and the scalar per-mode propagator reference."""
 
 import numpy as np
 
+from isingring.model import mode_hamiltonian_even
 from isingring.wick import FermionWord, LinearOperator, vacuum_expectation
 
 
@@ -90,3 +92,49 @@ def expectation_c1_reference(state, signs=(1.0, 1.0, 1.0)):
         s * sum(coeff * vacuum_expectation(word) for coeff, word in term)
         for s, term in zip(signs, c1_terms_reference(state))
     )
+
+
+def mode_unitary(h: np.ndarray, t: float) -> np.ndarray:
+    """Exact ``exp(-i h t)`` of a Hermitian 2x2 matrix.
+
+    Splits off the trace and uses the closed form
+    ``cos(w t) I - i sin(w t) d / w`` for the traceless part ``d`` with
+    eigenvalues ``+-w``.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.shape != (2, 2) or np.abs(h - h.conj().T).max() > 1e-12:
+        raise ValueError("mode generator must be a Hermitian 2x2 matrix")
+    half_trace = 0.5 * np.real(h[0, 0] + h[1, 1])
+    d = h - half_trace * np.eye(2)
+    w = np.sqrt(np.real(d[0, 0]) ** 2 + np.abs(d[0, 1]) ** 2)
+    if w < 1e-300:
+        u = np.eye(2, dtype=complex)
+    else:
+        u = np.cos(w * t) * np.eye(2) - 1j * np.sin(w * t) / w * d
+    return np.exp(-1j * half_trace * t) * u
+
+
+def stepped_reference(state, g, t, phi=None, steps=1):
+    """Amplitudes ``(u_plus, v_plus, u_minus, v_minus)`` after ``steps`` single steps.
+
+    Each mode's one-step propagator is ``mode_unitary(H_k, t)``, followed by
+    the kick ``diag(e^{i phi}, e^{-i phi})`` when ``phi`` is given; it is
+    built once per mode and applied ``steps`` times, as the per-mode,
+    per-kick path that the closed-form drivers replace did.
+    """
+    def sector(modes, u, v):
+        props = []
+        for mode in modes:
+            prop = mode_unitary(mode_hamiltonian_even(mode.momentum, g), t)
+            if phi is not None:
+                prop = np.diag([np.exp(1j * phi), np.exp(-1j * phi)]) @ prop
+            props.append(prop)
+        props = np.array(props).reshape(-1, 2, 2)
+        uv = np.array([u, v])
+        for _ in range(steps):
+            uv = np.einsum("mij,jm->im", props, uv)
+        return uv[0], uv[1]
+
+    grid = state.grid
+    return (*sector(grid.positive_plus(), state.u_plus, state.v_plus),
+            *sector(grid.positive_minus(), state.u_minus, state.v_minus))
