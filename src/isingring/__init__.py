@@ -19,7 +19,7 @@ from .model import (
 )
 from .observables import MagnetizationSample, expectation_c1, magnetization, run_series
 from .pfaffian import SkewMatrix, pfaffian
-from .wick import FermionWord, LinearOperator, ModeIndex, vacuum_expectation
+from .wick import FermionWord, ModeIndex, vacuum_expectation
 
 __all__ = [
     "DriverSpec",
@@ -42,7 +42,6 @@ __all__ = [
     "SkewMatrix",
     "pfaffian",
     "FermionWord",
-    "LinearOperator",
     "ModeIndex",
     "vacuum_expectation",
 ]

@@ -132,6 +132,12 @@ def validate_suite(sizes=(4, 6, 8, 10), g_values=(0.5, 1.0, 1.5), t_max=5.0, dt=
 
 
 def _cmd_quench(args) -> int:
+    if not (np.isfinite(args.dt) and args.dt > 0.0):
+        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
+    if not (np.isfinite(args.tmax) and args.tmax >= 0.0):
+        raise ValueError(f"--tmax must be nonnegative and finite, got {args.tmax}")
+    if args.validate and args.n > oracle_ed.MAX_SITES:
+        raise ValueError(f"--validate requires N <= {oracle_ed.MAX_SITES}")
     n = args.n
     grid = MomentumGrid(n)
     times = np.arange(0.0, args.tmax + args.dt / 2, args.dt)
@@ -150,9 +156,6 @@ def _cmd_quench(args) -> int:
         if maximum is not None:
             summary["rebound_maximum"] = {"t": maximum[0], "mx_over_n": maximum[1]}
     if args.validate:
-        if n > oracle_ed.MAX_SITES:
-            print(f"--validate requires N <= {oracle_ed.MAX_SITES}", file=sys.stderr)
-            return 2
         exact = oracle_ed.quench_trajectory(n, args.gf, times)
         engine = np.array([[s.mx, s.my, s.mz] for s in samples])
         max_dev = float(np.abs(engine - exact).max())
@@ -181,18 +184,24 @@ def _cmd_kick(args) -> int:
     return 0
 
 
+def _scan_points(args) -> np.ndarray:
+    if not (np.isfinite(args.gmin) and np.isfinite(args.gmax)):
+        raise ValueError(f"--gmin and --gmax must be finite, got {args.gmin}, {args.gmax}")
+    if args.gsteps < 1:
+        raise ValueError(f"--gsteps must be >= 1, got {args.gsteps}")
+    return np.linspace(args.gmin, args.gmax, args.gsteps)
+
+
 def _cmd_gap(args) -> int:
     grid = MomentumGrid(args.n)
-    gs = np.linspace(args.gmin, args.gmax, args.gsteps)
-    rows = [(g, model.gap_delta(grid, g)) for g in gs]
+    rows = [(g, model.gap_delta(grid, g)) for g in _scan_points(args)]
     _write_csv(args.out, ["g", "delta"], rows)
     _write_summary(_summary_path(args.out), {"config": _resolved_config(args), "command": "gap"})
     return 0
 
 
 def _cmd_deltal(args) -> int:
-    xs = np.linspace(args.gmin, args.gmax, args.gsteps)
-    rows = [(x, model.delta_l(x, args.n)) for x in xs]
+    rows = [(x, model.delta_l(x, args.n)) for x in _scan_points(args)]
     _write_csv(args.out, ["x", "delta_l"], rows)
     _write_summary(_summary_path(args.out), {"config": _resolved_config(args), "command": "deltal"})
     return 0
@@ -227,8 +236,13 @@ def _resolved_config(args) -> dict:
     return cfg
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+#: store_true flags, which a config file turns on with a true value
+_SWITCHES = ("validate",)
+
+
+def _config_argv(path: str) -> list:
+    """The flags that a ``key = value`` (or ``key: value``) config file stands for."""
+    argv = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -240,8 +254,12 @@ def _read_config_file(path: str) -> dict:
                 key, val = line.split(":", 1)
             else:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+            key, val = key.strip(), val.strip()
+            if key not in _SWITCHES:
+                argv.append(f"--{key}={val}")
+            elif val.lower() in ("1", "true", "yes"):
+                argv.append(f"--{key}")
+    return argv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -305,54 +323,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _extract_config(argv):
-    """Locate the subcommand name and a --config value without argparse."""
-    command, config = None, None
-    it = iter(range(len(argv)))
-    for i in it:
-        tok = argv[i]
-        if tok == "--config":
-            config = argv[i + 1] if i + 1 < len(argv) else None
-            next(it, None)
-        elif tok.startswith("--config="):
-            config = tok.split("=", 1)[1]
-        elif command is None and not tok.startswith("-"):
-            command = tok
-    return command, config
+def _with_config(argv: list) -> list:
+    """``argv`` with the ``--config`` file's flags placed right after the subcommand.
+
+    argparse then converts and checks them like typed flags, and the flags
+    typed after the subcommand, which come later, win.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    if not (known.config and known.command):
+        return argv
+    at = argv.index(known.command) + 1
+    return argv[:at] + _config_argv(known.config) + argv[at:]
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
-    command, config = _extract_config(argv)
-    if config:
-        try:
-            file_values = _read_config_file(config)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        choices = parser._subparsers._group_actions[0].choices
-        if command not in choices:
-            print(f"unknown command: {command}", file=sys.stderr)
-            return 2
-        sub_parser = choices[command]
-        for key, val in file_values.items():
-            action = next((a for a in sub_parser._actions if a.dest == key), None)
-            if action is None:
-                print(f"unknown config key: {key}", file=sys.stderr)
-                return 2
-            if isinstance(action, argparse._StoreTrueAction):
-                sub_parser.set_defaults(**{key: val.lower() in ("1", "true", "yes")})
-            else:
-                sub_parser.set_defaults(**{key: (action.type or str)(val)})
-        # required flags satisfied by the file must not be demanded again
-        for action in sub_parser._actions:
-            if action.dest in file_values:
-                action.required = False
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _build_parser().parse_args(_with_config(argv))
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit on a bad flag or config key
+        return exc.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

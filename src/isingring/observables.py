@@ -2,9 +2,10 @@
 
 The longitudinal components require the cross-parity matrix element
 ``<psi(t)| c_1 |psi(t)>``, the sum of ``<psi_e| c_1 |psi_o>`` and
-``<psi_o| c_1 |psi_e>``.  Each is a single fermion word of length 2N: the
-bra, the Fourier sum ``sum_k e^{ik} c_k`` of ``c_1`` on the ket's grid as
-one linear operator, and the ket.  One sample therefore costs two
+``<psi_o| c_1 |psi_e>``.  Each is a single fermion word of length 2N,
+filled straight from the ``u, v`` arrays: the bra (the adjoint of the
+other sector's ket), the Fourier sum ``sum_k e^{ik} c_k`` of ``c_1`` on the
+ket's grid as one row, and the ket.  One sample therefore costs two
 Pfaffians.  Wick's theorem is linear in each factor, so each word equals
 the sum over Fourier components: the k = 0 component annihilates the odd
 ket's ``c^dag_0``, and the +-k components break the BCS pair k into
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
 from .model import MomentumGrid
-from .wick import EVEN, ODD, FermionWord, LinearOperator, ModeIndex, vacuum_expectation
+from .wick import FermionWord, mode_slot, vacuum_expectation
 
 __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series"]
 
@@ -46,23 +47,23 @@ class MagnetizationSample:
     mz: float
 
 
-def _bra(modes, u, v):
-    """``<X|`` as the operator pairs ``(c_{-p}, eta_p)``, last mode first."""
-    ops = []
-    for mode, up, vp in zip(reversed(modes), u[::-1], v[::-1]):
-        neg = mode.negate()
-        ops += [LinearOperator(ann={neg: 1.0}),
-                LinearOperator(ann={mode: np.conj(vp)}, cre={neg: np.conj(up)})]
-    return ops
+def _row(n_sites, index, coeffs):
+    """The one-factor word ``sum_m coeffs_m c_m`` over the grid indices ``index``."""
+    row = np.zeros((1, 2 * n_sites), dtype=complex)
+    row[0, mode_slot(index, n_sites)] = coeffs
+    return FermionWord(row, np.zeros_like(row))
 
 
-def _ket(modes, u, v):
-    """``|X>`` as the operator pairs ``(eta^dag_k, c^dag_{-k})``."""
-    ops = []
-    for mode, uk, vk in zip(modes, u, v):
-        neg = mode.negate()
-        ops += [LinearOperator(ann={neg: uk}, cre={mode: vk}), LinearOperator(cre={neg: 1.0})]
-    return ops
+def _ket(n_sites, index, u, v):
+    """``|X>`` as the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices."""
+    ann = np.zeros((2 * len(index), 2 * n_sites), dtype=complex)
+    cre = np.zeros_like(ann)
+    rows = np.arange(0, len(ann), 2)
+    pos, neg = mode_slot(index, n_sites), mode_slot(-index, n_sites)
+    ann[rows, neg] = u
+    cre[rows, pos] = v
+    cre[rows + 1, neg] = 1.0
+    return FermionWord(ann, cre)
 
 
 def _c1_words(state: SystemState):
@@ -70,33 +71,22 @@ def _c1_words(state: SystemState):
 
     The first word is ``<psi_e| c_1 |psi_o>``, the second
     ``<psi_o| c_1 |psi_e>``; ``c_1`` enters without its ``N^{-1/2}``, which
-    sits in the coefficients.
+    sits in the coefficients.  Each bra is its ket's adjoint.
     """
-    grid = state.grid
-    n = grid.n_sites
+    n = state.grid.n_sites
     s1, s2, s3 = _TERM_SIGNS
-    plus = grid.positive_plus()
-    minus = grid.positive_minus()
-    zero_mode = grid.special_zero()
-
-    c1_odd = LinearOperator(ann={
-        m: (s1 if m == zero_mode else s2) * np.exp(1j * m.momentum)
-        for m in (ModeIndex(ODD, i, n) for i in range(-n, n, 2))
-    })
-    c1_even = LinearOperator(ann={
-        m: s3 * np.exp(1j * m.momentum) for m in (ModeIndex(EVEN, i, n) for i in range(1 - n, n, 2))
-    })
-    bra_even = _bra(plus, state.u_plus, state.v_plus)
-    bra_odd = _bra(minus, state.u_minus, state.v_minus) + [LinearOperator(ann={zero_mode: 1.0})]
-    ket_even = _ket(plus, state.u_plus, state.v_plus)
-    ket_odd = _ket(minus, state.u_minus, state.v_minus) + [LinearOperator(cre={zero_mode: 1.0})]
+    even, odd = np.arange(1 - n, n, 2), np.arange(-n, n, 2)
+    c1_odd = _row(n, odd, np.where(odd == 0, s1, s2) * np.exp(1j * np.pi * odd / n))
+    c1_even = _row(n, even, s3 * np.exp(1j * np.pi * even / n))
+    ket_even = _ket(n, even[even > 0], state.u_plus, state.v_plus)
+    ket_odd = _ket(n, odd[odd > 0], state.u_minus, state.v_minus) + _row(n, 0, 1.0).dagger()
 
     phase = np.exp(-1j * state.gamma)
     pref12 = phase / (2.0 * np.sqrt(n))
     pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
     return [
-        (pref12, FermionWord(tuple(bra_even + [c1_odd] + ket_odd))),
-        (pref3, FermionWord(tuple(bra_odd + [c1_even] + ket_even))),
+        (pref12, ket_even.dagger() + c1_odd + ket_odd),
+        (pref3, ket_odd.dagger() + c1_even + ket_even),
     ]
 
 

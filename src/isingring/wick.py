@@ -7,31 +7,24 @@ cross contraction
 
     <vac| c_{k,s} c^dag_{k',s'} |vac> = (2/N) / (exp(i(k - k')) - 1),  s != s'.
 
-A :class:`FermionWord` is an ordered product of general linear forms in the
-mode operators; its vacuum expectation is the Pfaffian of the matrix of
-pairwise contractions.
+A :class:`FermionWord` is an ordered product of L linear forms in the 2N
+mode operators, held as two (L, 2N) coefficient arrays, one for the
+annihilators and one for the creators.  Their columns follow the one slot
+order that :func:`mode_slot` defines and the contraction kernel shares.
+The word's vacuum expectation is the Pfaffian of the L x L matrix of
+pairwise contractions, ``ann K cre^T`` above the diagonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .pfaffian import pfaffian
 
-__all__ = [
-    "EVEN",
-    "ODD",
-    "ModeIndex",
-    "LinearOperator",
-    "FermionWord",
-    "contraction_kernel",
-    "contract_pair",
-    "vacuum_expectation",
-    "inner_product_Imn",
-]
+__all__ = ["EVEN", "ODD", "ModeIndex", "FermionWord", "mode_slot", "vacuum_expectation"]
 
 #: sector labels: EVEN carries the half-integer grid, ODD the integer grid
 EVEN, ODD = +1, -1
@@ -73,173 +66,72 @@ class ModeIndex:
         m = -self.index if self.index != -self.n_sites else self.index
         return ModeIndex(self.sector, m, self.n_sites)
 
-    def _slot(self) -> int:
-        # position in the fixed full-basis ordering used by the kernel cache
-        n = self.n_sites
-        if self.sector == EVEN:
-            return (self.index + n - 1) // 2
-        return n + (self.index + n) // 2
+
+def mode_slot(index, n_sites: int):
+    """Column of the mode with integer grid index ``index`` (scalar or array) in the 2N-mode basis.
+
+    The sector follows from the index parity (odd: even sector, even: odd
+    sector), so ``(m + N)//2 + N [odd sector]`` puts the even-sector modes
+    in columns 0..N-1 and the odd-sector modes, -pi first, in N..2N-1, each
+    in ascending momentum.  Every word row and :func:`_full_kernel` use
+    this order.
+    """
+    index = np.asarray(index)
+    return (index + n_sites) // 2 + n_sites * (index % 2 == 0)
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """A linear combination of mode annihilation and creation operators.
+@dataclass(frozen=True, eq=False)
+class FermionWord:
+    """An ordered product of L linear forms in the 2N mode operators.
 
-    ``ann[k]`` is the coefficient of ``c_k`` and ``cre[k]`` the coefficient
-    of ``c^dag_k``.  No constraint links the two parts.
+    Row i of ``ann`` holds the coefficients of the annihilators in factor i,
+    row i of ``cre`` those of the creators, both (L, 2N) in
+    :func:`mode_slot` order.
     """
 
-    ann: dict = field(default_factory=dict)
-    cre: dict = field(default_factory=dict)
-
-    def dagger(self) -> "LinearOperator":
-        return LinearOperator(
-            ann={k: np.conj(c) for k, c in self.cre.items()},
-            cre={k: np.conj(c) for k, c in self.ann.items()},
-        )
-
-
-@dataclass(frozen=True)
-class FermionWord:
-    """An ordered product of :class:`LinearOperator` factors."""
-
-    ops: tuple
+    ann: np.ndarray
+    cre: np.ndarray
 
     def __len__(self):
-        return len(self.ops)
+        return len(self.ann)
 
+    def __add__(self, other: "FermionWord") -> "FermionWord":
+        """The product ``self other``: rows concatenated."""
+        return FermionWord(np.vstack([self.ann, other.ann]), np.vstack([self.cre, other.cre]))
 
-def contraction_kernel(k: ModeIndex, kp: ModeIndex) -> complex:
-    """Vacuum contraction ``<vac| c_k c^dag_kp |vac>``.
-
-    Kronecker delta for equal sectors; the cross-sector kernel otherwise.
-    Sectors differing guarantees k != kp, so the denominator never vanishes.
-    """
-    if k.n_sites != kp.n_sites:
-        raise ValueError("modes belong to different ring sizes")
-    if k.sector == kp.sector:
-        return 1.0 + 0.0j if k.index == kp.index else 0.0 + 0.0j
-    n = k.n_sites
-    return (2.0 / n) / (np.exp(1j * (k.momentum - kp.momentum)) - 1.0)
-
-
-def contract_pair(a: LinearOperator, b: LinearOperator) -> complex:
-    """Vacuum contraction ``<vac| a b |vac>`` of two linear forms.
-
-    Only annihilator-of-a against creator-of-b pairings survive on the
-    vacuum.
-    """
-    total = 0.0 + 0.0j
-    for k, ca in a.ann.items():
-        for kp, cb in b.cre.items():
-            if ca == 0 or cb == 0:
-                continue
-            total += ca * cb * contraction_kernel(k, kp)
-    return total
+    def dagger(self) -> "FermionWord":
+        """The adjoint product: rows reversed, coefficients conjugated, ann and cre swapped."""
+        return FermionWord(self.cre[::-1].conj(), self.ann[::-1].conj())
 
 
 @lru_cache(maxsize=8)
 def _full_kernel(n_sites: int) -> np.ndarray:
-    """Contraction kernel over the full 2N-mode basis in slot order."""
+    """Contractions ``<vac| c_a c^dag_b |vac>`` over the full 2N-mode basis in slot order."""
     n = n_sites
-    idx_even = np.arange(-n + 1, n, 2)
-    idx_odd = np.arange(-n, n, 2)
-    momenta = np.pi * np.concatenate([idx_even, idx_odd]) / n
-    sectors = np.concatenate([np.full(n, EVEN), np.full(n, ODD)])
-    same = sectors[:, None] == sectors[None, :]
+    index = np.empty(2 * n, dtype=int)
+    index[mode_slot(np.arange(-n, n), n)] = np.arange(-n, n)
+    momenta = np.pi * index / n
+    odd = index % 2 == 0
+    same = odd[:, None] == odd[None, :]
     dk = momenta[:, None] - momenta[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = (2.0 / n) / (np.exp(1j * dk) - 1.0)
-    kernel = np.where(same, np.eye(2 * n, dtype=complex), cross)
-    return kernel
+    return np.where(same, np.eye(2 * n, dtype=complex), cross)
 
 
 def vacuum_expectation(w: FermionWord) -> complex:
     """Vacuum expectation value of an ordered operator product.
 
     Wick's theorem assembles all pairwise contractions into the Pfaffian of
-    the L x L skew matrix with ``M[i, j] = contract_pair(ops[i], ops[j])``
-    for i < j.  Odd-length words vanish by parity; the empty word gives 1.
+    the L x L skew matrix whose upper triangle is ``ann K cre^T``, with K the
+    contraction kernel.  Odd-length words vanish by parity; the empty word
+    gives 1.
     """
-    ops = w.ops
-    length = len(ops)
+    length = len(w)
     if length % 2 != 0:
         return 0.0 + 0.0j
     if length == 0:
         return 1.0 + 0.0j
-
-    n_sites = None
-    for op in ops:
-        for k in list(op.ann) + list(op.cre):
-            n_sites = k.n_sites
-            break
-        if n_sites is not None:
-            break
-    if n_sites is None:
-        return 0.0 + 0.0j  # all factors are the zero operator
-
-    nm = 2 * n_sites
-    amat = np.zeros((length, nm), dtype=complex)
-    bmat = np.zeros((length, nm), dtype=complex)
-    for i, op in enumerate(ops):
-        for k, c in op.ann.items():
-            amat[i, k._slot()] += c
-        for k, c in op.cre.items():
-            bmat[i, k._slot()] += c
-
-    contractions = amat @ _full_kernel(n_sites) @ bmat.T
+    contractions = w.ann @ _full_kernel(w.ann.shape[1] // 2) @ w.cre.T
     upper = np.triu(contractions, 1)
-    skew = upper - upper.T
-    return pfaffian(skew)
-
-
-def inner_product_Imn(bra_modes, ket_modes) -> complex:
-    """Cross-sector BCS inner product from the explicit Pfaffian formula.
-
-    Both arguments are sequences of ``(mode, u, v)`` triples: the bra modes
-    in one sector, the ket modes in the other, all at positive momentum.
-    Returns ``(-1)^m / (prod conj(v_p) * prod v_k) * Pf(A)`` with the
-    2(m+n) x 2(m+n) contraction matrix assembled from the six closed-form
-    Bogoliubov contractions.
-
-    This path divides by the ``v`` amplitudes and is retained as a
-    validation oracle; production code evaluates the division-free
-    :func:`vacuum_expectation` word instead.
-    """
-    m, n = len(bra_modes), len(ket_modes)
-    if m == 0 and n == 0:
-        return 1.0 + 0.0j
-    for _, _, v in list(bra_modes) + list(ket_modes):
-        if abs(v) < 1e-12:
-            raise ValueError("|v| < 1e-12: use vacuum_expectation on the division-free word")
-    for mode, _, _ in bra_modes:
-        if mode.index <= 0:
-            raise ValueError("bra momenta must be positive")
-    for mode, _, _ in ket_modes:
-        if mode.index <= 0:
-            raise ValueError("ket momenta must be positive")
-    sectors_bra = {mode.sector for mode, _, _ in bra_modes}
-    sectors_ket = {mode.sector for mode, _, _ in ket_modes}
-    if len(sectors_bra) > 1 or len(sectors_ket) > 1 or (sectors_bra and sectors_bra == sectors_ket):
-        raise ValueError("bra and ket modes must lie in opposite single sectors")
-
-    dim = 2 * (m + n)
-    a = np.zeros((dim, dim), dtype=complex)
-    for l, (p, up, vp) in enumerate(bra_modes):
-        a[2 * l, 2 * l + 1] = -np.conj(up) * np.conj(vp)
-        for j, (k, uk, vk) in enumerate(ket_modes):
-            w = np.conj(vp) * vk
-            a[2 * l, 2 * m + 2 * j] = w * contraction_kernel(p.negate(), k.negate())
-            a[2 * l, 2 * m + 2 * j + 1] = -w * contraction_kernel(p.negate(), k)
-            a[2 * l + 1, 2 * m + 2 * j] = -w * contraction_kernel(p, k.negate())
-            a[2 * l + 1, 2 * m + 2 * j + 1] = w * contraction_kernel(p, k)
-    for j, (k, uk, vk) in enumerate(ket_modes):
-        a[2 * m + 2 * j, 2 * m + 2 * j + 1] = uk * vk
-    a = a - a.T
-
-    prefactor = (-1.0) ** m
-    for _, up, vp in bra_modes:
-        prefactor /= np.conj(vp)
-    for _, uk, vk in ket_modes:
-        prefactor /= vk
-    return prefactor * pfaffian(a)
+    return pfaffian(upper - upper.T)

@@ -98,6 +98,7 @@ class TestQuenchCommand:
              "--out", str(tmp_path / "q.csv"), "--validate"]
         )
         assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_odd_ring_rejected(self, tmp_path):
         rc = main(
@@ -112,6 +113,15 @@ class TestQuenchCommand:
                    "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("tmax,dt", [("1.0", "0"), ("1.0", "-0.1"), ("1.0", "nan"),
+                                         ("1.0", "inf"), ("-1", "0.1"), ("inf", "0.1")])
+    def test_bad_time_grid_rejected_without_output(self, tmp_path, tmax, dt):
+        out = tmp_path / "q.csv"
+        rc = main(["quench", "--n", "6", "--gf", "0.5", "--tmax", tmax, "--dt", dt,
+                   "--out", str(out)])
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKickCommand:
@@ -174,6 +184,13 @@ class TestScanCommands:
         assert rc == 0
         h_star, beta_star, overlap = read_csv(out)[0]
         assert (h_star, beta_star, overlap) == pytest.approx((0.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("command", ["gap", "deltal"])
+    @pytest.mark.parametrize("flags", [["--gmin", "nan"], ["--gmax", "inf"], ["--gsteps", "0"]])
+    def test_bad_scan_rejected_without_output(self, tmp_path, command, flags):
+        rc = main([command, "--n", "8", "--out", str(tmp_path / "s.csv")] + flags)
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

@@ -9,33 +9,41 @@ from isingring.wick import (
     EVEN,
     ODD,
     FermionWord,
-    LinearOperator,
     ModeIndex,
-    contract_pair,
+    _full_kernel,
+    mode_slot,
+    vacuum_expectation,
+)
+from tests_support import (
+    as_word,
+    bcs_amplitudes,
+    bra_word,
     contraction_kernel,
     inner_product_Imn,
-    vacuum_expectation,
+    ket_word,
 )
 
 
-from tests_support import bcs_amplitudes, bra_word, ket_word
+def random_word(rng, n_sites, length):
+    """A word of ``length`` dense random linear forms."""
+    z = rng.standard_normal((4, length, 2 * n_sites))
+    return FermionWord(z[0] + 1j * z[1], z[2] + 1j * z[3])
 
 
-def random_word(rng, grid, length):
-    modes = grid.positive_plus() + grid.positive_minus()
-    modes = modes + [m.negate() for m in modes] + [grid.special_zero(), grid.special_pi()]
-    ops = []
-    for _ in range(length):
-        ann = {}
-        cre = {}
-        for _ in range(rng.integers(1, 3)):
-            m = modes[rng.integers(len(modes))]
-            ann[m] = ann.get(m, 0.0) + rng.standard_normal() + 1j * rng.standard_normal()
-        for _ in range(rng.integers(1, 3)):
-            m = modes[rng.integers(len(modes))]
-            cre[m] = cre.get(m, 0.0) + rng.standard_normal() + 1j * rng.standard_normal()
-        ops.append(LinearOperator(ann=ann, cre=cre))
-    return FermionWord(tuple(ops))
+def rows(w, picks):
+    """The word made of the factors ``picks`` of ``w``, in that order."""
+    return FermionWord(w.ann[picks], w.cre[picks])
+
+
+def pair(w, i, j):
+    """The contraction ``<vac| w_i w_j |vac>`` as a two-factor word."""
+    return vacuum_expectation(rows(w, [i, j]))
+
+
+def three_pairings(w):
+    """Wick's sum over the three pairings of a four-factor word."""
+    return (pair(w, 0, 1) * pair(w, 2, 3) - pair(w, 0, 2) * pair(w, 1, 3)
+            + pair(w, 0, 3) * pair(w, 1, 2))
 
 
 class TestModeIndex:
@@ -97,92 +105,99 @@ class TestContractionKernel:
             contraction_kernel(ModeIndex(EVEN, 1, 4), ModeIndex(ODD, 2, 6))
 
 
+def all_modes(n):
+    """Every mode of both grids, k = 0 and k = -pi included."""
+    return [ModeIndex(EVEN, m, n) for m in range(1 - n, n, 2)] + [
+        ModeIndex(ODD, m, n) for m in range(-n, n, 2)]
+
+
+class TestSlotOrder:
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_every_mode_gets_its_own_column(self, n):
+        modes = all_modes(n)
+        slots = [int(mode_slot(k.index, n)) for k in modes]
+        assert sorted(slots) == list(range(2 * n))
+        np.testing.assert_array_equal(mode_slot([k.index for k in modes], n), slots)
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_kernel_follows_the_slot_order(self, n):
+        kernel = _full_kernel(n)
+        np.testing.assert_array_equal(kernel[:n, :n], np.eye(n))
+        np.testing.assert_array_equal(kernel[n:, n:], np.eye(n))
+        for k in all_modes(n):
+            for kp in all_modes(n):
+                assert kernel[mode_slot(k.index, n), mode_slot(kp.index, n)] == pytest.approx(
+                    contraction_kernel(k, kp), rel=1e-14, abs=1e-15
+                )
+
+
 class TestContractPair:
+    """A two-factor word's expectation is the contraction of the pair."""
+
     def test_annihilator_against_creator_only(self):
         k = ModeIndex(EVEN, 1, 8)
-        c = LinearOperator(ann={k: 1.0})
-        cdag = LinearOperator(cre={k: 1.0})
-        assert contract_pair(c, cdag) == 1.0
-        assert contract_pair(cdag, c) == 0.0
-        assert contract_pair(c, c) == 0.0
+        c, cdag = ({k: 1.0}, {}), ({}, {k: 1.0})
+        assert vacuum_expectation(as_word([c, cdag])) == 1.0
+        assert vacuum_expectation(as_word([cdag, c])) == 0.0
+        assert vacuum_expectation(as_word([c, c])) == 0.0
 
     def test_bilinearity(self):
         rng = np.random.default_rng(3)
-        grid = MomentumGrid(8)
-        a = random_word(rng, grid, 1).ops[0]
-        b = random_word(rng, grid, 1).ops[0]
-        c = random_word(rng, grid, 1).ops[0]
+        w = random_word(rng, 8, 3)
         lam = 0.7 - 0.2j
-        combined = LinearOperator(
-            ann={k: b.ann.get(k, 0) + lam * c.ann.get(k, 0) for k in set(b.ann) | set(c.ann)},
-            cre={k: b.cre.get(k, 0) + lam * c.cre.get(k, 0) for k in set(b.cre) | set(c.cre)},
+        combined = FermionWord(
+            np.stack([w.ann[0], w.ann[1] + lam * w.ann[2]]),
+            np.stack([w.cre[0], w.cre[1] + lam * w.cre[2]]),
         )
-        assert contract_pair(a, combined) == pytest.approx(
-            contract_pair(a, b) + lam * contract_pair(a, c)
-        )
+        assert vacuum_expectation(combined) == pytest.approx(pair(w, 0, 1) + lam * pair(w, 0, 2))
 
 
 class TestVacuumExpectation:
     def test_empty_and_odd_words(self):
-        assert vacuum_expectation(FermionWord(())) == 1.0
+        assert vacuum_expectation(as_word([], 8)) == 1.0
         k = ModeIndex(EVEN, 1, 8)
-        w = FermionWord((LinearOperator(ann={k: 1.0}),))
-        assert vacuum_expectation(w) == 0.0
+        assert vacuum_expectation(as_word([({k: 1.0}, {})])) == 0.0
 
     def test_single_pair(self):
         k = ModeIndex(ODD, 2, 8)
-        w = FermionWord((LinearOperator(ann={k: 2.0j}), LinearOperator(cre={k: 3.0})))
+        w = as_word([({k: 2.0j}, {}), ({}, {k: 3.0})])
         assert vacuum_expectation(w) == pytest.approx(6.0j)
 
     def test_two_pair_number_word(self):
         # <c_k c^dag_k c_kp c^dag_kp> = 1 for distinct same-sector modes
         k = ModeIndex(EVEN, 1, 8)
         kp = ModeIndex(EVEN, 3, 8)
-        ops = (
-            LinearOperator(ann={k: 1.0}),
-            LinearOperator(cre={k: 1.0}),
-            LinearOperator(ann={kp: 1.0}),
-            LinearOperator(cre={kp: 1.0}),
-        )
-        assert vacuum_expectation(FermionWord(ops)) == pytest.approx(1.0)
+        ops = [({k: 1.0}, {}), ({}, {k: 1.0}), ({kp: 1.0}, {}), ({}, {kp: 1.0})]
+        assert vacuum_expectation(as_word(ops)) == pytest.approx(1.0)
 
     def test_four_operator_word_matches_three_pairings(self):
         rng = np.random.default_rng(11)
-        grid = MomentumGrid(8)
-        w = random_word(rng, grid, 4)
-        a, b, c, d = w.ops
-        expected = (
-            contract_pair(a, b) * contract_pair(c, d)
-            - contract_pair(a, c) * contract_pair(b, d)
-            + contract_pair(a, d) * contract_pair(b, c)
-        )
-        assert vacuum_expectation(w) == pytest.approx(expected, rel=1e-12)
+        w = random_word(rng, 8, 4)
+        assert vacuum_expectation(w) == pytest.approx(three_pairings(w), rel=1e-12)
 
     @pytest.mark.parametrize("length", [4, 6, 8])
     def test_adjacent_swap_antisymmetry(self, length):
         # anticommuting two neighbors flips the sign plus adds the contraction
         rng = np.random.default_rng(20 + length)
-        grid = MomentumGrid(6)
-        w = random_word(rng, grid, length)
+        w = random_word(rng, 6, length)
         base = vacuum_expectation(w)
         for i in range(length - 1):
-            ops = list(w.ops)
-            ops[i], ops[i + 1] = ops[i + 1], ops[i]
-            swapped = vacuum_expectation(FermionWord(tuple(ops)))
-            rest = list(w.ops)
-            del rest[i : i + 2]
-            anticomm = contract_pair(w.ops[i], w.ops[i + 1]) + contract_pair(
-                w.ops[i + 1], w.ops[i]
-            )
-            reduced = anticomm * vacuum_expectation(FermionWord(tuple(rest)))
+            order = list(range(length))
+            order[i], order[i + 1] = order[i + 1], order[i]
+            swapped = vacuum_expectation(rows(w, order))
+            rest = order[:i] + order[i + 2:]
+            anticomm = pair(w, i, i + 1) + pair(w, i + 1, i)
+            reduced = anticomm * vacuum_expectation(rows(w, rest))
             assert swapped == pytest.approx(reduced - base, rel=1e-9, abs=1e-12)
 
     def test_dagger_word_conjugates(self):
         rng = np.random.default_rng(31)
-        grid = MomentumGrid(8)
         for length in (2, 4, 6):
-            w = random_word(rng, grid, length)
-            daggered = FermionWord(tuple(op.dagger() for op in reversed(w.ops)))
+            w = random_word(rng, 8, length)
+            daggered = w.dagger()
+            assert len(daggered) == length
+            np.testing.assert_array_equal(daggered.dagger().ann, w.ann)
+            np.testing.assert_array_equal(daggered.dagger().cre, w.cre)
             assert vacuum_expectation(daggered) == pytest.approx(
                 np.conj(vacuum_expectation(w)), rel=1e-10, abs=1e-14
             )
@@ -211,7 +226,7 @@ class TestInnerProductImn:
         for trial in range(5):
             bra = [(mode, *uv) for mode, uv in zip(bra_modes, bcs_amplitudes(rng, m, 0.1))]
             ket = [(mode, *uv) for mode, uv in zip(ket_modes, bcs_amplitudes(rng, n, 0.1))]
-            word = FermionWord(tuple(bra_word(bra) + ket_word(ket)))
+            word = as_word(bra_word(bra) + ket_word(ket))
             assert inner_product_Imn(bra, ket) == pytest.approx(
                 vacuum_expectation(word), rel=1e-9, abs=1e-12
             )
@@ -221,7 +236,7 @@ class TestInnerProductImn:
         grid = MomentumGrid(8)
         bra = [(grid.positive_minus()[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
         ket = [(grid.positive_plus()[1], *bcs_amplitudes(rng, 1, 0.1)[0])]
-        word = FermionWord(tuple(bra_word(bra) + ket_word(ket)))
+        word = as_word(bra_word(bra) + ket_word(ket))
         assert inner_product_Imn(bra, ket) == pytest.approx(
             vacuum_expectation(word), rel=1e-9
         )
@@ -231,14 +246,8 @@ class TestInnerProductImn:
         grid = MomentumGrid(8)
         bra = [(grid.positive_plus()[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
         ket = [(grid.positive_minus()[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
-        a, b = bra_word(bra)
-        c, d = ket_word(ket)
-        expected = (
-            contract_pair(a, b) * contract_pair(c, d)
-            - contract_pair(a, c) * contract_pair(b, d)
-            + contract_pair(a, d) * contract_pair(b, c)
-        )
-        assert inner_product_Imn(bra, ket) == pytest.approx(expected, rel=1e-10)
+        w = as_word(bra_word(bra) + ket_word(ket))
+        assert inner_product_Imn(bra, ket) == pytest.approx(three_pairings(w), rel=1e-10)
 
     def test_full_size_overlap_against_dense_oracle(self):
         # <even product at t=0 | odd product at t=0 (no zero mode)> on N = 8
@@ -266,5 +275,5 @@ class TestInnerProductImn:
         dense = np.vdot(even, psi)
 
         assert inner_product_Imn(bra, ket) == pytest.approx(dense, rel=1e-9)
-        word = FermionWord(tuple(bra_word(bra) + ket_word(ket)))
+        word = as_word(bra_word(bra) + ket_word(ket))
         assert vacuum_expectation(word) == pytest.approx(dense, rel=1e-9)

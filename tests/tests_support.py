@@ -1,10 +1,13 @@
-"""Shared helpers for tests: BCS bra/ket operator words, the per-word ``<c_1>``
-reference and the scalar per-mode propagator reference."""
+"""Shared helpers for tests: the reference oracles (dict-operator BCS words,
+the per-word ``<c_1>``, the scalar contraction kernel, the explicit overlap
+formula, the per-mode propagator).  A reference operator is a pair
+``(ann, cre)`` of dicts ``{ModeIndex: coefficient}``."""
 
 import numpy as np
 
 from isingring.model import mode_hamiltonian_even
-from isingring.wick import FermionWord, LinearOperator, vacuum_expectation
+from isingring.pfaffian import pfaffian
+from isingring.wick import FermionWord, mode_slot, vacuum_expectation
 
 
 def bcs_amplitudes(rng, count, min_v=0.0):
@@ -21,13 +24,27 @@ def bcs_amplitudes(rng, count, min_v=0.0):
     return pairs
 
 
+def as_word(ops, n_sites=None):
+    """The array word whose row i is the reference operator ``ops[i]``.
+
+    ``n_sites`` is needed only when no operator names a mode.
+    """
+    n = n_sites or next(k.n_sites for op in ops for coeffs in op for k in coeffs)
+    ann = np.zeros((len(ops), 2 * n), dtype=complex)
+    cre = np.zeros_like(ann)
+    for row, op in enumerate(ops):
+        for mat, coeffs in zip((ann, cre), op):
+            for k, c in coeffs.items():
+                mat[row, mode_slot(k.index, n)] += c
+    return FermionWord(ann, cre)
+
+
 def bra_word(pairs):
     """Bra-side operator list for a product of BCS mode factors."""
     ops = []
     for mode, u, v in reversed(pairs):
         neg = mode.negate()
-        ops.append(LinearOperator(ann={neg: 1.0}))
-        ops.append(LinearOperator(ann={mode: np.conj(v)}, cre={neg: np.conj(u)}))
+        ops += [({neg: 1.0}, {}), ({mode: np.conj(v)}, {neg: np.conj(u)})]
     return ops
 
 
@@ -36,15 +53,14 @@ def ket_word(pairs):
     ops = []
     for mode, u, v in pairs:
         neg = mode.negate()
-        ops.append(LinearOperator(ann={neg: u}, cre={mode: v}))
-        ops.append(LinearOperator(cre={neg: 1.0}))
+        ops += [({neg: u}, {mode: v}), ({}, {neg: 1.0})]
     return ops
 
 
 def _broken_pair_op(mode):
     """The unpaired remainder ``e^{ik} c^dag_{-k} - e^{-ik} c^dag_k``."""
     k = mode.momentum
-    return LinearOperator(cre={mode.negate(): np.exp(1j * k), mode: -np.exp(-1j * k)})
+    return {}, {mode.negate(): np.exp(1j * k), mode: -np.exp(-1j * k)}
 
 
 def c1_terms_reference(state):
@@ -63,24 +79,24 @@ def c1_terms_reference(state):
     minus = list(zip(grid.positive_minus(), state.u_minus, state.v_minus))
     zero_mode = grid.special_zero()
     bra_even = bra_word(plus)
-    bra_odd = bra_word(minus) + [LinearOperator(ann={zero_mode: 1.0})]
+    bra_odd = bra_word(minus) + [({zero_mode: 1.0}, {})]
 
     phase = np.exp(-1j * state.gamma)
     pref12 = phase / (2.0 * np.sqrt(n))
     pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
 
-    term1 = [(pref12, FermionWord(tuple(bra_even + ket_word(minus))))]
+    term1 = [(pref12, as_word(bra_even + ket_word(minus)))]
     term2 = [
-        (pref12 * v, FermionWord(tuple(
-            bra_even + [_broken_pair_op(mode), LinearOperator(cre={zero_mode: 1.0})]
+        (pref12 * v, as_word(
+            bra_even + [_broken_pair_op(mode), ({}, {zero_mode: 1.0})]
             + ket_word(minus[:i] + minus[i + 1:])
-        )))
+        ))
         for i, (mode, _, v) in enumerate(minus)
     ]
     term3 = [
-        (pref3 * v, FermionWord(tuple(
+        (pref3 * v, as_word(
             bra_odd + [_broken_pair_op(mode)] + ket_word(plus[:i] + plus[i + 1:])
-        )))
+        ))
         for i, (mode, _, v) in enumerate(plus)
     ]
     return term1, term2, term3
@@ -92,6 +108,67 @@ def expectation_c1_reference(state, signs=(1.0, 1.0, 1.0)):
         s * sum(coeff * vacuum_expectation(word) for coeff, word in term)
         for s, term in zip(signs, c1_terms_reference(state))
     )
+
+
+def contraction_kernel(k, kp) -> complex:
+    """Vacuum contraction ``<vac| c_k c^dag_kp |vac>``.
+
+    Kronecker delta for equal sectors; the cross-sector kernel otherwise.
+    Sectors differing guarantees k != kp, so the denominator never vanishes.
+    """
+    if k.n_sites != kp.n_sites:
+        raise ValueError("modes belong to different ring sizes")
+    if k.sector == kp.sector:
+        return 1.0 + 0.0j if k.index == kp.index else 0.0 + 0.0j
+    n = k.n_sites
+    return (2.0 / n) / (np.exp(1j * (k.momentum - kp.momentum)) - 1.0)
+
+
+def inner_product_Imn(bra_modes, ket_modes) -> complex:
+    """Cross-sector BCS inner product from the explicit Pfaffian formula.
+
+    Both arguments are sequences of ``(mode, u, v)`` triples: the bra modes
+    in one sector, the ket modes in the other, all at positive momentum.
+    Returns ``(-1)^m / (prod conj(v_p) * prod v_k) * Pf(A)`` with the
+    2(m+n) x 2(m+n) contraction matrix assembled from the six closed-form
+    Bogoliubov contractions.
+
+    This path divides by the ``v`` amplitudes; it is the validation oracle
+    for the division-free word of ``bra_word + ket_word``.
+    """
+    m, n = len(bra_modes), len(ket_modes)
+    if m == 0 and n == 0:
+        return 1.0 + 0.0j
+    for _, _, v in list(bra_modes) + list(ket_modes):
+        if abs(v) < 1e-12:
+            raise ValueError("|v| < 1e-12: use vacuum_expectation on the division-free word")
+    if any(mode.index <= 0 for mode, _, _ in list(bra_modes) + list(ket_modes)):
+        raise ValueError("bra and ket momenta must be positive")
+    sectors_bra = {mode.sector for mode, _, _ in bra_modes}
+    sectors_ket = {mode.sector for mode, _, _ in ket_modes}
+    if len(sectors_bra) > 1 or len(sectors_ket) > 1 or (sectors_bra and sectors_bra == sectors_ket):
+        raise ValueError("bra and ket modes must lie in opposite single sectors")
+
+    dim = 2 * (m + n)
+    a = np.zeros((dim, dim), dtype=complex)
+    for l, (p, up, vp) in enumerate(bra_modes):
+        a[2 * l, 2 * l + 1] = -np.conj(up) * np.conj(vp)
+        for j, (k, uk, vk) in enumerate(ket_modes):
+            w = np.conj(vp) * vk
+            a[2 * l, 2 * m + 2 * j] = w * contraction_kernel(p.negate(), k.negate())
+            a[2 * l, 2 * m + 2 * j + 1] = -w * contraction_kernel(p.negate(), k)
+            a[2 * l + 1, 2 * m + 2 * j] = -w * contraction_kernel(p, k.negate())
+            a[2 * l + 1, 2 * m + 2 * j + 1] = w * contraction_kernel(p, k)
+    for j, (k, uk, vk) in enumerate(ket_modes):
+        a[2 * m + 2 * j, 2 * m + 2 * j + 1] = uk * vk
+    a = a - a.T
+
+    prefactor = (-1.0) ** m
+    for _, up, vp in bra_modes:
+        prefactor /= np.conj(vp)
+    for _, uk, vk in ket_modes:
+        prefactor /= vk
+    return prefactor * pfaffian(a)
 
 
 def mode_unitary(h: np.ndarray, t: float) -> np.ndarray:
