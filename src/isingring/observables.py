@@ -47,23 +47,18 @@ class MagnetizationSample:
     mz: float
 
 
-def _row(n_sites, index, coeffs):
-    """The one-factor word ``sum_m coeffs_m c_m`` over the grid indices ``index``."""
-    row = np.zeros((1, 2 * n_sites), dtype=complex)
-    row[0, mode_slot(index, n_sites)] = coeffs
-    return FermionWord(row, np.zeros_like(row))
-
-
-def _ket(n_sites, index, u, v):
-    """``|X>`` as the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices."""
-    ann = np.zeros((2 * len(index), 2 * n_sites), dtype=complex)
-    cre = np.zeros_like(ann)
-    rows = np.arange(0, len(ann), 2)
+def _fill_ket(ann, cre, n_sites, index, u, v):
+    """Write ``|X>``, the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices, into the rows."""
+    rows = np.arange(0, 2 * len(index), 2)
     pos, neg = mode_slot(index, n_sites), mode_slot(-index, n_sites)
     ann[rows, neg] = u
     cre[rows, pos] = v
     cre[rows + 1, neg] = 1.0
-    return FermionWord(ann, cre)
+
+
+def _fill_bra(ann, cre, n_sites, index, u, v):
+    """Write ``<X|``, the adjoint of ``|X>``: rows reversed, coefficients conjugated, ann and cre swapped."""
+    _fill_ket(cre[::-1], ann[::-1], n_sites, index, np.conj(u), np.conj(v))
 
 
 def _c1_words(state: SystemState):
@@ -71,23 +66,34 @@ def _c1_words(state: SystemState):
 
     The first word is ``<psi_e| c_1 |psi_o>``, the second
     ``<psi_o| c_1 |psi_e>``; ``c_1`` enters without its ``N^{-1/2}``, which
-    sits in the coefficients.  Each bra is its ket's adjoint.
+    sits in the coefficients.  Each bra is its ket's adjoint.  Both words
+    have 2N rows and are filled once, in place:
+
+        word 1: <psi_e| (N rows), c_1 on the odd grid, |psi_o> (N - 2 rows), c^dag_0
+        word 2: c_0, <psi_o| (N - 2 rows), c_1 on the even grid, |psi_e> (N rows)
     """
     n = state.grid.n_sites
     s1, s2, s3 = _TERM_SIGNS
     even, odd = np.arange(1 - n, n, 2), np.arange(-n, n, 2)
-    c1_odd = _row(n, odd, np.where(odd == 0, s1, s2) * np.exp(1j * np.pi * odd / n))
-    c1_even = _row(n, even, s3 * np.exp(1j * np.pi * even / n))
-    ket_even = _ket(n, even[even > 0], state.u_plus, state.v_plus)
-    ket_odd = _ket(n, odd[odd > 0], state.u_minus, state.v_minus) + _row(n, 0, 1.0).dagger()
+    even_pos, odd_pos = even[even > 0], odd[odd > 0]
+    zero = mode_slot(0, n)
+    ann = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    cre = np.zeros_like(ann)
+
+    _fill_bra(ann[0, :n], cre[0, :n], n, even_pos, state.u_plus, state.v_plus)
+    ann[0, n, mode_slot(odd, n)] = np.where(odd == 0, s1, s2) * np.exp(1j * np.pi * odd / n)
+    _fill_ket(ann[0, n + 1:], cre[0, n + 1:], n, odd_pos, state.u_minus, state.v_minus)
+    cre[0, -1, zero] = 1.0
+
+    ann[1, 0, zero] = 1.0
+    _fill_bra(ann[1, 1:n - 1], cre[1, 1:n - 1], n, odd_pos, state.u_minus, state.v_minus)
+    ann[1, n - 1, mode_slot(even, n)] = s3 * np.exp(1j * np.pi * even / n)
+    _fill_ket(ann[1, n:], cre[1, n:], n, even_pos, state.u_plus, state.v_plus)
 
     phase = np.exp(-1j * state.gamma)
     pref12 = phase / (2.0 * np.sqrt(n))
     pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
-    return [
-        (pref12, ket_even.dagger() + c1_odd + ket_odd),
-        (pref3, ket_odd.dagger() + c1_even + ket_even),
-    ]
+    return [(pref12, FermionWord(ann[0], cre[0])), (pref3, FermionWord(ann[1], cre[1]))]
 
 
 def expectation_c1(state: SystemState) -> complex:

@@ -200,6 +200,19 @@ class TestTrajectories:
         rows = quench_trajectory(4, 0.7, [0.0, 0.5])
         np.testing.assert_allclose(rows[0], [4.0, 0.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("g_f", [0.5, 1.5])
+    def test_quench_rows_match_per_time_evolution(self, g_f):
+        # more times than one block of oracle_ed._TIME_BLOCK, so block edges are crossed
+        n = 6
+        times = np.linspace(0.0, 30.0, 2 * oracle_ed._TIME_BLOCK + 3)
+        h = build_hamiltonian(n, g_f)
+        expected = []
+        for t in times:
+            psi = evolve_exact(ferro_state(n), h, t)
+            expected.append([n * measure(psi, "x", 1), n * measure(psi, "y", 1),
+                             sum(measure(psi, "z", j) for j in range(1, n + 1))])
+        np.testing.assert_allclose(quench_trajectory(n, g_f, times), expected, rtol=0, atol=1e-12)
+
     def test_perfect_kick_alternation(self):
         rows = kick_trajectory(4, 0.0, 0.5, 0.0, 4)
         np.testing.assert_allclose(rows[:, 0], [-4.0, 4.0, -4.0, 4.0], atol=1e-12)

@@ -1,15 +1,32 @@
-"""Tests for the Parlett-Reid Pfaffian and the SkewMatrix wrapper."""
+"""Tests for the blocked Parlett-Reid Pfaffian and the SkewMatrix wrapper."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu
 
+import isingring.wick
+from isingring.dynamics import evolve_quench, init_ferro
+from isingring.model import MomentumGrid
+from isingring.observables import expectation_c1
 from isingring.pfaffian import (
+    _BLOCK_MIN_DIM,
+    _BLOCK_STEPS,
     PfaffianDimensionError,
     SkewMatrix,
     SkewSymmetryError,
     pfaffian,
 )
+from tests_support import pfaffian_reference
+
+#: rows and columns a full panel eliminates
+PANEL = 2 * _BLOCK_STEPS
+#: dimensions on both sides of the switch to panels and of the panel edges
+EDGE_SIZES = sorted({
+    2, 4, _BLOCK_MIN_DIM - 2, _BLOCK_MIN_DIM, _BLOCK_MIN_DIM + 2,
+    PANEL, PANEL + 2, PANEL + 4, 2 * PANEL, 2 * PANEL + 2, 2 * PANEL + 4, 400,
+})
 
 
 def random_skew(n, rng, complex_entries=True):
@@ -17,6 +34,17 @@ def random_skew(n, rng, complex_entries=True):
     if complex_entries:
         m = m + 1j * rng.standard_normal((n, n))
     return m - m.T
+
+
+def random_complex(n, seed):
+    """A dense complex skew matrix and a square one, entries scaled by n^{-1/2}.
+
+    The scaling keeps Pf and det far from over- and underflow up to n = 400.
+    """
+    rng = np.random.default_rng(seed)
+    a = random_skew(n, rng) / np.sqrt(n)
+    b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    return a, b
 
 
 def det_via_lu(a):
@@ -149,3 +177,98 @@ def test_accepts_prevalidated_skewmatrix():
     rng = np.random.default_rng(10)
     a = random_skew(6, rng)
     assert pfaffian(SkewMatrix(a)) == pytest.approx(pfaffian(a))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("n", [2, 4])
+def test_non_finite_entry_rejected(bad, n):
+    upper = np.zeros((n, n), dtype=complex)
+    upper[range(0, n, 2), range(1, n, 2)] = 1.0
+    upper[0, n - 1] = bad
+    a = upper - upper.T
+    with pytest.raises(ValueError, match="finite"):
+        SkewMatrix(a)
+    with pytest.raises(ValueError, match="finite"):
+        pfaffian(a)
+
+
+def test_block_direct_sums_with_later_panel_events():
+    """A pivot swap and a zero breakdown that fall inside the second panel.
+
+    ``A1`` fills the first panel and three steps of the second; the updates
+    it causes are exactly zero on the uncoupled block that follows, so
+    elimination meets that block's own first column at step
+    ``_BLOCK_STEPS + 3``.
+    """
+    rng = np.random.default_rng(21)
+    a1 = random_skew(PANEL + 6, rng) / np.sqrt(PANEL)
+    pf1 = pfaffian_reference(a1)
+    m1 = len(a1)
+
+    # a12 = 0 forces a swap; Pf = 0*6 - 2*5 + 3*4 = 2
+    a2 = np.array([[0, 0, 2, 3], [0, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]], dtype=float)
+    swap = np.zeros((m1 + 4, m1 + 4), dtype=complex)
+    swap[:m1, :m1], swap[m1:, m1:] = a1, a2
+    assert pfaffian(swap) == pytest.approx(2.0 * pf1, rel=1e-12)
+    assert pfaffian(swap) == pytest.approx(pfaffian_reference(swap), rel=1e-12)
+
+    # an all-zero trailing block: both kernels stop there with an exact 0
+    zero = np.zeros((m1 + 4, m1 + 4), dtype=complex)
+    zero[:m1, :m1] = a1
+    assert pfaffian_reference(zero) == 0.0
+    assert pfaffian(zero) == 0.0
+
+
+@pytest.mark.parametrize("n", [6, PANEL + 6])
+def test_inputs_left_unmodified(n):
+    a = random_skew(n, np.random.default_rng(n))
+    kept = a.copy()
+    sk = SkewMatrix(a)
+    entries = sk.entries.copy()
+    pfaffian(a)
+    pfaffian(sk)
+    assert np.array_equal(a, kept)
+    assert np.array_equal(sk.entries, entries)
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=SEEDS)
+def test_matches_unblocked_reference(n, seed):
+    a, _ = random_complex(n, seed)
+    assert pfaffian(a) == pytest.approx(pfaffian_reference(a), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=SEEDS)
+def test_square_equals_determinant_at_panel_edges(n, seed):
+    a, _ = random_complex(n, seed)
+    assert pfaffian(a) ** 2 == pytest.approx(det_via_lu(a), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=SEEDS)
+def test_congruence_multiplies_by_determinant(n, seed):
+    a, b = random_complex(n, seed)
+    assert pfaffian(b @ a @ b.T) == pytest.approx(det_via_lu(b) * pfaffian(a), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("n_sites", [20, 40, 100, 160, 200])
+def test_engine_words_match_unblocked_reference(n_sites, monkeypatch):
+    """The two skew matrices of one quench sample, as the Wick engine builds them."""
+    seen = []
+
+    def record(a):
+        seen.append(a)
+        return pfaffian(a)
+
+    monkeypatch.setattr(isingring.wick, "pfaffian", record)
+    expectation_c1(evolve_quench(init_ferro(MomentumGrid(n_sites)), 0.5, 7.3))
+    assert [len(a) for a in seen] == [2 * n_sites, 2 * n_sites]
+    for a in seen:
+        assert pfaffian(a) == pytest.approx(pfaffian_reference(a), rel=1e-12, abs=0)

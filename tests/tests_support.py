@@ -1,13 +1,50 @@
-"""Shared helpers for tests: the reference oracles (dict-operator BCS words,
-the per-word ``<c_1>``, the scalar contraction kernel, the explicit overlap
-formula, the per-mode propagator).  A reference operator is a pair
-``(ann, cre)`` of dicts ``{ModeIndex: coefficient}``."""
+"""Shared helpers for tests: the reference oracles (the unblocked Pfaffian,
+dict-operator BCS words, the per-word ``<c_1>``, the scalar contraction
+kernel, the explicit overlap formula, the per-mode propagator).  A reference
+operator is a pair ``(ann, cre)`` of dicts ``{ModeIndex: coefficient}``."""
 
 import numpy as np
 
 from isingring.model import mode_hamiltonian_even
-from isingring.pfaffian import pfaffian
+from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, pfaffian
 from isingring.wick import FermionWord, mode_slot, vacuum_expectation
+
+
+def pfaffian_reference(a) -> complex:
+    """Unblocked Parlett-Reid Pfaffian: each step's rank-2 update applied at once.
+
+    The same pivoting and ``PIVOT_RTOL`` zero short-circuit as
+    :func:`isingring.pfaffian.pfaffian`, with two ``np.outer`` updates of
+    the whole trailing block per step; the reference for the blocked kernel.
+    """
+    if not isinstance(a, SkewMatrix):
+        a = SkewMatrix(a)
+    m = a.entries.copy()
+    n = a.dim
+    scale = float(np.abs(m).max())
+    if scale == 0.0:
+        return 0.0 + 0.0j
+    threshold = PIVOT_RTOL * scale
+
+    pf = 1.0 + 0.0j
+    for k in range(0, n - 2, 2):
+        # largest pivot in column k below the diagonal
+        col = np.abs(m[k + 1:, k])
+        rel = int(np.argmax(col))
+        if col[rel] < threshold:
+            return 0.0 + 0.0j
+        piv = k + 1 + rel
+        if piv != k + 1:
+            m[[k + 1, piv], :] = m[[piv, k + 1], :]
+            m[:, [k + 1, piv]] = m[:, [piv, k + 1]]
+            pf = -pf
+        pf *= m[k, k + 1]
+        # rank-2 update of the trailing block
+        tau = m[k, k + 2:] / m[k, k + 1]
+        w = m[k + 2:, k + 1]
+        m[k + 2:, k + 2:] += np.outer(tau, w) - np.outer(w, tau)
+    pf *= m[n - 2, n - 1]
+    return complex(pf)
 
 
 def bcs_amplitudes(rng, count, min_v=0.0):
