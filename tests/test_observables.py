@@ -13,8 +13,13 @@ from isingring.observables import (
     magnetization,
     run_series,
 )
-from isingring.wick import vacuum_expectation
-from tests_support import bcs_amplitudes, expectation_c1_reference
+from tests_support import (
+    bcs_amplitudes,
+    c1_words_dense,
+    dense_contractions,
+    dense_expectation,
+    expectation_c1_reference,
+)
 
 
 class TestInitialState:
@@ -82,8 +87,8 @@ class TestInternalConsistency:
         state = evolve_quench(init_ferro(MomentumGrid(8)), 0.7, 1.1)
         direct = expectation_c1(state)
         adjoint = 0.0 + 0.0j
-        for coeff, word in _c1_words(state):
-            adjoint += np.conj(coeff) * vacuum_expectation(word.dagger())
+        for coeff, word in c1_words_dense(state):
+            adjoint += np.conj(coeff) * dense_expectation(word.dagger())
         assert adjoint == pytest.approx(np.conj(direct), abs=1e-12)
 
     def test_zero_field_quench_is_stationary(self):
@@ -128,31 +133,64 @@ def _random_state(n, seed):
     return SystemState(grid, u_p, v_p, u_m, v_m, gamma=rng.uniform(-5, 5), time=0.0)
 
 
+def _u_zero_state(n, seed):
+    """A random normalized state with u = 0 exactly in one mode of each sector."""
+    state = _random_state(n, seed)
+    u_p, v_p, u_m, v_m = (a.copy() for a in (state.u_plus, state.v_plus, state.u_minus, state.v_minus))
+    u_p[-1], v_p[-1] = 0.0, np.exp(0.4j)
+    u_m[0], v_m[0] = 0.0, np.exp(-0.9j)
+    return SystemState(state.grid, u_p, v_p, u_m, v_m, gamma=state.gamma, time=0.0)
+
+
+def _sample_states(n):
+    """Initial, quenched, kicked, and random states (with v = 0, |u| = 1e-14 and u = 0 modes)."""
+    grid = MomentumGrid(n)
+    kicked = init_ferro(grid)
+    for _ in range(7):
+        kicked = evolve_kick_step(kicked, 0.6, 0.35, 0.05)
+    return [
+        init_ferro(grid),
+        evolve_quench(init_ferro(grid), 0.5, 3.7),
+        kicked,
+        _random_state(n, seed=n),
+        _random_state(n, seed=n + 1000),
+        _u_zero_state(n, seed=n + 2000),
+    ]
+
+
+SIGN_PATTERNS = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)]
+
+
 class TestAgainstPerWordReference:
     """The two-word evaluation against the N-word three-term decomposition."""
 
-    @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
-                                       (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)])
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 20, 30])
     def test_matches_reference(self, n, signs, monkeypatch):
-        grid = MomentumGrid(n)
-        kicked = init_ferro(grid)
-        for _ in range(7):
-            kicked = evolve_kick_step(kicked, 0.6, 0.35, 0.05)
-        states = [
-            evolve_quench(init_ferro(grid), 0.5, 3.7),
-            kicked,
-            _random_state(n, seed=n),
-            _random_state(n, seed=n + 1000),
-        ]
         monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
-        for state in states:
+        for state in _sample_states(n):
             reference = expectation_c1_reference(state, signs)
             assert abs(expectation_c1(state) - reference) < 1e-12
 
     def test_two_words_of_length_two_n(self):
         state = evolve_quench(init_ferro(MomentumGrid(10)), 0.7, 1.1)
         assert [len(word) for _, word in _c1_words(state)] == [20, 20]
+
+
+class TestAgainstDenseWords:
+    """The gathered contraction matrices against ``ann K cre^T`` of the dense words."""
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    @pytest.mark.parametrize("n", [4, 6, 10, 20, 48, 100, 200])
+    def test_matrices_match_dense_reference(self, n, signs, monkeypatch):
+        monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
+        for state in _sample_states(n):
+            engine, dense = _c1_words(state), c1_words_dense(state)
+            for (coeff, matrix), (dense_coeff, word) in zip(engine, dense):
+                assert coeff == dense_coeff
+                expected = np.triu(dense_contractions(word), 1)
+                deviation = np.abs(np.triu(matrix, 1) - expected).max()
+                assert deviation <= 1e-15 * np.abs(expected).max()
 
 
 class TestRunSeries:

@@ -5,22 +5,18 @@ import pytest
 
 from isingring import oracle_ed
 from isingring.model import MomentumGrid, bogoliubov_angle
-from isingring.wick import (
-    EVEN,
-    ODD,
-    FermionWord,
-    ModeIndex,
-    _full_kernel,
-    mode_slot,
-    vacuum_expectation,
-)
+from isingring.wick import EVEN, ODD, ModeIndex, contractions
 from tests_support import (
+    FermionWord,
     as_word,
     bcs_amplitudes,
     bra_word,
     contraction_kernel,
+    dense_expectation,
+    dense_kernel,
     inner_product_Imn,
     ket_word,
+    mode_slot,
 )
 
 
@@ -37,7 +33,7 @@ def rows(w, picks):
 
 def pair(w, i, j):
     """The contraction ``<vac| w_i w_j |vac>`` as a two-factor word."""
-    return vacuum_expectation(rows(w, [i, j]))
+    return dense_expectation(rows(w, [i, j]))
 
 
 def three_pairings(w):
@@ -121,7 +117,7 @@ class TestSlotOrder:
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_kernel_follows_the_slot_order(self, n):
-        kernel = _full_kernel(n)
+        kernel = dense_kernel(n)
         np.testing.assert_array_equal(kernel[:n, :n], np.eye(n))
         np.testing.assert_array_equal(kernel[n:, n:], np.eye(n))
         for k in all_modes(n):
@@ -131,15 +127,31 @@ class TestSlotOrder:
                 )
 
 
+class TestContractions:
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_one_mode_factors_match_scalar_kernel(self, n):
+        # factor i is a_i c_{k_i} + b_i c^dag_{k_i}, so entry (i, j) is a_i <c_{k_i} c^dag_{k_j}> b_j
+        modes = all_modes(n)
+        index = np.array([k.index for k in modes])
+        rng = np.random.default_rng(n)
+        coeff = rng.standard_normal((2, len(modes))) + 1j * rng.standard_normal((2, len(modes)))
+        matrix = contractions(np.array([index, index]), coeff, n)
+        for i, k in enumerate(modes):
+            for j, kp in enumerate(modes):
+                assert matrix[i, j] == pytest.approx(
+                    coeff[0, i] * contraction_kernel(k, kp) * coeff[1, j], rel=1e-14, abs=1e-15
+                )
+
+
 class TestContractPair:
     """A two-factor word's expectation is the contraction of the pair."""
 
     def test_annihilator_against_creator_only(self):
         k = ModeIndex(EVEN, 1, 8)
         c, cdag = ({k: 1.0}, {}), ({}, {k: 1.0})
-        assert vacuum_expectation(as_word([c, cdag])) == 1.0
-        assert vacuum_expectation(as_word([cdag, c])) == 0.0
-        assert vacuum_expectation(as_word([c, c])) == 0.0
+        assert dense_expectation(as_word([c, cdag])) == 1.0
+        assert dense_expectation(as_word([cdag, c])) == 0.0
+        assert dense_expectation(as_word([c, c])) == 0.0
 
     def test_bilinearity(self):
         rng = np.random.default_rng(3)
@@ -149,45 +161,45 @@ class TestContractPair:
             np.stack([w.ann[0], w.ann[1] + lam * w.ann[2]]),
             np.stack([w.cre[0], w.cre[1] + lam * w.cre[2]]),
         )
-        assert vacuum_expectation(combined) == pytest.approx(pair(w, 0, 1) + lam * pair(w, 0, 2))
+        assert dense_expectation(combined) == pytest.approx(pair(w, 0, 1) + lam * pair(w, 0, 2))
 
 
 class TestVacuumExpectation:
     def test_empty_and_odd_words(self):
-        assert vacuum_expectation(as_word([], 8)) == 1.0
+        assert dense_expectation(as_word([], 8)) == 1.0
         k = ModeIndex(EVEN, 1, 8)
-        assert vacuum_expectation(as_word([({k: 1.0}, {})])) == 0.0
+        assert dense_expectation(as_word([({k: 1.0}, {})])) == 0.0
 
     def test_single_pair(self):
         k = ModeIndex(ODD, 2, 8)
         w = as_word([({k: 2.0j}, {}), ({}, {k: 3.0})])
-        assert vacuum_expectation(w) == pytest.approx(6.0j)
+        assert dense_expectation(w) == pytest.approx(6.0j)
 
     def test_two_pair_number_word(self):
         # <c_k c^dag_k c_kp c^dag_kp> = 1 for distinct same-sector modes
         k = ModeIndex(EVEN, 1, 8)
         kp = ModeIndex(EVEN, 3, 8)
         ops = [({k: 1.0}, {}), ({}, {k: 1.0}), ({kp: 1.0}, {}), ({}, {kp: 1.0})]
-        assert vacuum_expectation(as_word(ops)) == pytest.approx(1.0)
+        assert dense_expectation(as_word(ops)) == pytest.approx(1.0)
 
     def test_four_operator_word_matches_three_pairings(self):
         rng = np.random.default_rng(11)
         w = random_word(rng, 8, 4)
-        assert vacuum_expectation(w) == pytest.approx(three_pairings(w), rel=1e-12)
+        assert dense_expectation(w) == pytest.approx(three_pairings(w), rel=1e-12)
 
     @pytest.mark.parametrize("length", [4, 6, 8])
     def test_adjacent_swap_antisymmetry(self, length):
         # anticommuting two neighbors flips the sign plus adds the contraction
         rng = np.random.default_rng(20 + length)
         w = random_word(rng, 6, length)
-        base = vacuum_expectation(w)
+        base = dense_expectation(w)
         for i in range(length - 1):
             order = list(range(length))
             order[i], order[i + 1] = order[i + 1], order[i]
-            swapped = vacuum_expectation(rows(w, order))
+            swapped = dense_expectation(rows(w, order))
             rest = order[:i] + order[i + 2:]
             anticomm = pair(w, i, i + 1) + pair(w, i + 1, i)
-            reduced = anticomm * vacuum_expectation(rows(w, rest))
+            reduced = anticomm * dense_expectation(rows(w, rest))
             assert swapped == pytest.approx(reduced - base, rel=1e-9, abs=1e-12)
 
     def test_dagger_word_conjugates(self):
@@ -198,8 +210,8 @@ class TestVacuumExpectation:
             assert len(daggered) == length
             np.testing.assert_array_equal(daggered.dagger().ann, w.ann)
             np.testing.assert_array_equal(daggered.dagger().cre, w.cre)
-            assert vacuum_expectation(daggered) == pytest.approx(
-                np.conj(vacuum_expectation(w)), rel=1e-10, abs=1e-14
+            assert dense_expectation(daggered) == pytest.approx(
+                np.conj(dense_expectation(w)), rel=1e-10, abs=1e-14
             )
 
 
@@ -228,7 +240,7 @@ class TestInnerProductImn:
             ket = [(mode, *uv) for mode, uv in zip(ket_modes, bcs_amplitudes(rng, n, 0.1))]
             word = as_word(bra_word(bra) + ket_word(ket))
             assert inner_product_Imn(bra, ket) == pytest.approx(
-                vacuum_expectation(word), rel=1e-9, abs=1e-12
+                dense_expectation(word), rel=1e-9, abs=1e-12
             )
 
     def test_swapped_sectors(self):
@@ -238,7 +250,7 @@ class TestInnerProductImn:
         ket = [(grid.positive_plus()[1], *bcs_amplitudes(rng, 1, 0.1)[0])]
         word = as_word(bra_word(bra) + ket_word(ket))
         assert inner_product_Imn(bra, ket) == pytest.approx(
-            vacuum_expectation(word), rel=1e-9
+            dense_expectation(word), rel=1e-9
         )
 
     def test_one_one_against_explicit_pairings(self):
@@ -276,4 +288,4 @@ class TestInnerProductImn:
 
         assert inner_product_Imn(bra, ket) == pytest.approx(dense, rel=1e-9)
         word = as_word(bra_word(bra) + ket_word(ket))
-        assert vacuum_expectation(word) == pytest.approx(dense, rel=1e-9)
+        assert dense_expectation(word) == pytest.approx(dense, rel=1e-9)

@@ -1,13 +1,18 @@
 """Shared helpers for tests: the reference oracles (the unblocked Pfaffian,
-dict-operator BCS words, the per-word ``<c_1>``, the scalar contraction
-kernel, the explicit overlap formula, the per-mode propagator).  A reference
-operator is a pair ``(ann, cre)`` of dicts ``{ModeIndex: coefficient}``."""
+dense coefficient-array words and their dense contraction kernel, the dense
+two-word ``<c_1>`` fill, dict-operator BCS words, the per-word ``<c_1>``, the
+scalar contraction kernel, the explicit overlap formula, the per-mode
+propagator).  A reference operator is a pair ``(ann, cre)`` of dicts
+``{ModeIndex: coefficient}``."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from isingring import observables
 from isingring.model import mode_hamiltonian_even
 from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, pfaffian
-from isingring.wick import FermionWord, mode_slot, vacuum_expectation
+from isingring.wick import vacuum_expectation
 
 
 def pfaffian_reference(a) -> complex:
@@ -45,6 +50,117 @@ def pfaffian_reference(a) -> complex:
         m[k + 2:, k + 2:] += np.outer(tau, w) - np.outer(w, tau)
     pf *= m[n - 2, n - 1]
     return complex(pf)
+
+
+def mode_slot(index, n_sites: int):
+    """Column of the mode with integer grid index ``index`` (scalar or array) in the 2N-mode basis.
+
+    The sector follows from the index parity (odd: even sector, even: odd
+    sector), so ``(m + N)//2 + N [odd sector]`` puts the even-sector modes
+    in columns 0..N-1 and the odd-sector modes, -pi first, in N..2N-1, each
+    in ascending momentum.  Every dense word row and :func:`dense_kernel`
+    use this order.
+    """
+    index = np.asarray(index)
+    return (index + n_sites) // 2 + n_sites * (index % 2 == 0)
+
+
+@dataclass(frozen=True, eq=False)
+class FermionWord:
+    """An ordered product of L linear forms in the 2N mode operators.
+
+    Row i of ``ann`` holds the coefficients of the annihilators in factor i,
+    row i of ``cre`` those of the creators, both (L, 2N) in
+    :func:`mode_slot` order.  The dense reference for the engine's
+    one-mode-factor words.
+    """
+
+    ann: np.ndarray
+    cre: np.ndarray
+
+    def __len__(self):
+        return len(self.ann)
+
+    def __add__(self, other: "FermionWord") -> "FermionWord":
+        """The product ``self other``: rows concatenated."""
+        return FermionWord(np.vstack([self.ann, other.ann]), np.vstack([self.cre, other.cre]))
+
+    def dagger(self) -> "FermionWord":
+        """The adjoint product: rows reversed, coefficients conjugated, ann and cre swapped."""
+        return FermionWord(self.cre[::-1].conj(), self.ann[::-1].conj())
+
+
+def dense_kernel(n_sites: int) -> np.ndarray:
+    """Contractions ``<vac| c_a c^dag_b |vac>`` over the full 2N-mode basis in slot order.
+
+    Each cross-sector entry is formed from the exact integer index
+    difference of its two modes.
+    """
+    n = n_sites
+    index = np.empty(2 * n, dtype=int)
+    index[mode_slot(np.arange(-n, n), n)] = np.arange(-n, n)
+    d = index[:, None] - index[None, :]
+    kernel = np.eye(2 * n, dtype=complex)
+    cross = d % 2 != 0
+    kernel[cross] = (2.0 / n) / (np.exp(1j * np.pi * d[cross] / n) - 1.0)
+    return kernel
+
+
+def dense_contractions(word: FermionWord) -> np.ndarray:
+    """The L x L contraction matrix ``ann K cre^T`` of a dense word."""
+    return word.ann @ dense_kernel(word.ann.shape[1] // 2) @ word.cre.T
+
+
+def dense_expectation(word: FermionWord) -> complex:
+    """Vacuum expectation of a dense word through its dense contraction matrix."""
+    return vacuum_expectation(dense_contractions(word))
+
+
+def _fill_ket_dense(ann, cre, n_sites, index, u, v):
+    """Write ``|X>``, the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices, into dense rows."""
+    rows = np.arange(0, 2 * len(index), 2)
+    pos, neg = mode_slot(index, n_sites), mode_slot(-index, n_sites)
+    ann[rows, neg] = u
+    cre[rows, pos] = v
+    cre[rows + 1, neg] = 1.0
+
+
+def _fill_bra_dense(ann, cre, n_sites, index, u, v):
+    """Write ``<X|``, the adjoint of ``|X>``: rows reversed, coefficients conjugated, ann and cre swapped."""
+    _fill_ket_dense(cre[::-1], ann[::-1], n_sites, index, np.conj(u), np.conj(v))
+
+
+def c1_words_dense(state):
+    """The engine's two ``<c_1>`` words as dense ``[(coefficient, FermionWord), ...]``.
+
+    The same rows as ``observables._c1_words``, under the current
+    ``observables._TERM_SIGNS``, with ``c_1`` as one dense annihilator row:
+
+        word 1: <psi_e| (N rows), c_1 on the odd grid, |psi_o> (N - 2 rows), c^dag_0
+        word 2: c_0, <psi_o| (N - 2 rows), c_1 on the even grid, |psi_e> (N rows)
+    """
+    n = state.grid.n_sites
+    s1, s2, s3 = observables._TERM_SIGNS
+    even, odd = np.arange(1 - n, n, 2), np.arange(-n, n, 2)
+    even_pos, odd_pos = even[even > 0], odd[odd > 0]
+    zero = mode_slot(0, n)
+    ann = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    cre = np.zeros_like(ann)
+
+    _fill_bra_dense(ann[0, :n], cre[0, :n], n, even_pos, state.u_plus, state.v_plus)
+    ann[0, n, mode_slot(odd, n)] = np.where(odd == 0, s1, s2) * np.exp(1j * np.pi * odd / n)
+    _fill_ket_dense(ann[0, n + 1:], cre[0, n + 1:], n, odd_pos, state.u_minus, state.v_minus)
+    cre[0, -1, zero] = 1.0
+
+    ann[1, 0, zero] = 1.0
+    _fill_bra_dense(ann[1, 1:n - 1], cre[1, 1:n - 1], n, odd_pos, state.u_minus, state.v_minus)
+    ann[1, n - 1, mode_slot(even, n)] = s3 * np.exp(1j * np.pi * even / n)
+    _fill_ket_dense(ann[1, n:], cre[1, n:], n, even_pos, state.u_plus, state.v_plus)
+
+    phase = np.exp(-1j * state.gamma)
+    pref12 = phase / (2.0 * np.sqrt(n))
+    pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
+    return [(pref12, FermionWord(ann[0], cre[0])), (pref3, FermionWord(ann[1], cre[1]))]
 
 
 def bcs_amplitudes(rng, count, min_v=0.0):
@@ -142,7 +258,7 @@ def c1_terms_reference(state):
 def expectation_c1_reference(state, signs=(1.0, 1.0, 1.0)):
     """Sign-weighted sum of the three reference terms."""
     return sum(
-        s * sum(coeff * vacuum_expectation(word) for coeff, word in term)
+        s * sum(coeff * dense_expectation(word) for coeff, word in term)
         for s, term in zip(signs, c1_terms_reference(state))
     )
 
@@ -178,7 +294,7 @@ def inner_product_Imn(bra_modes, ket_modes) -> complex:
         return 1.0 + 0.0j
     for _, _, v in list(bra_modes) + list(ket_modes):
         if abs(v) < 1e-12:
-            raise ValueError("|v| < 1e-12: use vacuum_expectation on the division-free word")
+            raise ValueError("|v| < 1e-12: use dense_expectation on the division-free word")
     if any(mode.index <= 0 for mode, _, _ in list(bra_modes) + list(ket_modes)):
         raise ValueError("bra and ket momenta must be positive")
     sectors_bra = {mode.sector for mode, _, _ in bra_modes}
