@@ -5,18 +5,28 @@ The longitudinal components require the cross-parity matrix element
 ``<psi_o| c_1 |psi_e>``.  Each is a single fermion word of length 2N,
 filled straight from the ``u, v`` arrays: the bra (the adjoint of the
 other sector's ket), the Fourier sum ``sum_k e^{ik} c_k`` of ``c_1`` on the
-ket's grid as one row, and the ket.  One sample therefore costs two
-Pfaffians.  Wick's theorem is linear in each factor, so each word equals
-the sum over Fourier components: the k = 0 component annihilates the odd
-ket's ``c^dag_0``, and the +-k components break the BCS pair k into
-``v_k (e^{ik} c^dag_{-k} - e^{-ik} c^dag_k)``.
+ket's grid as one factor, and the ket.  Wick's theorem is linear in each
+factor, so each word equals the sum over Fourier components: the k = 0
+component annihilates the odd ket's ``c^dag_0``, and the +-k components
+break the BCS pair k into ``v_k (e^{ik} c^dag_{-k} - e^{-ik} c^dag_k)``.
 
-Every bra and ket factor is a one-mode factor, one annihilated and one
-created mode, so its contractions are the gather of
-:func:`isingring.wick.contractions`, kappa(m - m') over grid indices.  The
-``c_1`` row is the exception: it meets only the later factors of its own
-sector, where kappa is a Kronecker delta, so its entries are ``c_1``'s own
-coefficients at those factors' created indices.
+The second word is the complex conjugate of its adjoint
+``<psi_e| c_1^dag |psi_o>``, which is the first word with its one ``c_1``
+factor, on the odd grid, replaced by ``c_1^dag`` on the even grid.  So
+the two words share 2N - 1 factors, ``<psi_e|``, ``|psi_o>`` and
+``c^dag_0``.  With the differing factor moved to the end (past N - 1
+factors, a sign of -1) they are one bordered word: the shared factors'
+contraction matrix and two passive border columns, the contractions of
+``c_1`` and of ``c_1^dag`` with those factors.  One sample therefore
+costs one Pfaffian elimination of dimension 2N - 1.
+
+Every shared factor is a one-mode factor, one annihilated and one created
+mode.  Within a sector kappa is a Kronecker delta, so there only the two
+factors of each BCS pair contract; across sectors the contractions are
+the gather of :func:`isingring.wick.contractions`, kappa(m - m') over grid
+indices.  ``c_1`` annihilates, so it meets only the later factors of its
+own sector; ``c_1^dag`` creates, so it meets only the bra.  Each border
+column is therefore ``c_1``'s own coefficients at those factors' indices.
 
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
@@ -71,48 +81,46 @@ def _fill_bra(index, coeff, modes, u, v):
     _fill_ket(index[::-1, ::-1], coeff[::-1, ::-1], modes, np.conj(u), np.conj(v))
 
 
-def _c1_words(state: SystemState):
-    """``[(coefficient, contractions), ...]`` whose weighted vacuum expectations sum to ``<c_1>``.
+def _c1_bordered(state: SystemState) -> np.ndarray:
+    """The (2N + 1) x (2N + 1) bordered contraction matrix of both ``<c_1>`` words.
 
-    The first word is ``<psi_e| c_1 |psi_o>``, the second
-    ``<psi_o| c_1 |psi_e>``, each given by its 2N x 2N contraction matrix;
-    ``c_1`` enters without its ``N^{-1/2}``, which sits in the coefficients.
-    Each bra is its ket's adjoint.  The rows are
+    The leading block holds the 2N - 1 shared factors
 
-        word 1: <psi_e| (N rows), c_1 on the odd grid, |psi_o> (N - 2 rows), c^dag_0
-        word 2: c_0, <psi_o| (N - 2 rows), c_1 on the even grid, |psi_e> (N rows)
+        <psi_e| (N factors), |psi_o> (N - 2 factors), c^dag_0
+
+    and the two border columns hold their contractions with ``c_1`` on the
+    odd grid (word 1, ``<psi_e| c_1 |psi_o>``) and with ``c_1^dag`` on the
+    even grid (the adjoint of word 2, ``<psi_o| c_1 |psi_e>``).  ``c_1``
+    enters without its ``N^{-1/2}``, which sits in the coefficients.
     """
     n = state.grid.n_sites
     s1, s2, s3 = _TERM_SIGNS
-    even_pos, odd_pos = np.arange(1, n, 2), np.arange(2, n, 2)
-    # [word, (annihilated, created), row]; index 0 with coefficient 0 is an absent part
-    index = np.zeros((2, 2, 2 * n), dtype=int)
-    coeff = np.zeros((2, 2, 2 * n), dtype=complex)
+    shared = 2 * n - 1
+    # (annihilated, created) parts; index 0 with coefficient 0 is an absent part
+    index = np.zeros((2, shared), dtype=int)
+    coeff = np.zeros((2, shared), dtype=complex)
+    _fill_bra(index[:, :n], coeff[:, :n], np.arange(1, n, 2), state.u_plus, state.v_plus)
+    _fill_ket(index[:, n:-1], coeff[:, n:-1], np.arange(2, n, 2), state.u_minus, state.v_minus)
+    coeff[1, -1] = 1.0
+    (ann, cre), (a, b) = index, coeff
 
-    _fill_bra(index[0, :, :n], coeff[0, :, :n], even_pos, state.u_plus, state.v_plus)
-    _fill_ket(index[0, :, n + 1:-1], coeff[0, :, n + 1:-1], odd_pos, state.u_minus, state.v_minus)
-    coeff[0, 1, -1] = 1.0
-
-    coeff[1, 0, 0] = 1.0
-    _fill_bra(index[1, :, 1:n - 1], coeff[1, :, 1:n - 1], odd_pos, state.u_minus, state.v_minus)
-    _fill_ket(index[1, :, n:], coeff[1, :, n:], even_pos, state.u_plus, state.v_plus)
-
-    first, second = (contractions(index[w], coeff[w], n) for w in (0, 1))
-    # the c_1 row meets only later factors of its own sector, where kappa is a delta
-    m, b = index[0, 1, n + 1:], coeff[0, 1, n + 1:]
-    first[n, n + 1:] = np.where(m == 0, s1, s2) * np.exp(1j * np.pi * m / n) * b
-    m, b = index[1, 1, n:], coeff[1, 1, n:]
-    second[n - 1, n:] = s3 * np.exp(1j * np.pi * m / n) * b
-
-    phase = np.exp(-1j * state.gamma)
-    pref12 = phase / (2.0 * np.sqrt(n))
-    pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
-    return [(pref12, first), (pref3, second)]
+    skew = np.zeros((shared + 2, shared + 2), dtype=complex)
+    # within a sector only the two factors of a BCS pair contract, with kappa = 1
+    pairs = np.arange(0, shared - 1, 2)
+    skew[pairs, pairs + 1] = a[pairs] * b[pairs + 1]
+    skew[:n, n:shared] = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
+    # word 1's c_1 stands before the later factors, so its column holds minus its contractions
+    skew[n:shared, shared] = -np.where(cre[n:] == 0, s1, s2) * np.exp(1j * np.pi * cre[n:] / n) * b[n:]
+    skew[:n, shared + 1] = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
+    return skew - skew.T
 
 
 def expectation_c1(state: SystemState) -> complex:
     """Cross-parity matrix element ``<psi(t)| c_1 |psi(t)>``."""
-    return sum(coeff * vacuum_expectation(word) for coeff, word in _c1_words(state))
+    first, second_adjoint = vacuum_expectation(_c1_bordered(state), border=2)
+    phase = np.exp(-1j * state.gamma)
+    # the minus sign undoes moving c_1 (c_1^dag) past the N - 1 factors after it
+    return -(phase * first + 1j * np.conj(phase * second_adjoint)) / (2.0 * np.sqrt(state.grid.n_sites))
 
 
 def magnetization(state: SystemState) -> MagnetizationSample:

@@ -17,9 +17,26 @@ their rows too.  At the end of the panel the trailing block receives
 matrix size: one step (each update applied at once) below dimension
 ``_BLOCK_MIN_DIM``, where the extra products cost more than they save, and
 ``_BLOCK_STEPS`` steps from there on.
+
+Border columns.  ``pfaffian(a, border=b)`` searches the pivots only inside
+the leading block, of odd dimension d = n - b, and carries the last b
+columns along as passive border columns: they are updated like every other
+column but never supply a pivot.  So the b even matrices that the block
+forms with one border column each share every elimination step.  After
+d - 1 eliminated rows each is reduced to the 2 x 2 matrix of the last
+block row and its border column, so its Pfaffian is that border entry
+times the pivot product.  Wick words that differ in one factor give such
+matrices (see :mod:`isingring.observables`).
+
+The pivot product is accumulated in Python complex arithmetic, which does
+not warn.  A product that is not finite, or falls below the smallest normal
+double, raises ``FloatingPointError`` instead of returning a silent NaN or 0.
 """
 
 from __future__ import annotations
+
+import cmath
+import sys
 
 import numpy as np
 
@@ -29,10 +46,12 @@ __all__ = ["SkewMatrix", "pfaffian", "PfaffianDimensionError", "SkewSymmetryErro
 ASYMMETRY_RTOL = 1e-12
 #: pivots below this fraction of the largest initial entry short-circuit to 0
 PIVOT_RTOL = 1e-13
-#: matrices of at least this dimension delay their updates over panels ...
+#: leading blocks of at least this dimension delay their updates over panels ...
 _BLOCK_MIN_DIM = 48
 #: ... of this many elimination steps (2 rows and columns each)
 _BLOCK_STEPS = 32
+#: the smallest normal double: a smaller pivot product has lost digits
+_TINY = sys.float_info.min
 
 
 class PfaffianDimensionError(ValueError):
@@ -44,7 +63,12 @@ class SkewSymmetryError(ValueError):
 
 
 class SkewMatrix:
-    """Even-dimensional complex antisymmetric matrix.
+    """Complex antisymmetric matrix, validated for :func:`pfaffian`.
+
+    With ``border`` = 0 the dimension must be even and >= 2.  With
+    ``border`` = b > 0 the last b columns are border columns, and the
+    leading block must have odd dimension, so that the block and any one
+    border column form an even matrix.
 
     Construction symmetrizes the input, i.e. stores ``(M - M.T) / 2`` (which
     zeroes the diagonal exactly), and records the largest asymmetry found.
@@ -53,13 +77,17 @@ class SkewMatrix:
     raises ``ValueError``.
     """
 
-    def __init__(self, entries):
+    def __init__(self, entries, border: int = 0):
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise PfaffianDimensionError(f"expected a square matrix, got shape {m.shape}")
         n = m.shape[0]
-        if n < 2 or n % 2 != 0:
-            raise PfaffianDimensionError(f"dimension must be even and >= 2, got {n}")
+        paired = n - border + (border > 0)
+        if border < 0 or paired < 2 or paired % 2 != 0:
+            raise PfaffianDimensionError(
+                f"dimension must be even and >= 2, got {n}" if border == 0 else
+                f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
+            )
         scale = float(np.abs(m).max())
         if not np.isfinite(scale):
             raise ValueError("matrix entries must be finite")
@@ -71,59 +99,87 @@ class SkewMatrix:
             )
         self.entries = 0.5 * (m - m.T)
         self.dim = n
+        self.border = border
         self.max_asymmetry = asymmetry
 
     def __repr__(self):
-        return f"SkewMatrix(dim={self.dim}, max_asymmetry={self.max_asymmetry:.3e})"
+        return f"SkewMatrix(dim={self.dim}, border={self.border}, max_asymmetry={self.max_asymmetry:.3e})"
 
 
-def pfaffian(a) -> complex:
-    """Pfaffian of a complex skew-symmetric matrix.
+def _representable(z: complex) -> bool:
+    """Finite, and not below the smallest normal double, where digits are lost."""
+    return cmath.isfinite(z) and max(abs(z.real), abs(z.imag)) >= _TINY
+
+
+def pfaffian(a, border: int = 0):
+    """Pfaffian of a complex skew-symmetric matrix, or of several bordered ones.
 
     Parameters
     ----------
     a : SkewMatrix or array_like
-        Even-dimensional antisymmetric matrix.  Arrays are validated through
-        :class:`SkewMatrix` first.
+        Antisymmetric matrix.  Arrays are validated through
+        :class:`SkewMatrix` first; a ``SkewMatrix`` must carry the same
+        ``border``.
+    border : int
+        Number of trailing border columns.  With 0 the result is Pf(a).
+        With b > 0 it is a tuple of b Pfaffians, the i-th of the even matrix
+        that the leading block (dimension n - b, odd) forms with border
+        column i.
 
     Returns
     -------
-    complex
+    complex or tuple of complex
         Pf(a), with the convention Pf([[0, x], [-x, 0]]) = x.
+
+    Raises
+    ------
+    FloatingPointError
+        If the product of the pivots, or a result whose last factor is
+        nonzero, is not finite or falls below the smallest normal double.
 
     Notes
     -----
-    O(n^3), with the trailing-block updates delayed over panels (see the
-    module docstring).  If at any elimination step the largest available
-    pivot falls below ``PIVOT_RTOL`` times the largest initial entry
-    magnitude, the matrix is treated as structurally singular and exactly 0
-    is returned.
+    O(n^3), with the trailing-block updates delayed over panels and the
+    pivots searched inside the leading block only (see the module
+    docstring).  If at any elimination step the largest available pivot
+    falls below ``PIVOT_RTOL`` times the largest initial entry magnitude,
+    the matrix is treated as structurally singular and exactly 0 is
+    returned for every result.
     """
-    if not isinstance(a, SkewMatrix):
-        a = SkewMatrix(a)
-    m = a.entries.copy()
-    n = a.dim
+    if isinstance(a, SkewMatrix):
+        if a.border != border:
+            raise PfaffianDimensionError(f"the SkewMatrix has {a.border} border columns, not {border}")
+        m = a.entries.copy()
+    else:
+        # a fresh array, which the elimination may overwrite
+        m = SkewMatrix(a, border).entries
+    n = len(m)
+    zero = (0.0 + 0.0j,) * border if border else 0.0 + 0.0j
     scale = float(np.abs(m).max())
     if scale == 0.0:
-        return 0.0 + 0.0j
+        return zero
     threshold = PIVOT_RTOL * scale
 
-    nb = _BLOCK_STEPS if n >= _BLOCK_MIN_DIM else 1
+    # the leading block, in which the pivots are searched, and the rows eliminated
+    # from it: all but its last row (all but the last two of an even block)
+    d = n - border
+    e = d - 2 + d % 2
+    nb = _BLOCK_STEPS if d >= _BLOCK_MIN_DIM else 1
     # the panel's pending updates: step j's tau in u[:, j], its w in w[:, j]
     uw = np.empty((n, 2 * nb), dtype=complex)
     u, w = uw[:, :nb], uw[:, nb:]
     pf = 1.0 + 0.0j
-    for k0 in range(0, n - 2, 2 * nb):
-        steps = min(nb, (n - 2 - k0) // 2)
+    for k0 in range(0, e, 2 * nb):
+        steps = min(nb, (e - k0) // 2)
         for j in range(steps):
             k = k0 + 2 * j
             # row k brought up to date is minus column k: the matrix stays antisymmetric
             if j:
                 m[k, k + 1:] += w[k + 1:, :j] @ u[k, :j] - u[k + 1:, :j] @ w[k, :j]
-            mag = np.abs(m[k, k + 1:])
+            mag = np.abs(m[k, k + 1:d])
             rel = int(np.argmax(mag))
             if mag[rel] < threshold:
-                return 0.0 + 0.0j
+                return zero
             if rel:
                 # swap rows and columns k + 1 and k + 1 + rel as strided slice pairs
                 pair, flip = slice(k + 1, k + 2 + rel, rel), slice(k + 1 + rel, k, -rel)
@@ -134,12 +190,19 @@ def pfaffian(a) -> complex:
             # row k + 1 brought up to date is minus w
             if j:
                 m[k + 1, k + 2:] += w[k + 2:, :j] @ u[k + 1, :j] - u[k + 2:, :j] @ w[k + 1, :j]
-            pf *= m[k, k + 1]
+            # Python complex arithmetic: an over- or underflow here raises no numpy warning
+            pf *= complex(m[k, k + 1])
             u[k + 2:, j] = m[k, k + 2:] / m[k, k + 1]
             w[k + 2:, j] = -m[k + 1, k + 2:]
         # the panel's delayed rank-2 updates, tau w^T - w tau^T summed over its steps
         ke = k0 + 2 * steps
         x = u[ke:, :steps] @ w[ke:, :steps].T
         m[ke:, ke:] += x - x.T
-    pf *= m[n - 2, n - 1]
-    return complex(pf)
+    # the last block row: its entry right of the block, or its border entries
+    last = m[e, e + 1:].tolist()
+    values = [pf * x for x in last]
+    if not _representable(pf) or any(x and not _representable(v) for x, v in zip(last, values)):
+        raise FloatingPointError(
+            f"the product of the pivots ({pf}) or a result ({values}) over- or underflows double precision"
+        )
+    return tuple(values) if border else values[0]

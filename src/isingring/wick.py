@@ -18,8 +18,15 @@ A word is an ordered product of L one-mode factors ``a_i c_{m_i} +
 b_i c^dag_{m'_i}``, held as two (2, L) arrays: the grid indices ``(m, m')``
 and the coefficients ``(a, b)``, a zero coefficient leaving that part out.
 The contraction of factors i < j is ``a_i kappa(m_i - m'_j) b_j``, and the
-word's vacuum expectation is the Pfaffian of the L x L matrix of these
-contractions above the diagonal.
+word's vacuum expectation is the Pfaffian of the antisymmetric L x L matrix
+with these contractions above the diagonal.
+
+Words that differ in one factor share every other contraction.  A
+Pfaffian is linear in any one row, so moving that factor's row and column
+to the end (which multiplies the Pfaffian by the sign of the move) leaves
+a common leading block and one border column per word:
+``vacuum_expectation(skew, border=b)`` evaluates all b words from one
+elimination of the block, in which the border columns only ride along.
 """
 
 from __future__ import annotations
@@ -74,11 +81,14 @@ class ModeIndex:
 
 
 def contractions(index, coeff, n_sites: int) -> np.ndarray:
-    """The L x L matrix ``a_i kappa(m_i - m'_j) b_j`` of a word's factor contractions.
+    """The matrix ``a_i kappa(m_i - m'_j) b_j`` of annihilated parts i against created parts j.
 
-    ``index`` holds the annihilated and created grid indices ``(m, m')`` of
-    the L factors, each in [-N, N), and ``coeff`` their coefficients
-    ``(a, b)``, both shaped (2, L).  kappa is tabulated once over
+    ``index`` holds the annihilated and created grid indices ``(m, m')``,
+    each in [-N, N), and ``coeff`` their coefficients ``(a, b)``.  For the
+    L factors of one word both are (2, L) arrays and the result is the
+    word's L x L contraction matrix, of which the upper triangle counts;
+    the annihilated parts of some factors against the created parts of
+    later ones give a rectangular block of it.  kappa is tabulated once over
     d in (-2N, 2N) and gathered; the cross formula is evaluated on odd d
     only, where its denominator cannot vanish.
     """
@@ -87,22 +97,25 @@ def contractions(index, coeff, n_sites: int) -> np.ndarray:
     kappa = (d == 0).astype(complex)
     cross = d % 2 != 0
     kappa[cross] = (2.0 / n) / (np.exp(1j * np.pi * d[cross] / n) - 1.0)
-    (ann, cre), (a, b) = np.asarray(index), np.asarray(coeff)
+    ann, cre, a, b = map(np.asarray, (*index, *coeff))
     return a[:, None] * kappa[ann[:, None] - cre + (2 * n - 1)] * b
 
 
-def vacuum_expectation(contracted: np.ndarray) -> complex:
-    """Vacuum expectation value of an ordered product of L factors.
+def vacuum_expectation(skew: np.ndarray, border: int = 0):
+    """Vacuum expectation value of an ordered product of L factors, or of ``border`` such products.
 
-    ``contracted`` is the word's L x L contraction matrix, as from
-    :func:`contractions`; only its upper triangle is read.  Wick's theorem
-    makes the expectation the Pfaffian of the skew matrix with that upper
-    triangle.  Odd-length words vanish by parity; the empty word gives 1.
+    ``skew`` is the word's antisymmetric contraction matrix, entry (i, j)
+    for i < j being the contraction of factors i and j (the upper triangle
+    of :func:`contractions`).  Wick's theorem makes the expectation its
+    Pfaffian.  With ``border`` = b > 0, ``skew`` holds b words that share
+    the factors of its leading block and differ in one more factor, whose
+    row and column come last: one of the b border columns each.  The result
+    is then a tuple, the i-th entry being the expectation of word i times
+    the sign of moving that factor to the end.  Without a border, an
+    odd-length word vanishes by parity and the empty word gives 1.
     """
-    length = len(contracted)
-    if length % 2 != 0:
+    if not border and len(skew) % 2 != 0:
         return 0.0 + 0.0j
-    if length == 0:
+    if len(skew) == 0:
         return 1.0 + 0.0j
-    upper = np.triu(contracted, 1)
-    return pfaffian(upper - upper.T)
+    return pfaffian(skew, border)

@@ -8,7 +8,7 @@ from isingring.dynamics import DriverSpec, SystemState, evolve_kick_step, evolve
 from isingring.model import MomentumGrid
 from isingring.observables import (
     MagnetizationSample,
-    _c1_words,
+    _c1_bordered,
     expectation_c1,
     magnetization,
     run_series,
@@ -16,8 +16,8 @@ from isingring.observables import (
 from tests_support import (
     bcs_amplitudes,
     c1_words_dense,
-    dense_contractions,
     dense_expectation,
+    dense_skew,
     expectation_c1_reference,
 )
 
@@ -162,7 +162,7 @@ SIGN_PATTERNS = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0,
 
 
 class TestAgainstPerWordReference:
-    """The two-word evaluation against the N-word three-term decomposition."""
+    """The bordered evaluation against the N-word three-term decomposition."""
 
     @pytest.mark.parametrize("signs", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 20, 30])
@@ -173,24 +173,31 @@ class TestAgainstPerWordReference:
             assert abs(expectation_c1(state) - reference) < 1e-12
 
     def test_two_words_of_length_two_n(self):
+        # one bordered word: 2N - 1 shared factors and a border column for each word
         state = evolve_quench(init_ferro(MomentumGrid(10)), 0.7, 1.1)
-        assert [len(word) for _, word in _c1_words(state)] == [20, 20]
+        assert _c1_bordered(state).shape == (21, 21)
 
 
 class TestAgainstDenseWords:
-    """The gathered contraction matrices against ``ann K cre^T`` of the dense words."""
+    """The bordered matrix against the skew matrices of the dense words.
+
+    Word 1 without its slot N, the ``c_1`` factor, is the shared block, and
+    so is the adjoint of word 2 without its slot N, ``c_1^dag``.  Slot N's
+    column of each is a border column.
+    """
 
     @pytest.mark.parametrize("signs", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [4, 6, 10, 20, 48, 100, 200])
     def test_matrices_match_dense_reference(self, n, signs, monkeypatch):
         monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
+        shared = np.r_[:n, n + 1:2 * n]
         for state in _sample_states(n):
-            engine, dense = _c1_words(state), c1_words_dense(state)
-            for (coeff, matrix), (dense_coeff, word) in zip(engine, dense):
-                assert coeff == dense_coeff
-                expected = np.triu(dense_contractions(word), 1)
-                deviation = np.abs(np.triu(matrix, 1) - expected).max()
-                assert deviation <= 1e-15 * np.abs(expected).max()
+            bordered = _c1_bordered(state)
+            (_, first), (_, second) = c1_words_dense(state)
+            for column, word in zip((2 * n - 1, 2 * n), (first, second.dagger())):
+                engine = bordered[:2 * n - 1][:, np.r_[:2 * n - 1, column]]
+                expected = dense_skew(word)[shared][:, np.r_[shared, n]]
+                assert np.abs(engine - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 class TestRunSeries:

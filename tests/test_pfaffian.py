@@ -260,15 +260,104 @@ def test_congruence_multiplies_by_determinant(n, seed):
 
 @pytest.mark.parametrize("n_sites", [20, 40, 100, 160, 200])
 def test_engine_words_match_unblocked_reference(n_sites, monkeypatch):
-    """The two skew matrices of one quench sample, as the Wick engine builds them."""
+    """The bordered skew matrix of one quench sample, as the Wick engine builds it."""
     seen = []
 
-    def record(a):
-        seen.append(a)
-        return pfaffian(a)
+    def record(a, border=0):
+        seen.append((a, border))
+        return pfaffian(a, border)
 
     monkeypatch.setattr(isingring.wick, "pfaffian", record)
     expectation_c1(evolve_quench(init_ferro(MomentumGrid(n_sites)), 0.5, 7.3))
-    assert [len(a) for a in seen] == [2 * n_sites, 2 * n_sites]
-    for a in seen:
-        assert pfaffian(a) == pytest.approx(pfaffian_reference(a), rel=1e-12, abs=0)
+    assert [(len(a), border) for a, border in seen] == [(2 * n_sites + 1, 2)]
+    a, border = seen[0]
+    shared = 2 * n_sites - 1
+    for i, value in enumerate(pfaffian(a, border)):
+        even = np.r_[:shared, shared + i]
+        assert value == pytest.approx(pfaffian_reference(a[np.ix_(even, even)]), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "n, factor",
+    [(600, 1.0), (400, 1e-3), (600, 1e-3)],
+    ids=["overflow-600", "underflow-400", "underflow-600"],
+)
+def test_unrepresentable_pivot_product_raises(n, factor):
+    # |Pf| is about 1e442, 1e-323 and 1e-458: past the largest double, subnormal, and below the smallest
+    a = random_skew(n, np.random.default_rng(n)) * factor
+    with pytest.raises(FloatingPointError, match="pivots"):
+        pfaffian(a)
+
+
+def test_zero_last_entry_is_a_true_zero():
+    # the pivots are fine and the last factor is exactly 0: no error, an exact 0
+    a = np.zeros((4, 4))
+    a[0, 1], a[1, 2], a[1, 3] = 1.0, 2.0, 3.0
+    a = a - a.T
+    assert pfaffian(a) == 0.0
+    block = random_skew(5, np.random.default_rng(5))
+    bordered = np.zeros((7, 7), dtype=complex)
+    bordered[:5, :5] = block
+    bordered[:5, 6] = np.arange(1, 6)
+    bordered[6, :5] = -np.arange(1, 6)
+    zero, value = pfaffian(bordered, 2)
+    assert zero == 0.0
+    even = np.r_[:5, 6]
+    assert value == pytest.approx(pfaffian_reference(bordered[np.ix_(even, even)]))
+
+
+def test_bordered_closed_form_and_validation():
+    # a 3 x 3 block with two border columns x and y: two 4 x 4 Pfaffians
+    block = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]])
+    x, y = np.array([4.0, 5.0, 6.0]), np.array([7.0, 0.0, 1.0j])
+    a = np.zeros((5, 5), dtype=complex)
+    a[:3, :3], a[:3, 3], a[:3, 4] = block, x, y
+    a = np.triu(a) - np.triu(a).T
+    # Pf = a01 x2 - a02 x1 + a12 x0; a 1 x 1 block with a border is the 2 x 2 convention
+    assert pfaffian(a, 2) == pytest.approx((1 * 6 - 2 * 5 + 3 * 4, 1 * 1j - 2 * 0 + 3 * 7))
+    assert pfaffian(a[[0, 3], :][:, [0, 3]], 1) == (4.0 + 0j,)
+    assert pfaffian(SkewMatrix(a, 2), 2) == pfaffian(a, 2)
+    with pytest.raises(PfaffianDimensionError):
+        SkewMatrix(a[:4, :4], 2)
+    with pytest.raises(PfaffianDimensionError):
+        SkewMatrix(a, 5)
+    with pytest.raises(PfaffianDimensionError):
+        pfaffian(SkewMatrix(a, 2), 1)
+
+
+#: odd leading blocks on both sides of the switch to panels, of one panel and of one and a half
+BORDERED_BLOCKS = sorted({
+    _BLOCK_MIN_DIM - 1, _BLOCK_MIN_DIM + 1, PANEL - 1, PANEL + 1, 3 * PANEL // 2 - 1, 3 * PANEL // 2 + 1,
+})
+BORDERS = st.integers(min_value=1, max_value=3)
+
+
+def random_bordered(d, border, seed, rank=None):
+    """A random skew matrix of dimension d + border whose leading d x d block has at most the given rank."""
+    rng = np.random.default_rng(seed)
+    a = random_skew(d + border, rng) / np.sqrt(d)
+    if rank is not None:
+        q = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(d)
+        a[:d, :d] = q @ random_skew(rank, rng) @ q.T / np.sqrt(rank)
+    return a
+
+
+@pytest.mark.parametrize("d", BORDERED_BLOCKS)
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=SEEDS, border=BORDERS)
+def test_bordered_matches_unblocked_reference(d, seed, border):
+    a = random_bordered(d, border, seed)
+    values = pfaffian(a, border)
+    assert isinstance(values, tuple) and len(values) == border
+    for i, value in enumerate(values):
+        even = np.r_[:d, d + i]
+        assert value == pytest.approx(pfaffian_reference(a[np.ix_(even, even)]), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d", BORDERED_BLOCKS)
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=SEEDS, border=BORDERS, deficit=st.sampled_from([3, 5, 7]))
+def test_rank_deficient_block_gives_exact_zeros(d, seed, border, deficit):
+    # each bordered Pfaffian is linear in the (d - 1)-minors of the block, which all vanish
+    a = random_bordered(d, border, seed, rank=d - deficit)
+    assert pfaffian(a, border) == (0.0 + 0.0j,) * border

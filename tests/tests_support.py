@@ -111,9 +111,15 @@ def dense_contractions(word: FermionWord) -> np.ndarray:
     return word.ann @ dense_kernel(word.ann.shape[1] // 2) @ word.cre.T
 
 
+def dense_skew(word: FermionWord) -> np.ndarray:
+    """The antisymmetric matrix with the upper triangle of :func:`dense_contractions`."""
+    upper = np.triu(dense_contractions(word), 1)
+    return upper - upper.T
+
+
 def dense_expectation(word: FermionWord) -> complex:
     """Vacuum expectation of a dense word through its dense contraction matrix."""
-    return vacuum_expectation(dense_contractions(word))
+    return vacuum_expectation(dense_skew(word))
 
 
 def _fill_ket_dense(ann, cre, n_sites, index, u, v):
@@ -133,8 +139,10 @@ def _fill_bra_dense(ann, cre, n_sites, index, u, v):
 def c1_words_dense(state):
     """The engine's two ``<c_1>`` words as dense ``[(coefficient, FermionWord), ...]``.
 
-    The same rows as ``observables._c1_words``, under the current
-    ``observables._TERM_SIGNS``, with ``c_1`` as one dense annihilator row:
+    The words whose shared factors and ``c_1`` factors
+    ``observables._c1_bordered`` assembles as one bordered matrix, under the
+    current ``observables._TERM_SIGNS``, with ``c_1`` as one dense
+    annihilator row:
 
         word 1: <psi_e| (N rows), c_1 on the odd grid, |psi_o> (N - 2 rows), c^dag_0
         word 2: c_0, <psi_o| (N - 2 rows), c_1 on the even grid, |psi_e> (N rows)
