@@ -19,7 +19,7 @@ from .model import (
 )
 from .observables import MagnetizationSample, expectation_c1, magnetization, run_series
 from .pfaffian import SkewMatrix
-from .wick import ModeIndex, vacuum_expectation
+from .wick import vacuum_expectation
 
 __all__ = [
     "DriverSpec",
@@ -40,7 +40,6 @@ __all__ = [
     "magnetization",
     "run_series",
     "SkewMatrix",
-    "ModeIndex",
     "vacuum_expectation",
 ]
 

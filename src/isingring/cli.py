@@ -29,6 +29,8 @@ from .observables import run_series
 __all__ = ["main", "refine_extremum", "refined_minimum", "refined_maximum", "validate_suite"]
 
 FLOAT_FMT = "%.17g"
+#: largest engine-vs-ED deviation of a magnetization component that passes validation
+VALIDATION_TOL = 1e-8
 
 
 def _write_csv(path, header, rows):
@@ -95,39 +97,34 @@ def refined_maximum(x, y, window=None):
     return _windowed_extremum(x, y, window, np.argmax)
 
 
+def _ed_deviation(samples, exact) -> np.ndarray:
+    """Largest ``|engine - ED|`` of each of (mx, my, mz) over the samples."""
+    engine = np.array([[s.mx, s.my, s.mz] for s in samples])
+    return np.abs(engine - exact).max(axis=0)
+
+
 def validate_suite(sizes=(4, 6, 8, 10), g_values=(0.5, 1.0, 1.5), t_max=5.0, dt=0.25,
-                   kick_params=(8, 0.5, 0.5, 0.02, 20), tol=1e-8, threads=1):
+                   kick_params=(8, 0.5, 0.5, 0.02, 20), tol=VALIDATION_TOL, threads=1):
     """Pointwise ED-vs-Pfaffian comparison; returns a machine-readable report."""
     report = {"tolerance": tol, "cases": [], "passed": True}
+
+    def check(case, driver, schedule, exact):
+        samples = run_series(driver, MomentumGrid(case["n_sites"]), schedule, threads=threads)
+        dev = _ed_deviation(samples, exact)
+        case.update({"max_dev_mx": float(dev[0]), "max_dev_my": float(dev[1]),
+                     "max_dev_mz": float(dev[2]), "pass": bool(dev.max() < tol)})
+        report["cases"].append(case)
+        report["passed"] = report["passed"] and case["pass"]
+
     times = np.arange(0.0, t_max + dt / 2, dt)
     for n in sizes:
-        grid = MomentumGrid(n)
         for g_f in g_values:
-            exact = oracle_ed.quench_trajectory(n, g_f, times)
-            samples = run_series(DriverSpec("quench", g_f=g_f), grid, times, threads=threads)
-            engine = np.array([[s.mx, s.my, s.mz] for s in samples])
-            dev = np.abs(engine - exact).max(axis=0)
-            case = {
-                "driver": "quench", "n_sites": n, "g_f": g_f,
-                "max_dev_mx": float(dev[0]), "max_dev_my": float(dev[1]),
-                "max_dev_mz": float(dev[2]), "pass": bool(dev.max() < tol),
-            }
-            report["cases"].append(case)
-            report["passed"] = report["passed"] and case["pass"]
+            check({"driver": "quench", "n_sites": n, "g_f": g_f}, DriverSpec("quench", g_f=g_f),
+                  times, oracle_ed.quench_trajectory(n, g_f, times))
     n, g, tau, eps, n_kicks = kick_params
-    grid = MomentumGrid(n)
-    exact = oracle_ed.kick_trajectory(n, g, tau, eps, n_kicks)
-    samples = run_series(DriverSpec("kick", g=g, tau=tau, epsilon=eps), grid,
-                         range(1, n_kicks + 1), threads=threads)
-    engine = np.array([[s.mx, s.my, s.mz] for s in samples])
-    dev = np.abs(engine - exact).max(axis=0)
-    case = {
-        "driver": "kick", "n_sites": n, "g": g, "tau": tau, "epsilon": eps,
-        "max_dev_mx": float(dev[0]), "max_dev_my": float(dev[1]),
-        "max_dev_mz": float(dev[2]), "pass": bool(dev.max() < tol),
-    }
-    report["cases"].append(case)
-    report["passed"] = report["passed"] and case["pass"]
+    check({"driver": "kick", "n_sites": n, "g": g, "tau": tau, "epsilon": eps},
+          DriverSpec("kick", g=g, tau=tau, epsilon=eps), range(1, n_kicks + 1),
+          oracle_ed.kick_trajectory(n, g, tau, eps, n_kicks))
     return report
 
 
@@ -156,10 +153,8 @@ def _cmd_quench(args) -> int:
         if maximum is not None:
             summary["rebound_maximum"] = {"t": maximum[0], "mx_over_n": maximum[1]}
     if args.validate:
-        exact = oracle_ed.quench_trajectory(n, args.gf, times)
-        engine = np.array([[s.mx, s.my, s.mz] for s in samples])
-        max_dev = float(np.abs(engine - exact).max())
-        summary["validation"] = {"max_abs_deviation": max_dev, "pass": max_dev < 1e-8}
+        max_dev = float(_ed_deviation(samples, oracle_ed.quench_trajectory(n, args.gf, times)).max())
+        summary["validation"] = {"max_abs_deviation": max_dev, "pass": max_dev < VALIDATION_TOL}
     _write_summary(_summary_path(args.out), summary)
     if args.validate and not summary["validation"]["pass"]:
         print("validation failed", file=sys.stderr)
@@ -169,8 +164,7 @@ def _cmd_quench(args) -> int:
 
 def _cmd_kick(args) -> int:
     if args.kicks < 1:
-        print("--kicks must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError(f"--kicks must be >= 1, got {args.kicks}")
     n = args.n
     grid = MomentumGrid(n)
     schedule = list(range(1, args.kicks + 1))

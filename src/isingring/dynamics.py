@@ -75,8 +75,7 @@ class DriverSpec:
 
 def init_ferro(grid: MomentumGrid) -> SystemState:
     """The +x fully polarized state: ``(u, v) = (sin k/2, cos k/2)`` per mode."""
-    h = grid.n_sites // 2
-    kp, km = grid.k_plus[h:], grid.k_minus[h + 1:]
+    kp, km = np.pi * grid.plus / grid.n_sites, np.pi * grid.minus / grid.n_sites
     return SystemState(
         grid=grid,
         u_plus=np.sin(kp / 2.0).astype(complex),
@@ -97,8 +96,9 @@ def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: 
     ``cos(n theta) I + sin(n theta) / sin(theta) (F - cos(theta) I)``; theta
     comes from atan2, which keeps full precision near ``F = +-I``.
     """
-    h = state.grid.n_sites // 2
-    k = np.concatenate([state.grid.k_plus[h:], state.grid.k_minus[h + 1:]])
+    grid = state.grid
+    h = grid.n_sites // 2
+    k = np.pi * np.concatenate([grid.plus, grid.minus]) / grid.n_sites
     u = np.concatenate([state.u_plus, state.u_minus])
     v = np.concatenate([state.v_plus, state.v_minus])
     a, b = mode_coefficients(k, g)
@@ -116,7 +116,7 @@ def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: 
         alpha = np.cos(kicks * theta) + 1j * ratio * alpha.imag
         beta = ratio * beta
     u, v = alpha * u + beta * v, np.conj(alpha) * v - np.conj(beta) * u
-    return SystemState(state.grid, u[:h], v[:h], u[h:], v[h:],
+    return SystemState(grid, u[:h], v[:h], u[h:], v[h:],
                        state.gamma - 2.0 * t * kicks, state.time + t * kicks)
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wick import EVEN, ODD, ModeIndex
-
 __all__ = [
     "MomentumGrid",
     "dispersion",
@@ -32,12 +30,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Ring of ``n_sites`` spins with the two sector momentum grids.
+    """Ring of ``n_sites`` spins and the grid indices of its positive modes.
 
-    The even sector uses the half-integer grid ``-pi + (2j - 1) pi / N``
-    (j = 1..N), symmetric under k -> -k.  The odd sector uses the integer
-    grid ``-pi + 2 j pi / N`` (j = 0..N-1), which contains the two
-    self-conjugate momenta -pi and 0.
+    The mode with integer grid index m has momentum ``k = pi m / N``.  The
+    even sector uses the half-integer grid, odd m in (-N, N), symmetric
+    under k -> -k.  The odd sector uses the integer grid, even m in [-N, N),
+    which contains the two self-conjugate special modes k = -pi (m = -N) and
+    k = 0.  Every other mode pairs with its negative, so a sector's state is
+    labelled by its positive modes: ``plus`` holds the N/2 positive
+    even-sector indices and ``minus`` the N/2 - 1 positive odd-sector normal
+    modes, both ascending.
     """
 
     n_sites: int
@@ -48,35 +50,19 @@ class MomentumGrid:
             raise ValueError(f"n_sites must be even and >= 4, got {n}")
 
     @property
-    def k_plus(self) -> np.ndarray:
-        n = self.n_sites
-        return np.pi * np.arange(-n + 1, n, 2) / n
+    def plus(self) -> np.ndarray:
+        """Grid indices 1, 3, ..., N - 1 of the positive even-sector modes."""
+        return np.arange(1, self.n_sites, 2)
 
     @property
-    def k_minus(self) -> np.ndarray:
-        n = self.n_sites
-        return np.pi * np.arange(-n, n, 2) / n
-
-    def positive_plus(self) -> list:
-        """Positive even-sector modes, ascending (N/2 of them)."""
-        n = self.n_sites
-        return [ModeIndex(EVEN, m, n) for m in range(1, n, 2)]
-
-    def positive_minus(self) -> list:
-        """Positive odd-sector normal modes, ascending (N/2 - 1 of them)."""
-        n = self.n_sites
-        return [ModeIndex(ODD, m, n) for m in range(2, n, 2)]
-
-    def special_pi(self) -> ModeIndex:
-        return ModeIndex(ODD, -self.n_sites, self.n_sites)
-
-    def special_zero(self) -> ModeIndex:
-        return ModeIndex(ODD, 0, self.n_sites)
+    def minus(self) -> np.ndarray:
+        """Grid indices 2, 4, ..., N - 2 of the positive odd-sector normal modes."""
+        return np.arange(2, self.n_sites, 2)
 
 
-def dispersion(k: float, g: float) -> float:
-    """Single-mode excitation energy ``2 sqrt(g^2 + 2 g cos k + 1)``."""
-    return 2.0 * np.sqrt(max(g * g + 2.0 * g * np.cos(k) + 1.0, 0.0))
+def dispersion(k, g: float):
+    """Single-mode excitation energy ``2 sqrt(g^2 + 2 g cos k + 1)``, k scalar or array."""
+    return 2.0 * np.sqrt(np.maximum(g * g + 2.0 * g * np.cos(k) + 1.0, 0.0))
 
 
 def bogoliubov_angle(k: float, g: float):
@@ -117,14 +103,15 @@ def special_mode_energies(g: float):
 
 def sgs_energies(grid: MomentumGrid, g: float):
     """Energies of the even and odd sub-ground states ``(e_plus, e_minus)``."""
-    e_plus = -sum(dispersion(m.momentum, g) for m in grid.positive_plus())
-    e_minus = -sum(dispersion(m.momentum, g) for m in grid.positive_minus()) - 2.0
+    n = grid.n_sites
+    e_plus = -float(dispersion(np.pi * grid.plus / n, g).sum())
+    e_minus = -float(dispersion(np.pi * grid.minus / n, g).sum()) - 2.0
     return e_plus, e_minus
 
 
 #: below this value the parity gap is recomputed in arbitrary precision,
 #: because deep in the ordered phase it is exponentially small in N and the
-#: double-precision energy difference cancels to roundoff
+#: double-precision chord sum cancels to roundoff
 _GAP_PRECISE_THRESHOLD = 1e-6
 
 
@@ -154,12 +141,13 @@ def _gap_precise(x: float, n_sites: int) -> float:
 
 
 def gap_delta(grid: MomentumGrid, g: float) -> float:
-    """Half the energy splitting between the two parity sub-ground states."""
-    e_plus, e_minus = sgs_energies(grid, g)
-    delta = 0.5 * (e_minus - e_plus)
-    if abs(delta) < _GAP_PRECISE_THRESHOLD:
-        return _gap_precise(g, grid.n_sites)
-    return delta
+    """Half the energy splitting ``(e_minus - e_plus) / 2`` of the two parity sub-ground states.
+
+    Even in g, and equal to the chord excess at x = |g|: the chord of index
+    j is half the dispersion at grid index N - j, which has the parity of j,
+    so the odd and even chords sum the even and odd sectors' positive modes.
+    """
+    return chord_excess(abs(g), grid.n_sites)
 
 
 def chord_excess(x: float, n_sites: int) -> float:
@@ -172,16 +160,14 @@ def chord_excess(x: float, n_sites: int) -> float:
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if n_sites < 4 or n_sites % 2 != 0:
-        raise ValueError(f"n_sites must be even and >= 4, got {n_sites}")
+    grid = MomentumGrid(n_sites)
     alpha = np.pi / n_sites
-    j_odd = np.arange(1, n_sites, 2)
-    j_even = np.arange(2, n_sites - 1, 2)
 
     def chord(j):
         return np.sqrt(x * x - 2.0 * x * np.cos(j * alpha) + 1.0)
 
-    result = float(chord(j_odd).sum() - chord(j_even).sum()) - 1.0
+    # odd chord indices are the even sector's positive modes, even ones the odd sector's
+    result = float(chord(grid.plus).sum() - chord(grid.minus).sum()) - 1.0
     if abs(result) < _GAP_PRECISE_THRESHOLD:
         return _gap_precise(x, n_sites)
     return result
@@ -205,7 +191,7 @@ def cat_norm_identity(n_sites: int) -> float:
     state of the classical ring.
     """
     grid = MomentumGrid(n_sites)
-    return float(np.prod([np.sin(m.momentum / 2.0) for m in grid.positive_plus()]))
+    return float(np.prod(np.sin(np.pi * grid.plus / n_sites / 2.0)))
 
 
 def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):

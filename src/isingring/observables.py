@@ -93,14 +93,15 @@ def _c1_bordered(state: SystemState) -> np.ndarray:
     even grid (the adjoint of word 2, ``<psi_o| c_1 |psi_e>``).  ``c_1``
     enters without its ``N^{-1/2}``, which sits in the coefficients.
     """
-    n = state.grid.n_sites
+    grid = state.grid
+    n = grid.n_sites
     s1, s2, s3 = _TERM_SIGNS
     shared = 2 * n - 1
     # (annihilated, created) parts; index 0 with coefficient 0 is an absent part
     index = np.zeros((2, shared), dtype=int)
     coeff = np.zeros((2, shared), dtype=complex)
-    _fill_bra(index[:, :n], coeff[:, :n], np.arange(1, n, 2), state.u_plus, state.v_plus)
-    _fill_ket(index[:, n:-1], coeff[:, n:-1], np.arange(2, n, 2), state.u_minus, state.v_minus)
+    _fill_bra(index[:, :n], coeff[:, :n], grid.plus, state.u_plus, state.v_plus)
+    _fill_ket(index[:, n:-1], coeff[:, n:-1], grid.minus, state.u_minus, state.v_minus)
     coeff[1, -1] = 1.0
     (ann, cre), (a, b) = index, coeff
 

@@ -179,14 +179,13 @@ def build_momentum_sgs(n_sites: int, sector: str, g: float) -> DenseState:
     psi = np.zeros(2**n_sites, dtype=complex)
     psi[0] = 1.0  # all spins down = fermion vacuum
     if sector == "even":
-        modes = grid.positive_plus()
+        modes = grid.plus
     elif sector == "odd":
-        modes = grid.positive_minus()
+        modes = grid.minus
         psi = _apply_ckdag(psi, n_sites, 0.0)
     else:
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    for mode in modes:
-        k = mode.momentum
+    for k in np.pi * modes / n_sites:
         sin_half, cos_half = model.bogoliubov_angle(k, g)
         paired = _apply_ckdag(_apply_ckdag(psi, n_sites, -k), n_sites, k)
         psi = cos_half * psi + sin_half * paired

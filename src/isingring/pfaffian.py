@@ -71,10 +71,10 @@ class SkewMatrix:
     border column form an even matrix.
 
     Construction symmetrizes the input, i.e. stores ``(M - M.T) / 2`` (which
-    zeroes the diagonal exactly), and records the largest asymmetry found.
-    Asymmetry beyond ``ASYMMETRY_RTOL`` relative to the largest entry
-    magnitude raises :class:`SkewSymmetryError`; a NaN or infinite entry
-    raises ``ValueError``.
+    zeroes the diagonal exactly), and records the largest entry magnitude of
+    the input as ``scale`` and the largest asymmetry found.  Asymmetry beyond
+    ``ASYMMETRY_RTOL`` times ``scale`` raises :class:`SkewSymmetryError`; a
+    NaN or infinite entry raises ``ValueError``.
     """
 
     def __init__(self, entries, border: int = 0):
@@ -100,6 +100,7 @@ class SkewMatrix:
         self.entries = 0.5 * (m - m.T)
         self.dim = n
         self.border = border
+        self.scale = scale
         self.max_asymmetry = asymmetry
 
     def __repr__(self):
@@ -152,13 +153,13 @@ def pfaffian(a, border: int = 0):
         m = a.entries.copy()
     else:
         # a fresh array, which the elimination may overwrite
-        m = SkewMatrix(a, border).entries
+        a = SkewMatrix(a, border)
+        m = a.entries
     n = len(m)
     zero = (0.0 + 0.0j,) * border if border else 0.0 + 0.0j
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
+    if a.scale == 0.0:
         return zero
-    threshold = PIVOT_RTOL * scale
+    threshold = PIVOT_RTOL * a.scale
 
     # the leading block, in which the pivots are searched, and the rows eliminated
     # from it: all but its last row (all but the last two of an even block)

@@ -1,9 +1,9 @@
 """Vacuum expectation values of fermion operator products via Wick's theorem.
 
-Momentum modes live on one of two grids attached to the fermion parity
-sectors of the periodic Ising chain: the mode with integer grid index m has
-momentum k = pi m / N, odd m on the even sector's half-integer grid and even
-m on the odd sector's integer grid.  Modes of the same sector obey the
+Momentum modes are named by their integer grid index m alone, with
+momentum k = pi m / N: odd m on the even sector's half-integer grid and
+even m on the odd sector's integer grid (see
+:class:`isingring.model.MomentumGrid`).  Modes of the same sector obey the
 canonical anticommutators; modes from different sectors have the nonzero
 cross contraction
 
@@ -31,53 +31,11 @@ elimination of the block, in which the border columns only ride along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pfaffian import pfaffian
 
-__all__ = ["EVEN", "ODD", "ModeIndex", "contractions", "vacuum_expectation"]
-
-#: sector labels: EVEN carries the half-integer grid, ODD the integer grid
-EVEN, ODD = +1, -1
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """A momentum mode identified by sector and integer grid index.
-
-    The physical momentum is ``pi * index / n_sites``.  Even-sector momenta
-    have odd ``index`` (half-integer grid, excludes 0 and -pi); odd-sector
-    momenta have even ``index`` (integer grid, includes -pi and 0).  Storing
-    the integer index keeps set membership and k -> -k exact.
-    """
-
-    sector: int
-    index: int
-    n_sites: int
-
-    def __post_init__(self):
-        n = self.n_sites
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"n_sites must be even and >= 4, got {n}")
-        if self.sector not in (EVEN, ODD):
-            raise ValueError(f"sector must be +1 or -1, got {self.sector}")
-        if not -n <= self.index < n:
-            raise ValueError(f"index {self.index} out of range for N={n}")
-        if self.sector == EVEN and self.index % 2 == 0:
-            raise ValueError(f"even-sector index must be odd, got {self.index}")
-        if self.sector == ODD and self.index % 2 != 0:
-            raise ValueError(f"odd-sector index must be even, got {self.index}")
-
-    @property
-    def momentum(self) -> float:
-        return np.pi * self.index / self.n_sites
-
-    def negate(self) -> "ModeIndex":
-        """The mode at momentum -k (k = -pi is self-conjugate)."""
-        m = -self.index if self.index != -self.n_sites else self.index
-        return ModeIndex(self.sector, m, self.n_sites)
+__all__ = ["contractions", "vacuum_expectation"]
 
 
 def contractions(index, coeff, n_sites: int) -> np.ndarray:

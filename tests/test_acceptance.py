@@ -233,6 +233,8 @@ def test_criterion_10_wick_engine_matches_explicit_inner_product():
         dense_expectation,
         inner_product_Imn,
         ket_word,
+        minus_modes,
+        plus_modes,
     )
 
     rng = np.random.default_rng(77)
@@ -243,11 +245,11 @@ def test_criterion_10_wick_engine_matches_explicit_inner_product():
         n = int(rng.integers(1, 5))
         bra = [
             (mode, *uv)
-            for mode, uv in zip(grid.positive_plus()[:m], bcs_amplitudes(rng, m, 0.1))
+            for mode, uv in zip(plus_modes(grid)[:m], bcs_amplitudes(rng, m, 0.1))
         ]
         ket = [
             (mode, *uv)
-            for mode, uv in zip(grid.positive_minus()[:n], bcs_amplitudes(rng, n, 0.1))
+            for mode, uv in zip(minus_modes(grid)[:n], bcs_amplitudes(rng, n, 0.1))
         ]
         explicit = inner_product_Imn(bra, ket)
         word = dense_expectation(as_word(bra_word(bra) + ket_word(ket)))

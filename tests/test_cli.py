@@ -137,12 +137,14 @@ class TestKickCommand:
         # perfect pi kicks at zero field alternate the polarization exactly
         np.testing.assert_allclose(data[:, 1], [-1.0, 1.0, -1.0, 1.0], atol=1e-10)
 
-    def test_zero_kicks_rejected(self, tmp_path):
+    def test_zero_kicks_rejected(self, tmp_path, capsys):
         rc = main(
             ["kick", "--n", "8", "--g", "0.1", "--tau", "0.5", "--epsilon", "0.0",
              "--kicks", "0", "--out", str(tmp_path / "k.csv")]
         )
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--tau", "--epsilon"])
     def test_nan_drive_rejected_without_output(self, tmp_path, flag):
@@ -164,6 +166,17 @@ class TestScanCommands:
         assert data.shape == (11, 2)
         assert data[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert data[-1, 1] == pytest.approx(np.tan(np.pi / 32), rel=1e-12)
+
+    def test_gap_scan_through_negative_field(self, tmp_path):
+        # the gap is even in g, also in the ordered phase where it needs arbitrary precision
+        out = tmp_path / "gap.csv"
+        rc = main(["gap", "--n", "100", "--gmin", "-1", "--gmax", "1",
+                   "--gsteps", "5", "--out", str(out)])
+        assert rc == 0
+        data = read_csv(out)
+        np.testing.assert_array_equal(data[:, 1], data[::-1, 1])
+        # zero at g = 0 only
+        assert np.all((data[:, 1] > 0.0) == (data[:, 0] != 0.0))
 
     def test_deltal_scan_satisfies_gap_identity(self, tmp_path):
         out = tmp_path / "dl.csv"

@@ -14,7 +14,7 @@ from isingring.dynamics import (
     init_ferro,
 )
 from isingring.model import MomentumGrid, mode_hamiltonian_even
-from tests_support import bcs_amplitudes, mode_unitary, stepped_reference
+from tests_support import bcs_amplitudes, minus_modes, mode_unitary, plus_modes, stepped_reference
 
 
 def random_state(rng, grid, zero_v_mode=None):
@@ -77,8 +77,8 @@ class TestInitFerro:
     def test_amplitudes(self):
         grid = MomentumGrid(8)
         state = init_ferro(grid)
-        kp = np.array([m.momentum for m in grid.positive_plus()])
-        km = np.array([m.momentum for m in grid.positive_minus()])
+        kp = np.array([m.momentum for m in plus_modes(grid)])
+        km = np.array([m.momentum for m in minus_modes(grid)])
         np.testing.assert_allclose(state.u_plus, np.sin(kp / 2))
         np.testing.assert_allclose(state.v_plus, np.cos(kp / 2))
         np.testing.assert_allclose(state.u_minus, np.sin(km / 2))
@@ -268,8 +268,8 @@ def exact_kicks(state, g, tau, eps, kicks):
         phase = mpmath.exp(1j * mpmath.pi * (1 - mpmath.mpf(eps)))
         kick = mpmath.diag([phase, mpmath.conj(phase)])
         out = []
-        for modes, u, v in ((state.grid.positive_plus(), state.u_plus, state.v_plus),
-                            (state.grid.positive_minus(), state.u_minus, state.v_minus)):
+        for modes, u, v in ((plus_modes(state.grid), state.u_plus, state.v_plus),
+                            (minus_modes(state.grid), state.u_minus, state.v_minus)):
             rows = []
             for mode, uk, vk in zip(modes, u, v):
                 k = mpmath.mpf(mode.momentum)

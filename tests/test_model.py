@@ -21,8 +21,19 @@ from isingring.model import (
 class TestGrid:
     def test_even_grid_n4(self):
         grid = MomentumGrid(4)
-        np.testing.assert_allclose(grid.k_plus, np.pi * np.array([-3, -1, 1, 3]) / 4)
-        np.testing.assert_allclose(grid.k_minus, np.pi * np.array([-4, -2, 0, 2]) / 4)
+        np.testing.assert_array_equal(grid.plus, [1, 3])
+        np.testing.assert_array_equal(grid.minus, [2])
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16, 100])
+    def test_positive_mode_indices(self, n):
+        # N/2 odd indices and N/2 - 1 even ones, ascending inside (0, N)
+        grid = MomentumGrid(n)
+        for modes, count, parity in ((grid.plus, n // 2, 1), (grid.minus, n // 2 - 1, 0)):
+            assert modes.dtype.kind == "i"
+            assert len(modes) == count
+            assert np.all(modes % 2 == parity)
+            assert np.all((modes > 0) & (modes < n))
+            assert np.all(np.diff(modes) > 0)
 
     def test_rejects_odd_or_tiny_rings(self):
         for n in (3, 5, 2, 0):
@@ -113,14 +124,20 @@ class TestSectorEnergies:
         deltas = [gap_delta(MomentumGrid(n), 0.5) for n in (6, 10, 14, 18)]
         assert np.all(np.diff(deltas) < 0)
 
+    def test_gap_even_in_field(self):
+        # deep in the ordered phase too, where the gap needs arbitrary precision
+        assert gap_delta(MomentumGrid(100), -0.5) == gap_delta(MomentumGrid(100), 0.5)
+        assert gap_delta(MomentumGrid(16), -1.3) == gap_delta(MomentumGrid(16), 1.3)
+
 
 class TestChordDiagnostic:
     def test_matches_gap_plus_one(self):
-        # Delta_l(x) = Delta(x) + 1 pointwise
+        # Delta_l(x) = Delta(x) + 1 pointwise, Delta from the two sectors' energy sums
         for n in (4, 8, 14):
             grid = MomentumGrid(n)
             for x in (0.0, 0.3, 1.0, 1.7, 2.9):
-                assert delta_l(x, n) == pytest.approx(gap_delta(grid, x) + 1.0, rel=1e-12)
+                e_plus, e_minus = sgs_energies(grid, x)
+                assert delta_l(x, n) == pytest.approx(0.5 * (e_minus - e_plus) + 1.0, rel=1e-12)
 
     def test_unit_point_chord_value(self):
         # at x = 1 the chords telescope to tan(pi/4N) + 1

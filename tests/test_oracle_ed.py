@@ -18,6 +18,7 @@ from isingring.oracle_ed import (
     measure,
     quench_trajectory,
 )
+from tests_support import plus_modes
 
 
 def parity_block(h, n_sites, parity):
@@ -71,7 +72,7 @@ class TestHamiltonian:
         block = parity_block(build_hamiltonian(n, g), n, "even")
         levels = np.linalg.eigvalsh(block)
         e_plus, _ = sgs_energies(grid, g)
-        k_top = grid.positive_plus()[-1].momentum  # closest to pi
+        k_top = plus_modes(grid)[-1].momentum  # closest to pi
         assert levels[1] == pytest.approx(e_plus + 2.0 * dispersion(k_top, g), abs=1e-9)
 
     def test_size_validation(self):

@@ -159,6 +159,15 @@ def test_skewmatrix_symmetrizes_and_records_asymmetry():
     assert np.abs(np.diag(sk.entries)).max() == 0.0
 
 
+def test_skewmatrix_scale_is_largest_input_entry():
+    # for an exactly antisymmetric input the symmetrized copy is the input, bit for bit
+    rng = np.random.default_rng(11)
+    a = random_skew(9, rng)
+    sk = SkewMatrix(a, border=2)
+    assert sk.scale == np.abs(a).max()
+    np.testing.assert_array_equal(sk.entries, a)
+
+
 def test_dimension_errors():
     with pytest.raises(PfaffianDimensionError):
         SkewMatrix(np.zeros((3, 3)))

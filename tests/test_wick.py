@@ -5,9 +5,12 @@ import pytest
 
 from isingring import oracle_ed
 from isingring.model import MomentumGrid, bogoliubov_angle
-from isingring.wick import EVEN, ODD, ModeIndex, contractions
+from isingring.wick import contractions
 from tests_support import (
+    EVEN,
+    ODD,
     FermionWord,
+    ModeIndex,
     as_word,
     bcs_amplitudes,
     bra_word,
@@ -16,7 +19,9 @@ from tests_support import (
     dense_kernel,
     inner_product_Imn,
     ket_word,
+    minus_modes,
     mode_slot,
+    plus_modes,
 )
 
 
@@ -64,13 +69,8 @@ class TestModeIndex:
 
     def test_grids_cover_all_modes(self):
         grid = MomentumGrid(8)
-        assert len(grid.k_plus) == 8
-        assert len(grid.k_minus) == 8
-        assert len(grid.positive_plus()) == 4
-        assert len(grid.positive_minus()) == 3
-        np.testing.assert_allclose(sorted(grid.k_plus), grid.k_plus)
-        assert grid.special_pi().momentum == pytest.approx(-np.pi)
-        assert grid.special_zero().momentum == 0.0
+        assert len(plus_modes(grid)) == 4
+        assert len(minus_modes(grid)) == 3
 
 
 class TestContractionKernel:
@@ -90,8 +90,8 @@ class TestContractionKernel:
     def test_adjoint_symmetry(self):
         # <c_k c^dag_kp>* = <c_kp c^dag_k> for every cross pair
         grid = MomentumGrid(6)
-        for k in grid.positive_plus():
-            for kp in grid.positive_minus() + [grid.special_zero(), grid.special_pi()]:
+        for k in plus_modes(grid):
+            for kp in minus_modes(grid) + [ModeIndex(ODD, 0, 6), ModeIndex(ODD, -6, 6)]:
                 assert np.conj(contraction_kernel(k, kp)) == pytest.approx(
                     contraction_kernel(kp, k)
                 )
@@ -233,8 +233,8 @@ class TestInnerProductImn:
     def test_matches_division_free_word(self, m, n):
         rng = np.random.default_rng(100 * m + n)
         grid = MomentumGrid(12)
-        bra_modes = grid.positive_plus()[:m]
-        ket_modes = grid.positive_minus()[:n]
+        bra_modes = plus_modes(grid)[:m]
+        ket_modes = minus_modes(grid)[:n]
         for trial in range(5):
             bra = [(mode, *uv) for mode, uv in zip(bra_modes, bcs_amplitudes(rng, m, 0.1))]
             ket = [(mode, *uv) for mode, uv in zip(ket_modes, bcs_amplitudes(rng, n, 0.1))]
@@ -246,8 +246,8 @@ class TestInnerProductImn:
     def test_swapped_sectors(self):
         rng = np.random.default_rng(42)
         grid = MomentumGrid(8)
-        bra = [(grid.positive_minus()[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
-        ket = [(grid.positive_plus()[1], *bcs_amplitudes(rng, 1, 0.1)[0])]
+        bra = [(minus_modes(grid)[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
+        ket = [(plus_modes(grid)[1], *bcs_amplitudes(rng, 1, 0.1)[0])]
         word = as_word(bra_word(bra) + ket_word(ket))
         assert inner_product_Imn(bra, ket) == pytest.approx(
             dense_expectation(word), rel=1e-9
@@ -256,8 +256,8 @@ class TestInnerProductImn:
     def test_one_one_against_explicit_pairings(self):
         rng = np.random.default_rng(5)
         grid = MomentumGrid(8)
-        bra = [(grid.positive_plus()[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
-        ket = [(grid.positive_minus()[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
+        bra = [(plus_modes(grid)[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
+        ket = [(minus_modes(grid)[0], *bcs_amplitudes(rng, 1, 0.1)[0])]
         w = as_word(bra_word(bra) + ket_word(ket))
         assert inner_product_Imn(bra, ket) == pytest.approx(three_pairings(w), rel=1e-10)
 
@@ -266,18 +266,18 @@ class TestInnerProductImn:
         n_sites = 8
         grid = MomentumGrid(n_sites)
         bra = []
-        for mode in grid.positive_plus():
+        for mode in plus_modes(grid):
             k = mode.momentum
             bra.append((mode, np.sin(k / 2.0), np.cos(k / 2.0)))
         ket = []
-        for mode in grid.positive_minus():
+        for mode in minus_modes(grid):
             k = mode.momentum
             ket.append((mode, np.sin(k / 2.0), np.cos(k / 2.0)))
 
         even = oracle_ed.build_momentum_sgs(n_sites, "even", 0.0).amplitudes
         psi = np.zeros(2**n_sites, dtype=complex)
         psi[0] = 1.0
-        for mode in grid.positive_minus():
+        for mode in minus_modes(grid):
             k = mode.momentum
             sin_half, cos_half = bogoliubov_angle(k, 0.0)
             paired = oracle_ed._apply_ckdag(

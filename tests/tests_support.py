@@ -3,7 +3,10 @@ dense coefficient-array words and their dense contraction kernel, the dense
 two-word ``<c_1>`` fill, dict-operator BCS words, the per-word ``<c_1>``, the
 scalar contraction kernel, the explicit overlap formula, the per-mode
 propagator).  A reference operator is a pair ``(ann, cre)`` of dicts
-``{ModeIndex: coefficient}``."""
+``{ModeIndex: coefficient}``.  :class:`ModeIndex`, a mode named by sector
+and grid index, lives here because only these oracles use it; the engine
+names a mode by its grid index alone (see
+:class:`isingring.model.MomentumGrid`)."""
 
 from dataclasses import dataclass
 
@@ -13,6 +16,57 @@ from isingring import observables
 from isingring.model import mode_hamiltonian_even
 from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, pfaffian
 from isingring.wick import vacuum_expectation
+
+
+#: sector labels: EVEN carries the half-integer grid, ODD the integer grid
+EVEN, ODD = +1, -1
+
+
+@dataclass(frozen=True)
+class ModeIndex:
+    """A momentum mode identified by sector and integer grid index.
+
+    The physical momentum is ``pi * index / n_sites``.  Even-sector momenta
+    have odd ``index`` (half-integer grid, excludes 0 and -pi); odd-sector
+    momenta have even ``index`` (integer grid, includes -pi and 0).  Storing
+    the integer index keeps set membership and k -> -k exact.
+    """
+
+    sector: int
+    index: int
+    n_sites: int
+
+    def __post_init__(self):
+        n = self.n_sites
+        if n < 4 or n % 2 != 0:
+            raise ValueError(f"n_sites must be even and >= 4, got {n}")
+        if self.sector not in (EVEN, ODD):
+            raise ValueError(f"sector must be +1 or -1, got {self.sector}")
+        if not -n <= self.index < n:
+            raise ValueError(f"index {self.index} out of range for N={n}")
+        if self.sector == EVEN and self.index % 2 == 0:
+            raise ValueError(f"even-sector index must be odd, got {self.index}")
+        if self.sector == ODD and self.index % 2 != 0:
+            raise ValueError(f"odd-sector index must be even, got {self.index}")
+
+    @property
+    def momentum(self) -> float:
+        return np.pi * self.index / self.n_sites
+
+    def negate(self) -> "ModeIndex":
+        """The mode at momentum -k (k = -pi is self-conjugate)."""
+        m = -self.index if self.index != -self.n_sites else self.index
+        return ModeIndex(self.sector, m, self.n_sites)
+
+
+def plus_modes(grid):
+    """The positive even-sector modes of ``grid`` as :class:`ModeIndex`, ascending."""
+    return [ModeIndex(EVEN, int(m), grid.n_sites) for m in grid.plus]
+
+
+def minus_modes(grid):
+    """The positive odd-sector normal modes of ``grid`` as :class:`ModeIndex`, ascending."""
+    return [ModeIndex(ODD, int(m), grid.n_sites) for m in grid.minus]
 
 
 def pfaffian_reference(a) -> complex:
@@ -236,9 +290,9 @@ def c1_terms_reference(state):
     """
     grid = state.grid
     n = grid.n_sites
-    plus = list(zip(grid.positive_plus(), state.u_plus, state.v_plus))
-    minus = list(zip(grid.positive_minus(), state.u_minus, state.v_minus))
-    zero_mode = grid.special_zero()
+    plus = list(zip(plus_modes(grid), state.u_plus, state.v_plus))
+    minus = list(zip(minus_modes(grid), state.u_minus, state.v_minus))
+    zero_mode = ModeIndex(ODD, 0, n)
     bra_even = bra_word(plus)
     bra_odd = bra_word(minus) + [({zero_mode: 1.0}, {})]
 
@@ -374,5 +428,5 @@ def stepped_reference(state, g, t, phi=None, steps=1):
         return uv[0], uv[1]
 
     grid = state.grid
-    return (*sector(grid.positive_plus(), state.u_plus, state.v_plus),
-            *sector(grid.positive_minus(), state.u_minus, state.v_minus))
+    return (*sector(plus_modes(grid), state.u_plus, state.v_plus),
+            *sector(minus_modes(grid), state.u_minus, state.v_minus))
