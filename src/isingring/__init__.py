@@ -3,7 +3,7 @@
 Momentum-space simulation of quenches and periodic delta kicks starting
 from a fully polarized ferromagnetic state, with the parity-breaking
 longitudinal magnetization evaluated through Wick contractions and
-Pfaffians, validated against a dense exact-diagonalization oracle.
+Pfaffians, validated against an exact-diagonalization oracle.
 """
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro

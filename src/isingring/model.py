@@ -109,10 +109,11 @@ def sgs_energies(grid: MomentumGrid, g: float):
     return e_plus, e_minus
 
 
-#: below this value the parity gap is recomputed in arbitrary precision,
-#: because deep in the ordered phase it is exponentially small in N and the
-#: double-precision chord sum cancels to roundoff
-_GAP_PRECISE_THRESHOLD = 1e-6
+#: below this value times N the parity gap is recomputed in arbitrary
+#: precision, because deep in the ordered phase it is exponentially small in N
+#: and the double-precision chord sum, whose roundoff grows like N eps,
+#: cancels to that roundoff
+_GAP_PRECISE_PER_SITE = 1e-6
 
 
 def _gap_precise(x: float, n_sites: int) -> float:
@@ -168,7 +169,7 @@ def chord_excess(x: float, n_sites: int) -> float:
 
     # odd chord indices are the even sector's positive modes, even ones the odd sector's
     result = float(chord(grid.plus).sum() - chord(grid.minus).sum()) - 1.0
-    if abs(result) < _GAP_PRECISE_THRESHOLD:
+    if abs(result) < n_sites * _GAP_PRECISE_PER_SITE:
         return _gap_precise(x, n_sites)
     return result
 

@@ -1,10 +1,21 @@
-"""Brute-force exact diagonalization on the full 2^N spin Hilbert space.
+"""Brute-force exact diagonalization in the spin basis.
 
 Independent oracle for N <= 12: exact quench/kick trajectories,
 ground-state parity checks, and the construction of the momentum-space
 sub-ground states in the spin basis (through the Jordan-Wigner map with the
 string over sites 1..j-1 and sigma^z = 2 c^dag c - 1, so spin-down is the
-fermion vacuum).
+fermion vacuum).  It shares no code with the Pfaffian engine.
+
+The trajectories run in the zero-momentum sector of the translation T by
+one site, which is exact: T commutes with the periodic Hamiltonian and with
+the kick, a rotation about z of every spin alike, and the +x ferro state is
+T-invariant, so the state never leaves the eigenvalue-1 space of T.  That
+space is spanned by one normalized orbit sum per translation orbit of basis
+states (108 at N = 10 and 352 at N = 12, against 2^N).  The sector
+Hamiltonian is assembled directly in that basis and diagonalized; states are
+mapped back to the 2^N spin basis only to be measured.  The other helpers
+(``build_hamiltonian``, ``evolve_exact``, ``apply_kick``, ``measure``) act
+on the full 2^N space and serve as its cross-check.
 
 Basis convention: sigma^z product states, site 1 stored in the lowest-order
 bit, bit value 1 meaning spin up (occupied).
@@ -34,7 +45,7 @@ __all__ = [
 ]
 
 MAX_SITES = 12
-#: times evolved together by quench_trajectory, bounding its (2^N, T) arrays
+#: times or kicks measured together by the trajectories, bounding their (2^N, T) arrays
 _TIME_BLOCK = 64
 
 
@@ -218,45 +229,100 @@ def cat_state(n_sites: int, parity: str) -> DenseState:
     return DenseState(n_sites, psi)
 
 
-def _magnetizations(state: DenseState):
-    n = state.n_sites
-    mx = n * measure(state, "x", 1)
-    my = n * measure(state, "y", 1)
-    mz = sum(measure(state, "z", j) for j in range(1, n + 1))
-    return mx, my, mz
+def _orbit_basis(n_sites: int):
+    """The zero-momentum isometry P as ``(col, weight)``, two length-2^N arrays.
+
+    Basis state s lies in column ``col[s]``, one column per translation orbit
+    (the cyclic rotations of s, numbered by their smallest member), with
+    weight ``1/sqrt(orbit size)``: column r of P is the normalized sum of the
+    states of orbit r.
+    """
+    states = np.arange(2**n_sites)
+    full = 2**n_sites - 1
+    rotations = np.array([((states << j) | (states >> (n_sites - j))) & full
+                          for j in range(n_sites)])
+    orbit_size = n_sites / (rotations == states).sum(axis=0)
+    col = np.unique(rotations.min(axis=0), return_inverse=True)[1]
+    return col, 1.0 / np.sqrt(orbit_size)
+
+
+def _sector_hamiltonian(n_sites: int, g: float, col: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``P^T H P`` for the Hamiltonian of build_hamiltonian, scatter-added without forming H."""
+    h = np.zeros((col.max() + 1,) * 2)
+    # the field term is the same on every state of an orbit
+    h[col, col] = -g * (2.0 * _popcount(n_sites) - n_sites)
+    states = np.arange(2**n_sites)
+    for j in range(n_sites):
+        flipped = states ^ ((1 << j) | (1 << ((j + 1) % n_sites)))
+        np.add.at(h, (col, col[flipped]), -weight * weight[flipped])
+    return h
+
+
+def _sector_eigh(n_sites: int, g: float):
+    """Orbit basis, eigenpairs of ``P^T H P``, and ``P^T`` of the +x ferro state."""
+    col, weight = _orbit_basis(n_sites)
+    energies, vectors = np.linalg.eigh(_sector_hamiltonian(n_sites, g, col, weight))
+    # every amplitude of the ferro state is 2^(-N/2)
+    ferro = np.bincount(col, weights=weight) / 2.0 ** (n_sites / 2)
+    return col, weight, energies, vectors, ferro
+
+
+def _magnetizations(n_sites: int, col: np.ndarray, weight: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(mx, my, mz) of each column of a block of orbit-basis coefficients.
+
+    The block is mapped back to the spin basis, ``weight * coeffs[col]``, and
+    measured as a whole: mx = N <sigma^x_1>, my = N <sigma^y_1>, and mz the
+    sum of <sigma^z_j> over all sites.
+    """
+    psi = weight[:, None] * coeffs[col]
+    norm = np.linalg.norm(psi, axis=0)
+    if not np.all(np.abs(norm - 1.0) <= 1e-12):
+        raise ValueError(f"state not normalized: |psi| = {norm}")
+    psi /= norm
+    # sigma^x_1 and sigma^y_1 pair each even state s (site 1 down) with s + 1 (site 1 up);
+    # with <up|sigma^y|down> = -i, as in measure
+    pair = (psi[0::2].conj() * psi[1::2]).sum(axis=0)
+    z_total = 2.0 * _popcount(n_sites) - n_sites
+    return np.column_stack([2 * n_sites * pair.real, -2 * n_sites * pair.imag,
+                            z_total @ np.abs(psi) ** 2])
 
 
 def quench_trajectory(n_sites: int, g_f: float, times) -> np.ndarray:
     """Exact (mx, my, mz) samples after a quench from the +x ferro state.
 
-    All times evolve together: the eigenbasis coefficients of a block of
-    times form a (2^N, T) matrix, mapped back to the spin basis by two real
-    products with the real eigenvectors.
+    Runs in the zero-momentum sector. All times of a block evolve together:
+    their eigenbasis coefficients form an (R, T) matrix, mapped to the orbit
+    basis by two real products with the real eigenvectors.
     """
-    h = build_hamiltonian(n_sites, g_f)
-    energies, vectors = np.linalg.eigh(h)
-    coeff0 = vectors.conj().T @ ferro_state(n_sites).amplitudes
+    _check_sites(n_sites)
+    col, weight, energies, vectors, ferro = _sector_eigh(n_sites, g_f)
+    coeff0 = vectors.T @ ferro
     times = np.asarray(times, dtype=float)
     rows = []
     for start in range(0, len(times), _TIME_BLOCK):
         phased = np.exp(-1j * np.outer(energies, times[start:start + _TIME_BLOCK])) * coeff0[:, None]
-        psi = _real_times(vectors, phased)
-        psi /= np.linalg.norm(psi, axis=0)
-        rows += [_magnetizations(DenseState(n_sites, col)) for col in psi.T]
+        rows.extend(_magnetizations(n_sites, col, weight, _real_times(vectors, phased)))
     return np.array(rows)
 
 
 def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks: int) -> np.ndarray:
-    """Exact stroboscopic (mx, my, mz) just after each of the first n kicks."""
-    h = build_hamiltonian(n_sites, g)
-    energies, vectors = np.linalg.eigh(h)
+    """Exact stroboscopic (mx, my, mz) just after each of the first n kicks.
+
+    Runs in the zero-momentum sector, where the kick is diagonal: the
+    popcount is the same for every state of an orbit.
+    """
+    _check_sites(n_sites)
+    col, weight, energies, vectors, psi = _sector_eigh(n_sites, g)
     phases = np.exp(-1j * energies * tau)
     phi = np.pi * (1.0 - epsilon)
-    kick_phase = np.exp(-1j * (phi / 2.0) * (2.0 * _popcount(n_sites) - n_sites))
-    psi = ferro_state(n_sites).amplitudes
+    kick_phase = np.empty(len(psi), dtype=complex)
+    kick_phase[col] = np.exp(-1j * (phi / 2.0) * (2.0 * _popcount(n_sites) - n_sites))
     rows = []
-    for _ in range(n_kicks):
-        psi = kick_phase * _real_times(vectors, phases * _real_times(vectors.T, psi))
-        psi /= np.linalg.norm(psi)
-        rows.append(_magnetizations(DenseState(n_sites, psi)))
+    for start in range(0, n_kicks, _TIME_BLOCK):
+        block = np.empty((len(psi), min(_TIME_BLOCK, n_kicks - start)), dtype=complex)
+        for i in range(block.shape[1]):
+            psi = kick_phase * _real_times(vectors, phases * _real_times(vectors.T, psi))
+            psi /= np.linalg.norm(psi)
+            block[:, i] = psi
+        rows.extend(_magnetizations(n_sites, col, weight, block))
     return np.array(rows)

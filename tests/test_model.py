@@ -6,8 +6,10 @@ import pytest
 from isingring import model
 from isingring.model import (
     MomentumGrid,
+    _gap_precise,
     bogoliubov_angle,
     cat_norm_identity,
+    chord_excess,
     delta_l,
     dispersion,
     gap_delta,
@@ -138,6 +140,13 @@ class TestChordDiagnostic:
             for x in (0.0, 0.3, 1.0, 1.7, 2.9):
                 e_plus, e_minus = sgs_energies(grid, x)
                 assert delta_l(x, n) == pytest.approx(0.5 * (e_minus - e_plus) + 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n, g_low", [(100, 0.93), (400, 0.98)])
+    def test_accurate_on_both_sides_of_the_fallback(self, n, g_low):
+        # the double-precision chord sum carries roundoff of order N eps, so it is
+        # used only above N * 1e-6; these fields straddle 1e-6 and N * 1e-6
+        for g in np.linspace(g_low, 1.0, 21):
+            assert chord_excess(g, n) == pytest.approx(_gap_precise(g, n), rel=1e-9, abs=0)
 
     def test_unit_point_chord_value(self):
         # at x = 1 the chords telescope to tan(pi/4N) + 1

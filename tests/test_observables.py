@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isingring import observables, oracle_ed
 from isingring.dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
@@ -79,6 +81,41 @@ class TestAgainstDenseOracle:
         assert sample.my == pytest.approx(n * oracle_ed.measure(psi, "y", 1), abs=1e-10)
         mz_exact = sum(oracle_ed.measure(psi, "z", j) for j in range(1, n + 1))
         assert sample.mz == pytest.approx(mz_exact, abs=1e-10)
+
+
+SIZES = st.sampled_from([4, 6, 8, 10, 12])
+FIELDS = st.floats(min_value=0.0, max_value=3.0)
+
+
+def engine_rows(driver, n, schedule):
+    samples = run_series(driver, MomentumGrid(n), schedule)
+    return np.array([[s.mx, s.my, s.mz] for s in samples])
+
+
+class TestRandomAgainstDenseOracle:
+    """Engine against ED on random drives; totals to 1e-8, so per site to 1e-8 / N."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=SIZES, g_f=FIELDS,
+           times=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=4,
+                          unique=True).map(sorted))
+    @example(n=12, g_f=0.0, times=[0.0, 1e4])
+    def test_quench(self, n, g_f, times):
+        exact = oracle_ed.quench_trajectory(n, g_f, times)
+        assert np.abs(engine_rows(DriverSpec("quench", g_f=g_f), n, times) - exact).max() < 1e-8
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=SIZES, g=FIELDS, tau=st.floats(min_value=0.01, max_value=2.0),
+           epsilon=st.floats(min_value=0.0, max_value=0.5),
+           kicks=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4,
+                          unique=True).map(sorted))
+    @example(n=12, g=0.0, tau=0.5, epsilon=0.0, kicks=[1, 2, 299, 300])
+    @example(n=10, g=1.2, tau=0.7, epsilon=0.0, kicks=[3, 150])
+    @example(n=8, g=0.0, tau=1.1, epsilon=0.2, kicks=[1, 77])
+    def test_kicks(self, n, g, tau, epsilon, kicks):
+        exact = oracle_ed.kick_trajectory(n, g, tau, epsilon, kicks[-1])
+        engine = engine_rows(DriverSpec("kick", g=g, tau=tau, epsilon=epsilon), n, kicks)
+        assert np.abs(engine - exact[np.array(kicks) - 1]).max() < 1e-8
 
 
 class TestInternalConsistency:

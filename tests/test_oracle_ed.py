@@ -1,5 +1,7 @@
 """Self-consistency tests for the dense exact-diagonalization oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,20 @@ from isingring.oracle_ed import (
     quench_trajectory,
 )
 from tests_support import plus_modes
+
+
+def full_space_row(psi):
+    """(mx, my, mz) of a full-space state through the single-site measure."""
+    n = psi.n_sites
+    return [n * measure(psi, "x", 1), n * measure(psi, "y", 1),
+            sum(measure(psi, "z", j) for j in range(1, n + 1))]
+
+
+def isometry(col, weight):
+    """The dense 2^N x R matrix P of an orbit basis."""
+    p = np.zeros((len(col), col.max() + 1))
+    p[np.arange(len(col)), col] = weight
+    return p
 
 
 def parity_block(h, n_sites, parity):
@@ -201,18 +217,58 @@ class TestTrajectories:
         rows = quench_trajectory(4, 0.7, [0.0, 0.5])
         np.testing.assert_allclose(rows[0], [4.0, 0.0, 0.0], atol=1e-12)
 
-    @pytest.mark.parametrize("g_f", [0.5, 1.5])
-    def test_quench_rows_match_per_time_evolution(self, g_f):
-        # more times than one block of oracle_ed._TIME_BLOCK, so block edges are crossed
-        n = 6
+    # the two eigendecompositions' phases differ by about eps |E| t, which reaches
+    # 2e-12 in (mx, my, mz) at N = 10, t = 30
+    @pytest.mark.parametrize("n, g_f, atol", [(6, 0.5, 1e-12), (6, 1.5, 1e-12),
+                                              (10, 0.5, 3e-12), (10, 1.5, 3e-12)],
+                             ids=["0.5", "1.5", "10-0.5", "10-1.5"])
+    def test_quench_rows_match_per_time_evolution(self, n, g_f, atol):
+        # more times than one block of oracle_ed._TIME_BLOCK, so block edges are crossed;
+        # the reference evolves in the full 2^N space, one eigendecomposition for all times
         times = np.linspace(0.0, 30.0, 2 * oracle_ed._TIME_BLOCK + 3)
-        h = build_hamiltonian(n, g_f)
+        energies, vectors = np.linalg.eigh(build_hamiltonian(n, g_f))
+        coeff = vectors.T @ ferro_state(n).amplitudes
         expected = []
         for t in times:
-            psi = evolve_exact(ferro_state(n), h, t)
-            expected.append([n * measure(psi, "x", 1), n * measure(psi, "y", 1),
-                             sum(measure(psi, "z", j) for j in range(1, n + 1))])
-        np.testing.assert_allclose(quench_trajectory(n, g_f, times), expected, rtol=0, atol=1e-12)
+            psi = DenseState(n, vectors @ (np.exp(-1j * energies * t) * coeff))
+            expected.append(full_space_row(psi))
+        np.testing.assert_allclose(quench_trajectory(n, g_f, times), expected, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_kick_rows_match_per_kick_evolution(self, n):
+        g, tau, eps, n_kicks = 0.7, 0.45, 0.08, 30
+        h = build_hamiltonian(n, g)
+        psi = ferro_state(n)
+        expected = []
+        for _ in range(n_kicks):
+            psi = apply_kick(evolve_exact(psi, h, tau), np.pi * (1.0 - eps))
+            expected.append(full_space_row(psi))
+        np.testing.assert_allclose(kick_trajectory(n, g, tau, eps, n_kicks), expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trajectory", [
+        lambda n: quench_trajectory(n, 0.5, [0.0, 1.0]),
+        lambda n: kick_trajectory(n, 0.5, 0.5, 0.02, 2),
+    ], ids=["quench", "kick"])
+    def test_size_validation(self, trajectory):
+        for n in (14, 7, 2):
+            with pytest.raises(ValueError):
+                trajectory(n)
+
+    def test_non_finite_time_fails_the_norm_check(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            quench_trajectory(4, 0.5, [0.0, np.nan])
+
+    def test_no_full_space_matrix_at_twelve_sites(self):
+        # one dense 2^12 x 2^12 float matrix alone would take 134 MB
+        tracemalloc.start()
+        try:
+            quench_trajectory(12, 0.5, np.linspace(0.0, 10.0, 21))
+            kick_trajectory(12, 1.5, 0.3, 0.1, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_perfect_kick_alternation(self):
         rows = kick_trajectory(4, 0.0, 0.5, 0.0, 4)
@@ -226,3 +282,35 @@ class TestTrajectories:
         psi = evolve_exact(ferro_state(n), h, 1.4)
         values = [measure(psi, "x", j) for j in range(1, n + 1)]
         np.testing.assert_allclose(values, values[0], atol=1e-12)
+
+
+class TestZeroMomentumSector:
+    @pytest.mark.parametrize("n, columns", [(4, 6), (6, 14), (8, 36), (10, 108), (12, 352)])
+    def test_one_column_per_binary_necklace(self, n, columns):
+        col, weight = oracle_ed._orbit_basis(n)
+        p = isometry(col, weight)
+        assert p.shape == (2**n, columns)
+        np.testing.assert_allclose(p.T @ p, np.eye(columns), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("g", [0.0, 0.6, 1.7])
+    def test_sector_hamiltonian_is_projected_full_hamiltonian(self, g):
+        n = 8
+        col, weight = oracle_ed._orbit_basis(n)
+        p = isometry(col, weight)
+        np.testing.assert_allclose(oracle_ed._sector_hamiltonian(n, g, col, weight),
+                                   p.T @ build_hamiltonian(n, g) @ p, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("g", [0.0, 0.6, 1.7])
+    def test_sector_spectrum_within_full_spectrum(self, g):
+        n = 8
+        col, weight = oracle_ed._orbit_basis(n)
+        sector = np.linalg.eigvalsh(oracle_ed._sector_hamiltonian(n, g, col, weight))
+        full = np.linalg.eigvalsh(build_hamiltonian(n, g))
+        assert np.abs(sector[:, None] - full[None, :]).min(axis=1).max() < 1e-12
+
+    def test_ferro_state_lies_in_the_sector(self):
+        n = 6
+        col, weight = oracle_ed._orbit_basis(n)
+        p = isometry(col, weight)
+        ferro = ferro_state(n).amplitudes
+        np.testing.assert_allclose(p @ (p.T @ ferro), ferro, rtol=0, atol=1e-15)
