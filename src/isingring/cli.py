@@ -9,8 +9,13 @@ deltal    chord-length difference scan
 xyz       frustration-free point of the open XYZ chain
 validate  exact-diagonalization vs Pfaffian cross-check suite
 
-Every run writes a CSV time series (UTF-8, LF, 17 significant digits) and a
-sidecar JSON summary echoing the fully resolved configuration.
+Every command but ``validate`` writes the CSV ``--out`` (UTF-8, LF, 17
+significant digits) and beside it ``<--out without .csv>.summary.json``,
+holding ``config`` (the resolved flags), ``command`` (the subcommand) and
+the command's own fields: ``first_minimum``, ``rebound_maximum`` and, with
+``--validate``, ``validation`` for ``quench``; ``h_star``, ``beta_star`` and
+``overlap`` for ``xyz``.  ``validate`` prints its JSON report and writes it
+to ``--out`` if given.
 """
 
 from __future__ import annotations
@@ -33,23 +38,17 @@ FLOAT_FMT = "%.17g"
 VALIDATION_TOL = 1e-8
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_outputs(args, header, rows, **fields):
+    """Write the CSV at ``args.out`` and its ``.summary.json`` sidecar."""
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(FLOAT_FMT % x for x in row) + "\n")
-
-
-def _write_summary(path, summary):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "config") and v is not None}
+    stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+    with open(stem + ".summary.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump({"config": config, "command": args.command, **fields}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _summary_path(out_path: str) -> str:
-    if out_path.endswith(".csv"):
-        return out_path[:-4] + ".summary.json"
-    return out_path + ".summary.json"
 
 
 def refine_extremum(x: np.ndarray, y: np.ndarray, i: int):
@@ -103,28 +102,32 @@ def _ed_deviation(samples, exact) -> np.ndarray:
     return np.abs(engine - exact).max(axis=0)
 
 
-def validate_suite(sizes=(4, 6, 8, 10), g_values=(0.5, 1.0, 1.5), t_max=5.0, dt=0.25,
-                   kick_params=(8, 0.5, 0.5, 0.02, 20), tol=VALIDATION_TOL, threads=1):
-    """Pointwise ED-vs-Pfaffian comparison; returns a machine-readable report."""
-    report = {"tolerance": tol, "cases": [], "passed": True}
+def validate_suite(threads=1):
+    """The suite ``isingring validate`` runs: the engine against ED, pointwise.
+
+    Quenches at N = 4, 6, 8, 10 to g_f = 0.5, 1, 1.5, sampled at
+    t = 0, 0.25, ..., 5, and 20 kicks of (g, tau, epsilon) = (0.5, 0.5, 0.02)
+    at N = 8.  A case passes when every component is within
+    ``VALIDATION_TOL`` of ED.  Returns a machine-readable report.
+    """
+    report = {"tolerance": VALIDATION_TOL, "cases": [], "passed": True}
 
     def check(case, driver, schedule, exact):
         samples = run_series(driver, MomentumGrid(case["n_sites"]), schedule, threads=threads)
         dev = _ed_deviation(samples, exact)
         case.update({"max_dev_mx": float(dev[0]), "max_dev_my": float(dev[1]),
-                     "max_dev_mz": float(dev[2]), "pass": bool(dev.max() < tol)})
+                     "max_dev_mz": float(dev[2]), "pass": bool(dev.max() < VALIDATION_TOL)})
         report["cases"].append(case)
         report["passed"] = report["passed"] and case["pass"]
 
-    times = np.arange(0.0, t_max + dt / 2, dt)
-    for n in sizes:
-        for g_f in g_values:
+    times = 0.25 * np.arange(21)
+    for n in (4, 6, 8, 10):
+        for g_f in (0.5, 1.0, 1.5):
             check({"driver": "quench", "n_sites": n, "g_f": g_f}, DriverSpec("quench", g_f=g_f),
                   times, oracle_ed.quench_trajectory(n, g_f, times))
-    n, g, tau, eps, n_kicks = kick_params
-    check({"driver": "kick", "n_sites": n, "g": g, "tau": tau, "epsilon": eps},
-          DriverSpec("kick", g=g, tau=tau, epsilon=eps), range(1, n_kicks + 1),
-          oracle_ed.kick_trajectory(n, g, tau, eps, n_kicks))
+    kick = {"g": 0.5, "tau": 0.5, "epsilon": 0.02}
+    check({"driver": "kick", "n_sites": 8, **kick}, DriverSpec("kick", **kick), range(1, 21),
+          oracle_ed.kick_trajectory(8, n_kicks=20, **kick))
     return report
 
 
@@ -136,27 +139,20 @@ def _cmd_quench(args) -> int:
     if args.validate and args.n > oracle_ed.MAX_SITES:
         raise ValueError(f"--validate requires N <= {oracle_ed.MAX_SITES}")
     n = args.n
-    grid = MomentumGrid(n)
     times = np.arange(0.0, args.tmax + args.dt / 2, args.dt)
-    samples = run_series(DriverSpec("quench", g_f=args.gf), grid, times, threads=args.threads)
-    rows = [(s.time, s.mx / n, s.my / n, s.mz / n) for s in samples]
-    _write_csv(args.out, ["t", "mx_over_n", "my_over_n", "mz_over_n"], rows)
-
-    t_arr = np.array([r[0] for r in rows])
-    mx_arr = np.array([r[1] for r in rows])
-    summary = {"config": _resolved_config(args), "command": "quench"}
-    minimum = refined_minimum(t_arr, mx_arr)
-    if minimum is not None:
-        summary["first_minimum"] = {"t": minimum[0], "mx_over_n": minimum[1]}
-        # the rebound after the deepest excursion
-        maximum = refined_maximum(t_arr, mx_arr, window=(minimum[0], float(t_arr[-1])))
-        if maximum is not None:
-            summary["rebound_maximum"] = {"t": maximum[0], "mx_over_n": maximum[1]}
+    samples = run_series(DriverSpec("quench", g_f=args.gf), MomentumGrid(n), times, threads=args.threads)
+    mx = np.array([s.mx / n for s in samples])
+    # times always holds t = 0, and the rebound window always holds the last sample
+    t_min, mx_min = refined_minimum(times, mx)
+    t_max, mx_max = refined_maximum(times, mx, window=(t_min, float(times[-1])))
+    fields = {"first_minimum": {"t": t_min, "mx_over_n": mx_min},
+              "rebound_maximum": {"t": t_max, "mx_over_n": mx_max}}
     if args.validate:
         max_dev = float(_ed_deviation(samples, oracle_ed.quench_trajectory(n, args.gf, times)).max())
-        summary["validation"] = {"max_abs_deviation": max_dev, "pass": max_dev < VALIDATION_TOL}
-    _write_summary(_summary_path(args.out), summary)
-    if args.validate and not summary["validation"]["pass"]:
+        fields["validation"] = {"max_abs_deviation": max_dev, "pass": max_dev < VALIDATION_TOL}
+    _write_outputs(args, ["t", "mx_over_n", "my_over_n", "mz_over_n"],
+                   [(s.time, s.mx / n, s.my / n, s.mz / n) for s in samples], **fields)
+    if args.validate and not fields["validation"]["pass"]:
         print("validation failed", file=sys.stderr)
         return 1
     return 0
@@ -166,15 +162,9 @@ def _cmd_kick(args) -> int:
     if args.kicks < 1:
         raise ValueError(f"--kicks must be >= 1, got {args.kicks}")
     n = args.n
-    grid = MomentumGrid(n)
-    schedule = list(range(1, args.kicks + 1))
-    samples = run_series(
-        DriverSpec("kick", g=args.g, tau=args.tau, epsilon=args.epsilon),
-        grid, schedule, threads=args.threads,
-    )
-    rows = [(s.time, s.mx / n, s.mz / n) for s in samples]
-    _write_csv(args.out, ["n", "mx_over_n", "mz_over_n"], rows)
-    _write_summary(_summary_path(args.out), {"config": _resolved_config(args), "command": "kick"})
+    samples = run_series(DriverSpec("kick", g=args.g, tau=args.tau, epsilon=args.epsilon),
+                         MomentumGrid(n), range(1, args.kicks + 1), threads=args.threads)
+    _write_outputs(args, ["n", "mx_over_n", "mz_over_n"], [(s.time, s.mx / n, s.mz / n) for s in samples])
     return 0
 
 
@@ -188,26 +178,19 @@ def _scan_points(args) -> np.ndarray:
 
 def _cmd_gap(args) -> int:
     grid = MomentumGrid(args.n)
-    rows = [(g, model.gap_delta(grid, g)) for g in _scan_points(args)]
-    _write_csv(args.out, ["g", "delta"], rows)
-    _write_summary(_summary_path(args.out), {"config": _resolved_config(args), "command": "gap"})
+    _write_outputs(args, ["g", "delta"], [(g, model.gap_delta(grid, g)) for g in _scan_points(args)])
     return 0
 
 
 def _cmd_deltal(args) -> int:
-    rows = [(x, model.delta_l(x, args.n)) for x in _scan_points(args)]
-    _write_csv(args.out, ["x", "delta_l"], rows)
-    _write_summary(_summary_path(args.out), {"config": _resolved_config(args), "command": "deltal"})
+    _write_outputs(args, ["x", "delta_l"], [(x, model.delta_l(x, args.n)) for x in _scan_points(args)])
     return 0
 
 
 def _cmd_xyz(args) -> int:
     h_star, beta_star, overlap = model.xyz_factorization(args.jx, args.jy, args.jz, args.n)
-    _write_csv(args.out, ["h_star", "beta_star", "overlap"], [(h_star, beta_star, overlap)])
-    _write_summary(_summary_path(args.out), {
-        "config": _resolved_config(args), "command": "xyz",
-        "h_star": h_star, "beta_star": beta_star, "overlap": overlap,
-    })
+    _write_outputs(args, ["h_star", "beta_star", "overlap"], [(h_star, beta_star, overlap)],
+                   h_star=h_star, beta_star=beta_star, overlap=overlap)
     return 0
 
 
@@ -223,11 +206,6 @@ def _cmd_validate(args) -> int:
         print(f"{len(failing)} case(s) failed validation", file=sys.stderr)
         return 1
     return 0
-
-
-def _resolved_config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config") and v is not None}
-    return cfg
 
 
 #: store_true flags, which a config file turns on with a true value
@@ -261,59 +239,36 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def command(name, func, help, floats=(), threads=False, csv=True):
+        """A subcommand with ``--config``, ``--out`` and, for CSV output, ``--n`` and the ``floats``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key = value config file; flags override file values")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sample evaluation")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
+        if threads:
+            p.add_argument("--threads", type=int, default=1, help="worker threads for sample evaluation")
+        if not csv:
+            p.add_argument("--out", help="optional path for the JSON report")
+            return p
+        p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--n", type=int, required=True, help="ring size (even, >= 4)")
+        for flag in floats:
+            p.add_argument(f"--{flag}", type=float, required=True)
+        return p
 
-    p = sub.add_parser("quench", help="sudden-quench magnetization time series")
-    common(p)
-    p.add_argument("--n", type=int, required=True, help="ring size (even, >= 4)")
-    p.add_argument("--gf", type=float, required=True, help="post-quench field")
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p = command("quench", _cmd_quench, "sudden-quench magnetization time series", ("gf", "tmax", "dt"),
+                threads=True)
     p.add_argument("--validate", action="store_true", help="cross-check against ED (N <= 12)")
-    p.set_defaults(func=_cmd_quench)
-
-    p = sub.add_parser("kick", help="stroboscopic magnetization under delta kicks")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p = command("kick", _cmd_kick, "stroboscopic magnetization under delta kicks", ("g", "tau", "epsilon"),
+                threads=True)
     p.add_argument("--kicks", type=int, required=True)
-    p.set_defaults(func=_cmd_kick)
-
-    p = sub.add_parser("gap", help="parity gap scan")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gmin", type=float, default=0.0)
-    p.add_argument("--gmax", type=float, default=2.0)
-    p.add_argument("--gsteps", type=int, default=101)
-    p.set_defaults(func=_cmd_gap)
-
-    p = sub.add_parser("deltal", help="chord-length difference scan")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gmin", type=float, default=0.01)
-    p.add_argument("--gmax", type=float, default=3.0)
-    p.add_argument("--gsteps", type=int, default=101)
-    p.set_defaults(func=_cmd_deltal)
-
-    p = sub.add_parser("xyz", help="XYZ frustration-free point")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jx", type=float, required=True)
-    p.add_argument("--jy", type=float, required=True)
-    p.add_argument("--jz", type=float, required=True)
-    p.set_defaults(func=_cmd_xyz)
-
-    p = sub.add_parser("validate", help="ED-vs-Pfaffian validation suite")
-    common(p, needs_out=False)
-    p.add_argument("--out", help="optional path for the JSON report")
-    p.set_defaults(func=_cmd_validate)
-
+    for name, func, help, gmin, gmax in (("gap", _cmd_gap, "parity gap scan", 0.0, 2.0),
+                                         ("deltal", _cmd_deltal, "chord-length difference scan", 0.01, 3.0)):
+        p = command(name, func, help)
+        p.add_argument("--gmin", type=float, default=gmin)
+        p.add_argument("--gmax", type=float, default=gmax)
+        p.add_argument("--gsteps", type=int, default=101)
+    command("xyz", _cmd_xyz, "XYZ frustration-free point", ("jx", "jy", "jz"))
+    command("validate", _cmd_validate, "ED-vs-Pfaffian validation suite", threads=True, csv=False)
     return parser
 
 

@@ -36,7 +36,7 @@ stays regular when a mode passes through v = 0 (as happens under kicks).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,44 +147,30 @@ def magnetization(state: SystemState) -> MagnetizationSample:
 def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 1):
     """Magnetization samples along a driver schedule, in schedule order.
 
-    For a quench the schedule lists sample times (each reached exactly from
-    t = 0, the generator being time-independent).  For kicks it lists kick
-    counts and samples are stroboscopic, taken just after the n-th kick;
-    each sample is one closed-form jump from the previous one, whatever the
-    number of kicks between them.
+    For a quench the schedule lists sample times, for kicks it lists kick
+    counts, and kick samples are stroboscopic, taken just after the n-th
+    kick.  Every sample is one closed-form propagation from the initial
+    state (a Floquet power for kicks), so its value does not depend on the
+    other schedule entries, and it is labelled by its own entry.
     """
     schedule = list(schedule)
     if not np.all(np.isfinite(schedule)):
         raise ValueError("schedule entries must be finite")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    if not schedule:
-        return []
-
-    states = []
+    base = init_ferro(grid)
     if driver.kind == "quench":
         if any(t < 0 for t in schedule):
             raise ValueError("quench sample times must be nonnegative")
-        base = init_ferro(grid)
         states = [evolve_quench(base, driver.g_f, t) for t in schedule]
     else:
         if any(int(s) != s or s < 0 for s in schedule):
             raise ValueError("kick schedule entries must be nonnegative integers")
-        state = init_ferro(grid)
-        done = 0
-        for target in map(int, schedule):
-            state = evolve_kick_step(state, driver.g, driver.tau, driver.epsilon, target - done)
-            done = target
-            states.append(state)
+        states = [evolve_kick_step(base, driver.g, driver.tau, driver.epsilon, int(n)) for n in schedule]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             samples = list(pool.map(magnetization, states))
     else:
         samples = [magnetization(s) for s in states]
-    if driver.kind == "kick":
-        samples = [
-            MagnetizationSample(time=float(nk), mx=s.mx, my=s.my, mz=s.mz)
-            for nk, s in zip(schedule, samples)
-        ]
-    return samples
+    return [replace(s, time=float(x)) for x, s in zip(schedule, samples)]

@@ -62,7 +62,7 @@ class DenseState:
         if self.amplitudes.shape != (2**self.n_sites,):
             raise ValueError("amplitude vector has wrong length")
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: |psi| = {norm}")
 
 
@@ -184,8 +184,6 @@ def build_momentum_sgs(n_sites: int, sector: str, g: float) -> DenseState:
     all-down vacuum through the Jordan-Wigner map.
     """
     _check_sites(n_sites)
-    if n_sites > 10:
-        raise ValueError("momentum-state constructor limited to N <= 10")
     grid = MomentumGrid(n_sites)
     psi = np.zeros(2**n_sites, dtype=complex)
     psi[0] = 1.0  # all spins down = fermion vacuum

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from isingring import cli, observables
+from isingring import observables
 from isingring.cli import (
     main,
     refine_extremum,
@@ -241,32 +241,49 @@ class TestConfigFile:
         assert main(["quench", "--config", str(cfg)]) == 2
 
 
+class TestSummaryLayout:
+    @pytest.mark.parametrize("argv,header", [
+        (["quench", "--gf", "0.5", "--tmax", "1.0", "--dt", "0.5"], "t,mx_over_n,my_over_n,mz_over_n"),
+        (["kick", "--g", "0.5", "--tau", "0.5", "--epsilon", "0.02", "--kicks", "3"], "n,mx_over_n,mz_over_n"),
+        (["gap", "--gsteps", "3"], "g,delta"),
+        (["deltal", "--gsteps", "3"], "x,delta_l"),
+        (["xyz", "--jx", "-4", "--jy", "0", "--jz", "0"], "h_star,beta_star,overlap"),
+    ])
+    def test_every_csv_command_writes_one_layout(self, tmp_path, argv, header):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--n", "6", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == header
+        with open(tmp_path / "run.summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["command"] == argv[0]
+        assert summary["config"]["n"] == 6
+        assert summary["config"]["out"] == str(out)
+
+    @pytest.mark.parametrize("argv", [["gap"], ["deltal"], ["xyz", "--jx", "-4", "--jy", "0", "--jz", "0"]])
+    def test_threads_only_where_read(self, tmp_path, argv):
+        rc = main(argv + ["--n", "6", "--threads", "2", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestValidateSuite:
     def test_reduced_suite_passes(self):
-        report = validate_suite(
-            sizes=(4, 6), g_values=(0.5, 1.0), t_max=2.0, dt=0.5,
-            kick_params=(6, 0.4, 0.5, 0.03, 8),
-        )
+        report = validate_suite()
         assert report["passed"] is True
-        assert len(report["cases"]) == 5
+        assert len(report["cases"]) == 13
         for case in report["cases"]:
             assert case["max_dev_mx"] < 1e-10
 
     def test_reduced_suite_catches_corruption(self, monkeypatch):
         monkeypatch.setattr(observables, "_TERM_SIGNS", (1.0, 1.0, -1.0))
-        report = validate_suite(
-            sizes=(4,), g_values=(0.8,), t_max=1.0, dt=0.5,
-            kick_params=(4, 0.4, 0.5, 0.03, 4),
-        )
+        report = validate_suite()
+        assert len(report["cases"]) == 13
         assert report["passed"] is False
 
-    def test_validate_command_writes_report(self, tmp_path, monkeypatch):
-        # shrink the suite so the subcommand test stays fast
-        monkeypatch.setattr(
-            cli, "validate_suite",
-            lambda threads=1: {"tolerance": 1e-8, "cases": [], "passed": True},
-        )
+    def test_validate_command_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["validate", "--out", str(out)]) == 0
         with open(out) as fh:
-            assert json.load(fh)["passed"] is True
+            report = json.load(fh)
+        assert report["passed"] is True
+        assert len(report["cases"]) == 13

@@ -60,7 +60,7 @@ class TestAgainstDenseOracle:
         assert np.abs(engine - exact).max() < 1e-8
 
     def test_long_kick_run_sampled_sparsely(self):
-        # each sample is one Floquet jump from the previous one, up to 2000 kicks
+        # each sample is one Floquet power from the initial state, up to 2000 kicks
         n = 8
         g, tau, eps, n_kicks = 0.4, 0.5, 0.03, 2000
         exact = oracle_ed.kick_trajectory(n, g, tau, eps, n_kicks)
@@ -255,6 +255,14 @@ class TestRunSeries:
         sparse = run_series(driver, MomentumGrid(6), [2, 5])
         assert sparse[0].mx == pytest.approx(dense[1].mx, abs=1e-12)
         assert sparse[1].mx == pytest.approx(dense[4].mx, abs=1e-12)
+
+    @pytest.mark.parametrize("n_sites,kicks", [(40, 500), (8, 2000), (100, 10**4)])
+    def test_kick_sample_does_not_depend_on_schedule(self, n_sites, kicks):
+        # every sample is one Floquet power from the initial state
+        driver = DriverSpec("kick", g=0.5, tau=0.5, epsilon=0.02)
+        alone = run_series(driver, MomentumGrid(n_sites), [kicks])[-1]
+        among = run_series(driver, MomentumGrid(n_sites), [1, 2, kicks])[-1]
+        assert alone == among
 
     def test_threads_do_not_change_results(self):
         times = np.linspace(0.1, 2.0, 7)

@@ -104,6 +104,11 @@ class TestDenseState:
         with pytest.raises(ValueError):
             DenseState(4, np.zeros(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            DenseState(4, np.full(16, bad))
+
 
 class TestEvolution:
     def test_zero_time_identity(self):
@@ -190,7 +195,7 @@ class TestCatAndMomentumStates:
             assert np.vdot(even, parity_diag * even).real == pytest.approx(1.0)
             assert np.vdot(odd, parity_diag * odd).real == pytest.approx(-1.0)
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
     def test_cat_states_equal_momentum_states_at_zero_field(self, n):
         even = cat_state(n, "even").amplitudes
         odd = cat_state(n, "odd").amplitudes
