@@ -28,6 +28,15 @@ indices.  ``c_1`` annihilates, so it meets only the later factors of its
 own sector; ``c_1^dag`` creates, so it meets only the bra.  Each border
 column is therefore ``c_1``'s own coefficients at those factors' indices.
 
+The bordered matrix is written once.  Each block (the pair entries, the
+cross block, the two border columns) goes into one (2N + 1)^2 buffer
+together with its negated transpose, so the matrix is antisymmetric by
+construction, and the largest magnitude in those blocks is its
+``PIVOT_RTOL`` scale.  It reaches the Pfaffian as
+:meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, without the
+antisymmetry scan that an arbitrary matrix needs; a NaN or infinite
+entry makes that scale NaN or infinite, which raises ``ValueError``.
+
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
 stays regular when a mode passes through v = 0 (as happens under kicks).
@@ -42,6 +51,7 @@ import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
 from .model import MomentumGrid
+from .pfaffian import SkewMatrix
 from .wick import contractions, vacuum_expectation
 
 __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series"]
@@ -81,8 +91,8 @@ def _fill_bra(index, coeff, modes, u, v):
     _fill_ket(index[::-1, ::-1], coeff[::-1, ::-1], modes, np.conj(u), np.conj(v))
 
 
-def _c1_bordered(state: SystemState) -> np.ndarray:
-    """The (2N + 1) x (2N + 1) bordered contraction matrix of both ``<c_1>`` words.
+def _c1_bordered(state: SystemState) -> SkewMatrix:
+    """The (2N + 1) x (2N + 1) bordered contraction matrix of both ``<c_1>`` words, as a Pfaffian operand.
 
     The leading block holds the 2N - 1 shared factors
 
@@ -91,7 +101,8 @@ def _c1_bordered(state: SystemState) -> np.ndarray:
     and the two border columns hold their contractions with ``c_1`` on the
     odd grid (word 1, ``<psi_e| c_1 |psi_o>``) and with ``c_1^dag`` on the
     even grid (the adjoint of word 2, ``<psi_o| c_1 |psi_e>``).  ``c_1``
-    enters without its ``N^{-1/2}``, which sits in the coefficients.
+    enters without its ``N^{-1/2}``, which sits in the coefficients.  The
+    operand is a :class:`SkewMatrix` with two border columns.
     """
     grid = state.grid
     n = grid.n_sites
@@ -105,15 +116,27 @@ def _c1_bordered(state: SystemState) -> np.ndarray:
     coeff[1, -1] = 1.0
     (ann, cre), (a, b) = index, coeff
 
-    skew = np.zeros((shared + 2, shared + 2), dtype=complex)
     # within a sector only the two factors of a BCS pair contract, with kappa = 1
-    pairs = np.arange(0, shared - 1, 2)
-    skew[pairs, pairs + 1] = a[pairs] * b[pairs + 1]
-    skew[:n, n:shared] = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
+    rows = np.arange(0, shared - 1, 2)
+    pairs = a[rows] * b[rows + 1]
+    cross = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
     # word 1's c_1 stands before the later factors, so its column holds minus its contractions
-    skew[n:shared, shared] = -np.where(cre[n:] == 0, s1, s2) * np.exp(1j * np.pi * cre[n:] / n) * b[n:]
-    skew[:n, shared + 1] = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
-    return skew - skew.T
+    first = -np.where(cre[n:] == 0, s1, s2) * np.exp(1j * np.pi * cre[n:] / n) * b[n:]
+    second = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
+
+    # each block written once above the diagonal and once, negated and transposed, below it
+    skew = np.zeros((shared + 2, shared + 2), dtype=complex)
+    skew[rows, rows + 1] = pairs
+    skew[rows + 1, rows] = -pairs
+    skew[:n, n:shared] = cross
+    np.negative(cross.T, out=skew[n:shared, :n])
+    skew[n:shared, shared] = first
+    skew[shared, n:shared] = -first
+    skew[:n, shared + 1] = second
+    skew[shared + 1, :n] = -second
+    # max and maximum propagate a NaN entry into the scale, which SkewMatrix.antisymmetric rejects
+    scale = np.maximum(np.abs(cross).max(), np.abs(np.concatenate((pairs, first, second))).max())
+    return SkewMatrix.antisymmetric(skew, scale, border=2)
 
 
 def expectation_c1(state: SystemState) -> complex:

@@ -9,14 +9,28 @@ columns k and k + 1 with the rank-2 antisymmetric update
 the pivots times the sign of the accumulated permutation.
 Pf(A)^2 = det(A) for every skew-symmetric A.
 
-The updates are delayed over a panel of steps: ``tau`` and ``w`` of each
-step are kept as columns of two tall arrays ``U`` and ``W``, the two rows
-that a step reads are brought up to date from them, and a pivot swap swaps
-their rows too.  At the end of the panel the trailing block receives
-``U W^T - W U^T`` from one matrix product.  The panel width follows from the
-matrix size: one step (each update applied at once) below dimension
-``_BLOCK_MIN_DIM``, where the extra products cost more than they save, and
-``_BLOCK_STEPS`` steps from there on.
+The updates are delayed over a panel of steps.  Step j's ``tau`` and
+``w`` are kept interleaved in two tall arrays, ``P = [tau_0, w_0, tau_1,
+w_1, ...]`` and ``Q = [-w_0, tau_0, -w_1, tau_1, ...]``, so that
+``Q P^T = sum_j tau_j w_j^T - w_j tau_j^T``.  Bringing a row k up to date
+before it is read is then the one product ``P Q[k]^T``, a pivot swap swaps
+the rows of P and Q too, and at the end of the panel the trailing block
+receives ``Q P^T`` from one matrix product, antisymmetric as it stands.
+The panel width follows from the matrix size: one step (each update
+applied at once) below dimension ``_BLOCK_MIN_DIM``, where the extra
+products cost more than they save, and ``_BLOCK_STEPS`` steps from there
+on.
+
+The operand.  An array is validated by :class:`SkewMatrix`, which scans
+it for antisymmetry (``|M + M^T|``) and stores its symmetrized copy
+``(M - M^T) / 2``, in which :func:`pfaffian` then eliminates.  A matrix
+that is antisymmetric by construction, such as the engine's bordered word
+matrix (see :mod:`isingring.observables`), enters through
+:meth:`SkewMatrix.antisymmetric` with the largest entry magnitude that its
+builder took from the blocks it wrote: no scan and no symmetrized copy.
+Every path keeps the shape and border checks and raises ``ValueError`` for
+a NaN or infinite entry, and :func:`pfaffian` eliminates a ``SkewMatrix``
+in a plain copy, so it never changes one.
 
 Border columns.  ``pfaffian(a, border=b)`` searches the pivots only inside
 the leading block, of odd dimension d = n - b, and carries the last b
@@ -74,23 +88,14 @@ class SkewMatrix:
     zeroes the diagonal exactly), and records the largest entry magnitude of
     the input as ``scale`` and the largest asymmetry found.  Asymmetry beyond
     ``ASYMMETRY_RTOL`` times ``scale`` raises :class:`SkewSymmetryError`; a
-    NaN or infinite entry raises ``ValueError``.
+    NaN or infinite entry raises ``ValueError``.  :meth:`antisymmetric`
+    wraps a matrix that needs neither the scan nor the copy.
     """
 
     def __init__(self, entries, border: int = 0):
         m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise PfaffianDimensionError(f"expected a square matrix, got shape {m.shape}")
-        n = m.shape[0]
-        paired = n - border + (border > 0)
-        if border < 0 or paired < 2 or paired % 2 != 0:
-            raise PfaffianDimensionError(
-                f"dimension must be even and >= 2, got {n}" if border == 0 else
-                f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
-            )
-        scale = float(np.abs(m).max())
-        if not np.isfinite(scale):
-            raise ValueError("matrix entries must be finite")
+        _check_shape(m.shape, border)
+        scale = _finite(np.abs(m).max())
         asymmetry = float(np.abs(m + m.T).max())
         if scale > 0.0 and asymmetry > ASYMMETRY_RTOL * scale:
             raise SkewSymmetryError(
@@ -98,13 +103,55 @@ class SkewMatrix:
                 f"(largest entry {scale:.3e})"
             )
         self.entries = 0.5 * (m - m.T)
-        self.dim = n
+        self.dim = len(m)
         self.border = border
         self.scale = scale
         self.max_asymmetry = asymmetry
 
+    @classmethod
+    def antisymmetric(cls, entries: np.ndarray, scale, border: int = 0) -> "SkewMatrix":
+        """Wrap a complex matrix that is antisymmetric by construction, as it is.
+
+        The caller guarantees ``entries == -entries.T`` exactly and passes
+        the largest entry magnitude as ``scale``, NaN if an entry is NaN.
+        The shape and border are checked and a scale that is not finite
+        raises ``ValueError``; the entries are neither scanned nor copied.
+        """
+        _check_shape(entries.shape, border)
+        self = cls.__new__(cls)
+        self.entries = entries
+        self.dim = len(entries)
+        self.border = border
+        self.scale = _finite(scale)
+        self.max_asymmetry = 0.0
+        return self
+
+    def __len__(self):
+        return self.dim
+
     def __repr__(self):
         return f"SkewMatrix(dim={self.dim}, border={self.border}, max_asymmetry={self.max_asymmetry:.3e})"
+
+
+def _check_shape(shape, border: int):
+    """Square, and even once the border columns beyond the first are set aside."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise PfaffianDimensionError(f"expected a square matrix, got shape {shape}")
+    n = shape[0]
+    paired = n - border + (border > 0)
+    if border < 0 or paired < 2 or paired % 2 != 0:
+        raise PfaffianDimensionError(
+            f"dimension must be even and >= 2, got {n}" if border == 0 else
+            f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
+        )
+
+
+def _finite(scale) -> float:
+    """The largest entry magnitude, which is NaN or infinite if any entry is."""
+    scale = float(scale)
+    if not np.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
+    return scale
 
 
 def _representable(z: complex) -> bool:
@@ -166,9 +213,9 @@ def pfaffian(a, border: int = 0):
     d = n - border
     e = d - 2 + d % 2
     nb = _BLOCK_STEPS if d >= _BLOCK_MIN_DIM else 1
-    # the panel's pending updates: step j's tau in u[:, j], its w in w[:, j]
-    uw = np.empty((n, 2 * nb), dtype=complex)
-    u, w = uw[:, :nb], uw[:, nb:]
+    # the panel's pending updates, interleaved: step j's (tau, w) in p[:, 2j:2j + 2], (-w, tau) in q
+    pq = np.empty((n, 4 * nb), dtype=complex)
+    p, q = pq[:, :2 * nb], pq[:, 2 * nb:]
     pf = 1.0 + 0.0j
     for k0 in range(0, e, 2 * nb):
         steps = min(nb, (e - k0) // 2)
@@ -176,7 +223,7 @@ def pfaffian(a, border: int = 0):
             k = k0 + 2 * j
             # row k brought up to date is minus column k: the matrix stays antisymmetric
             if j:
-                m[k, k + 1:] += w[k + 1:, :j] @ u[k, :j] - u[k + 1:, :j] @ w[k, :j]
+                m[k, k + 1:] += p[k + 1:, :2 * j] @ q[k, :2 * j]
             mag = np.abs(m[k, k + 1:d])
             rel = int(np.argmax(mag))
             if mag[rel] < threshold:
@@ -186,19 +233,20 @@ def pfaffian(a, border: int = 0):
                 pair, flip = slice(k + 1, k + 2 + rel, rel), slice(k + 1 + rel, k, -rel)
                 m[pair, k:] = m[flip, k:]
                 m[k:, pair] = m[k:, flip]
-                uw[pair] = uw[flip]
+                pq[pair] = pq[flip]
                 pf = -pf
             # row k + 1 brought up to date is minus w
             if j:
-                m[k + 1, k + 2:] += w[k + 2:, :j] @ u[k + 1, :j] - u[k + 2:, :j] @ w[k + 1, :j]
+                m[k + 1, k + 2:] += p[k + 2:, :2 * j] @ q[k + 1, :2 * j]
             # Python complex arithmetic: an over- or underflow here raises no numpy warning
             pf *= complex(m[k, k + 1])
-            u[k + 2:, j] = m[k, k + 2:] / m[k, k + 1]
-            w[k + 2:, j] = -m[k + 1, k + 2:]
-        # the panel's delayed rank-2 updates, tau w^T - w tau^T summed over its steps
+            # tau is row k over the pivot, w is minus row k + 1
+            p[k + 2:, 2 * j] = q[k + 2:, 2 * j + 1] = m[k, k + 2:] / m[k, k + 1]
+            q[k + 2:, 2 * j] = m[k + 1, k + 2:]
+            p[k + 2:, 2 * j + 1] = -m[k + 1, k + 2:]
+        # the panel's delayed rank-2 updates, sum over its steps of tau w^T - w tau^T
         ke = k0 + 2 * steps
-        x = u[ke:, :steps] @ w[ke:, :steps].T
-        m[ke:, ke:] += x - x.T
+        m[ke:, ke:] += q[ke:, :2 * steps] @ p[ke:, :2 * steps].T
     # the last block row: its entry right of the block, or its border entries
     last = m[e, e + 1:].tolist()
     values = [pf * x for x in last]

@@ -62,9 +62,10 @@ def contractions(index, coeff, n_sites: int) -> np.ndarray:
 def vacuum_expectation(skew: np.ndarray, border: int = 0):
     """Vacuum expectation value of an ordered product of L factors, or of ``border`` such products.
 
-    ``skew`` is the word's antisymmetric contraction matrix, entry (i, j)
-    for i < j being the contraction of factors i and j (the upper triangle
-    of :func:`contractions`).  Wick's theorem makes the expectation its
+    ``skew`` is the word's antisymmetric contraction matrix, an array or a
+    :class:`isingring.pfaffian.SkewMatrix`, entry (i, j) for i < j being
+    the contraction of factors i and j (the upper triangle of
+    :func:`contractions`).  Wick's theorem makes the expectation its
     Pfaffian.  With ``border`` = b > 0, ``skew`` holds b words that share
     the factors of its leading block and differ in one more factor, whose
     row and column come last: one of the b border columns each.  The result

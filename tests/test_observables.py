@@ -15,12 +15,15 @@ from isingring.observables import (
     magnetization,
     run_series,
 )
+from isingring.pfaffian import _BLOCK_MIN_DIM
+from isingring.wick import contractions
 from tests_support import (
     bcs_amplitudes,
     c1_words_dense,
     dense_expectation,
     dense_skew,
     expectation_c1_reference,
+    pfaffian_reference,
 )
 
 
@@ -212,7 +215,8 @@ class TestAgainstPerWordReference:
     def test_two_words_of_length_two_n(self):
         # one bordered word: 2N - 1 shared factors and a border column for each word
         state = evolve_quench(init_ferro(MomentumGrid(10)), 0.7, 1.1)
-        assert _c1_bordered(state).shape == (21, 21)
+        operand = _c1_bordered(state)
+        assert operand.entries.shape == (21, 21) and operand.border == 2
 
 
 class TestAgainstDenseWords:
@@ -229,12 +233,65 @@ class TestAgainstDenseWords:
         monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
         shared = np.r_[:n, n + 1:2 * n]
         for state in _sample_states(n):
-            bordered = _c1_bordered(state)
+            bordered = _c1_bordered(state).entries
             (_, first), (_, second) = c1_words_dense(state)
             for column, word in zip((2 * n - 1, 2 * n), (first, second.dagger())):
                 engine = bordered[:2 * n - 1][:, np.r_[:2 * n - 1, column]]
                 expected = dense_skew(word)[shared][:, np.r_[shared, n]]
                 assert np.abs(engine - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+class TestOperand:
+    """The engine's Pfaffian operand, which skips the antisymmetry scan of arbitrary input."""
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    @pytest.mark.parametrize("n", [4, 10, 24, 26, 100])
+    def test_exactly_antisymmetric_with_the_full_scale(self, n, signs, monkeypatch):
+        # so the PIVOT_RTOL threshold is the one the scan of the full matrix would give
+        monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
+        for state in _sample_states(n):
+            operand = _c1_bordered(state)
+            m = operand.entries
+            assert np.array_equal(m, -m.T)
+            assert operand.scale == np.abs(m).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "block", ["bra pair", "ket pair", "cross", "c^dag_0 border", "c_1 border", "c_1^dag border"],
+    )
+    def test_non_finite_entry_raises(self, block, bad, monkeypatch):
+        state = evolve_quench(init_ferro(MomentumGrid(10)), 0.5, 1.3)
+        if block == "bra pair":
+            # a sector's u enters only the contraction of its BCS pair
+            state.u_plus[1] = bad
+        elif block == "ket pair":
+            state.u_minus[1] = bad
+        elif block == "cross":
+            def poisoned(*args):
+                cross = contractions(*args)
+                cross[3, 2] = bad
+                return cross
+
+            monkeypatch.setattr(observables, "contractions", poisoned)
+        else:
+            signs = [1.0, 1.0, 1.0]
+            signs[["c^dag_0 border", "c_1 border", "c_1^dag border"].index(block)] = bad
+            monkeypatch.setattr(observables, "_TERM_SIGNS", tuple(signs))
+        # inf times a zero coefficient warns on the way; the result must be an error, not 0 or NaN
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            expectation_c1(state)
+
+
+class TestAgainstUnblockedDenseWords:
+    """``expectation_c1`` against the unblocked reference kernel on the two dense words."""
+
+    @pytest.mark.parametrize("n", [24, 26])
+    def test_matches_reference_pfaffians(self, n):
+        # leading blocks 2N - 1 = 47 (one step at a time) and 51 (panels)
+        assert (2 * n - 1 >= _BLOCK_MIN_DIM) == (n == 26)
+        for state in _sample_states(n):
+            reference = sum(coeff * pfaffian_reference(dense_skew(word)) for coeff, word in c1_words_dense(state))
+            assert abs(expectation_c1(state) - reference) <= 1e-12 * abs(reference)
 
 
 class TestRunSeries:

@@ -201,6 +201,31 @@ def test_non_finite_entry_rejected(bad, n):
         pfaffian(a)
 
 
+@pytest.mark.parametrize("n, border", [(6, 0), (9, 2), (PANEL + 8, 3)])
+def test_antisymmetric_operand_matches_validated_path(n, border):
+    # the wrapped matrix is neither scanned nor copied, and eliminates to the validated path's values
+    a = random_skew(n, np.random.default_rng(n))
+    kept = a.copy()
+    operand = SkewMatrix.antisymmetric(a, np.abs(a).max(), border)
+    assert operand.entries is a and len(operand) == operand.dim == n
+    assert operand.scale == SkewMatrix(a, border).scale and operand.max_asymmetry == 0.0
+    assert pfaffian(operand, border) == pfaffian(a, border)
+    np.testing.assert_array_equal(a, kept)
+
+
+def test_antisymmetric_operand_keeps_shape_border_and_finiteness_checks():
+    a = random_skew(5, np.random.default_rng(5))
+    with pytest.raises(PfaffianDimensionError):
+        SkewMatrix.antisymmetric(a, 1.0)
+    with pytest.raises(PfaffianDimensionError):
+        SkewMatrix.antisymmetric(a[:4], 1.0, border=2)
+    with pytest.raises(PfaffianDimensionError):
+        SkewMatrix.antisymmetric(a, 1.0, border=5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SkewMatrix.antisymmetric(a, bad, border=2)
+
+
 def test_block_direct_sums_with_later_panel_events():
     """A pivot swap and a zero breakdown that fall inside the second panel.
 
@@ -279,9 +304,10 @@ def test_engine_words_match_unblocked_reference(n_sites, monkeypatch):
     monkeypatch.setattr(isingring.wick, "pfaffian", record)
     expectation_c1(evolve_quench(init_ferro(MomentumGrid(n_sites)), 0.5, 7.3))
     assert [(len(a), border) for a, border in seen] == [(2 * n_sites + 1, 2)]
-    a, border = seen[0]
+    operand, border = seen[0]
+    a = operand.entries
     shared = 2 * n_sites - 1
-    for i, value in enumerate(pfaffian(a, border)):
+    for i, value in enumerate(pfaffian(operand, border)):
         even = np.r_[:shared, shared + i]
         assert value == pytest.approx(pfaffian_reference(a[np.ix_(even, even)]), rel=1e-12, abs=0)
 
