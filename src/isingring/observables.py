@@ -16,9 +16,8 @@ factor, on the odd grid, replaced by ``c_1^dag`` on the even grid.  So
 the two words share 2N - 1 factors, ``<psi_e|``, ``|psi_o>`` and
 ``c^dag_0``.  With the differing factor moved to the end (past N - 1
 factors, a sign of -1) they are one bordered word: the shared factors'
-contraction matrix and two passive border columns, the contractions of
-``c_1`` and of ``c_1^dag`` with those factors.  One sample therefore
-costs one Pfaffian elimination of dimension 2N - 1.
+contraction matrix M and two passive border columns, the contractions of
+``c_1`` and of ``c_1^dag`` with those factors.
 
 Every shared factor is a one-mode factor, one annihilated and one created
 mode.  Within a sector kappa is a Kronecker delta, so there only the two
@@ -28,14 +27,57 @@ indices.  ``c_1`` annihilates, so it meets only the later factors of its
 own sector; ``c_1^dag`` creates, so it meets only the bra.  Each border
 column is therefore ``c_1``'s own coefficients at those factors' indices.
 
-The bordered matrix is written once.  Each block (the pair entries, the
-cross block, the two border columns) goes into one (2N + 1)^2 buffer
-together with its negated transpose, so the matrix is antisymmetric by
-construction, and the largest magnitude in those blocks is its
-``PIVOT_RTOL`` scale.  It reaches the Pfaffian as
-:meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, without the
-antisymmetry scan that an arbitrary matrix needs; a NaN or infinite
-entry makes that scale NaN or infinite, which raises ``ValueError``.
+The bra is eliminated first, in its Thouless form.  Write M as
+``[[A, C], [-C^T, D]]`` with A the N bra rows.  A bra row meets only its
+own BCS partner, the ket, ``c^dag_0`` and the ``c_1^dag`` border, so A is
+block diagonal, with one 2 x 2 block ``[[0, alpha_k], [-alpha_k, 0]]``,
+``alpha_k = conj(u_k)``, per pair.  Moving the accepted pairs (below) to
+the front moves whole pairs, with sign +1, and their Schur complement
+gives, for either border column,
+
+    Pf(M) = prod_k alpha_k  Pf(S),   S = D + C^T A^{-1} C = D + X - X^T,
+    X = C2^T diag(1 / alpha) C1,
+
+with C1 and C2 the first and second rows of the accepted pairs over the
+ket, ``c^dag_0`` and border columns: S is the bordered matrix of the ket
+word in the bra's Thouless vacuum (the Pfaffian overlap formula of
+Bertsch and Robledo, PRL 108, 042505 (2012)).  The pairs do not couple
+to each other, so this is one update, one matrix product, whose order
+does not matter, and ``X - X^T`` keeps S exactly antisymmetric.  A
+rejected pair stays in S as its two rows, in its original order, so S
+has dimension N + 1 + 2f for f rejected pairs, and the Pfaffian kernel
+eliminates a leading block of N - 1 + 2f rows instead of 2N - 1.
+
+Pivot rule, and the audit of every division.  The engine divides only by
+accepted pair entries.  Pair k is accepted only if ``|alpha_k|`` exceeds
+``PAIR_RTOL`` times the largest entry of its two rows, ``alpha_k``
+included: threshold pivoting, a pivot chosen by magnitude.  Each of the
+pair's two rank-one terms then changes an entry by less than that
+largest entry over ``PAIR_RTOL``, so one pair grows the matrix by at most
+a factor 1 + 2 / ``PAIR_RTOL``, and the pairs' bounds add rather than
+compound.  A pair with u = 0, or with a NaN or infinite entry, fails the
+test, so it is never divided by and a non-finite entry stays in S; at
+v = 0 its second row holds only ``alpha_k``, and it adds nothing.  The
+kernel's ``PIVOT_RTOL`` short circuit compares against the scale of S,
+and Pf(M) = 0 exactly when Pf(S) = 0.
+
+The exponent fold.  ``prod_k alpha_k`` leaves the double range at large
+N (about 1e-680 for 400 pairs with |u| = 0.02), so it is never formed as
+one double: :func:`_pair_product` keeps it as ``z 2^e``, a mantissa
+``1/2 <= |z| < 1`` and an exact integer e, renormalizing with ``frexp``
+and ``ldexp``.  z multiplies both border columns.  2^e is spread over S as
+an exact power-of-two scaling: with L leading rows and
+``e = q (L + 1) + r``, ``0 <= r <= L``, entry (i, j) is multiplied by
+``2^(t_i + t_j)``, where t is q + 1 on the first r rows and q on the rest
+and on the borders.  Each even matrix of the leading block and one
+border column then gains exactly ``z 2^e``, so the returned operand's
+bordered Pfaffians are those of the full matrix.
+
+S reaches the Pfaffian as
+:meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, with its largest
+entry magnitude as its ``PIVOT_RTOL`` scale and without the antisymmetry
+scan that an arbitrary matrix needs; a NaN or infinite entry makes that
+scale NaN or infinite, which raises ``ValueError``.
 
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
@@ -44,6 +86,7 @@ stays regular when a mode passes through v = 0 (as happens under kicks).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -62,6 +105,10 @@ __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series
 # regression-tested against exact diagonalization on both drivers.  Mutable
 # only as a fault-injection hook for the validation suite's negative control.
 _TERM_SIGNS = (1.0, 1.0, 1.0)
+
+#: a bra pair is eliminated in the Schur complement only if its entry exceeds this
+#: fraction of the largest entry of its two rows (threshold pivoting; see the module docstring)
+PAIR_RTOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -91,18 +138,37 @@ def _fill_bra(index, coeff, modes, u, v):
     _fill_ket(index[::-1, ::-1], coeff[::-1, ::-1], modes, np.conj(u), np.conj(v))
 
 
-def _c1_bordered(state: SystemState) -> SkewMatrix:
-    """The (2N + 1) x (2N + 1) bordered contraction matrix of both ``<c_1>`` words, as a Pfaffian operand.
+def _pair_product(alpha):
+    """``prod(alpha)`` as ``(z, e)``, ``prod(alpha) = z 2^e`` with ``1/2 <= |z| < 1``.
 
-    The leading block holds the 2N - 1 shared factors
+    After each factor the running product is divided by its own power of
+    two (``frexp``, then an exact ``ldexp``) and the power is added to the
+    integer ``e``, so no partial product leaves the double range.
+    """
+    z, e = 1.0 + 0.0j, 0
+    for x in alpha.tolist():
+        z *= x
+        shift = math.frexp(abs(z))[1]
+        z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
+    return z, e
+
+
+def _c1_bordered(state: SystemState) -> SkewMatrix:
+    """Both ``<c_1>`` words as one bordered Pfaffian operand, reduced by the accepted bra pairs.
+
+    The full bordered matrix has the 2N - 1 shared factors
 
         <psi_e| (N factors), |psi_o> (N - 2 factors), c^dag_0
 
-    and the two border columns hold their contractions with ``c_1`` on the
-    odd grid (word 1, ``<psi_e| c_1 |psi_o>``) and with ``c_1^dag`` on the
-    even grid (the adjoint of word 2, ``<psi_o| c_1 |psi_e>``).  ``c_1``
-    enters without its ``N^{-1/2}``, which sits in the coefficients.  The
-    operand is a :class:`SkewMatrix` with two border columns.
+    as its leading block and, as border columns, their contractions with
+    ``c_1`` on the odd grid (word 1, ``<psi_e| c_1 |psi_o>``) and with
+    ``c_1^dag`` on the even grid (the adjoint of word 2,
+    ``<psi_o| c_1 |psi_e>``); ``c_1`` enters without its ``N^{-1/2}``, which
+    sits in the coefficients.  The returned operand is its Schur complement
+    on the bra pairs that pass the pivot test: the rejected bra pairs, the
+    ket, ``c^dag_0`` and the two border columns, dimension N + 1 + 2f for f
+    rejected pairs, scaled so that its two bordered Pfaffians are those of
+    the full matrix (see the module docstring).
     """
     grid = state.grid
     n = grid.n_sites
@@ -117,26 +183,46 @@ def _c1_bordered(state: SystemState) -> SkewMatrix:
     (ann, cre), (a, b) = index, coeff
 
     # within a sector only the two factors of a BCS pair contract, with kappa = 1
-    rows = np.arange(0, shared - 1, 2)
-    pairs = a[rows] * b[rows + 1]
-    cross = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
+    alpha = a[0:n:2] * b[1:n:2]
+    # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
+    # meets only the ket and c^dag_0), word 2's border
+    rows = np.zeros((n, n + 1), dtype=complex)
+    rows[:, :n - 1] = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
+    rows[:, n] = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
     # word 1's c_1 stands before the later factors, so its column holds minus its contractions
     first = -np.where(cre[n:] == 0, s1, s2) * np.exp(1j * np.pi * cre[n:] / n) * b[n:]
-    second = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
 
-    # each block written once above the diagonal and once, negated and transposed, below it
-    skew = np.zeros((shared + 2, shared + 2), dtype=complex)
-    skew[rows, rows + 1] = pairs
-    skew[rows + 1, rows] = -pairs
-    skew[:n, n:shared] = cross
-    np.negative(cross.T, out=skew[n:shared, :n])
-    skew[n:shared, shared] = first
-    skew[shared, n:shared] = -first
-    skew[:n, shared + 1] = second
-    skew[shared + 1, :n] = -second
-    # max and maximum propagate a NaN entry into the scale, which SkewMatrix.antisymmetric rejects
-    scale = np.maximum(np.abs(cross).max(), np.abs(np.concatenate((pairs, first, second))).max())
-    return SkewMatrix.antisymmetric(skew, scale, border=2)
+    # the pivot test; a NaN or infinite entry fails it and stays in the operand
+    pair_rows = rows.reshape(n // 2, 2, n + 1)
+    size = np.abs(alpha)
+    accepted = size > PAIR_RTOL * np.maximum(np.abs(pair_rows).max(axis=(1, 2)), size)
+    kept = ~accepted
+    z, e = _pair_product(alpha[accepted])
+    rows[:, n] *= z
+    first *= z
+
+    # S = U - U^T: U holds X = C2^T diag(1 / alpha) C1 over the accepted pairs' rows C1 and C2
+    # and, above the diagonal, the rejected pairs' rows in their order, word 1's border and
+    # the remaining pair entries
+    pivots = pair_rows[accepted]
+    rejected = pair_rows[kept].reshape(-1, n + 1)
+    k = len(rejected)
+    dim = k + n + 1
+    upper = np.zeros((dim, dim), dtype=complex)
+    np.matmul((pivots[:, 1] / alpha[accepted, None]).T, pivots[:, 0], out=upper[k:, k:])
+    upper[:k, k:] = rejected
+    upper[k:-2, -2] = first
+    at = np.arange(0, dim - 3, 2)
+    upper[at, at + 1] += np.concatenate((alpha[kept], a[n:-1:2] * b[n + 1::2]))
+    skew = upper - upper.T
+
+    # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
+    q, r = divmod(e, dim - 1)
+    skew *= math.ldexp(1.0, 2 * q)
+    skew[:r] *= 2.0
+    skew[:, :r] *= 2.0
+    # max propagates a NaN entry into the scale, which SkewMatrix.antisymmetric rejects
+    return SkewMatrix.antisymmetric(skew, np.abs(skew).max(), border=2)
 
 
 def expectation_c1(state: SystemState) -> complex:
@@ -175,7 +261,10 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     kick.  Every sample is one closed-form propagation from the initial
     state (a Floquet power for kicks), so its value does not depend on the
     other schedule entries, and it is labelled by its own entry.
+    ``threads`` > 1 evaluates the samples in that many worker threads.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     schedule = list(schedule)
     if not np.all(np.isfinite(schedule)):
         raise ValueError("schedule entries must be finite")

@@ -72,6 +72,11 @@ def vacuum_expectation(skew: np.ndarray, border: int = 0):
     is then a tuple, the i-th entry being the expectation of word i times
     the sign of moving that factor to the end.  Without a border, an
     odd-length word vanishes by parity and the empty word gives 1.
+
+    The matrix need not be a word's own contraction matrix: any matrix with
+    the same Pfaffians will do.  :mod:`isingring.observables` passes that of
+    the ket word in the bra's Thouless vacuum, the Schur complement of the
+    bra's BCS pairs, scaled so that its Pfaffians are the full words'.
     """
     if not border and len(skew) % 2 != 0:
         return 0.0 + 0.0j

@@ -266,6 +266,19 @@ class TestSummaryLayout:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["quench", "--n", "4", "--gf", "0.5", "--tmax", "0.5", "--dt", "0.5"],
+    ["kick", "--n", "4", "--g", "0.5", "--tau", "0.5", "--epsilon", "0.02", "--kicks", "2"],
+    ["validate"],
+])
+def test_thread_count_below_one_is_rejected(tmp_path, capsys, argv, threads):
+    out = tmp_path / ("report.json" if argv[0] == "validate" else "run.csv")
+    assert main(argv + ["--threads", threads, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "threads must be at least 1" in capsys.readouterr().err
+
+
 class TestValidateSuite:
     def test_reduced_suite_passes(self):
         report = validate_suite()

@@ -15,10 +15,11 @@ from isingring.observables import (
     magnetization,
     run_series,
 )
-from isingring.pfaffian import _BLOCK_MIN_DIM
+from isingring.pfaffian import _BLOCK_MIN_DIM, pfaffian
 from isingring.wick import contractions
 from tests_support import (
     bcs_amplitudes,
+    c1_bordered_reference,
     c1_words_dense,
     dense_expectation,
     dense_skew,
@@ -198,6 +199,28 @@ def _sample_states(n):
     ]
 
 
+def _pair_state(n, magnitudes, seed):
+    """A state whose BCS pairs cycle through the ``|u|`` of ``magnitudes``, with random phases."""
+    rng = np.random.default_rng(seed)
+
+    def sector(count):
+        u = np.resize(np.asarray(magnitudes, dtype=float), count)
+        phases = np.exp(2j * np.pi * rng.random((2, count)))
+        return u * phases[0], np.sqrt(1.0 - u**2) * phases[1]
+
+    return SystemState(MomentumGrid(n), *sector(n // 2), *sector(n // 2 - 1),
+                       gamma=rng.uniform(-5, 5), time=0.0)
+
+
+#: |u| of every pair: each bra pair passes the pivot test (|u| > PAIR_RTOL), none does, or a mix
+#: with an exact u = 0; a bra pair's rows hold an entry of magnitude 1, so |u| decides
+PAIR_MAGNITUDES = {"accepted": (0.02,), "rejected": (0.005,), "mixed": (0.3, 0.0, 0.005, 0.02, 0.9)}
+
+
+def _pair_states(n):
+    return [_pair_state(n, magnitudes, seed=n + i) for i, magnitudes in enumerate(PAIR_MAGNITUDES.values())]
+
+
 SIGN_PATTERNS = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)]
 
 
@@ -215,12 +238,12 @@ class TestAgainstPerWordReference:
     def test_two_words_of_length_two_n(self):
         # one bordered word: 2N - 1 shared factors and a border column for each word
         state = evolve_quench(init_ferro(MomentumGrid(10)), 0.7, 1.1)
-        operand = _c1_bordered(state)
+        operand = c1_bordered_reference(state)
         assert operand.entries.shape == (21, 21) and operand.border == 2
 
 
 class TestAgainstDenseWords:
-    """The bordered matrix against the skew matrices of the dense words.
+    """The full bordered matrix against the skew matrices of the dense words.
 
     Word 1 without its slot N, the ``c_1`` factor, is the shared block, and
     so is the adjoint of word 2 without its slot N, ``c_1^dag``.  Slot N's
@@ -233,7 +256,7 @@ class TestAgainstDenseWords:
         monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
         shared = np.r_[:n, n + 1:2 * n]
         for state in _sample_states(n):
-            bordered = _c1_bordered(state).entries
+            bordered = c1_bordered_reference(state).entries
             (_, first), (_, second) = c1_words_dense(state)
             for column, word in zip((2 * n - 1, 2 * n), (first, second.dagger())):
                 engine = bordered[:2 * n - 1][:, np.r_[:2 * n - 1, column]]
@@ -249,7 +272,7 @@ class TestOperand:
     def test_exactly_antisymmetric_with_the_full_scale(self, n, signs, monkeypatch):
         # so the PIVOT_RTOL threshold is the one the scan of the full matrix would give
         monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
-        for state in _sample_states(n):
+        for state in _sample_states(n) + _pair_states(n):
             operand = _c1_bordered(state)
             m = operand.entries
             assert np.array_equal(m, -m.T)
@@ -280,6 +303,49 @@ class TestOperand:
         # inf times a zero coefficient warns on the way; the result must be an error, not 0 or NaN
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             expectation_c1(state)
+
+
+class TestReducedOperand:
+    """The Schur complement of the accepted bra pairs against the full bordered matrix."""
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    @pytest.mark.parametrize("n", [4, 6, 10, 24, 26, 48, 100])
+    def test_matches_reference_pfaffians(self, n, signs, monkeypatch):
+        monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
+        for state in _sample_states(n) + _pair_states(n):
+            full = c1_bordered_reference(state).entries
+            references = [pfaffian_reference(full[np.ix_(even, even)])
+                          for even in (np.r_[:2 * n - 1, 2 * n - 1 + i] for i in range(2))]
+            # a word that vanishes (some do at N <= 6) is rounding noise in either path,
+            # so below 1 % of the larger word the bound is 1e-14 of the larger word
+            floor = 1e-2 * max(map(abs, references))
+            for value, reference in zip(pfaffian(_c1_bordered(state), border=2), references):
+                assert abs(value - reference) <= 1e-12 * max(abs(reference), floor)
+
+    @pytest.mark.parametrize("n", [4, 10, 48])
+    @pytest.mark.parametrize("kind", PAIR_MAGNITUDES)
+    def test_rejected_pairs_stay_in_the_operand(self, n, kind):
+        # N + 1 rows and columns, and two more per rejected bra pair (|u| < PAIR_RTOL)
+        magnitudes = PAIR_MAGNITUDES[kind]
+        rejected = sum(u < observables.PAIR_RTOL for u in np.resize(magnitudes, n // 2))
+        assert len(_c1_bordered(_pair_state(n, magnitudes, seed=1))) == n + 1 + 2 * rejected
+
+    def test_quench_accepts_most_pairs(self):
+        n = 100
+        for t in (0.5, 3.7, 17.0, 60.0):
+            rejected = (len(_c1_bordered(evolve_quench(init_ferro(MomentumGrid(n)), 0.5, t))) - n - 1) // 2
+            assert rejected <= 0.1 * n // 2
+
+    def test_pair_product_far_below_the_double_range(self):
+        # 400 bra pairs of |u| = 0.02: their product is about 1e-680
+        n = 800
+        state = _pair_state(n, (0.02,), seed=8)
+        assert np.sum(np.log10(np.abs(state.u_plus))) == pytest.approx(-679.6, abs=0.1)
+        reference = pfaffian(c1_bordered_reference(state), border=2)
+        with np.errstate(all="raise"):
+            values = pfaffian(_c1_bordered(state), border=2)
+        for value, expected in zip(values, reference):
+            assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 class TestAgainstUnblockedDenseWords:
@@ -327,6 +393,11 @@ class TestRunSeries:
         parallel = run_series(DriverSpec("quench", g_f=1.1), MomentumGrid(8), times, threads=4)
         for a, b in zip(serial, parallel):
             assert a.mx == b.mx and a.my == b.my and a.mz == b.mz
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), [0.5], threads=threads)
 
     def test_schedule_validation(self):
         driver = DriverSpec("quench", g_f=1.0)

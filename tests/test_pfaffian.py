@@ -18,7 +18,7 @@ from isingring.pfaffian import (
     SkewSymmetryError,
     pfaffian,
 )
-from tests_support import pfaffian_reference
+from tests_support import c1_bordered_reference, pfaffian_reference
 
 #: rows and columns a full panel eliminates
 PANEL = 2 * _BLOCK_STEPS
@@ -294,7 +294,7 @@ def test_congruence_multiplies_by_determinant(n, seed):
 
 @pytest.mark.parametrize("n_sites", [20, 40, 100, 160, 200])
 def test_engine_words_match_unblocked_reference(n_sites, monkeypatch):
-    """The bordered skew matrix of one quench sample, as the Wick engine builds it."""
+    """The reduced bordered operand of one quench sample, as the Wick engine builds it, against the full matrix."""
     seen = []
 
     def record(a, border=0):
@@ -302,10 +302,11 @@ def test_engine_words_match_unblocked_reference(n_sites, monkeypatch):
         return pfaffian(a, border)
 
     monkeypatch.setattr(isingring.wick, "pfaffian", record)
-    expectation_c1(evolve_quench(init_ferro(MomentumGrid(n_sites)), 0.5, 7.3))
-    assert [(len(a), border) for a, border in seen] == [(2 * n_sites + 1, 2)]
+    state = evolve_quench(init_ferro(MomentumGrid(n_sites)), 0.5, 7.3)
+    expectation_c1(state)
+    assert [border for _, border in seen] == [2] and len(seen[0][0]) < 2 * n_sites + 1
     operand, border = seen[0]
-    a = operand.entries
+    a = c1_bordered_reference(state).entries
     shared = 2 * n_sites - 1
     for i, value in enumerate(pfaffian(operand, border)):
         even = np.r_[:shared, shared + i]

@@ -1,8 +1,8 @@
 """Shared helpers for tests: the reference oracles (the unblocked Pfaffian,
 dense coefficient-array words and their dense contraction kernel, the dense
-two-word ``<c_1>`` fill, dict-operator BCS words, the per-word ``<c_1>``, the
-scalar contraction kernel, the explicit overlap formula, the per-mode
-propagator).  A reference operator is a pair ``(ann, cre)`` of dicts
+two-word ``<c_1>`` fill, the full bordered ``<c_1>`` matrix, dict-operator
+BCS words, the per-word ``<c_1>``, the scalar contraction kernel, the
+explicit overlap formula, the per-mode propagator).  A reference operator is a pair ``(ann, cre)`` of dicts
 ``{ModeIndex: coefficient}``.  :class:`ModeIndex`, a mode named by sector
 and grid index, lives here because only these oracles use it; the engine
 names a mode by its grid index alone (see
@@ -15,7 +15,7 @@ import numpy as np
 from isingring import observables
 from isingring.model import mode_hamiltonian_even
 from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, pfaffian
-from isingring.wick import vacuum_expectation
+from isingring.wick import contractions, vacuum_expectation
 
 
 #: sector labels: EVEN carries the half-integer grid, ODD the integer grid
@@ -223,6 +223,47 @@ def c1_words_dense(state):
     pref12 = phase / (2.0 * np.sqrt(n))
     pref3 = 1j * np.conj(phase) / (2.0 * np.sqrt(n))
     return [(pref12, FermionWord(ann[0], cre[0])), (pref3, FermionWord(ann[1], cre[1]))]
+
+
+def c1_bordered_reference(state) -> SkewMatrix:
+    """The full (2N + 1) x (2N + 1) bordered contraction matrix of both ``<c_1>`` words.
+
+    The leading block holds the 2N - 1 shared factors
+
+        <psi_e| (N factors), |psi_o> (N - 2 factors), c^dag_0
+
+    and the two border columns their contractions with ``c_1`` on the odd
+    grid (word 1) and with ``c_1^dag`` on the even grid (the adjoint of
+    word 2), under the current ``observables._TERM_SIGNS``.  Its bordered
+    Pfaffians are those of ``observables._c1_bordered(state)``, which
+    eliminates the accepted bra pairs of this matrix in one Schur complement.
+    """
+    grid = state.grid
+    n = grid.n_sites
+    s1, s2, s3 = observables._TERM_SIGNS
+    shared = 2 * n - 1
+    # (annihilated, created) parts; index 0 with coefficient 0 is an absent part
+    index = np.zeros((2, shared), dtype=int)
+    coeff = np.zeros((2, shared), dtype=complex)
+    observables._fill_bra(index[:, :n], coeff[:, :n], grid.plus, state.u_plus, state.v_plus)
+    observables._fill_ket(index[:, n:-1], coeff[:, n:-1], grid.minus, state.u_minus, state.v_minus)
+    coeff[1, -1] = 1.0
+    (ann, cre), (a, b) = index, coeff
+
+    # within a sector only the two factors of a BCS pair contract, with kappa = 1
+    rows = np.arange(0, shared - 1, 2)
+    pairs = a[rows] * b[rows + 1]
+    cross = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
+    # word 1's c_1 stands before the later factors, so its column holds minus its contractions
+    first = -np.where(cre[n:] == 0, s1, s2) * np.exp(1j * np.pi * cre[n:] / n) * b[n:]
+    second = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
+
+    skew = np.zeros((shared + 2, shared + 2), dtype=complex)
+    skew[rows, rows + 1] = pairs
+    skew[:n, n:shared] = cross
+    skew[n:shared, shared] = first
+    skew[:n, shared + 1] = second
+    return SkewMatrix(skew - skew.T, border=2)
 
 
 def bcs_amplitudes(rng, count, min_v=0.0):
