@@ -17,8 +17,6 @@ __all__ = [
     "dispersion",
     "bogoliubov_angle",
     "mode_coefficients",
-    "mode_hamiltonian_even",
-    "special_mode_energies",
     "sgs_energies",
     "gap_delta",
     "chord_excess",
@@ -86,21 +84,6 @@ def mode_coefficients(k, g):
     return 2.0 * (np.cos(k) + g), -2.0 * np.sin(k)
 
 
-def mode_hamiltonian_even(k: float, g: float) -> np.ndarray:
-    """Mode Hamiltonian in the even basis ``{|vac>, c^dag_k c^dag_-k |vac>}``."""
-    a, b = mode_coefficients(k, g)
-    return np.array([[a, b], [b, -a]], dtype=complex)
-
-
-def special_mode_energies(g: float):
-    """Diagonal entries of the two special-mode Hamiltonians.
-
-    Returned as ``(h1_pi, h2_pi, h1_0, h2_0)`` in the bases
-    ``{|vac>_{-pi}, |-pi>}`` and ``{|vac>_0, |0>}``.
-    """
-    return (-2.0 * (1.0 - g), 2.0 * (1.0 - g), 2.0 * (1.0 + g), -2.0 * (1.0 + g))
-
-
 def sgs_energies(grid: MomentumGrid, g: float):
     """Energies of the even and odd sub-ground states ``(e_plus, e_minus)``."""
     n = grid.n_sites
@@ -159,8 +142,8 @@ def chord_excess(x: float, n_sites: int) -> float:
     itself stays strictly positive (via the arbitrary-precision fallback).
     Coincides with the parity gap of the ring at field ``x``.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if not 0 <= x < np.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     grid = MomentumGrid(n_sites)
     alpha = np.pi / n_sites
 

@@ -26,6 +26,13 @@ the gather of :func:`isingring.wick.contractions`, kappa(m - m') over grid
 indices.  ``c_1`` annihilates, so it meets only the later factors of its
 own sector; ``c_1^dag`` creates, so it meets only the bra.  Each border
 column is therefore ``c_1``'s own coefficients at those factors' indices.
+So the operand is built straight from the amplitudes, out of the parts
+that meet across sectors: the bra pairs' annihilated parts ``c_{-k}`` and
+``conj(v_k) c_k``, the ket's created parts ``v_q c^dag_q`` and
+``c^dag_{-q}``, and ``c^dag_0``.  The in-sector pair entries are
+``conj(u_k)`` in the bra and ``u_q`` in the ket.  The adjoint lists the
+bra's pairs in descending k; they are laid out in ascending k, which
+moves whole pairs, with sign +1.
 
 The bra is eliminated first, in its Thouless form.  Write M as
 ``[[A, C], [-C^T, D]]`` with A the N bra rows.  A bra row meets only its
@@ -44,7 +51,7 @@ word in the bra's Thouless vacuum (the Pfaffian overlap formula of
 Bertsch and Robledo, PRL 108, 042505 (2012)).  The pairs do not couple
 to each other, so this is one update, one matrix product, whose order
 does not matter, and ``X - X^T`` keeps S exactly antisymmetric.  A
-rejected pair stays in S as its two rows, in its original order, so S
+rejected pair stays in S as its two rows, in ascending k, so S
 has dimension N + 1 + 2f for f rejected pairs, and the Pfaffian kernel
 eliminates a leading block of N - 1 + 2f rows instead of 2N - 1.
 
@@ -74,10 +81,10 @@ border column then gains exactly ``z 2^e``, so the returned operand's
 bordered Pfaffians are those of the full matrix.
 
 S reaches the Pfaffian as
-:meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, with its largest
-entry magnitude as its ``PIVOT_RTOL`` scale and without the antisymmetry
-scan that an arbitrary matrix needs; a NaN or infinite entry makes that
-scale NaN or infinite, which raises ``ValueError``.
+:meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, which takes its
+largest entry magnitude as the ``PIVOT_RTOL`` scale and skips the
+antisymmetry scan that an arbitrary matrix needs; a NaN or infinite entry
+makes that scale NaN or infinite, which raises ``ValueError``.
 
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
@@ -121,23 +128,6 @@ class MagnetizationSample:
     mz: float
 
 
-def _fill_ket(index, coeff, modes, u, v):
-    """Write ``|X>``, the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices, into the rows.
-
-    ``index`` and ``coeff`` are (2, 2 len(modes)) views of a word's
-    (annihilated, created) parts; ``eta^dag_k`` is ``u c_{-k} + v c^dag_k``.
-    """
-    index[:, 0::2] = -modes, modes
-    coeff[:, 0::2] = u, v
-    index[1, 1::2] = -modes
-    coeff[1, 1::2] = 1.0
-
-
-def _fill_bra(index, coeff, modes, u, v):
-    """Write ``<X|``, the adjoint of ``|X>``: rows reversed, coefficients conjugated, ann and cre swapped."""
-    _fill_ket(index[::-1, ::-1], coeff[::-1, ::-1], modes, np.conj(u), np.conj(v))
-
-
 def _pair_product(alpha):
     """``prod(alpha)`` as ``(z, e)``, ``prod(alpha) = z 2^e`` with ``1/2 <= |z| < 1``.
 
@@ -173,24 +163,27 @@ def _c1_bordered(state: SystemState) -> SkewMatrix:
     grid = state.grid
     n = grid.n_sites
     s1, s2, s3 = _TERM_SIGNS
-    shared = 2 * n - 1
-    # (annihilated, created) parts; index 0 with coefficient 0 is an absent part
-    index = np.zeros((2, shared), dtype=int)
-    coeff = np.zeros((2, shared), dtype=complex)
-    _fill_bra(index[:, :n], coeff[:, :n], grid.plus, state.u_plus, state.v_plus)
-    _fill_ket(index[:, n:-1], coeff[:, n:-1], grid.minus, state.u_minus, state.v_minus)
-    coeff[1, -1] = 1.0
-    (ann, cre), (a, b) = index, coeff
+    # the parts that meet across sectors: the bra pairs' annihilated parts c_{-k} and
+    # conj(v) c_k, ascending in k, and the ket's created parts v c^dag_k and c^dag_{-k},
+    # then c^dag_0
+    ann = np.empty(n, dtype=int)
+    ann[0::2], ann[1::2] = -grid.plus, grid.plus
+    a = np.ones(n, dtype=complex)
+    a[1::2] = np.conj(state.v_plus)
+    cre = np.zeros(n - 1, dtype=int)
+    cre[0:-1:2], cre[1::2] = grid.minus, -grid.minus
+    b = np.ones(n - 1, dtype=complex)
+    b[0:-1:2] = state.v_minus
 
     # within a sector only the two factors of a BCS pair contract, with kappa = 1
-    alpha = a[0:n:2] * b[1:n:2]
+    alpha = np.conj(state.u_plus)
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
     rows = np.zeros((n, n + 1), dtype=complex)
-    rows[:, :n - 1] = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
-    rows[:, n] = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
+    rows[:, :n - 1] = contractions((ann, cre), (a, b), n)
+    rows[:, n] = s3 * np.exp(-1j * np.pi * ann / n) * a
     # word 1's c_1 stands before the later factors, so its column holds minus its contractions
-    first = -np.where(cre[n:] == 0, s1, s2) * np.exp(1j * np.pi * cre[n:] / n) * b[n:]
+    first = -np.where(cre == 0, s1, s2) * np.exp(1j * np.pi * cre / n) * b
 
     # the pivot test; a NaN or infinite entry fails it and stays in the operand
     pair_rows = rows.reshape(n // 2, 2, n + 1)
@@ -213,7 +206,7 @@ def _c1_bordered(state: SystemState) -> SkewMatrix:
     upper[:k, k:] = rejected
     upper[k:-2, -2] = first
     at = np.arange(0, dim - 3, 2)
-    upper[at, at + 1] += np.concatenate((alpha[kept], a[n:-1:2] * b[n + 1::2]))
+    upper[at, at + 1] += np.concatenate((alpha[kept], state.u_minus))
     skew = upper - upper.T
 
     # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
@@ -221,8 +214,7 @@ def _c1_bordered(state: SystemState) -> SkewMatrix:
     skew *= math.ldexp(1.0, 2 * q)
     skew[:r] *= 2.0
     skew[:, :r] *= 2.0
-    # max propagates a NaN entry into the scale, which SkewMatrix.antisymmetric rejects
-    return SkewMatrix.antisymmetric(skew, np.abs(skew).max(), border=2)
+    return SkewMatrix.antisymmetric(skew, border=2)
 
 
 def expectation_c1(state: SystemState) -> complex:

@@ -14,8 +14,9 @@ space is spanned by one normalized orbit sum per translation orbit of basis
 states (108 at N = 10 and 352 at N = 12, against 2^N).  The sector
 Hamiltonian is assembled directly in that basis and diagonalized; states are
 mapped back to the 2^N spin basis only to be measured.  The other helpers
-(``build_hamiltonian``, ``evolve_exact``, ``apply_kick``, ``measure``) act
-on the full 2^N space and serve as its cross-check.
+act on the full 2^N space: ``build_hamiltonian`` and ``ground_parity``,
+and the momentum-space sub-ground states, ferro states and cat states, in
+which the correspondence between momentum space and real space is checked.
 
 Basis convention: sigma^z product states, site 1 stored in the lowest-order
 bit, bit value 1 meaning spin up (occupied).
@@ -33,9 +34,6 @@ from .model import MomentumGrid
 __all__ = [
     "DenseState",
     "build_hamiltonian",
-    "evolve_exact",
-    "apply_kick",
-    "measure",
     "ground_parity",
     "build_momentum_sgs",
     "ferro_state",
@@ -95,45 +93,6 @@ def build_hamiltonian(n_sites: int, g: float) -> np.ndarray:
         mask = (1 << j) | (1 << ((j + 1) % n_sites))
         h[states, states ^ mask] -= 1.0
     return h
-
-
-def evolve_exact(state: DenseState, h: np.ndarray, t: float) -> DenseState:
-    """Evolve by ``exp(-i h t)`` through a full eigendecomposition."""
-    energies, vectors = np.linalg.eigh(h)
-    coeff = vectors.conj().T @ state.amplitudes
-    psi = vectors @ (np.exp(-1j * energies * t) * coeff)
-    psi /= np.linalg.norm(psi)
-    return DenseState(state.n_sites, psi)
-
-
-def apply_kick(state: DenseState, phi: float) -> DenseState:
-    """Global z-rotation ``exp(-i (phi/2) sum_j sigma^z_j)``."""
-    phase = np.exp(-1j * (phi / 2.0) * (2.0 * _popcount(state.n_sites) - state.n_sites))
-    return DenseState(state.n_sites, phase * state.amplitudes)
-
-
-def _apply_pauli(psi: np.ndarray, n_sites: int, axis: str, site: int) -> np.ndarray:
-    bit = 1 << (site - 1)
-    states = np.arange(2**n_sites)
-    if axis == "z":
-        sign = np.where(states & bit, 1.0, -1.0)
-        return sign * psi
-    flipped = states ^ bit
-    if axis == "x":
-        return psi[flipped]
-    if axis == "y":
-        # <up|sigma^y|down> = -i, <down|sigma^y|up> = +i
-        factor = np.where(states & bit, -1j, 1j)
-        return factor * psi[flipped]
-    raise ValueError(f"unknown axis {axis!r}")
-
-
-def measure(state: DenseState, axis: str, site: int) -> float:
-    """Single-site Pauli expectation ``<sigma^axis_site>``."""
-    if not 1 <= site <= state.n_sites:
-        raise ValueError(f"site {site} out of range")
-    acted = _apply_pauli(state.amplitudes, state.n_sites, axis, site)
-    return float(np.real(np.vdot(state.amplitudes, acted)))
 
 
 def _parity_diag(n_sites: int) -> np.ndarray:
@@ -278,7 +237,7 @@ def _magnetizations(n_sites: int, col: np.ndarray, weight: np.ndarray, coeffs: n
         raise ValueError(f"state not normalized: |psi| = {norm}")
     psi /= norm
     # sigma^x_1 and sigma^y_1 pair each even state s (site 1 down) with s + 1 (site 1 up);
-    # with <up|sigma^y|down> = -i, as in measure
+    # with <up|sigma^y|down> = -i
     pair = (psi[0::2].conj() * psi[1::2]).sum(axis=0)
     z_total = 2.0 * _popcount(n_sites) - n_sites
     return np.column_stack([2 * n_sites * pair.real, -2 * n_sites * pair.imag,

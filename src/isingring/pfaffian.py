@@ -16,18 +16,16 @@ w_1, ...]`` and ``Q = [-w_0, tau_0, -w_1, tau_1, ...]``, so that
 before it is read is then the one product ``P Q[k]^T``, a pivot swap swaps
 the rows of P and Q too, and at the end of the panel the trailing block
 receives ``Q P^T`` from one matrix product, antisymmetric as it stands.
-The panel width follows from the matrix size: one step (each update
-applied at once) below dimension ``_BLOCK_MIN_DIM``, where the extra
-products cost more than they save, and ``_BLOCK_STEPS`` steps from there
-on.
+Every panel spans ``_BLOCK_STEPS`` steps, at every matrix size; the last
+one spans the steps that are left.
 
 The operand.  An array is validated by :class:`SkewMatrix`, which scans
 it for antisymmetry (``|M + M^T|``) and stores its symmetrized copy
 ``(M - M^T) / 2``, in which :func:`pfaffian` then eliminates.  A matrix
 that is antisymmetric by construction, such as the engine's bordered word
 matrix (see :mod:`isingring.observables`), enters through
-:meth:`SkewMatrix.antisymmetric` with the largest entry magnitude that its
-builder took from the blocks it wrote: no scan and no symmetrized copy.
+:meth:`SkewMatrix.antisymmetric`, which takes only its largest entry
+magnitude: no antisymmetry scan and no symmetrized copy.
 Every path keeps the shape and border checks and raises ``ValueError`` for
 a NaN or infinite entry, and :func:`pfaffian` eliminates a ``SkewMatrix``
 in a plain copy, so it never changes one.
@@ -60,9 +58,7 @@ __all__ = ["SkewMatrix", "pfaffian", "PfaffianDimensionError", "SkewSymmetryErro
 ASYMMETRY_RTOL = 1e-12
 #: pivots below this fraction of the largest initial entry short-circuit to 0
 PIVOT_RTOL = 1e-13
-#: leading blocks of at least this dimension delay their updates over panels ...
-_BLOCK_MIN_DIM = 48
-#: ... of this many elimination steps (2 rows and columns each)
+#: the updates are delayed over panels of this many elimination steps (2 rows and columns each)
 _BLOCK_STEPS = 32
 #: the smallest normal double: a smaller pivot product has lost digits
 _TINY = sys.float_info.min
@@ -109,20 +105,23 @@ class SkewMatrix:
         self.max_asymmetry = asymmetry
 
     @classmethod
-    def antisymmetric(cls, entries: np.ndarray, scale, border: int = 0) -> "SkewMatrix":
-        """Wrap a complex matrix that is antisymmetric by construction, as it is.
+    def antisymmetric(cls, entries, border: int = 0) -> "SkewMatrix":
+        """Wrap a matrix that is antisymmetric by construction, as it is.
 
-        The caller guarantees ``entries == -entries.T`` exactly and passes
-        the largest entry magnitude as ``scale``, NaN if an entry is NaN.
-        The shape and border are checked and a scale that is not finite
-        raises ``ValueError``; the entries are neither scanned nor copied.
+        The caller guarantees ``entries == -entries.T`` exactly.  The
+        entries are taken as complex, which copies only real or integer
+        input, and are not scanned for antisymmetry.  The shape and border
+        are checked, and the largest entry magnitude becomes ``scale``; a
+        NaN or infinite entry makes it NaN or infinite, which raises
+        ``ValueError``.
         """
+        entries = np.asarray(entries, dtype=complex)
         _check_shape(entries.shape, border)
         self = cls.__new__(cls)
         self.entries = entries
         self.dim = len(entries)
         self.border = border
-        self.scale = _finite(scale)
+        self.scale = _finite(np.abs(entries).max())
         self.max_asymmetry = 0.0
         return self
 
@@ -212,13 +211,12 @@ def pfaffian(a, border: int = 0):
     # from it: all but its last row (all but the last two of an even block)
     d = n - border
     e = d - 2 + d % 2
-    nb = _BLOCK_STEPS if d >= _BLOCK_MIN_DIM else 1
     # the panel's pending updates, interleaved: step j's (tau, w) in p[:, 2j:2j + 2], (-w, tau) in q
-    pq = np.empty((n, 4 * nb), dtype=complex)
-    p, q = pq[:, :2 * nb], pq[:, 2 * nb:]
+    pq = np.empty((n, 4 * _BLOCK_STEPS), dtype=complex)
+    p, q = pq[:, :2 * _BLOCK_STEPS], pq[:, 2 * _BLOCK_STEPS:]
     pf = 1.0 + 0.0j
-    for k0 in range(0, e, 2 * nb):
-        steps = min(nb, (e - k0) // 2)
+    for k0 in range(0, e, 2 * _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, (e - k0) // 2)
         for j in range(steps):
             k = k0 + 2 * j
             # row k brought up to date is minus column k: the matrix stays antisymmetric

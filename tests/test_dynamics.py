@@ -13,8 +13,15 @@ from isingring.dynamics import (
     evolve_quench,
     init_ferro,
 )
-from isingring.model import MomentumGrid, mode_hamiltonian_even
-from tests_support import bcs_amplitudes, minus_modes, mode_unitary, plus_modes, stepped_reference
+from isingring.model import MomentumGrid
+from tests_support import (
+    bcs_amplitudes,
+    minus_modes,
+    mode_hamiltonian_even,
+    mode_unitary,
+    plus_modes,
+    stepped_reference,
+)
 
 
 def random_state(rng, grid, zero_v_mode=None):

@@ -13,11 +13,10 @@ from isingring.model import (
     delta_l,
     dispersion,
     gap_delta,
-    mode_hamiltonian_even,
     sgs_energies,
-    special_mode_energies,
     xyz_factorization,
 )
+from tests_support import mode_hamiltonian_even, special_mode_energies
 
 
 class TestGrid:
@@ -161,6 +160,16 @@ class TestChordDiagnostic:
             delta_l(-0.1, 8)
         with pytest.raises(ValueError):
             delta_l(1.0, 7)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_raises(self, x):
+        # no silent NaN from the chord sum
+        with pytest.raises(ValueError, match="finite"):
+            chord_excess(x, 8)
+        with pytest.raises(ValueError, match="finite"):
+            delta_l(x, 8)
+        with pytest.raises(ValueError, match="finite"):
+            gap_delta(MomentumGrid(8), x)
 
 
 def test_cat_norm_identity():

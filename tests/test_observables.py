@@ -15,7 +15,7 @@ from isingring.observables import (
     magnetization,
     run_series,
 )
-from isingring.pfaffian import _BLOCK_MIN_DIM, pfaffian
+from isingring.pfaffian import pfaffian
 from isingring.wick import contractions
 from tests_support import (
     bcs_amplitudes,
@@ -23,7 +23,9 @@ from tests_support import (
     c1_words_dense,
     dense_expectation,
     dense_skew,
+    evolve_exact,
     expectation_c1_reference,
+    measure,
     pfaffian_reference,
 )
 
@@ -80,10 +82,10 @@ class TestAgainstDenseOracle:
         state = evolve_quench(init_ferro(MomentumGrid(n)), 1.3, 0.8)
         sample = magnetization(state)
         h = oracle_ed.build_hamiltonian(n, 1.3)
-        psi = oracle_ed.evolve_exact(oracle_ed.ferro_state(n), h, 0.8)
-        assert sample.mx == pytest.approx(n * oracle_ed.measure(psi, "x", 1), abs=1e-10)
-        assert sample.my == pytest.approx(n * oracle_ed.measure(psi, "y", 1), abs=1e-10)
-        mz_exact = sum(oracle_ed.measure(psi, "z", j) for j in range(1, n + 1))
+        psi = evolve_exact(oracle_ed.ferro_state(n), h, 0.8)
+        assert sample.mx == pytest.approx(n * measure(psi, "x", 1), abs=1e-10)
+        assert sample.my == pytest.approx(n * measure(psi, "y", 1), abs=1e-10)
+        mz_exact = sum(measure(psi, "z", j) for j in range(1, n + 1))
         assert sample.mz == pytest.approx(mz_exact, abs=1e-10)
 
 
@@ -353,8 +355,7 @@ class TestAgainstUnblockedDenseWords:
 
     @pytest.mark.parametrize("n", [24, 26])
     def test_matches_reference_pfaffians(self, n):
-        # leading blocks 2N - 1 = 47 (one step at a time) and 51 (panels)
-        assert (2 * n - 1 >= _BLOCK_MIN_DIM) == (n == 26)
+        # two dense words of 2N = 48 and 52 factors, through the unblocked kernel
         for state in _sample_states(n):
             reference = sum(coeff * pfaffian_reference(dense_skew(word)) for coeff, word in c1_words_dense(state))
             assert abs(expectation_c1(state) - reference) <= 1e-12 * abs(reference)

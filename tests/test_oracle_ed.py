@@ -9,18 +9,15 @@ from isingring import oracle_ed
 from isingring.model import MomentumGrid, dispersion, sgs_energies
 from isingring.oracle_ed import (
     DenseState,
-    apply_kick,
     build_hamiltonian,
     build_momentum_sgs,
     cat_state,
-    evolve_exact,
     ferro_state,
     ground_parity,
     kick_trajectory,
-    measure,
     quench_trajectory,
 )
-from tests_support import plus_modes
+from tests_support import apply_kick, evolve_exact, measure, plus_modes
 
 
 def full_space_row(psi):

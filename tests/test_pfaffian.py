@@ -11,7 +11,6 @@ from isingring.dynamics import evolve_quench, init_ferro
 from isingring.model import MomentumGrid
 from isingring.observables import expectation_c1
 from isingring.pfaffian import (
-    _BLOCK_MIN_DIM,
     _BLOCK_STEPS,
     PfaffianDimensionError,
     SkewMatrix,
@@ -22,9 +21,9 @@ from tests_support import c1_bordered_reference, pfaffian_reference
 
 #: rows and columns a full panel eliminates
 PANEL = 2 * _BLOCK_STEPS
-#: dimensions on both sides of the switch to panels and of the panel edges
+#: small dimensions, one partial panel, and dimensions on both sides of the panel edges
 EDGE_SIZES = sorted({
-    2, 4, _BLOCK_MIN_DIM - 2, _BLOCK_MIN_DIM, _BLOCK_MIN_DIM + 2,
+    2, 4, 46, 48, 50,
     PANEL, PANEL + 2, PANEL + 4, 2 * PANEL, 2 * PANEL + 2, 2 * PANEL + 4, 400,
 })
 
@@ -203,27 +202,39 @@ def test_non_finite_entry_rejected(bad, n):
 
 @pytest.mark.parametrize("n, border", [(6, 0), (9, 2), (PANEL + 8, 3)])
 def test_antisymmetric_operand_matches_validated_path(n, border):
-    # the wrapped matrix is neither scanned nor copied, and eliminates to the validated path's values
+    # a complex matrix is neither scanned nor copied, and eliminates to the validated path's values
     a = random_skew(n, np.random.default_rng(n))
     kept = a.copy()
-    operand = SkewMatrix.antisymmetric(a, np.abs(a).max(), border)
+    operand = SkewMatrix.antisymmetric(a, border)
     assert operand.entries is a and len(operand) == operand.dim == n
-    assert operand.scale == SkewMatrix(a, border).scale and operand.max_asymmetry == 0.0
+    assert operand.scale == SkewMatrix(a, border).scale == np.abs(a).max()
+    assert operand.max_asymmetry == 0.0
     assert pfaffian(operand, border) == pfaffian(a, border)
     np.testing.assert_array_equal(a, kept)
+
+
+@pytest.mark.parametrize("dtype", [int, float, complex])
+def test_antisymmetric_operand_takes_real_and_integer_entries(dtype):
+    upper = np.triu(np.random.default_rng(6).integers(-9, 10, (6, 6)), 1)
+    m = (upper - upper.T).astype(dtype)
+    if dtype is complex:
+        m *= 1 - 2j
+    assert pfaffian(SkewMatrix.antisymmetric(m)) == pfaffian(m) != 0.0
 
 
 def test_antisymmetric_operand_keeps_shape_border_and_finiteness_checks():
     a = random_skew(5, np.random.default_rng(5))
     with pytest.raises(PfaffianDimensionError):
-        SkewMatrix.antisymmetric(a, 1.0)
+        SkewMatrix.antisymmetric(a)
     with pytest.raises(PfaffianDimensionError):
-        SkewMatrix.antisymmetric(a[:4], 1.0, border=2)
+        SkewMatrix.antisymmetric(a[:4], border=2)
     with pytest.raises(PfaffianDimensionError):
-        SkewMatrix.antisymmetric(a, 1.0, border=5)
-    for bad in (np.nan, np.inf):
+        SkewMatrix.antisymmetric(a, border=5)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        poisoned = a.copy()
+        poisoned[1, 3], poisoned[3, 1] = bad, -bad
         with pytest.raises(ValueError, match="finite"):
-            SkewMatrix.antisymmetric(a, bad, border=2)
+            SkewMatrix.antisymmetric(poisoned, border=2)
 
 
 def test_block_direct_sums_with_later_panel_events():
@@ -361,9 +372,9 @@ def test_bordered_closed_form_and_validation():
         pfaffian(SkewMatrix(a, 2), 1)
 
 
-#: odd leading blocks on both sides of the switch to panels, of one panel and of one and a half
+#: odd leading blocks of one partial panel, of one panel and of one and a half
 BORDERED_BLOCKS = sorted({
-    _BLOCK_MIN_DIM - 1, _BLOCK_MIN_DIM + 1, PANEL - 1, PANEL + 1, 3 * PANEL // 2 - 1, 3 * PANEL // 2 + 1,
+    3, 5, 9, 11, 47, 49, PANEL - 1, PANEL + 1, 3 * PANEL // 2 - 1, 3 * PANEL // 2 + 1,
 })
 BORDERS = st.integers(min_value=1, max_value=3)
 
@@ -374,7 +385,7 @@ def random_bordered(d, border, seed, rank=None):
     a = random_skew(d + border, rng) / np.sqrt(d)
     if rank is not None:
         q = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(d)
-        a[:d, :d] = q @ random_skew(rank, rng) @ q.T / np.sqrt(rank)
+        a[:d, :d] = q @ random_skew(rank, rng) @ q.T / np.sqrt(max(rank, 1))
     return a
 
 
@@ -394,6 +405,7 @@ def test_bordered_matches_unblocked_reference(d, seed, border):
 @settings(derandomize=True, max_examples=2, deadline=None)
 @given(seed=SEEDS, border=BORDERS, deficit=st.sampled_from([3, 5, 7]))
 def test_rank_deficient_block_gives_exact_zeros(d, seed, border, deficit):
-    # each bordered Pfaffian is linear in the (d - 1)-minors of the block, which all vanish
-    a = random_bordered(d, border, seed, rank=d - deficit)
+    # each bordered Pfaffian is linear in the (d - 1)-minors of the block, which all vanish;
+    # a deficit larger than the block leaves it all zero
+    a = random_bordered(d, border, seed, rank=max(d - deficit, 0))
     assert pfaffian(a, border) == (0.0 + 0.0j,) * border

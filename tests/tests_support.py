@@ -1,8 +1,9 @@
 """Shared helpers for tests: the reference oracles (the unblocked Pfaffian,
 dense coefficient-array words and their dense contraction kernel, the dense
-two-word ``<c_1>`` fill, the full bordered ``<c_1>`` matrix, dict-operator
-BCS words, the per-word ``<c_1>``, the scalar contraction kernel, the
-explicit overlap formula, the per-mode propagator).  A reference operator is a pair ``(ann, cre)`` of dicts
+two-word ``<c_1>`` fill, the full bordered ``<c_1>`` matrix and its word
+fills, dict-operator BCS words, the per-word ``<c_1>``, the scalar
+contraction kernel, the explicit overlap formula, the per-mode propagator
+and mode Hamiltonians, full-space evolution, kicks and measurement).  A reference operator is a pair ``(ann, cre)`` of dicts
 ``{ModeIndex: coefficient}``.  :class:`ModeIndex`, a mode named by sector
 and grid index, lives here because only these oracles use it; the engine
 names a mode by its grid index alone (see
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from isingring import observables
-from isingring.model import mode_hamiltonian_even
+from isingring.model import mode_coefficients
+from isingring.oracle_ed import DenseState, _popcount
 from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, pfaffian
 from isingring.wick import contractions, vacuum_expectation
 
@@ -225,6 +227,23 @@ def c1_words_dense(state):
     return [(pref12, FermionWord(ann[0], cre[0])), (pref3, FermionWord(ann[1], cre[1]))]
 
 
+def _fill_ket(index, coeff, modes, u, v):
+    """Write ``|X>``, the factor pairs ``(eta^dag_k, c^dag_{-k})`` of the positive grid indices, into the rows.
+
+    ``index`` and ``coeff`` are (2, 2 len(modes)) views of a word's
+    (annihilated, created) parts; ``eta^dag_k`` is ``u c_{-k} + v c^dag_k``.
+    """
+    index[:, 0::2] = -modes, modes
+    coeff[:, 0::2] = u, v
+    index[1, 1::2] = -modes
+    coeff[1, 1::2] = 1.0
+
+
+def _fill_bra(index, coeff, modes, u, v):
+    """Write ``<X|``, the adjoint of ``|X>``: rows reversed, coefficients conjugated, ann and cre swapped."""
+    _fill_ket(index[::-1, ::-1], coeff[::-1, ::-1], modes, np.conj(u), np.conj(v))
+
+
 def c1_bordered_reference(state) -> SkewMatrix:
     """The full (2N + 1) x (2N + 1) bordered contraction matrix of both ``<c_1>`` words.
 
@@ -237,6 +256,8 @@ def c1_bordered_reference(state) -> SkewMatrix:
     word 2), under the current ``observables._TERM_SIGNS``.  Its bordered
     Pfaffians are those of ``observables._c1_bordered(state)``, which
     eliminates the accepted bra pairs of this matrix in one Schur complement.
+    It is filled from the words' factors, the bra in the adjoint's order
+    (pairs in descending k), and shares no assembly code with the engine.
     """
     grid = state.grid
     n = grid.n_sites
@@ -245,8 +266,8 @@ def c1_bordered_reference(state) -> SkewMatrix:
     # (annihilated, created) parts; index 0 with coefficient 0 is an absent part
     index = np.zeros((2, shared), dtype=int)
     coeff = np.zeros((2, shared), dtype=complex)
-    observables._fill_bra(index[:, :n], coeff[:, :n], grid.plus, state.u_plus, state.v_plus)
-    observables._fill_ket(index[:, n:-1], coeff[:, n:-1], grid.minus, state.u_minus, state.v_minus)
+    _fill_bra(index[:, :n], coeff[:, :n], grid.plus, state.u_plus, state.v_plus)
+    _fill_ket(index[:, n:-1], coeff[:, n:-1], grid.minus, state.u_minus, state.v_minus)
     coeff[1, -1] = 1.0
     (ann, cre), (a, b) = index, coeff
 
@@ -427,6 +448,21 @@ def inner_product_Imn(bra_modes, ket_modes) -> complex:
     return prefactor * pfaffian(a)
 
 
+def mode_hamiltonian_even(k: float, g: float) -> np.ndarray:
+    """Mode Hamiltonian in the even basis ``{|vac>, c^dag_k c^dag_-k |vac>}``."""
+    a, b = mode_coefficients(k, g)
+    return np.array([[a, b], [b, -a]], dtype=complex)
+
+
+def special_mode_energies(g: float):
+    """Diagonal entries of the two special-mode Hamiltonians.
+
+    Returned as ``(h1_pi, h2_pi, h1_0, h2_0)`` in the bases
+    ``{|vac>_{-pi}, |-pi>}`` and ``{|vac>_0, |0>}``.
+    """
+    return (-2.0 * (1.0 - g), 2.0 * (1.0 - g), 2.0 * (1.0 + g), -2.0 * (1.0 + g))
+
+
 def mode_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """Exact ``exp(-i h t)`` of a Hermitian 2x2 matrix.
 
@@ -471,3 +507,42 @@ def stepped_reference(state, g, t, phi=None, steps=1):
     grid = state.grid
     return (*sector(plus_modes(grid), state.u_plus, state.v_plus),
             *sector(minus_modes(grid), state.u_minus, state.v_minus))
+
+
+def evolve_exact(state: DenseState, h: np.ndarray, t: float) -> DenseState:
+    """Evolve by ``exp(-i h t)`` through a full eigendecomposition."""
+    energies, vectors = np.linalg.eigh(h)
+    coeff = vectors.conj().T @ state.amplitudes
+    psi = vectors @ (np.exp(-1j * energies * t) * coeff)
+    psi /= np.linalg.norm(psi)
+    return DenseState(state.n_sites, psi)
+
+
+def apply_kick(state: DenseState, phi: float) -> DenseState:
+    """Global z-rotation ``exp(-i (phi/2) sum_j sigma^z_j)``."""
+    phase = np.exp(-1j * (phi / 2.0) * (2.0 * _popcount(state.n_sites) - state.n_sites))
+    return DenseState(state.n_sites, phase * state.amplitudes)
+
+
+def _apply_pauli(psi: np.ndarray, n_sites: int, axis: str, site: int) -> np.ndarray:
+    bit = 1 << (site - 1)
+    states = np.arange(2**n_sites)
+    if axis == "z":
+        sign = np.where(states & bit, 1.0, -1.0)
+        return sign * psi
+    flipped = states ^ bit
+    if axis == "x":
+        return psi[flipped]
+    if axis == "y":
+        # <up|sigma^y|down> = -i, <down|sigma^y|up> = +i
+        factor = np.where(states & bit, -1j, 1j)
+        return factor * psi[flipped]
+    raise ValueError(f"unknown axis {axis!r}")
+
+
+def measure(state: DenseState, axis: str, site: int) -> float:
+    """Single-site Pauli expectation ``<sigma^axis_site>``."""
+    if not 1 <= site <= state.n_sites:
+        raise ValueError(f"site {site} out of range")
+    acted = _apply_pauli(state.amplitudes, state.n_sites, axis, site)
+    return float(np.real(np.vdot(state.amplitudes, acted)))
