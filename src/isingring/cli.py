@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse's exit on a bad flag or config key
         return exc.code
-    except (ValueError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ frustration-free factorization formulas of the open XYZ chain.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class MomentumGrid:
     n_sites: int
 
     def __post_init__(self):
-        n = self.n_sites
+        n = _integer_sites(self.n_sites)
         if n < 4 or n % 2 != 0:
             raise ValueError(f"n_sites must be even and >= 4, got {n}")
 
@@ -56,6 +57,14 @@ class MomentumGrid:
     def minus(self) -> np.ndarray:
         """Grid indices 2, 4, ..., N - 2 of the positive odd-sector normal modes."""
         return np.arange(2, self.n_sites, 2)
+
+
+def _integer_sites(n_sites) -> int:
+    """``n_sites`` as an int; a non-integer, even 8.0, raises ``ValueError``."""
+    try:
+        return operator.index(n_sites)
+    except TypeError:
+        raise ValueError(f"n_sites must be an integer, got {n_sites!r}") from None
 
 
 def dispersion(k, g: float):
@@ -105,6 +114,8 @@ def _gap_precise(x: float, n_sites: int) -> float:
     The gap scales roughly like x^N for x < 1, far below the double-precision
     cancellation floor of the O(N) energy sums, so the alternating sum minus
     one is evaluated with enough digits to resolve it before rounding back.
+    For x > 0 a value below the smallest normal double raises
+    ``FloatingPointError`` instead of rounding to a denormal or to 0.
     """
     import mpmath
 
@@ -121,6 +132,8 @@ def _gap_precise(x: float, n_sites: int) -> float:
                 xm * xm - 2 * xm * mpmath.cospi(mpmath.mpf(j) / n_sites) + 1
             )
             total += chord if j % 2 else -chord
+        if total < np.finfo(float).tiny:
+            raise FloatingPointError(f"parity gap at x = {x}, N = {n_sites} is below the double range")
         return float(total)
 
 
@@ -140,7 +153,9 @@ def chord_excess(x: float, n_sites: int) -> float:
     Exposed separately because deep inside the unit circle the excess is
     exponentially small in N: adding it to 1 rounds away, while the excess
     itself stays strictly positive (via the arbitrary-precision fallback).
-    Coincides with the parity gap of the ring at field ``x``.
+    Where it falls below the smallest normal double (x > 0) it raises
+    ``FloatingPointError``; at x = 0 it is exactly 0.  Coincides with the
+    parity gap of the ring at field ``x``.
     """
     if not 0 <= x < np.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
@@ -162,9 +177,13 @@ def delta_l(x: float, n_sites: int) -> float:
 
     For a point P = (x, 0), x >= 0, with the semicircle cut into N equal
     sectors, returns the sum of the odd-index chords minus the even-index
-    ones.  Satisfies ``delta_l(x) = gap_delta(x) + 1``.
+    ones.  Satisfies ``delta_l(x) = gap_delta(x) + 1``, and is 1.0, correctly
+    rounded, where the excess is below the double range.
     """
-    return 1.0 + chord_excess(x, n_sites)
+    try:
+        return 1.0 + chord_excess(x, n_sites)
+    except FloatingPointError:
+        return 1.0
 
 
 def cat_norm_identity(n_sites: int) -> float:
@@ -184,14 +203,14 @@ def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):
     Returns ``(h_star, beta_star, overlap)``: the factorizing field, the
     product-state mixing amplitude, and the overlap of the two factorized
     ground states ``((1 - beta*) / (1 + beta*))^N``.
-    Requires the ordering ``jx < jy <= 0 <= jz``.
+    Requires finite couplings ordered ``jx < jy <= 0 <= jz``, which make
+    ``(jz - jx)(jz - jy)`` nonnegative, and a positive integer ``n_sites``.
     """
-    if not (jx < jy <= 0.0 <= jz):
-        raise ValueError(f"couplings must satisfy jx < jy <= 0 <= jz, got ({jx}, {jy}, {jz})")
-    prod = (jz - jx) * (jz - jy)
-    if prod < 0.0:
-        raise ValueError("(jz - jx)(jz - jy) must be nonnegative")
-    h_star = np.sqrt(prod)
+    if not (np.isfinite([jx, jy, jz]).all() and jx < jy <= 0.0 <= jz):
+        raise ValueError(f"couplings must be finite with jx < jy <= 0 <= jz, got ({jx}, {jy}, {jz})")
+    if _integer_sites(n_sites) < 1:
+        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+    h_star = np.sqrt((jz - jx) * (jz - jy))
     beta_star = -(jx - jy) / (np.sqrt((jx - jy) ** 2 + 4.0 * h_star**2) - 2.0 * h_star)
     overlap = ((1.0 - beta_star) / (1.0 + beta_star)) ** n_sites
     return float(h_star), float(beta_star), float(overlap)

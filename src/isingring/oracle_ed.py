@@ -6,17 +6,21 @@ sub-ground states in the spin basis (through the Jordan-Wigner map with the
 string over sites 1..j-1 and sigma^z = 2 c^dag c - 1, so spin-down is the
 fermion vacuum).  It shares no code with the Pfaffian engine.
 
-The trajectories run in the zero-momentum sector of the translation T by
-one site, which is exact: T commutes with the periodic Hamiltonian and with
-the kick, a rotation about z of every spin alike, and the +x ferro state is
-T-invariant, so the state never leaves the eigenvalue-1 space of T.  That
-space is spanned by one normalized orbit sum per translation orbit of basis
-states (108 at N = 10 and 352 at N = 12, against 2^N).  The sector
-Hamiltonian is assembled directly in that basis and diagonalized; states are
-mapped back to the 2^N spin basis only to be measured.  The other helpers
-act on the full 2^N space: ``build_hamiltonian`` and ``ground_parity``,
-and the momentum-space sub-ground states, ferro states and cat states, in
-which the correspondence between momentum space and real space is checked.
+The trajectories and ``ground_parity`` run in the zero-momentum sector of
+the translation T by one site.  For the trajectories this is exact: T
+commutes with the periodic Hamiltonian and with the kick, a rotation about
+z of every spin alike, and the +x ferro state is T-invariant, so the state
+never leaves the eigenvalue-1 space of T.  ``ground_parity`` explains why
+the ground state of each parity lies there too.  That space is spanned by
+one normalized orbit sum per translation orbit of basis states (108 at
+N = 10 and 352 at N = 12, against 2^N).  The sector Hamiltonian is
+assembled directly in that basis and diagonalized, the only eigensolve in
+this module; states are mapped back to the 2^N spin basis only to be
+measured.  The other helpers act on the full 2^N space:
+``build_hamiltonian``, the reference the sector Hamiltonian is tested
+against, and the momentum-space sub-ground states, ferro states and cat
+states, in which the correspondence between momentum space and real space
+is checked.
 
 Basis convention: sigma^z product states, site 1 stored in the lowest-order
 bit, bit value 1 meaning spin up (occupied).
@@ -95,19 +99,27 @@ def build_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     return h
 
 
-def _parity_diag(n_sites: int) -> np.ndarray:
-    """Fermion parity of each basis state: +1 for even occupation."""
-    return np.where(_popcount(n_sites) % 2 == 0, 1.0, -1.0)
-
-
 def ground_parity(n_sites: int, g: float) -> str:
-    """Fermion parity of the nondegenerate ground state, 'even' or 'odd'."""
+    """Fermion parity of the nondegenerate ground state, 'even' or 'odd'.
+
+    Diagonalizes in the zero-momentum sector, as the trajectories do, which
+    is enough: in the sigma^z basis every off-diagonal entry of H is -1, and
+    bond flips connect all states of one parity, so by Perron-Frobenius each
+    parity block has a unique, positive ground state.  T commutes with H and
+    with the parity and permutes the basis, so it maps that state to a
+    positive ground state of the same block, itself: the state is
+    T-invariant and lies in the sector.  So the ground state, and any
+    near-degeneracy with the other parity's ground state, both show up
+    there.  Every translation orbit has one popcount parity, so the
+    parity of the ground vector is read off per column.
+    """
     _check_sites(n_sites)
-    energies, vectors = np.linalg.eigh(build_hamiltonian(n_sites, g))
+    col, _, energies, vectors, _ = _sector_eigh(n_sites, g)
     if energies[1] - energies[0] < 1e-10:
         raise ValueError("ground space is degenerate; use the cat-state basis")
-    gs = vectors[:, 0]
-    expectation = float(np.sum(_parity_diag(n_sites) * np.abs(gs) ** 2))
+    parity = np.empty(len(energies))
+    parity[col] = (-1.0) ** _popcount(n_sites)
+    expectation = float(parity @ vectors[:, 0] ** 2)
     if abs(abs(expectation) - 1.0) > 1e-8:
         raise ValueError("ground state has no definite fermion parity")
     return "even" if expectation > 0 else "odd"

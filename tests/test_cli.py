@@ -198,6 +198,24 @@ class TestScanCommands:
         h_star, beta_star, overlap = read_csv(out)[0]
         assert (h_star, beta_star, overlap) == pytest.approx((0.0, 1.0, 0.0))
 
+    def test_gap_below_double_range_rejected_without_output(self, tmp_path, capsys):
+        # the gap at g = 0.05, N = 400 underflows: an error, not a delta of 0
+        rc = main(["gap", "--n", "400", "--gmin", "0.05", "--gmax", "0.05", "--gsteps", "1",
+                   "--out", str(tmp_path / "gap.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n, jx, jz", [("8", "-inf", "0"), ("8", "-4", "inf"), ("0", "-4", "0"),
+                                           ("-3", "-4", "0")])
+    def test_bad_xyz_point_rejected_without_output(self, tmp_path, capsys, n, jx, jz):
+        # an infinite coupling used to write nan entries and a summary that is not valid JSON
+        rc = main(["xyz", f"--n={n}", f"--jx={jx}", "--jy", "0", f"--jz={jz}",
+                   "--out", str(tmp_path / "xyz.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["gap", "deltal"])
     @pytest.mark.parametrize("flags", [["--gmin", "nan"], ["--gmax", "inf"], ["--gsteps", "0"]])
     def test_bad_scan_rejected_without_output(self, tmp_path, command, flags):

@@ -41,6 +41,17 @@ class TestGrid:
             with pytest.raises(ValueError):
                 MomentumGrid(n)
 
+    @pytest.mark.parametrize("n", [8.0, 8.5, "8"])
+    def test_rejects_non_integer_size(self, n):
+        # a float size used to pass here and fail later, slicing inside the engine
+        with pytest.raises(ValueError, match="integer"):
+            MomentumGrid(n)
+
+    def test_numpy_integer_size_accepted(self):
+        grid = MomentumGrid(np.int64(8))
+        np.testing.assert_array_equal(grid.plus, MomentumGrid(8).plus)
+        np.testing.assert_array_equal(grid.minus, MomentumGrid(8).minus)
+
 
 class TestDispersion:
     def test_closed_form_points(self):
@@ -161,6 +172,22 @@ class TestChordDiagnostic:
         with pytest.raises(ValueError):
             delta_l(1.0, 7)
 
+    @pytest.mark.parametrize("x, n", [(0.1, 400), (0.3, 800)])
+    def test_excess_below_double_range_raises(self, x, n):
+        # the precise excess is below the smallest normal double: no silent 0 or denormal
+        with pytest.raises(FloatingPointError, match="below the double range"):
+            chord_excess(x, n)
+        with pytest.raises(FloatingPointError, match="below the double range"):
+            gap_delta(MomentumGrid(n), x)
+
+    def test_chord_difference_rounds_to_one_below_double_range(self):
+        assert delta_l(0.1, 400) == 1.0
+
+    def test_zero_field_excess_is_exact_zero_at_any_size(self):
+        assert chord_excess(0.0, 400) == 0.0
+        assert gap_delta(MomentumGrid(800), 0.0) == 0.0
+        assert delta_l(0.0, 400) == 1.0
+
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_raises(self, x):
         # no silent NaN from the chord sum
@@ -216,3 +243,21 @@ class TestXYZFactorization:
             xyz_factorization(0.0, -1.0, 1.0, 8)
         with pytest.raises(ValueError):
             xyz_factorization(-1.0, 0.5, 1.0, 8)
+
+    @pytest.mark.parametrize("couplings", [(-np.inf, 0.0, 0.0), (-4.0, 0.0, np.inf),
+                                           (-np.inf, -1.0, np.inf), (np.nan, 0.0, 0.0)])
+    def test_non_finite_coupling_rejected(self, couplings):
+        # an infinite coupling used to return nan or inf entries
+        with pytest.raises(ValueError, match="finite"):
+            xyz_factorization(*couplings, 8)
+
+    @pytest.mark.parametrize("n", [0, -3, 8.0])
+    def test_site_count_must_be_positive_integer(self, n):
+        # n = 0 used to give overlap 1, and a negative n a power of the inverse ratio
+        with pytest.raises(ValueError, match="n_sites"):
+            xyz_factorization(-4.0, -1.0, 0.5, n)
+
+    def test_single_site_and_numpy_integer_accepted(self):
+        _, beta_star, overlap = xyz_factorization(-2.0, -1.0, 0.5, 1)
+        assert overlap == pytest.approx((1.0 - beta_star) / (1.0 + beta_star))
+        assert xyz_factorization(-2.0, -1.0, 0.5, np.int64(4)) == xyz_factorization(-2.0, -1.0, 0.5, 4)

@@ -17,7 +17,7 @@ from isingring.oracle_ed import (
     kick_trajectory,
     quench_trajectory,
 )
-from tests_support import apply_kick, evolve_exact, measure, plus_modes
+from tests_support import apply_kick, evolve_exact, ground_parity_full_space, measure, plus_modes
 
 
 def full_space_row(psi):
@@ -180,6 +180,30 @@ class TestGroundParity:
     def test_degenerate_point_rejected(self):
         with pytest.raises(ValueError):
             ground_parity(4, 0.0)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_matches_full_space_reference(self, n):
+        # the sector answer equals the full 2^N eigensolve's, or both raise (g = 0 and,
+        # at N = 10, its neighbours, where the two parities' ground states nearly meet)
+        def outcome(parity, g):
+            try:
+                return parity(n, g)
+            except ValueError:
+                return ValueError
+
+        for g in np.linspace(-2.0, 2.0, 41):
+            assert outcome(ground_parity, g) == outcome(ground_parity_full_space, g), g
+
+    def test_no_full_space_matrix_at_twelve_sites(self):
+        # one dense 2^12 x 2^12 float matrix alone would take 134 MB
+        tracemalloc.start()
+        try:
+            parity = ground_parity(12, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parity == "even"
+        assert peak < 32e6
 
 
 class TestCatAndMomentumStates:

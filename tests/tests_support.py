@@ -3,7 +3,8 @@ dense coefficient-array words and their dense contraction kernel, the dense
 two-word ``<c_1>`` fill, the full bordered ``<c_1>`` matrix and its word
 fills, dict-operator BCS words, the per-word ``<c_1>``, the scalar
 contraction kernel, the explicit overlap formula, the per-mode propagator
-and mode Hamiltonians, full-space evolution, kicks and measurement).  A reference operator is a pair ``(ann, cre)`` of dicts
+and mode Hamiltonians, full-space evolution, kicks, measurement and
+ground-state parity).  A reference operator is a pair ``(ann, cre)`` of dicts
 ``{ModeIndex: coefficient}``.  :class:`ModeIndex`, a mode named by sector
 and grid index, lives here because only these oracles use it; the engine
 names a mode by its grid index alone (see
@@ -15,7 +16,7 @@ import numpy as np
 
 from isingring import observables
 from isingring.model import mode_coefficients
-from isingring.oracle_ed import DenseState, _popcount
+from isingring.oracle_ed import DenseState, _check_sites, _popcount, build_hamiltonian
 from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, pfaffian
 from isingring.wick import contractions, vacuum_expectation
 
@@ -546,3 +547,26 @@ def measure(state: DenseState, axis: str, site: int) -> float:
         raise ValueError(f"site {site} out of range")
     acted = _apply_pauli(state.amplitudes, state.n_sites, axis, site)
     return float(np.real(np.vdot(state.amplitudes, acted)))
+
+
+def _parity_diag(n_sites: int) -> np.ndarray:
+    """Fermion parity of each basis state: +1 for even occupation."""
+    return np.where(_popcount(n_sites) % 2 == 0, 1.0, -1.0)
+
+
+def ground_parity_full_space(n_sites: int, g: float) -> str:
+    """Fermion parity of the nondegenerate ground state, 'even' or 'odd'.
+
+    ``eigh`` of the full 2^N x 2^N Hamiltonian: the reference for
+    :func:`isingring.oracle_ed.ground_parity`, which diagonalizes in the
+    zero-momentum sector.
+    """
+    _check_sites(n_sites)
+    energies, vectors = np.linalg.eigh(build_hamiltonian(n_sites, g))
+    if energies[1] - energies[0] < 1e-10:
+        raise ValueError("ground space is degenerate; use the cat-state basis")
+    gs = vectors[:, 0]
+    expectation = float(np.sum(_parity_diag(n_sites) * np.abs(gs) ** 2))
+    if abs(abs(expectation) - 1.0) > 1e-8:
+        raise ValueError("ground state has no definite fermion parity")
+    return "even" if expectation > 0 else "odd"
