@@ -8,6 +8,7 @@ frustration-free factorization formulas of the open XYZ chain.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -205,12 +206,25 @@ def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):
     ground states ``((1 - beta*) / (1 + beta*))^N``.
     Requires finite couplings ordered ``jx < jy <= 0 <= jz``, which make
     ``(jz - jx)(jz - jy)`` nonnegative, and a positive integer ``n_sites``.
+
+    No intermediate leaves the double range where the result does not.
+    h* = sqrt((jz - jx)(jz - jy)) is the product of sqrt(2) and the square
+    roots of ``(jz - jx) / 2`` and ``jz - jy`` (since jx < jy, the second
+    difference exceeds the double range only if h* does), and an h*
+    beyond the double range raises ``ValueError``.  beta* and the overlap
+    depend on the coupling ratios only, so they are evaluated in units of
+    the power of two 2^e just above max |J|, an exact scaling in which no
+    square overflows.
     """
     if not (np.isfinite([jx, jy, jz]).all() and jx < jy <= 0.0 <= jz):
         raise ValueError(f"couplings must be finite with jx < jy <= 0 <= jz, got ({jx}, {jy}, {jz})")
     if _integer_sites(n_sites) < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    h_star = np.sqrt((jz - jx) * (jz - jy))
-    beta_star = -(jx - jy) / (np.sqrt((jx - jy) ** 2 + 4.0 * h_star**2) - 2.0 * h_star)
+    h_star = math.sqrt(2.0) * math.sqrt(jz / 2.0 - jx / 2.0) * math.sqrt(jz - jy)
+    if h_star == math.inf:
+        raise ValueError(f"the factorizing field of ({jx}, {jy}, {jz}) exceeds the double range")
+    e = np.frexp(max(-jx, jz))[1]
+    x, y, h = np.ldexp([jx, jy, h_star], -e)
+    beta_star = -(x - y) / (np.sqrt((x - y) ** 2 + 4.0 * h**2) - 2.0 * h)
     overlap = ((1.0 - beta_star) / (1.0 + beta_star)) ** n_sites
-    return float(h_star), float(beta_star), float(overlap)
+    return h_star, float(beta_star), float(overlap)

@@ -9,13 +9,20 @@ columns k and k + 1 with the rank-2 antisymmetric update
 the pivots times the sign of the accumulated permutation.
 Pf(A)^2 = det(A) for every skew-symmetric A.
 
-The updates are delayed over a panel of steps.  Step j's ``tau`` and
-``w`` are kept interleaved in two tall arrays, ``P = [tau_0, w_0, tau_1,
-w_1, ...]`` and ``Q = [-w_0, tau_0, -w_1, tau_1, ...]``, so that
-``Q P^T = sum_j tau_j w_j^T - w_j tau_j^T``.  Bringing a row k up to date
-before it is read is then the one product ``P Q[k]^T``, a pivot swap swaps
-the rows of P and Q too, and at the end of the panel the trailing block
-receives ``Q P^T`` from one matrix product, antisymmetric as it stands.
+The updates are delayed over a panel of steps, and kept in the rows the
+panel has already eliminated.  Once rows r = k and s = k + 1 of step j are
+up to date they hold ``tau`` times the pivot and ``-w``, and nothing writes
+them again, so they stay in place.  Each step stores only the two
+coefficient rows ``f[2j] = s / pivot`` and ``f[2j + 1] = -r / pivot``, in
+one write.  As ``(s_x r_y - r_x s_y) / pivot = tau_x w_y - w_x tau_y``, the
+pending update of entry (x, y) at step k is ``f[:2j, x] . m[k0:k, y]``,
+over the rows the panel has eliminated since its first row k0.  Bringing a
+row up to date before it is read is then one product with those rows.  A
+pivot swap of rows and columns k + 1 and l swaps columns k + 1 and l of the
+eliminated rows too (``m[k0:, pair]``, not ``m[k:, pair]``), and the same
+two columns of f.  At the end of the panel the trailing block receives
+``f^T m[k0:ke]`` (ke the first row after the panel) from one matrix
+product.
 Every panel spans ``_BLOCK_STEPS`` steps, at every matrix size; the last
 one spans the steps that are left.
 
@@ -191,7 +198,10 @@ def pfaffian(a, border: int = 0):
     docstring).  If at any elimination step the largest available pivot
     falls below ``PIVOT_RTOL`` times the largest initial entry magnitude,
     the matrix is treated as structurally singular and exactly 0 is
-    returned for every result.
+    returned for every result.  Where that threshold underflows to 0, a
+    pivot could be exactly 0, and the pivot product, at most the largest
+    entry, is below the smallest normal double: such a matrix raises
+    ``FloatingPointError`` before the elimination.
     """
     if isinstance(a, SkewMatrix):
         if a.border != border:
@@ -211,40 +221,39 @@ def pfaffian(a, border: int = 0):
     # from it: all but its last row (all but the last two of an even block)
     d = n - border
     e = d - 2 + d % 2
-    # the panel's pending updates, interleaved: step j's (tau, w) in p[:, 2j:2j + 2], (-w, tau) in q
-    pq = np.empty((n, 4 * _BLOCK_STEPS), dtype=complex)
-    p, q = pq[:, :2 * _BLOCK_STEPS], pq[:, 2 * _BLOCK_STEPS:]
+    if e and not threshold:
+        raise FloatingPointError(f"the pivots of a matrix whose largest entry is {a.scale} underflow")
+    # the panel's pending updates: step j's (s, -r) / pivot in rows 2j, 2j + 1 (r, s = m[k:k + 2])
+    f = np.empty((2 * _BLOCK_STEPS, n), dtype=complex)
+    coefficients = np.empty((2, 1), dtype=complex)
     pf = 1.0 + 0.0j
     for k0 in range(0, e, 2 * _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, (e - k0) // 2)
         for j in range(steps):
             k = k0 + 2 * j
-            # row k brought up to date is minus column k: the matrix stays antisymmetric
             if j:
-                m[k, k + 1:] += p[k + 1:, :2 * j] @ q[k, :2 * j]
+                m[k, k + 1:] += f[:2 * j, k] @ m[k0:k, k + 1:]
             mag = np.abs(m[k, k + 1:d])
-            rel = int(np.argmax(mag))
+            rel = int(mag.argmax())
             if mag[rel] < threshold:
                 return zero
             if rel:
-                # swap rows and columns k + 1 and k + 1 + rel as strided slice pairs
+                # swap rows and columns k + 1 and k + 1 + rel, the columns also in the panel's rows and f
                 pair, flip = slice(k + 1, k + 2 + rel, rel), slice(k + 1 + rel, k, -rel)
                 m[pair, k:] = m[flip, k:]
-                m[k:, pair] = m[k:, flip]
-                pq[pair] = pq[flip]
+                m[k0:, pair] = m[k0:, flip]
+                f[:2 * j, pair] = f[:2 * j, flip]
                 pf = -pf
-            # row k + 1 brought up to date is minus w
             if j:
-                m[k + 1, k + 2:] += p[k + 2:, :2 * j] @ q[k + 1, :2 * j]
+                m[k + 1, k + 2:] += f[:2 * j, k + 1] @ m[k0:k, k + 2:]
             # Python complex arithmetic: an over- or underflow here raises no numpy warning
-            pf *= complex(m[k, k + 1])
-            # tau is row k over the pivot, w is minus row k + 1
-            p[k + 2:, 2 * j] = q[k + 2:, 2 * j + 1] = m[k, k + 2:] / m[k, k + 1]
-            q[k + 2:, 2 * j] = m[k + 1, k + 2:]
-            p[k + 2:, 2 * j + 1] = -m[k + 1, k + 2:]
-        # the panel's delayed rank-2 updates, sum over its steps of tau w^T - w tau^T
+            pivot = complex(m[k, k + 1])
+            pf *= pivot
+            coefficients[0, 0], coefficients[1, 0] = 1.0 / pivot, -1.0 / pivot
+            np.multiply(m[k:k + 2, k + 2:][::-1], coefficients, out=f[2 * j:2 * j + 2, k + 2:])
+        # the panel's delayed rank-2 updates
         ke = k0 + 2 * steps
-        m[ke:, ke:] += q[ke:, :2 * steps] @ p[ke:, :2 * steps].T
+        m[ke:, ke:] += f[:2 * steps, ke:].T @ m[k0:ke, ke:]
     # the last block row: its entry right of the block, or its border entries
     last = m[e, e + 1:].tolist()
     values = [pf * x for x in last]

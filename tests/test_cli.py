@@ -216,6 +216,22 @@ class TestScanCommands:
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    def test_large_couplings_accepted(self, tmp_path):
+        # (jx - jy)^2 used to overflow here and end in a traceback
+        out = tmp_path / "xyz.csv"
+        assert main(["xyz", "--n", "8", "--jx=-1e160", "--jy", "0", "--jz", "0", "--out", str(out)]) == 0
+        assert tuple(read_csv(out)[0]) == (0.0, 1.0, 0.0)
+        assert main(["xyz", "--n", "8", "--jx=-1e200", "--jy", "0", "--jz=1e200", "--out", str(out)]) == 0
+        h_star, beta_star, _ = read_csv(out)[0]
+        assert (h_star, beta_star) == pytest.approx((np.sqrt(2.0) * 1e200, 3.0 + 2.0 * np.sqrt(2.0)), rel=1e-14)
+
+    def test_field_beyond_double_range_rejected_without_output(self, tmp_path, capsys):
+        rc = main(["xyz", "--n", "8", "--jx=-1.5e308", "--jy", "0", "--jz=1.5e308",
+                   "--out", str(tmp_path / "xyz.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["gap", "deltal"])
     @pytest.mark.parametrize("flags", [["--gmin", "nan"], ["--gmax", "inf"], ["--gsteps", "0"]])
     def test_bad_scan_rejected_without_output(self, tmp_path, command, flags):

@@ -1,5 +1,6 @@
 """Tests for dispersion, Bogoliubov angles, sector energies, and diagnostics."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -256,6 +257,39 @@ class TestXYZFactorization:
         # n = 0 used to give overlap 1, and a negative n a power of the inverse ratio
         with pytest.raises(ValueError, match="n_sites"):
             xyz_factorization(-4.0, -1.0, 0.5, n)
+
+    @pytest.mark.parametrize("couplings", [(-4.0, 0.0, 0.0), (-3.3, -1.2, 0.7), (-2.0, -1.0, 0.5)])
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**-40, 2.0**40, 1e160, 1e200, 1e300],
+                             ids=["2^-600", "2^-40", "2^40", "1e160", "1e200", "1e300"])
+    def test_large_and_small_couplings_scale_the_field_only(self, couplings, scale):
+        # (jx - jy)^2 used to overflow from |J| of about 1e154 and (jz - jx)(jz - jy) to
+        # underflow below about 1e-162; beta* and the overlap depend on the ratios alone
+        h_star, beta_star, overlap = xyz_factorization(*couplings, 8)
+        h_scaled, beta_scaled, overlap_scaled = xyz_factorization(*(scale * j for j in couplings), 8)
+        assert h_scaled == pytest.approx(scale * h_star, rel=1e-14)
+        assert beta_scaled == pytest.approx(beta_star, rel=1e-14)
+        assert overlap_scaled == pytest.approx(overlap, rel=1e-13)
+
+    @pytest.mark.parametrize("power", [-900, -2, 2, 700])
+    def test_power_of_two_couplings_are_exact(self, power):
+        # the evaluation is in units of a power of two: scaling by an even one changes no bit
+        h_star, beta_star, overlap = xyz_factorization(-3.3, -1.2, 0.7, 8)
+        scale = 2.0**power
+        assert xyz_factorization(-3.3 * scale, -1.2 * scale, 0.7 * scale, 8) == (
+            h_star * scale, beta_star, overlap)
+
+    @pytest.mark.parametrize("couplings", [(-1e150, -1e-200, 0.0), (-1.0, -1e-310, 0.0), (-1.0, 0.0, 1e-310),
+                                           (-1e308, 0.0, 1e308)])
+    def test_field_over_a_wide_coupling_range(self, couplings):
+        # h* = sqrt((jz - jx)(jz - jy)) stays accurate where that product would leave the double range
+        jx, jy, jz = couplings
+        expected = float(mpmath.sqrt((mpmath.mpf(jz) - jx) * (mpmath.mpf(jz) - jy)))
+        assert xyz_factorization(*couplings, 8)[0] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("couplings", [(-1.5e308, 0.0, 1.5e308), (-1.7e308, -1e308, 1.7e308)])
+    def test_field_beyond_double_range_rejected(self, couplings):
+        with pytest.raises(ValueError, match="double range"):
+            xyz_factorization(*couplings, 8)
 
     def test_single_site_and_numpy_integer_accepted(self):
         _, beta_star, overlap = xyz_factorization(-2.0, -1.0, 0.5, 1)

@@ -336,6 +336,18 @@ def test_unrepresentable_pivot_product_raises(n, factor):
         pfaffian(a)
 
 
+def test_underflowing_threshold_raises_before_a_zero_pivot():
+    # entries so small that PIVOT_RTOL times the largest is 0: a pivot of exactly 0 passes
+    # the threshold, and the product of the pivots underflows in any case
+    a = np.zeros((6, 6))
+    a[0, 1], a[2, 3] = 1e-320, 1e-320
+    a = a - a.T
+    with pytest.raises(FloatingPointError, match="pivots"):
+        pfaffian(a)
+    with pytest.raises(FloatingPointError, match="pivots"):
+        pfaffian(a[:5, :5], border=2)
+
+
 def test_zero_last_entry_is_a_true_zero():
     # the pivots are fine and the last factor is exactly 0: no error, an exact 0
     a = np.zeros((4, 4))
