@@ -3,7 +3,8 @@
 Momentum grids for the two fermion-parity sectors, the single-mode
 dispersion and Bogoliubov angle, sub-ground-state energies and the parity
 gap, the chord-length diagnostic behind the gap inequality, and the
-frustration-free factorization formulas of the open XYZ chain.
+frustration-free factorization formulas of the open XYZ chain, all in
+double precision; the exponentially small gap comes from a positive series.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def _integer_sites(n_sites) -> int:
 
 
 def dispersion(k, g: float):
-    """Single-mode excitation energy ``2 sqrt(g^2 + 2 g cos k + 1)``, k scalar or array."""
-    return 2.0 * np.sqrt(np.maximum(g * g + 2.0 * g * np.cos(k) + 1.0, 0.0))
+    """Single-mode energy ``2 sqrt(g^2 + 2 g cos k + 1)`` as the norm of ``mode_coefficients``."""
+    return np.hypot(*mode_coefficients(k, g))
 
 
 def bogoliubov_angle(k: float, g: float):
@@ -102,42 +103,6 @@ def sgs_energies(grid: MomentumGrid, g: float):
     return e_plus, e_minus
 
 
-#: below this value times N the parity gap is recomputed in arbitrary
-#: precision, because deep in the ordered phase it is exponentially small in N
-#: and the double-precision chord sum, whose roundoff grows like N eps,
-#: cancels to that roundoff
-_GAP_PRECISE_PER_SITE = 1e-6
-
-
-def _gap_precise(x: float, n_sites: int) -> float:
-    """Parity gap via the alternating chord sum in arbitrary precision.
-
-    The gap scales roughly like x^N for x < 1, far below the double-precision
-    cancellation floor of the O(N) energy sums, so the alternating sum minus
-    one is evaluated with enough digits to resolve it before rounding back.
-    For x > 0 a value below the smallest normal double raises
-    ``FloatingPointError`` instead of rounding to a denormal or to 0.
-    """
-    import mpmath
-
-    if x == 0.0:
-        return 0.0
-    digits = 40
-    if x < 1.0:
-        digits += int(-n_sites * np.log10(x)) + 10
-    with mpmath.workdps(digits):
-        xm = mpmath.mpf(x)
-        total = -mpmath.mpf(1)
-        for j in range(1, n_sites):
-            chord = mpmath.sqrt(
-                xm * xm - 2 * xm * mpmath.cospi(mpmath.mpf(j) / n_sites) + 1
-            )
-            total += chord if j % 2 else -chord
-        if total < np.finfo(float).tiny:
-            raise FloatingPointError(f"parity gap at x = {x}, N = {n_sites} is below the double range")
-        return float(total)
-
-
 def gap_delta(grid: MomentumGrid, g: float) -> float:
     """Half the energy splitting ``(e_minus - e_plus) / 2`` of the two parity sub-ground states.
 
@@ -148,29 +113,63 @@ def gap_delta(grid: MomentumGrid, g: float) -> float:
     return chord_excess(abs(g), grid.n_sites)
 
 
+#: half-width, in units of 1/N, of the window around x = 1 where the gap is the
+#: chord sum; the Poisson series needs about 10 N terms per order outside it
+_WINDOW = 3.0
+
+
 def chord_excess(x: float, n_sites: int) -> float:
-    """Chord-length difference minus one, ``delta_l(x) - 1``.
+    """Chord-length difference minus one, ``delta_l(x) - 1``: the parity gap at field ``x``.
 
     Exposed separately because deep inside the unit circle the excess is
     exponentially small in N: adding it to 1 rounds away, while the excess
-    itself stays strictly positive (via the arbitrary-precision fallback).
-    Where it falls below the smallest normal double (x > 0) it raises
-    ``FloatingPointError``; at x = 0 it is exactly 0.  Coincides with the
-    parity gap of the ring at field ``x``.
+    itself stays strictly positive.  Below the smallest normal double
+    (x > 0) it raises ``FloatingPointError``; at x = 0 it is exactly 0.
+    One of three double-precision regimes, chosen from (x, N) alone: the
+    positive Poisson series for x < 1 - 3/N, the chord sum for |1 - x| <= 3/N,
+    and above it the reflection ``Delta(x) = x Delta(1/x) + x - 1``.
     """
     if not 0 <= x < np.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
-    grid = MomentumGrid(n_sites)
-    alpha = np.pi / n_sites
+    n = MomentumGrid(n_sites).n_sites
+    if abs(1.0 - x) <= _WINDOW / n:
+        # chord j is sqrt((1 - x)^2 + 4 x sin^2(j h)), h = pi / 2N; chords 2i - 1 and 2i enter
+        # as the difference of their squares over their sum, so no two large chords cancel
+        h = np.pi / (2 * n)
+        chords = np.sqrt((1.0 - x) ** 2 + 4.0 * x * np.sin(np.arange(1, n) * h) ** 2)
+        i = np.arange(1, n // 2)
+        pairs = -4.0 * x * np.sin((4 * i - 1) * h) * np.sin(h) / (chords[:-1:2] + chords[1::2])
+        return math.fsum(np.append(pairs, [chords[-1], -1.0]))
+    if x < 1.0:
+        return _poisson_series(x, n) if x > 0.0 else 0.0
+    try:  # |1 - x e^(i t)| = x |1 - e^(i t) / x|
+        inner = x * _poisson_series(1.0 / x, n)
+    except FloatingPointError:
+        inner = 0.0
+    return inner + (x - 1.0)
 
-    def chord(j):
-        return np.sqrt(x * x - 2.0 * x * np.cos(j * alpha) + 1.0)
 
-    # odd chord indices are the even sector's positive modes, even ones the odd sector's
-    result = float(chord(grid.plus).sum() - chord(grid.minus).sum()) - 1.0
-    if abs(result) < n_sites * _GAP_PRECISE_PER_SITE:
-        return _gap_precise(x, n_sites)
-    return result
+def _poisson_series(x: float, n: int) -> float:
+    """Parity gap for 0 < x < 1 from its positive (Euler-transformed) Poisson series.
+
+    ``2N sum_{m odd} |C(1/2, mN)| x^(mN) (1 - x^2)^2 F(3/2, mN + 3/2; mN + 1; x^2)``
+    with F hypergeometric, summed in logarithms relative to the m = 1 term,
+    which alone decides an underflow; ``log |C(1/2, n)|`` is ``log(1/2)`` plus
+    the ``fsum`` of ``log(1 - 3/2k)``, k = 2 ... n.  The orders stop once
+    x^((m - 1) N) < e^-40, and F's terms, which fall like x^2k, at e^-60.
+    """
+    log_x, z = math.log(x), x * x
+    k = np.arange(int(30.0 / -log_x) + 20.0)
+    orders = range(1, int(2.0 - 40.0 / (n * log_x)), 2)
+    log_binom = np.log1p(-1.5 / np.arange(2.0, orders[-1] * n + 1))
+    logs = []
+    for mn in np.multiply(orders, n):
+        f = 1.0 + np.cumprod((1.5 + k) * (mn + 1.5 + k) / ((mn + 1.0 + k) * (k + 1.0)) * z).sum()
+        logs.append(math.fsum(log_binom[: mn - 1]) + mn * log_x + math.log(f))
+    lead = logs[0] + math.log(n) + 2.0 * math.log1p(-z)
+    if lead < math.log(np.finfo(float).tiny):
+        raise FloatingPointError(f"parity gap at x = {x}, N = {n} is below the double range")
+    return math.exp(lead) * math.fsum(np.exp(np.subtract(logs, logs[0])))
 
 
 def delta_l(x: float, n_sites: int) -> float:

@@ -168,7 +168,7 @@ class TestScanCommands:
         assert data[-1, 1] == pytest.approx(np.tan(np.pi / 32), rel=1e-12)
 
     def test_gap_scan_through_negative_field(self, tmp_path):
-        # the gap is even in g, also in the ordered phase where it needs arbitrary precision
+        # the gap is even in g, also in the ordered phase where it comes from the Poisson series
         out = tmp_path / "gap.csv"
         rc = main(["gap", "--n", "100", "--gmin", "-1", "--gmax", "1",
                    "--gsteps", "5", "--out", str(out)])
@@ -231,6 +231,17 @@ class TestScanCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["gap", "deltal"])
+    def test_large_field_writes_a_finite_value(self, tmp_path, command):
+        # g^2 is beyond the double range; the scan must still write a finite value
+        out = tmp_path / "s.csv"
+        rc = main([command, "--n", "8", "--gmin", "1e200", "--gmax", "1e200", "--gsteps", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        value = read_csv(out)[0, 1]
+        assert np.isfinite(value)
+        assert value == pytest.approx(1e200, rel=1e-15)
 
     @pytest.mark.parametrize("command", ["gap", "deltal"])
     @pytest.mark.parametrize("flags", [["--gmin", "nan"], ["--gmax", "inf"], ["--gsteps", "0"]])

@@ -1,5 +1,7 @@
 """Tests for dispersion, Bogoliubov angles, sector energies, and diagnostics."""
 
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ import pytest
 from isingring import model
 from isingring.model import (
     MomentumGrid,
-    _gap_precise,
     bogoliubov_angle,
     cat_norm_identity,
     chord_excess,
@@ -17,7 +18,7 @@ from isingring.model import (
     sgs_energies,
     xyz_factorization,
 )
-from tests_support import mode_hamiltonian_even, special_mode_energies
+from tests_support import _gap_precise, mode_hamiltonian_even, special_mode_energies
 
 
 class TestGrid:
@@ -69,6 +70,13 @@ class TestDispersion:
             evals = np.linalg.eigvalsh(mode_hamiltonian_even(k, g))
             assert evals[1] == pytest.approx(dispersion(k, g), abs=1e-12)
             assert evals[0] == pytest.approx(-dispersion(k, g), abs=1e-12)
+
+    @pytest.mark.parametrize("g", [1e155, 1e200, -1e200])
+    def test_sector_energies_finite_at_large_fields(self, g):
+        # each mode energy is about 2 |g|, and g^2 is beyond the double range
+        e_plus, e_minus = sgs_energies(MomentumGrid(8), g)
+        assert e_plus == pytest.approx(-8.0 * abs(g), rel=1e-15)
+        assert e_minus == pytest.approx(-6.0 * abs(g), rel=1e-15)
 
 
 class TestBogoliubovAngle:
@@ -138,7 +146,7 @@ class TestSectorEnergies:
         assert np.all(np.diff(deltas) < 0)
 
     def test_gap_even_in_field(self):
-        # deep in the ordered phase too, where the gap needs arbitrary precision
+        # deep in the ordered phase too, where the gap comes from the Poisson series
         assert gap_delta(MomentumGrid(100), -0.5) == gap_delta(MomentumGrid(100), 0.5)
         assert gap_delta(MomentumGrid(16), -1.3) == gap_delta(MomentumGrid(16), 1.3)
 
@@ -153,16 +161,34 @@ class TestChordDiagnostic:
                 assert delta_l(x, n) == pytest.approx(0.5 * (e_minus - e_plus) + 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("n, g_low", [(100, 0.93), (400, 0.98)])
-    def test_accurate_on_both_sides_of_the_fallback(self, n, g_low):
-        # the double-precision chord sum carries roundoff of order N eps, so it is
-        # used only above N * 1e-6; these fields straddle 1e-6 and N * 1e-6
+    def test_accurate_on_both_sides_of_the_window_edge(self, n, g_low):
+        # the chord sum is used within 3/N of x = 1 and the Poisson series below it;
+        # these fields straddle the window edge, 0.97 at N = 100 and 0.9925 at N = 400
         for g in np.linspace(g_low, 1.0, 21):
             assert chord_excess(g, n) == pytest.approx(_gap_precise(g, n), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("n", [4, 20, 100, 800, 2000])
+    def test_double_precision_regimes_match_the_mpmath_sum(self, n):
+        # the series from where the gap nears the double range (x^N = 1e-280) to just
+        # below the window, at 1e-12
+        for x in np.linspace(10.0 ** (-280.0 / n), 1.0 - 3.01 / n, 3 if n == 2000 else 5):
+            assert chord_excess(x, n) == pytest.approx(_gap_precise(x, n), rel=1e-12, abs=0)
+        # the window and the reflection above it, at 1e-9: here N chords of O(1) cancel
+        # to a gap of O(1/N)
+        if n >= 800:
+            for x in (1.0 + d / n for d in (-10, -3, -1, 0, 1, 3, 10)):
+                assert chord_excess(x, n) == pytest.approx(_gap_precise(x, n), rel=1e-9, abs=0)
 
     def test_unit_point_chord_value(self):
         # at x = 1 the chords telescope to tan(pi/4N) + 1
         for n in (4, 10):
             assert delta_l(1.0, n) == pytest.approx(np.tan(np.pi / (4 * n)) + 1.0)
+
+    @pytest.mark.parametrize("n", [4, 100, 800])
+    def test_continuous_through_the_unit_point(self, n):
+        # the series would need ~1e17 terms one ulp from x = 1; the window's chord sum does not
+        for x in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+            assert chord_excess(x, n) == pytest.approx(np.tan(np.pi / (4 * n)), rel=1e-11)
 
     def test_degenerate_point(self):
         assert delta_l(0.0, 8) == pytest.approx(1.0)
@@ -188,6 +214,21 @@ class TestChordDiagnostic:
         assert chord_excess(0.0, 400) == 0.0
         assert gap_delta(MomentumGrid(800), 0.0) == 0.0
         assert delta_l(0.0, 400) == 1.0
+
+    @pytest.mark.parametrize("x", [1e160, 1e200, 1.7e308])
+    def test_large_field_is_finite(self, x):
+        # x^2 is beyond the double range; by the reflection the excess is
+        # x Delta(1/x) + x - 1, whose first term underflows here
+        assert chord_excess(x, 8) == pytest.approx(x - 1.0, rel=1e-15)
+        assert gap_delta(MomentumGrid(8), -x) == pytest.approx(x - 1.0, rel=1e-15)
+        assert delta_l(x, 8) == pytest.approx(x, rel=1e-15)
+
+    def test_underflow_decided_without_the_sum(self):
+        # the series decides from its first term, before summing the others
+        start = time.perf_counter()
+        with pytest.raises(FloatingPointError, match="below the double range"):
+            chord_excess(0.3, 800)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_raises(self, x):

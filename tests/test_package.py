@@ -28,8 +28,8 @@ def test_pfaffian_submodule_is_not_shadowed():
 
 
 def test_library_never_imports_scipy():
-    # scipy is a test-only dependency: a sample and a gap on the mpmath fallback
-    # (3.9e-32 at N = 100, g = 0.5, far below the double sum's roundoff) need numpy and mpmath alone
+    # scipy and mpmath are test-only dependencies: a sample and a gap on the Poisson series
+    # (3.9e-32 at N = 100, g = 0.5, far below a chord sum's roundoff) need numpy alone
     code = "\n".join([
         "import sys",
         "import isingring",
@@ -37,6 +37,7 @@ def test_library_never_imports_scipy():
         "isingring.run_series(isingring.DriverSpec('quench', g_f=0.5), grid, [1.0])",
         "assert 0.0 < isingring.gap_delta(grid, 0.5) < 1e-20",
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "assert 'mpmath' not in sys.modules",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

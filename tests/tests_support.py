@@ -3,8 +3,9 @@ dense coefficient-array words and their dense contraction kernel, the dense
 two-word ``<c_1>`` fill, the full bordered ``<c_1>`` matrix and its word
 fills, dict-operator BCS words, the per-word ``<c_1>``, the scalar
 contraction kernel, the explicit overlap formula, the per-mode propagator
-and mode Hamiltonians, full-space evolution, kicks, measurement and
-ground-state parity).  A reference operator is a pair ``(ann, cre)`` of dicts
+and mode Hamiltonians, full-space evolution, kicks, measurement,
+ground-state parity, and the parity gap as the chord sum in mpmath).  A
+reference operator is a pair ``(ann, cre)`` of dicts
 ``{ModeIndex: coefficient}``.  :class:`ModeIndex`, a mode named by sector
 and grid index, lives here because only these oracles use it; the engine
 names a mode by its grid index alone (see
@@ -570,3 +571,32 @@ def ground_parity_full_space(n_sites: int, g: float) -> str:
     if abs(abs(expectation) - 1.0) > 1e-8:
         raise ValueError("ground state has no definite fermion parity")
     return "even" if expectation > 0 else "odd"
+
+
+def _gap_precise(x: float, n_sites: int) -> float:
+    """Parity gap via the alternating chord sum in arbitrary precision.
+
+    The gap scales roughly like x^N for x < 1, far below the double-precision
+    cancellation floor of the O(N) energy sums, so the alternating sum minus
+    one is evaluated with enough digits to resolve it before rounding back.
+    For x > 0 a value below the smallest normal double raises
+    ``FloatingPointError`` instead of rounding to a denormal or to 0.
+    """
+    import mpmath
+
+    if x == 0.0:
+        return 0.0
+    digits = 40
+    if x < 1.0:
+        digits += int(-n_sites * np.log10(x)) + 10
+    with mpmath.workdps(digits):
+        xm = mpmath.mpf(x)
+        total = -mpmath.mpf(1)
+        for j in range(1, n_sites):
+            chord = mpmath.sqrt(
+                xm * xm - 2 * xm * mpmath.cospi(mpmath.mpf(j) / n_sites) + 1
+            )
+            total += chord if j % 2 else -chord
+        if total < np.finfo(float).tiny:
+            raise FloatingPointError(f"parity gap at x = {x}, N = {n_sites} is below the double range")
+        return float(total)
