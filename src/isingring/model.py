@@ -77,17 +77,21 @@ def dispersion(k, g: float):
 def bogoliubov_angle(k: float, g: float):
     """Half-angle pair ``(sin(theta_k/2), cos(theta_k/2))`` of a normal mode.
 
-    Uses the closed form that fixes the sign/branch convention on which the
-    cat-state identities rely.  The special modes k = 0 and k = -pi have
-    diagonal two-level Hamiltonians and no angle; they raise ``ValueError``.
+    Uses the closed form ``(-b, lam - a) / |(-b, lam - a)|`` from
+    ``(a, b) = mode_coefficients(k, g)`` and ``lam = hypot(a, b)``, which
+    fixes the sign/branch convention on which the cat-state identities
+    rely.  Where a > 0, ``lam - a`` is taken as ``b^2 / (lam + a)``, which
+    does not cancel at large fields.  The special modes k = 0 and k = -pi
+    have diagonal two-level Hamiltonians and no angle; they raise
+    ``ValueError``.
     """
     if abs(np.sin(k)) < 1e-12:
         raise ValueError(f"no Bogoliubov angle for special mode k={k}")
-    lam = dispersion(k, g)
-    num_s = 2.0 * np.sin(k)
-    num_c = lam - 2.0 * np.cos(k) - 2.0 * g
-    norm = np.hypot(num_s, num_c)
-    return num_s / norm, num_c / norm
+    a, b = mode_coefficients(k, g)
+    lam = np.hypot(a, b)
+    num_c = b * b / (lam + a) if a > 0 else lam - a
+    norm = np.hypot(b, num_c)
+    return -b / norm, num_c / norm
 
 
 def mode_coefficients(k, g):

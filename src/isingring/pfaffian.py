@@ -28,14 +28,13 @@ one spans the steps that are left.
 
 The operand.  An array is validated by :class:`SkewMatrix`, which scans
 it for antisymmetry (``|M + M^T|``) and stores its symmetrized copy
-``(M - M^T) / 2``, in which :func:`pfaffian` then eliminates.  A matrix
-that is antisymmetric by construction, such as the engine's bordered word
-matrix (see :mod:`isingring.observables`), enters through
-:meth:`SkewMatrix.antisymmetric`, which takes only its largest entry
-magnitude: no antisymmetry scan and no symmetrized copy.
+``(M - M^T) / 2``.  A matrix that is antisymmetric by construction, such
+as the engine's bordered word matrix (see :mod:`isingring.observables`),
+enters through :meth:`SkewMatrix.antisymmetric`, which takes only its
+largest entry magnitude: no antisymmetry scan and no symmetrized copy.
 Every path keeps the shape and border checks and raises ``ValueError`` for
-a NaN or infinite entry, and :func:`pfaffian` eliminates a ``SkewMatrix``
-in a plain copy, so it never changes one.
+a NaN or infinite entry.  :func:`pfaffian` eliminates in a private copy,
+so the operand stays as it was and can be read again.
 
 Border columns.  ``pfaffian(a, border=b)`` searches the pivots only inside
 the leading block, of odd dimension d = n - b, and carries the last b
@@ -47,6 +46,15 @@ block row and its border column, so its Pfaffian is that border entry
 times the pivot product.  Wick words that differ in one factor give such
 matrices (see :mod:`isingring.observables`).
 
+Small pivots.  Each step tests its largest pivot once, against
+``PIVOT_RTOL`` times the largest initial entry magnitude or the smallest
+normal double, whichever is larger.  A pivot that fails only the second
+has lost digits and raises ``FloatingPointError``.  Otherwise the row is
+spent: a plain matrix is singular, and its Pfaffian is exactly 0.  In a
+bordered matrix a spent row gives exact zeros too if the rest of the
+leading block is spent; if not, the spent row is the odd block's null
+direction, which only the border columns meet, and each result is the
+plain Pfaffian of its own even matrix, taken from the operand.
 The pivot product is accumulated in Python complex arithmetic, which does
 not warn.  A product that is not finite, or falls below the smallest normal
 double, raises ``FloatingPointError`` instead of returning a silent NaN or 0.
@@ -63,7 +71,7 @@ __all__ = ["SkewMatrix", "pfaffian", "PfaffianDimensionError", "SkewSymmetryErro
 
 #: relative tolerance for the antisymmetry check at construction
 ASYMMETRY_RTOL = 1e-12
-#: pivots below this fraction of the largest initial entry short-circuit to 0
+#: a pivot below this fraction of the largest initial entry marks a spent row
 PIVOT_RTOL = 1e-13
 #: the updates are delayed over panels of this many elimination steps (2 rows and columns each)
 _BLOCK_STEPS = 32
@@ -96,19 +104,14 @@ class SkewMatrix:
     """
 
     def __init__(self, entries, border: int = 0):
-        m = np.asarray(entries, dtype=complex)
-        _check_shape(m.shape, border)
-        scale = _finite(np.abs(m).max())
+        m = self._wrap(entries, border)
         asymmetry = float(np.abs(m + m.T).max())
-        if scale > 0.0 and asymmetry > ASYMMETRY_RTOL * scale:
+        if self.scale > 0.0 and asymmetry > ASYMMETRY_RTOL * self.scale:
             raise SkewSymmetryError(
                 f"antisymmetry violated: max |M + M.T| = {asymmetry:.3e} "
-                f"(largest entry {scale:.3e})"
+                f"(largest entry {self.scale:.3e})"
             )
         self.entries = 0.5 * (m - m.T)
-        self.dim = len(m)
-        self.border = border
-        self.scale = scale
         self.max_asymmetry = asymmetry
 
     @classmethod
@@ -122,42 +125,33 @@ class SkewMatrix:
         NaN or infinite entry makes it NaN or infinite, which raises
         ``ValueError``.
         """
-        entries = np.asarray(entries, dtype=complex)
-        _check_shape(entries.shape, border)
         self = cls.__new__(cls)
-        self.entries = entries
-        self.dim = len(entries)
-        self.border = border
-        self.scale = _finite(np.abs(entries).max())
-        self.max_asymmetry = 0.0
+        self._wrap(entries, border)
         return self
+
+    def _wrap(self, entries, border: int) -> np.ndarray:
+        """Take the entries as complex, check shape, border and finiteness, and record them."""
+        m = np.asarray(entries, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise PfaffianDimensionError(f"expected a square matrix, got shape {m.shape}")
+        n = len(m)
+        paired = n - border + (border > 0)
+        if border < 0 or paired < 2 or paired % 2 != 0:
+            raise PfaffianDimensionError(
+                f"dimension must be even and >= 2, got {n}" if border == 0 else
+                f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
+            )
+        scale = float(np.abs(m).max())
+        if not np.isfinite(scale):
+            raise ValueError("matrix entries must be finite")
+        self.entries, self.dim, self.border, self.scale, self.max_asymmetry = m, n, border, scale, 0.0
+        return m
 
     def __len__(self):
         return self.dim
 
     def __repr__(self):
         return f"SkewMatrix(dim={self.dim}, border={self.border}, max_asymmetry={self.max_asymmetry:.3e})"
-
-
-def _check_shape(shape, border: int):
-    """Square, and even once the border columns beyond the first are set aside."""
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise PfaffianDimensionError(f"expected a square matrix, got shape {shape}")
-    n = shape[0]
-    paired = n - border + (border > 0)
-    if border < 0 or paired < 2 or paired % 2 != 0:
-        raise PfaffianDimensionError(
-            f"dimension must be even and >= 2, got {n}" if border == 0 else
-            f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
-        )
-
-
-def _finite(scale) -> float:
-    """The largest entry magnitude, which is NaN or infinite if any entry is."""
-    scale = float(scale)
-    if not np.isfinite(scale):
-        raise ValueError("matrix entries must be finite")
-    return scale
 
 
 def _representable(z: complex) -> bool:
@@ -188,41 +182,32 @@ def pfaffian(a, border: int = 0):
     Raises
     ------
     FloatingPointError
-        If the product of the pivots, or a result whose last factor is
-        nonzero, is not finite or falls below the smallest normal double.
+        If a pivot, the product of the pivots, or a result whose last
+        factor is nonzero, is not finite or falls below the smallest normal
+        double, except a pivot below ``PIVOT_RTOL`` times the largest entry.
 
     Notes
     -----
     O(n^3), with the trailing-block updates delayed over panels and the
-    pivots searched inside the leading block only (see the module
-    docstring).  If at any elimination step the largest available pivot
-    falls below ``PIVOT_RTOL`` times the largest initial entry magnitude,
-    the matrix is treated as structurally singular and exactly 0 is
-    returned for every result.  Where that threshold underflows to 0, a
-    pivot could be exactly 0, and the pivot product, at most the largest
-    entry, is below the smallest normal double: such a matrix raises
-    ``FloatingPointError`` before the elimination.
+    pivots searched inside the leading block only.  A pivot below
+    ``PIVOT_RTOL`` times the largest initial entry magnitude leaves exact
+    zeros or, in a bordered matrix whose leading block is not spent, the
+    results' own plain Pfaffians; a larger pivot below the smallest normal
+    double raises ``FloatingPointError`` (see the module docstring).
     """
-    if isinstance(a, SkewMatrix):
-        if a.border != border:
-            raise PfaffianDimensionError(f"the SkewMatrix has {a.border} border columns, not {border}")
-        m = a.entries.copy()
-    else:
-        # a fresh array, which the elimination may overwrite
+    if not isinstance(a, SkewMatrix):
         a = SkewMatrix(a, border)
-        m = a.entries
+    if a.border != border:
+        raise PfaffianDimensionError(f"the SkewMatrix has {a.border} border columns, not {border}")
+    m = a.entries.copy()
     n = len(m)
-    zero = (0.0 + 0.0j,) * border if border else 0.0 + 0.0j
-    if a.scale == 0.0:
-        return zero
-    threshold = PIVOT_RTOL * a.scale
+    small = PIVOT_RTOL * a.scale
+    tol = max(small, _TINY)
 
     # the leading block, in which the pivots are searched, and the rows eliminated
     # from it: all but its last row (all but the last two of an even block)
     d = n - border
     e = d - 2 + d % 2
-    if e and not threshold:
-        raise FloatingPointError(f"the pivots of a matrix whose largest entry is {a.scale} underflow")
     # the panel's pending updates: step j's (s, -r) / pivot in rows 2j, 2j + 1 (r, s = m[k:k + 2])
     f = np.empty((2 * _BLOCK_STEPS, n), dtype=complex)
     coefficients = np.empty((2, 1), dtype=complex)
@@ -235,8 +220,16 @@ def pfaffian(a, border: int = 0):
                 m[k, k + 1:] += f[:2 * j, k] @ m[k0:k, k + 1:]
             mag = np.abs(m[k, k + 1:d])
             rel = int(mag.argmax())
-            if mag[rel] < threshold:
-                return zero
+            if mag[rel] < tol:
+                if mag[rel] > small:
+                    raise FloatingPointError(f"pivots below the smallest normal double ({mag[rel]:.3e})")
+                # the rest of the leading block, brought up to date with the panel's pending updates
+                rest = slice(k + 1, d)
+                if border and np.abs(m[rest, rest] + f[:2 * j, rest].T @ m[k0:k, rest]).max() > small:
+                    # the spent row is the block's null direction, met only by the border columns
+                    words = (np.r_[:d, c] for c in range(d, n))
+                    return tuple(pfaffian(a.entries[np.ix_(w, w)]) for w in words)
+                return (0.0 + 0.0j,) * border if border else 0.0 + 0.0j
             if rel:
                 # swap rows and columns k + 1 and k + 1 + rel, the columns also in the panel's rows and f
                 pair, flip = slice(k + 1, k + 2 + rel, rel), slice(k + 1 + rel, k, -rel)

@@ -102,6 +102,17 @@ class TestBogoliubovAngle:
         assert s == pytest.approx(np.cos(np.pi / 6))
         assert c == pytest.approx(np.sin(np.pi / 6))
 
+    @pytest.mark.parametrize("g", [1e3, 1e8])
+    def test_large_field_matches_mpmath(self, g):
+        # cos(theta/2) is about 1/g there: lam - a must not cancel
+        with mpmath.workdps(50):
+            a, b = 2 * (mpmath.cos(1) + g), -2 * mpmath.sin(1)
+            num_c = mpmath.sqrt(a * a + b * b) - a
+            norm = mpmath.sqrt(b * b + num_c * num_c)
+            expected = (float(-b / norm), float(num_c / norm))
+        for value, reference in zip(bogoliubov_angle(1.0, g), expected):
+            assert value == pytest.approx(reference, rel=1e-13, abs=0)
+
     def test_special_modes_rejected(self):
         for k in (0.0, np.pi, -np.pi):
             with pytest.raises(ValueError):

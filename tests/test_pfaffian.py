@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu
 
@@ -277,10 +277,12 @@ def test_inputs_left_unmodified(n):
 
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+#: no shrink phase: against a broken kernel, shrinking examples of size up to 400 takes minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
-@settings(derandomize=True, max_examples=3, deadline=None)
+@settings(derandomize=True, max_examples=3, deadline=None, phases=NO_SHRINK)
 @given(seed=SEEDS)
 def test_matches_unblocked_reference(n, seed):
     a, _ = random_complex(n, seed)
@@ -288,7 +290,7 @@ def test_matches_unblocked_reference(n, seed):
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
-@settings(derandomize=True, max_examples=2, deadline=None)
+@settings(derandomize=True, max_examples=2, deadline=None, phases=NO_SHRINK)
 @given(seed=SEEDS)
 def test_square_equals_determinant_at_panel_edges(n, seed):
     a, _ = random_complex(n, seed)
@@ -296,7 +298,7 @@ def test_square_equals_determinant_at_panel_edges(n, seed):
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
-@settings(derandomize=True, max_examples=2, deadline=None)
+@settings(derandomize=True, max_examples=2, deadline=None, phases=NO_SHRINK)
 @given(seed=SEEDS)
 def test_congruence_multiplies_by_determinant(n, seed):
     a, b = random_complex(n, seed)
@@ -346,6 +348,51 @@ def test_underflowing_threshold_raises_before_a_zero_pivot():
         pfaffian(a)
     with pytest.raises(FloatingPointError, match="pivots"):
         pfaffian(a[:5, :5], border=2)
+
+
+def test_subnormal_pivot_raises_without_a_warning():
+    # the threshold 1e-313 lets the first pivot, 1e-310, through: it is subnormal and has lost digits
+    # (a RuntimeWarning, such as 1 / pivot overflowing, fails the suite)
+    a = np.zeros((6, 6))
+    a[0, 1], a[2, 3], a[4, 5] = 1e-310, 1e-300, 1e-300
+    a = a - a.T
+    with pytest.raises(FloatingPointError, match="pivots"):
+        pfaffian(a)
+
+
+@pytest.mark.parametrize("n, border", [(2, 0), (PANEL + 6, 0), (3, 2), (5, 2), (PANEL + 6, 3)])
+def test_all_zero_operand_gives_exact_zeros(n, border):
+    assert pfaffian(np.zeros((n, n)), border) == ((0.0 + 0.0j,) * border if border else 0.0)
+
+
+def test_null_row_met_only_by_the_border_gives_the_plain_pfaffian():
+    # the 3 x 3 block's row 0 is zero, but the rest is not: Pf(M) = 3 * 2
+    upper = np.array([[0, 0, 0, 3], [0, 0, 2, 5], [0, 0, 0, 7], [0, 0, 0, 0]], dtype=float)
+    m = upper - upper.T
+    assert pfaffian(m) == 6.0
+    assert pfaffian(m, 1) == (6.0,)
+
+
+def test_null_row_inside_a_panel_gives_each_words_plain_pfaffian():
+    # row 4 of the 9 x 9 block meets only the border columns, and is reached at the third step of a panel
+    a = random_bordered(9, 2, 17)
+    a[4, :9], a[:9, 4] = 0.0, 0.0
+    values = pfaffian(a, 2)
+    for i, value in enumerate(values):
+        even = np.r_[:9, 9 + i]
+        assert value == pytest.approx(pfaffian_reference(a[np.ix_(even, even)]), rel=1e-12, abs=0)
+        assert value != 0.0
+
+
+def test_null_row_whose_rest_is_spent_only_before_the_pending_updates():
+    # row 2 of the 5 x 5 block is zero; entry (3, 4) of the rest is 0 until step 0's update
+    # makes it -a03 a14 / a01 = -1, so the result is a25 (a01 a34 - a03 a14 + a04 a13) = -2
+    a = np.zeros((6, 6))
+    a[0, 1], a[0, 3], a[1, 4], a[2, 5] = 1.0, 1.0, 1.0, 2.0
+    a[[0, 1, 3, 4], 5] = 3.0, 5.0, 7.0, 11.0
+    a = a - a.T
+    assert pfaffian_reference(a) == pytest.approx(-2.0, rel=1e-12)
+    assert pfaffian(a, 1) == pytest.approx((-2.0,), rel=1e-12)
 
 
 def test_zero_last_entry_is_a_true_zero():
@@ -402,7 +449,7 @@ def random_bordered(d, border, seed, rank=None):
 
 
 @pytest.mark.parametrize("d", BORDERED_BLOCKS)
-@settings(derandomize=True, max_examples=3, deadline=None)
+@settings(derandomize=True, max_examples=3, deadline=None, phases=NO_SHRINK)
 @given(seed=SEEDS, border=BORDERS)
 def test_bordered_matches_unblocked_reference(d, seed, border):
     a = random_bordered(d, border, seed)
@@ -414,7 +461,7 @@ def test_bordered_matches_unblocked_reference(d, seed, border):
 
 
 @pytest.mark.parametrize("d", BORDERED_BLOCKS)
-@settings(derandomize=True, max_examples=2, deadline=None)
+@settings(derandomize=True, max_examples=2, deadline=None, phases=NO_SHRINK)
 @given(seed=SEEDS, border=BORDERS, deficit=st.sampled_from([3, 5, 7]))
 def test_rank_deficient_block_gives_exact_zeros(d, seed, border, deficit):
     # each bordered Pfaffian is linear in the (d - 1)-minors of the block, which all vanish;
