@@ -6,15 +6,22 @@ exact 2x2 propagators in closed form; a kick series takes one closed-form
 power of the one-period Floquet matrix per sample, not a loop over kicks.
 The odd-sector special modes are frozen in the occupation
 ``|vac>_{-pi} |0>``; only their accumulated phase ``gamma`` evolves.
+
+The modes advance in the order of the grid's ``momenta`` table, the
+even sector's positive modes and then the odd sector's, and their 2x2
+Hamiltonians come from its ``cos_k`` and ``sin_k`` tables, so a sample
+evaluates no function of k.  Each new state is checked once, over both
+sectors, for the drift of ``|u|^2 + |v|^2`` from 1.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MomentumGrid, mode_coefficients
+from .model import MomentumGrid
 
 __all__ = ["SystemState", "DriverSpec", "init_ferro", "evolve_quench", "evolve_kick_step"]
 
@@ -40,14 +47,15 @@ class SystemState:
     time: float
 
     def __post_init__(self):
-        n = self.grid.n_sites
-        if len(self.u_plus) != n // 2 or len(self.u_minus) != n // 2 - 1:
+        h = self.grid.n_sites // 2
+        if len(self.u_plus) != h or len(self.u_minus) != h - 1:
             raise ValueError("amplitude arrays do not match the grid")
-        for u, v in ((self.u_plus, self.v_plus), (self.u_minus, self.v_minus)):
-            drift = np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 1.0)
-            # negated so that a NaN drift fails the check too
-            if drift.size and not drift.max() <= NORM_TOL:
-                raise ValueError(f"mode normalization drift {drift.max():.3e} exceeds {NORM_TOL}")
+        # |u|^2 + |v|^2 of every mode of both sectors, in one pass
+        weights = np.abs(np.concatenate((self.u_plus, self.u_minus, self.v_plus, self.v_minus))) ** 2
+        drift = np.abs(weights[:2 * h - 1] + weights[2 * h - 1:] - 1.0).max()
+        # negated so that a NaN drift fails the check too
+        if not drift <= NORM_TOL:
+            raise ValueError(f"mode normalization drift {drift:.3e} exceeds {NORM_TOL}")
 
 
 @dataclass(frozen=True)
@@ -75,16 +83,10 @@ class DriverSpec:
 
 def init_ferro(grid: MomentumGrid) -> SystemState:
     """The +x fully polarized state: ``(u, v) = (sin k/2, cos k/2)`` per mode."""
-    kp, km = np.pi * grid.plus / grid.n_sites, np.pi * grid.minus / grid.n_sites
-    return SystemState(
-        grid=grid,
-        u_plus=np.sin(kp / 2.0).astype(complex),
-        v_plus=np.cos(kp / 2.0).astype(complex),
-        u_minus=np.sin(km / 2.0).astype(complex),
-        v_minus=np.cos(km / 2.0).astype(complex),
-        gamma=0.0,
-        time=0.0,
-    )
+    h = grid.n_sites // 2
+    half = grid.momenta / 2.0
+    u, v = np.sin(half).astype(complex), np.cos(half).astype(complex)
+    return SystemState(grid, u[:h], v[:h], u[h:], v[h:], gamma=0.0, time=0.0)
 
 
 def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: int = 1):
@@ -94,19 +96,28 @@ def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: 
     cos(w t) I - i sin(w t) / w H_k`` with ``w = hypot(a, b)``, and ``F_k =
     [[alpha, beta], [-conj beta, conj alpha]]`` is in SU(2).  Its power is
     ``cos(n theta) I + sin(n theta) / sin(theta) (F - cos(theta) I)``; theta
-    comes from atan2, which keeps full precision near ``F = +-I``.
+    comes from atan2, which keeps full precision near ``F = +-I``.  The
+    modes' ``(a, b)`` come from the grid's ``cos_k`` and ``sin_k`` tables.
     """
     grid = state.grid
     h = grid.n_sites // 2
-    k = np.pi * np.concatenate([grid.plus, grid.minus]) / grid.n_sites
     u = np.concatenate([state.u_plus, state.u_minus])
     v = np.concatenate([state.v_plus, state.v_minus])
-    a, b = mode_coefficients(k, g)
-    w = np.hypot(a, b)  # >= 2 |sin k| > 0 on every normal mode
-    sin_over_w = np.sin(w * t) / w
-    phase = np.exp(1j * phi)
-    alpha = phase * (np.cos(w * t) - 1j * sin_over_w * a)
-    beta = phase * (-1j * sin_over_w * b)
+    # minus (a, b) = mode_coefficients(k, g), from the tables
+    minus_a, minus_b = -2.0 * (grid.cos_k + g), 2.0 * grid.sin_k
+    w = np.hypot(minus_a, minus_b)  # >= 2 |sin k| > 0 on every normal mode
+    wt = w * t
+    sin_over_w = np.sin(wt) / w
+    # alpha = cos(w t) - i sin(w t) a / w and beta = -i sin(w t) b / w, before the kick phase
+    alpha = np.empty(len(w), dtype=complex)
+    beta = np.zeros(len(w), dtype=complex)
+    np.cos(wt, out=alpha.real)
+    np.multiply(sin_over_w, minus_a, out=alpha.imag)
+    np.multiply(sin_over_w, minus_b, out=beta.imag)
+    if phi:
+        phase = cmath.exp(1j * phi)
+        alpha *= phase
+        beta *= phase
     if kicks != 1:
         sin_theta = np.hypot(alpha.imag, np.abs(beta))
         theta = np.arctan2(sin_theta, alpha.real)

@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Ring of ``n_sites`` spins and the grid indices of its positive modes.
+    """Ring of ``n_sites`` spins, the grid indices of its positive modes, and its per-ring tables.
 
     The mode with integer grid index m has momentum ``k = pi m / N``.  The
     even sector uses the half-integer grid, odd m in (-N, N), symmetric
@@ -41,6 +41,28 @@ class MomentumGrid:
     labelled by its positive modes: ``plus`` holds the N/2 positive
     even-sector indices and ``minus`` the N/2 - 1 positive odd-sector normal
     modes, both ascending.
+
+    Everything a magnetization sample needs that depends on N alone is
+    tabulated once, here, so that a sample computes none of it again:
+
+    - ``momenta``: k of ``plus`` and then of ``minus``, the order in which
+      :mod:`isingring.dynamics` advances the modes, with ``cos_k`` and
+      ``sin_k``;
+    - ``ann`` and ``cre``: the interleaved grid indices of the annihilated
+      parts (the bra pairs' ``c_{-k}``, ``c_k``, N of them) and of the
+      created parts (the ket pairs' ``c^dag_q``, ``c^dag_{-q}``, then
+      ``c^dag_0``, N - 1 of them) of the ``<c_1>`` operand in
+      :mod:`isingring.observables`;
+    - ``ann_phase`` and ``cre_phase``: ``exp(-i pi m / N)`` over ``ann`` and
+      ``exp(i pi m / N)`` over ``cre``, the Fourier phases of ``c_1^dag`` and
+      ``c_1`` at those modes, which give the operand's border columns;
+    - ``kappa``: the contraction kernel of :mod:`isingring.wick` over the
+      index differences d = m - m' in (-2N, 2N), 4N entries laid out so
+      that ``kappa[d]`` is kappa(d) under numpy's negative indexing: d >= 0
+      first, then d < 0 (and an unused 0 for d = -2N).
+
+    The tables are read-only arrays of O(N) entries and not dataclass
+    fields, so grids of one size compare and hash equal.
     """
 
     n_sites: int
@@ -49,16 +71,27 @@ class MomentumGrid:
         n = _integer_sites(self.n_sites)
         if n < 4 or n % 2 != 0:
             raise ValueError(f"n_sites must be even and >= 4, got {n}")
+        plus, minus = np.arange(1, n, 2), np.arange(2, n, 2)
+        momenta = np.pi * np.concatenate([plus, minus]) / n
+        ann = np.empty(n, dtype=int)
+        ann[0::2], ann[1::2] = -plus, plus
+        cre = np.zeros(n - 1, dtype=int)
+        cre[0:-1:2], cre[1::2] = minus, -minus
+        d = np.arange(4 * n)
+        d[2 * n:] -= 4 * n
+        kappa = (d == 0).astype(complex)
+        cross = d % 2 != 0
+        kappa[cross] = (2.0 / n) / (np.exp(1j * np.pi * d[cross] / n) - 1.0)
+        tables = {"plus": plus, "minus": minus, "momenta": momenta, "cos_k": np.cos(momenta),
+                  "sin_k": np.sin(momenta), "ann": ann, "cre": cre, "kappa": kappa,
+                  "ann_phase": np.exp(-1j * np.pi * ann / n), "cre_phase": np.exp(1j * np.pi * cre / n)}
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
-    @property
-    def plus(self) -> np.ndarray:
-        """Grid indices 1, 3, ..., N - 1 of the positive even-sector modes."""
-        return np.arange(1, self.n_sites, 2)
-
-    @property
-    def minus(self) -> np.ndarray:
-        """Grid indices 2, 4, ..., N - 2 of the positive odd-sector normal modes."""
-        return np.arange(2, self.n_sites, 2)
+    def __reduce__(self):
+        # a copied or unpickled grid builds its own read-only tables
+        return type(self), (self.n_sites,)
 
 
 def _integer_sites(n_sites) -> int:
@@ -101,9 +134,9 @@ def mode_coefficients(k, g):
 
 def sgs_energies(grid: MomentumGrid, g: float):
     """Energies of the even and odd sub-ground states ``(e_plus, e_minus)``."""
-    n = grid.n_sites
-    e_plus = -float(dispersion(np.pi * grid.plus / n, g).sum())
-    e_minus = -float(dispersion(np.pi * grid.minus / n, g).sum()) - 2.0
+    h = grid.n_sites // 2
+    e_plus = -float(dispersion(grid.momenta[:h], g).sum())
+    e_minus = -float(dispersion(grid.momenta[h:], g).sum()) - 2.0
     return e_plus, e_minus
 
 
@@ -198,7 +231,7 @@ def cat_norm_identity(n_sites: int) -> float:
     state of the classical ring.
     """
     grid = MomentumGrid(n_sites)
-    return float(np.prod(np.sin(np.pi * grid.plus / n_sites / 2.0)))
+    return float(np.prod(np.sin(grid.momenta[:n_sites // 2] / 2.0)))
 
 
 def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):

@@ -65,8 +65,8 @@ a factor 1 + 2 / ``PAIR_RTOL``, and the pairs' bounds add rather than
 compound.  A pair with u = 0, or with a NaN or infinite entry, fails the
 test, so it is never divided by and a non-finite entry stays in S; at
 v = 0 its second row holds only ``alpha_k``, and it adds nothing.  The
-kernel's ``PIVOT_RTOL`` short circuit compares against the scale of S,
-and Pf(M) = 0 exactly when Pf(S) = 0.
+kernel's ``PIVOT_RTOL`` test compares against the entries of S, and
+Pf(M) = 0 exactly when Pf(S) = 0.
 
 The exponent fold.  ``prod_k alpha_k`` leaves the double range at large
 N (about 1e-680 for 400 pairs with |u| = 0.02), so it is never formed as
@@ -78,7 +78,16 @@ an exact power-of-two scaling: with L leading rows and
 ``2^(t_i + t_j)``, where t is q + 1 on the first r rows and q on the rest
 and on the borders.  Each even matrix of the leading block and one
 border column then gains exactly ``z 2^e``, so the returned operand's
-bordered Pfaffians are those of the full matrix.
+bordered Pfaffians are those of the full matrix.  A scaling by 2^0 is
+skipped.
+
+The per-sample cost.  Everything that depends on N alone, the grid
+indices of the operand's parts, their border phases and the kappa table
+of the cross block, is a table of the state's
+:class:`isingring.model.MomentumGrid`, built with the grid; a sample
+forms only what depends on its amplitudes.  When every bra pair passes
+the pivot test, as it does for most states, S is assembled without the
+gathers of the rejected pairs.
 
 S reaches the Pfaffian as
 :meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, which takes its
@@ -93,9 +102,9 @@ stays regular when a mode passes through v = 0 (as happens under kicks).
 
 from __future__ import annotations
 
+import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,6 +125,10 @@ _TERM_SIGNS = (1.0, 1.0, 1.0)
 #: a bra pair is eliminated in the Schur complement only if its entry exceeds this
 #: fraction of the largest entry of its two rows (threshold pivoting; see the module docstring)
 PAIR_RTOL = 0.01
+#: _pair_product loops over fewer factors than this in Python, where numpy calls cost more
+_SHORT_PRODUCT = 24
+#: mantissas of modulus >= 1/2 multiplied at once; their product stays a normal double
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -131,12 +144,23 @@ class MagnetizationSample:
 def _pair_product(alpha):
     """``prod(alpha)`` as ``(z, e)``, ``prod(alpha) = z 2^e`` with ``1/2 <= |z| < 1``.
 
-    After each factor the running product is divided by its own power of
-    two (``frexp``, then an exact ``ldexp``) and the power is added to the
-    integer ``e``, so no partial product leaves the double range.
+    No partial product leaves the double range: after each factor the
+    running product is divided by its own power of two (``frexp``, then an
+    exact ``ldexp``) and the power is added to the integer ``e``.  A long
+    product first divides each factor by its own power of two, which
+    leaves a mantissa of modulus in [1/2, 1), and takes the mantissas'
+    products in numpy, in chunks of ``_CHUNK``, which stay above 2^-_CHUNK,
+    as the factors.
     """
-    z, e = 1.0 + 0.0j, 0
-    for x in alpha.tolist():
+    if len(alpha) < _SHORT_PRODUCT:
+        factors, e = alpha.tolist(), 0
+    else:
+        powers = np.frexp(np.abs(alpha))[1]
+        mantissas = alpha * np.ldexp(1.0, -powers)
+        factors = [complex(np.prod(mantissas[i:i + _CHUNK])) for i in range(0, len(mantissas), _CHUNK)]
+        e = int(powers.sum())
+    z = 1.0 + 0.0j
+    for x in factors:
         z *= x
         shift = math.frexp(abs(z))[1]
         z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
@@ -158,20 +182,17 @@ def _c1_bordered(state: SystemState) -> SkewMatrix:
     on the bra pairs that pass the pivot test: the rejected bra pairs, the
     ket, ``c^dag_0`` and the two border columns, dimension N + 1 + 2f for f
     rejected pairs, scaled so that its two bordered Pfaffians are those of
-    the full matrix (see the module docstring).
+    the full matrix (see the module docstring).  The grid indices and the
+    border phases are the grid's tables; only the amplitudes are per state.
     """
     grid = state.grid
     n = grid.n_sites
     s1, s2, s3 = _TERM_SIGNS
-    # the parts that meet across sectors: the bra pairs' annihilated parts c_{-k} and
-    # conj(v) c_k, ascending in k, and the ket's created parts v c^dag_k and c^dag_{-k},
-    # then c^dag_0
-    ann = np.empty(n, dtype=int)
-    ann[0::2], ann[1::2] = -grid.plus, grid.plus
+    # the parts that meet across sectors, at the grid's interleaved indices ann and cre: the
+    # bra pairs' annihilated parts c_{-k} and conj(v) c_k, ascending in k, and the ket's
+    # created parts v c^dag_k and c^dag_{-k}, then c^dag_0
     a = np.ones(n, dtype=complex)
-    a[1::2] = np.conj(state.v_plus)
-    cre = np.zeros(n - 1, dtype=int)
-    cre[0:-1:2], cre[1::2] = grid.minus, -grid.minus
+    np.conjugate(state.v_plus, out=a[1::2])
     b = np.ones(n - 1, dtype=complex)
     b[0:-1:2] = state.v_minus
 
@@ -180,49 +201,59 @@ def _c1_bordered(state: SystemState) -> SkewMatrix:
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
     rows = np.zeros((n, n + 1), dtype=complex)
-    rows[:, :n - 1] = contractions((ann, cre), (a, b), n)
-    rows[:, n] = s3 * np.exp(-1j * np.pi * ann / n) * a
-    # word 1's c_1 stands before the later factors, so its column holds minus its contractions
-    first = -np.where(cre == 0, s1, s2) * np.exp(1j * np.pi * cre / n) * b
+    rows[:, :n - 1] = contractions((grid.ann, grid.cre), (a, b), grid)
+    np.multiply(grid.ann_phase, a, out=rows[:, n])
+    first = grid.cre_phase * b
 
     # the pivot test; a NaN or infinite entry fails it and stays in the operand
     pair_rows = rows.reshape(n // 2, 2, n + 1)
     size = np.abs(alpha)
     accepted = size > PAIR_RTOL * np.maximum(np.abs(pair_rows).max(axis=(1, 2)), size)
-    kept = ~accepted
-    z, e = _pair_product(alpha[accepted])
-    rows[:, n] *= z
-    first *= z
+    every = np.count_nonzero(accepted) == n // 2
+    z, e = _pair_product(alpha if every else alpha[accepted])
+    # the term signs and z enter the border columns together; word 1's c_1 stands before the
+    # later factors, so its column holds minus its contractions, and its last entry, at
+    # c^dag_0 (phase and coefficient 1), takes the k = 0 sign
+    rows[:, n] *= s3 * z
+    first *= -s2 * z
+    first[-1] = -s1 * z
 
     # S = U - U^T: U holds X = C2^T diag(1 / alpha) C1 over the accepted pairs' rows C1 and C2
     # and, above the diagonal, the rejected pairs' rows in their order, word 1's border and
     # the remaining pair entries
-    pivots = pair_rows[accepted]
-    rejected = pair_rows[kept].reshape(-1, n + 1)
-    k = len(rejected)
+    if every:
+        pivots, k, pair_alpha = pair_rows, 0, state.u_minus
+    else:
+        pivots, kept = pair_rows[accepted], ~accepted
+        rejected = pair_rows[kept].reshape(-1, n + 1)
+        k, pair_alpha = len(rejected), np.concatenate((alpha[kept], state.u_minus))
+        alpha = alpha[accepted]
     dim = k + n + 1
     upper = np.zeros((dim, dim), dtype=complex)
-    np.matmul((pivots[:, 1] / alpha[accepted, None]).T, pivots[:, 0], out=upper[k:, k:])
-    upper[:k, k:] = rejected
+    np.matmul((pivots[:, 1] / alpha[:, None]).T, pivots[:, 0], out=upper[k:, k:])
+    if k:
+        upper[:k, k:] = rejected
     upper[k:-2, -2] = first
-    at = np.arange(0, dim - 3, 2)
-    upper[at, at + 1] += np.concatenate((alpha[kept], state.u_minus))
+    # the pair entries (i, i + 1), even i < dim - 3, a strided view of the flat matrix
+    upper.reshape(-1)[1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)] += pair_alpha
     skew = upper - upper.T
 
     # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
     q, r = divmod(e, dim - 1)
-    skew *= math.ldexp(1.0, 2 * q)
-    skew[:r] *= 2.0
-    skew[:, :r] *= 2.0
+    if q:
+        skew *= math.ldexp(1.0, 2 * q)
+    if r:
+        skew[:r] *= 2.0
+        skew[:, :r] *= 2.0
     return SkewMatrix.antisymmetric(skew, border=2)
 
 
 def expectation_c1(state: SystemState) -> complex:
     """Cross-parity matrix element ``<psi(t)| c_1 |psi(t)>``."""
     first, second_adjoint = vacuum_expectation(_c1_bordered(state), border=2)
-    phase = np.exp(-1j * state.gamma)
+    phase = cmath.exp(-1j * state.gamma)
     # the minus sign undoes moving c_1 (c_1^dag) past the N - 1 factors after it
-    return -(phase * first + 1j * np.conj(phase * second_adjoint)) / (2.0 * np.sqrt(state.grid.n_sites))
+    return -(phase * first + 1j * (phase * second_adjoint).conjugate()) / (2.0 * math.sqrt(state.grid.n_sites))
 
 
 def magnetization(state: SystemState) -> MagnetizationSample:
@@ -233,16 +264,9 @@ def magnetization(state: SystemState) -> MagnetizationSample:
     """
     c1 = expectation_c1(state)
     n = state.grid.n_sites
-    mz = float(
-        np.sum(np.abs(state.v_plus) ** 2 - np.abs(state.u_plus) ** 2)
-        + np.sum(np.abs(state.v_minus) ** 2 - np.abs(state.u_minus) ** 2)
-    )
-    return MagnetizationSample(
-        time=state.time,
-        mx=2.0 * n * float(np.real(c1)),
-        my=-2.0 * n * float(np.imag(c1)),
-        mz=mz,
-    )
+    mz = (np.vdot(state.v_plus, state.v_plus) - np.vdot(state.u_plus, state.u_plus)
+          + np.vdot(state.v_minus, state.v_minus) - np.vdot(state.u_minus, state.u_minus)).real
+    return MagnetizationSample(time=state.time, mx=2.0 * n * c1.real, my=-2.0 * n * c1.imag, mz=float(mz))
 
 
 def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 1):
@@ -273,8 +297,11 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
         states = [evolve_kick_step(base, driver.g, driver.tau, driver.epsilon, int(n)) for n in schedule]
 
     if threads > 1:
+        # imported here: a serial series should not pay for the module
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             samples = list(pool.map(magnetization, states))
     else:
         samples = [magnetization(s) for s in states]
-    return [replace(s, time=float(x)) for x, s in zip(schedule, samples)]
+    return [MagnetizationSample(float(x), s.mx, s.my, s.mz) for x, s in zip(schedule, samples)]

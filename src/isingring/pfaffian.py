@@ -48,11 +48,16 @@ matrices (see :mod:`isingring.observables`).
 
 Small pivots.  Each step tests its largest pivot once, against
 ``PIVOT_RTOL`` times the largest initial entry magnitude or the smallest
-normal double, whichever is larger.  A pivot that fails only the second
-has lost digits and raises ``FloatingPointError``.  Otherwise the row is
-spent: a plain matrix is singular, and its Pfaffian is exactly 0.  In a
-bordered matrix a spent row gives exact zeros too if the rest of the
-leading block is spent; if not, the spent row is the odd block's null
+normal double, whichever is larger.  A pivot that fails is measured
+again against its own row: the row is spent only if the pivot is at most
+``PIVOT_RTOL`` times the largest initial entry of that row of the
+operand, found by replaying the steps' pivot swaps.  So a small row, such
+as a small block of a block-diagonal matrix, keeps its true pivots.  A
+pivot that is not spent but below the smallest normal double has lost
+digits and raises ``FloatingPointError``.  A spent row leaves a plain
+matrix singular, and its Pfaffian is exactly 0.  In a bordered matrix a
+spent row gives exact zeros too if every other row of the leading block
+is spent by the same rule; if not, the spent row is the odd block's null
 direction, which only the border columns meet, and each result is the
 plain Pfaffian of its own even matrix, taken from the operand.
 The pivot product is accumulated in Python complex arithmetic, which does
@@ -63,6 +68,7 @@ double, raises ``FloatingPointError`` instead of returning a silent NaN or 0.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 
 import numpy as np
@@ -71,7 +77,7 @@ __all__ = ["SkewMatrix", "pfaffian", "PfaffianDimensionError", "SkewSymmetryErro
 
 #: relative tolerance for the antisymmetry check at construction
 ASYMMETRY_RTOL = 1e-12
-#: a pivot below this fraction of the largest initial entry marks a spent row
+#: a pivot at most this fraction of its row's largest initial entry marks a spent row
 PIVOT_RTOL = 1e-13
 #: the updates are delayed over panels of this many elimination steps (2 rows and columns each)
 _BLOCK_STEPS = 32
@@ -142,7 +148,7 @@ class SkewMatrix:
                 f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
             )
         scale = float(np.abs(m).max())
-        if not np.isfinite(scale):
+        if not math.isfinite(scale):
             raise ValueError("matrix entries must be finite")
         self.entries, self.dim, self.border, self.scale, self.max_asymmetry = m, n, border, scale, 0.0
         return m
@@ -184,32 +190,35 @@ def pfaffian(a, border: int = 0):
     FloatingPointError
         If a pivot, the product of the pivots, or a result whose last
         factor is nonzero, is not finite or falls below the smallest normal
-        double, except a pivot below ``PIVOT_RTOL`` times the largest entry.
+        double, except a pivot that spends its row (at most ``PIVOT_RTOL``
+        times the row's largest initial entry).
 
     Notes
     -----
     O(n^3), with the trailing-block updates delayed over panels and the
-    pivots searched inside the leading block only.  A pivot below
-    ``PIVOT_RTOL`` times the largest initial entry magnitude leaves exact
+    pivots searched inside the leading block only.  A pivot at most
+    ``PIVOT_RTOL`` times the largest initial entry of its row leaves exact
     zeros or, in a bordered matrix whose leading block is not spent, the
     results' own plain Pfaffians; a larger pivot below the smallest normal
     double raises ``FloatingPointError`` (see the module docstring).
     """
     if not isinstance(a, SkewMatrix):
         a = SkewMatrix(a, border)
-    if a.border != border:
+    elif a.border != border:
         raise PfaffianDimensionError(f"the SkewMatrix has {a.border} border columns, not {border}")
     m = a.entries.copy()
     n = len(m)
-    small = PIVOT_RTOL * a.scale
-    tol = max(small, _TINY)
+    tol = max(PIVOT_RTOL * a.scale, _TINY)
 
     # the leading block, in which the pivots are searched, and the rows eliminated
     # from it: all but its last row (all but the last two of an even block)
     d = n - border
     e = d - 2 + d % 2
+    # each step's pivot offset, from which a pivot below tol replays the row permutation, and
+    # PIVOT_RTOL times the largest initial entry of each leading row, formed at that pivot
+    offsets, sizes = [], None
     # the panel's pending updates: step j's (s, -r) / pivot in rows 2j, 2j + 1 (r, s = m[k:k + 2])
-    f = np.empty((2 * _BLOCK_STEPS, n), dtype=complex)
+    f = np.empty((2 * min(_BLOCK_STEPS, e // 2), n), dtype=complex)
     coefficients = np.empty((2, 1), dtype=complex)
     pf = 1.0 + 0.0j
     for k0 in range(0, e, 2 * _BLOCK_STEPS):
@@ -221,15 +230,26 @@ def pfaffian(a, border: int = 0):
             mag = np.abs(m[k, k + 1:d])
             rel = int(mag.argmax())
             if mag[rel] < tol:
-                if mag[rel] > small:
+                if sizes is None:
+                    sizes = np.abs(a.entries[:d, :d]).max(axis=1) * PIVOT_RTOL
+                # the operand row now in each row of m
+                perm = list(range(d))
+                for i, r in enumerate(offsets, 1):
+                    perm[2 * i - 1], perm[2 * i - 1 + r] = perm[2 * i - 1 + r], perm[2 * i - 1]
+                if mag[rel] <= sizes[perm[k]]:
+                    if not border:
+                        return 0.0 + 0.0j
+                    # the rest of the leading block, brought up to date with the panel's pending updates
+                    rest = slice(k + 1, d)
+                    block = m[rest, rest] + f[:2 * j, rest].T @ m[k0:k, rest]
+                    if (np.abs(block).max(axis=1) > sizes[perm[k + 1:]]).any():
+                        # the spent row is the block's null direction, met only by the border columns
+                        words = (np.r_[:d, c] for c in range(d, n))
+                        return tuple(pfaffian(a.entries[np.ix_(w, w)]) for w in words)
+                    return (0.0 + 0.0j,) * border
+                if mag[rel] < _TINY:
                     raise FloatingPointError(f"pivots below the smallest normal double ({mag[rel]:.3e})")
-                # the rest of the leading block, brought up to date with the panel's pending updates
-                rest = slice(k + 1, d)
-                if border and np.abs(m[rest, rest] + f[:2 * j, rest].T @ m[k0:k, rest]).max() > small:
-                    # the spent row is the block's null direction, met only by the border columns
-                    words = (np.r_[:d, c] for c in range(d, n))
-                    return tuple(pfaffian(a.entries[np.ix_(w, w)]) for w in words)
-                return (0.0 + 0.0j,) * border if border else 0.0 + 0.0j
+            offsets.append(rel)
             if rel:
                 # swap rows and columns k + 1 and k + 1 + rel, the columns also in the panel's rows and f
                 pair, flip = slice(k + 1, k + 2 + rel, rel), slice(k + 1 + rel, k, -rel)

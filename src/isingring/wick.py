@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import MomentumGrid
 from .pfaffian import pfaffian
 
 __all__ = ["contractions", "vacuum_expectation"]
 
 
-def contractions(index, coeff, n_sites: int) -> np.ndarray:
+def contractions(index, coeff, grid: MomentumGrid) -> np.ndarray:
     """The matrix ``a_i kappa(m_i - m'_j) b_j`` of annihilated parts i against created parts j.
 
     ``index`` holds the annihilated and created grid indices ``(m, m')``,
@@ -46,17 +47,12 @@ def contractions(index, coeff, n_sites: int) -> np.ndarray:
     L factors of one word both are (2, L) arrays and the result is the
     word's L x L contraction matrix, of which the upper triangle counts;
     the annihilated parts of some factors against the created parts of
-    later ones give a rectangular block of it.  kappa is tabulated once over
-    d in (-2N, 2N) and gathered; the cross formula is evaluated on odd d
-    only, where its denominator cannot vanish.
+    later ones give a rectangular block of it.  kappa is gathered from the
+    ring's table :attr:`MomentumGrid.kappa`, which every d = m - m' in
+    (-2N, 2N) indexes directly.
     """
-    n = n_sites
-    d = np.arange(1 - 2 * n, 2 * n)
-    kappa = (d == 0).astype(complex)
-    cross = d % 2 != 0
-    kappa[cross] = (2.0 / n) / (np.exp(1j * np.pi * d[cross] / n) - 1.0)
     ann, cre, a, b = map(np.asarray, (*index, *coeff))
-    return a[:, None] * kappa[ann[:, None] - cre + (2 * n - 1)] * b
+    return a[:, None] * grid.kappa[ann[:, None] - cre] * b
 
 
 def vacuum_expectation(skew: np.ndarray, border: int = 0):

@@ -1,5 +1,8 @@
 """Tests for dispersion, Bogoliubov angles, sector energies, and diagnostics."""
 
+import copy
+import dataclasses
+import pickle
 import time
 
 import mpmath
@@ -53,6 +56,58 @@ class TestGrid:
         grid = MomentumGrid(np.int64(8))
         np.testing.assert_array_equal(grid.plus, MomentumGrid(8).plus)
         np.testing.assert_array_equal(grid.minus, MomentumGrid(8).minus)
+
+
+class TestGridTables:
+    TABLES = ("plus", "minus", "momenta", "cos_k", "sin_k", "ann", "cre", "kappa", "ann_phase", "cre_phase")
+
+    def test_tables_are_read_only(self):
+        grid = MomentumGrid(8)
+        for name in self.TABLES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(grid, name, np.zeros(3))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0] = 0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+    def test_copies_build_read_only_tables(self, clone):
+        grid = MomentumGrid(8)
+        twin = clone(grid)
+        assert twin == grid
+        for name in self.TABLES:
+            assert not getattr(twin, name).flags.writeable
+            np.testing.assert_array_equal(getattr(twin, name), getattr(grid, name))
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 40])
+    def test_tables_equal_their_definitions(self, n):
+        grid = MomentumGrid(n)
+        k = np.pi * np.r_[grid.plus, grid.minus] / n
+        np.testing.assert_array_equal(grid.momenta, k)
+        np.testing.assert_array_equal(grid.cos_k, np.cos(k))
+        np.testing.assert_array_equal(grid.sin_k, np.sin(k))
+        # the operand's interleaving: c_{-k}, c_k per bra pair; c^dag_q, c^dag_{-q} per ket pair, c^dag_0
+        np.testing.assert_array_equal(grid.ann, [m for p in range(1, n, 2) for m in (-p, p)])
+        np.testing.assert_array_equal(grid.cre, [m for q in range(2, n, 2) for m in (q, -q)] + [0])
+        np.testing.assert_allclose(grid.ann_phase, np.exp(-1j * np.pi * grid.ann / n), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(grid.cre_phase, np.exp(1j * np.pi * grid.cre / n), rtol=1e-15, atol=0)
+        for d in range(1 - 2 * n, 2 * n):
+            if d % 2:
+                expected = (2.0 / n) / (np.exp(1j * np.pi * d / n) - 1.0)
+                assert grid.kappa[d] == pytest.approx(expected, rel=1e-14, abs=0)
+            else:
+                assert grid.kappa[d] == (d == 0)
+
+    @pytest.mark.parametrize("n", [4, 10, 100])
+    def test_tables_are_linear_in_the_ring(self, n):
+        grid = MomentumGrid(n)
+        assert max(getattr(grid, name).size for name in self.TABLES) <= 4 * n
+
+    def test_equal_grids_compare_and_hash_equal(self):
+        a, b = MomentumGrid(8), MomentumGrid(np.int64(8))
+        assert a == b and hash(a) == hash(b)
+        assert a != MomentumGrid(10)
+        assert len({a, b, MomentumGrid(10)}) == 2
+        assert repr(a) == "MomentumGrid(n_sites=8)"
 
 
 class TestDispersion:

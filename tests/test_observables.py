@@ -295,8 +295,10 @@ class TestOperand:
             def poisoned(*args):
                 cross = contractions(*args)
                 cross[3, 2] = bad
+                calls.append(cross.shape)
                 return cross
 
+            calls = []
             monkeypatch.setattr(observables, "contractions", poisoned)
         else:
             signs = [1.0, 1.0, 1.0]
@@ -305,6 +307,9 @@ class TestOperand:
         # inf times a zero coefficient warns on the way; the result must be an error, not 0 or NaN
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             expectation_c1(state)
+        if block == "cross":
+            # the operand's cross block is the one gather, the N bra rows against the N - 1 ket parts
+            assert calls == [(10, 9)]
 
 
 class TestReducedOperand:
@@ -337,6 +342,17 @@ class TestReducedOperand:
         for t in (0.5, 3.7, 17.0, 60.0):
             rejected = (len(_c1_bordered(evolve_quench(init_ferro(MomentumGrid(n)), 0.5, t))) - n - 1) // 2
             assert rejected <= 0.1 * n // 2
+
+    @pytest.mark.parametrize("count", [observables._SHORT_PRODUCT, 400, 1300])
+    def test_pair_product_in_numpy_matches_the_loop(self, count, monkeypatch):
+        # factors across the double range; above 512 the chunks round in another order
+        rng = np.random.default_rng(count)
+        alpha = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * 10.0 ** rng.uniform(-300, 300, count)
+        z, e = observables._pair_product(alpha)
+        monkeypatch.setattr(observables, "_SHORT_PRODUCT", count + 1)
+        z_loop, e_loop = observables._pair_product(alpha)
+        assert e == e_loop
+        assert abs(z - z_loop) <= (0.0 if count <= observables._CHUNK else 1e-13) * abs(z_loop)
 
     def test_pair_product_far_below_the_double_range(self):
         # 400 bra pairs of |u| = 0.02: their product is about 1e-680
@@ -394,6 +410,15 @@ class TestRunSeries:
         parallel = run_series(DriverSpec("quench", g_f=1.1), MomentumGrid(8), times, threads=4)
         for a, b in zip(serial, parallel):
             assert a.mx == b.mx and a.my == b.my and a.mz == b.mz
+
+    @pytest.mark.parametrize("driver, schedule", [
+        (DriverSpec("quench", g_f=0.5), np.linspace(0.1, 9.0, 12)),
+        (DriverSpec("kick", g=0.5, tau=0.5, epsilon=0.02), range(1, 400, 37)),
+    ])
+    def test_threads_share_one_grid_bit_for_bit(self, driver, schedule):
+        # every worker reads the one grid's tables, which no sample writes
+        grid = MomentumGrid(40)
+        assert run_series(driver, grid, schedule, threads=4) == run_series(driver, grid, schedule)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):

@@ -38,6 +38,8 @@ def test_library_never_imports_scipy():
         "assert 0.0 < isingring.gap_delta(grid, 0.5) < 1e-20",
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))",
         "assert 'mpmath' not in sys.modules",
+        # the thread pool is imported only for threads > 1
+        "assert 'concurrent.futures' not in sys.modules",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -395,6 +395,25 @@ def test_null_row_whose_rest_is_spent_only_before_the_pending_updates():
     assert pfaffian(a, 1) == pytest.approx((-2.0,), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pairs, expected",
+    [(((0, 1, 1e20), (2, 3, 1.0), (4, 5, 1.0)), 1e20),
+     (((0, 1, 1.0), (2, 3, 1e-14), (4, 5, 1.0)), 1e-14),
+     # the 1e-14 row reaches step 2 through the swap of rows 1 and 2 at step 0
+     (((0, 2, 1.0), (1, 4, 1e-14), (3, 5, 1.0)), 1e-14)],
+    ids=["large-block", "small-block", "small-block-after-a-swap"],
+)
+def test_pivot_small_only_against_the_largest_entry_is_not_spent(pairs, expected):
+    # block-diagonal up to a permutation: a pivot below PIVOT_RTOL times the largest entry
+    # but not below that of its own row is a true pivot, not a spent row
+    a = np.zeros((6, 6))
+    for i, j, x in pairs:
+        a[i, j], a[j, i] = x, -x
+    assert pfaffian(a) == pytest.approx(expected, rel=1e-12, abs=0)
+    # the same matrix as a 5 x 5 block with its last column as the border
+    assert pfaffian(a, 1) == pytest.approx((expected,), rel=1e-12, abs=0)
+
+
 def test_zero_last_entry_is_a_true_zero():
     # the pivots are fine and the last factor is exactly 0: no error, an exact 0
     a = np.zeros((4, 4))

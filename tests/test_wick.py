@@ -135,7 +135,7 @@ class TestContractions:
         index = np.array([k.index for k in modes])
         rng = np.random.default_rng(n)
         coeff = rng.standard_normal((2, len(modes))) + 1j * rng.standard_normal((2, len(modes)))
-        matrix = contractions(np.array([index, index]), coeff, n)
+        matrix = contractions(np.array([index, index]), coeff, MomentumGrid(n))
         for i, k in enumerate(modes):
             for j, kp in enumerate(modes):
                 assert matrix[i, j] == pytest.approx(

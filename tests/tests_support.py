@@ -276,7 +276,7 @@ def c1_bordered_reference(state) -> SkewMatrix:
     # within a sector only the two factors of a BCS pair contract, with kappa = 1
     rows = np.arange(0, shared - 1, 2)
     pairs = a[rows] * b[rows + 1]
-    cross = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), n)
+    cross = contractions((ann[:n], cre[n:]), (a[:n], b[n:]), grid)
     # word 1's c_1 stands before the later factors, so its column holds minus its contractions
     first = -np.where(cre[n:] == 0, s1, s2) * np.exp(1j * np.pi * cre[n:] / n) * b[n:]
     second = s3 * np.exp(-1j * np.pi * ann[:n] / n) * a[:n]
