@@ -68,9 +68,7 @@ class MomentumGrid:
     n_sites: int
 
     def __post_init__(self):
-        n = _integer_sites(self.n_sites)
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"n_sites must be even and >= 4, got {n}")
+        n = _ring_size(self.n_sites)
         plus, minus = np.arange(1, n, 2), np.arange(2, n, 2)
         momenta = np.pi * np.concatenate([plus, minus]) / n
         ann = np.empty(n, dtype=int)
@@ -92,6 +90,14 @@ class MomentumGrid:
     def __reduce__(self):
         # a copied or unpickled grid builds its own read-only tables
         return type(self), (self.n_sites,)
+
+
+def _ring_size(n_sites) -> int:
+    """``n_sites`` as an int, checked to be even and >= 4, as a ``MomentumGrid`` needs."""
+    n = _integer_sites(n_sites)
+    if n < 4 or n % 2 != 0:
+        raise ValueError(f"n_sites must be even and >= 4, got {n}")
+    return n
 
 
 def _integer_sites(n_sites) -> int:
@@ -168,7 +174,7 @@ def chord_excess(x: float, n_sites: int) -> float:
     """
     if not 0 <= x < np.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
-    n = MomentumGrid(n_sites).n_sites
+    n = _ring_size(n_sites)
     if abs(1.0 - x) <= _WINDOW / n:
         # chord j is sqrt((1 - x)^2 + 4 x sin^2(j h)), h = pi / 2N; chords 2i - 1 and 2i enter
         # as the difference of their squares over their sum, so no two large chords cancel
