@@ -96,8 +96,7 @@ def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: 
     cos(w t) I - i sin(w t) / w H_k`` with ``w = hypot(a, b)``, and ``F_k =
     [[alpha, beta], [-conj beta, conj alpha]]`` is in SU(2).  Its power is
     ``cos(n theta) I + sin(n theta) / sin(theta) (F - cos(theta) I)``; theta
-    comes from atan2, which keeps full precision near ``F = +-I``.  The
-    modes' ``(a, b)`` come from the grid's ``cos_k`` and ``sin_k`` tables.
+    comes from atan2, which keeps full precision near ``F = +-I``.
     """
     grid = state.grid
     h = grid.n_sites // 2
