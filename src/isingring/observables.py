@@ -125,10 +125,6 @@ _TERM_SIGNS = (1.0, 1.0, 1.0)
 #: a bra pair is eliminated in the Schur complement only if its entry exceeds this
 #: fraction of the largest entry of its two rows (threshold pivoting; see the module docstring)
 PAIR_RTOL = 0.01
-#: _pair_product loops over fewer factors than this in Python, where numpy calls cost more
-_SHORT_PRODUCT = 24
-#: mantissas of modulus >= 1/2 multiplied at once; their product stays a normal double
-_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -144,23 +140,12 @@ class MagnetizationSample:
 def _pair_product(alpha):
     """``prod(alpha)`` as ``(z, e)``, ``prod(alpha) = z 2^e`` with ``1/2 <= |z| < 1``.
 
-    No partial product leaves the double range: after each factor the
-    running product is divided by its own power of two (``frexp``, then an
-    exact ``ldexp``) and the power is added to the integer ``e``.  A long
-    product first divides each factor by its own power of two, which
-    leaves a mantissa of modulus in [1/2, 1), and takes the mantissas'
-    products in numpy, in chunks of ``_CHUNK``, which stay above 2^-_CHUNK,
-    as the factors.
+    After each factor the running product is divided by its own power of
+    two (``frexp``, then an exact ``ldexp``) and the power is added to the
+    integer ``e``, so no partial product leaves the double range.
     """
-    if len(alpha) < _SHORT_PRODUCT:
-        factors, e = alpha.tolist(), 0
-    else:
-        powers = np.frexp(np.abs(alpha))[1]
-        mantissas = alpha * np.ldexp(1.0, -powers)
-        factors = [complex(np.prod(mantissas[i:i + _CHUNK])) for i in range(0, len(mantissas), _CHUNK)]
-        e = int(powers.sum())
-    z = 1.0 + 0.0j
-    for x in factors:
+    z, e = 1.0 + 0.0j, 0
+    for x in alpha.tolist():
         z *= x
         shift = math.frexp(abs(z))[1]
         z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift

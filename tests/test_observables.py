@@ -343,17 +343,6 @@ class TestReducedOperand:
             rejected = (len(_c1_bordered(evolve_quench(init_ferro(MomentumGrid(n)), 0.5, t))) - n - 1) // 2
             assert rejected <= 0.1 * n // 2
 
-    @pytest.mark.parametrize("count", [observables._SHORT_PRODUCT, 400, 1300])
-    def test_pair_product_in_numpy_matches_the_loop(self, count, monkeypatch):
-        # factors across the double range; above 512 the chunks round in another order
-        rng = np.random.default_rng(count)
-        alpha = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * 10.0 ** rng.uniform(-300, 300, count)
-        z, e = observables._pair_product(alpha)
-        monkeypatch.setattr(observables, "_SHORT_PRODUCT", count + 1)
-        z_loop, e_loop = observables._pair_product(alpha)
-        assert e == e_loop
-        assert abs(z - z_loop) <= (0.0 if count <= observables._CHUNK else 1e-13) * abs(z_loop)
-
     def test_pair_product_far_below_the_double_range(self):
         # 400 bra pairs of |u| = 0.02: their product is about 1e-680
         n = 800
