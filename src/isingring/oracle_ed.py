@@ -13,14 +13,26 @@ z of every spin alike, and the +x ferro state is T-invariant, so the state
 never leaves the eigenvalue-1 space of T.  ``ground_parity`` explains why
 the ground state of each parity lies there too.  That space is spanned by
 one normalized orbit sum per translation orbit of basis states (108 at
-N = 10 and 352 at N = 12, against 2^N).  The sector Hamiltonian is
-assembled directly in that basis and diagonalized, the only eigensolve in
-this module; states are mapped back to the 2^N spin basis only to be
-measured.  The other helpers act on the full 2^N space:
-``build_hamiltonian``, the reference the sector Hamiltonian is tested
-against, and the momentum-space sub-ground states, ferro states and cat
-states, in which the correspondence between momentum space and real space
-is checked.
+N = 10 and 352 at N = 12, against 2^N).
+
+Every orbit has a single popcount, so a single fermion parity, and both
+the Hamiltonian and the kick conserve the parity.  With the even orbits
+numbered first, the sector Hamiltonian is block-diagonal, one block per
+parity (56 + 52 orbits at N = 10), and each block is diagonalized on its
+own: the only eigensolves of this module.  The +x ferro state is the
+equal-weight sum of its two parity components (the cat states), and a
+trajectory evolves each component inside its own block, so nothing is
+dropped and the trajectories stay exact.  The states are measured in the
+sector basis as well: for a state ``P c``, ``<O> = c^dag (P^T O P) c`` for
+any O.  The total sigma^z is one number per orbit, and sigma^-_1 flips the
+parity, so ``A = P^T sigma^-_1 P`` couples only the two blocks and
+``<sigma^-_1> = c_e^dag A_eo c_o + c_o^dag A_oe c_e``: as in the paper, the
+parity-breaking magnetization is a matrix element between the sectors.
+
+The other helpers act on the full 2^N space: ``build_hamiltonian``, the
+reference the sector Hamiltonian is tested against, and the momentum-space
+sub-ground states, ferro states and cat states, in which the correspondence
+between momentum space and real space is checked.
 
 Basis convention: sigma^z product states, site 1 stored in the lowest-order
 bit, bit value 1 meaning spin up (occupied).
@@ -28,7 +40,9 @@ bit, bit value 1 meaning spin up (occupied).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +61,7 @@ __all__ = [
 ]
 
 MAX_SITES = 12
-#: times or kicks measured together by the trajectories, bounding their (2^N, T) arrays
+#: times or kicks measured together by the trajectories, bounding their (orbits, T) arrays
 _TIME_BLOCK = 64
 
 
@@ -73,10 +87,28 @@ def _check_sites(n_sites: int):
         raise ValueError(f"n_sites must be even with 4 <= N <= {MAX_SITES}, got {n_sites}")
 
 
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _popcounts() -> np.ndarray:
+    count = np.zeros(2**MAX_SITES, dtype=int)
+    for j in range(MAX_SITES):
+        # the states with bit j as their highest set bit repeat those below, one spin more
+        count[1 << j:2 << j] = count[:1 << j] + 1
+    count.flags.writeable = False
+    return count
+
+
+#: up spins of each basis state at N = MAX_SITES; a smaller ring's states are the first 2^N
+_POPCOUNT = _popcounts()
+
+
 def _popcount(n_sites: int) -> np.ndarray:
     """Number of up spins (occupied sites) of each of the 2^N basis states."""
-    states = np.arange(2**n_sites)
-    return sum((states >> j) & 1 for j in range(n_sites))
+    return _POPCOUNT[:2**n_sites]
 
 
 def _real_times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -108,21 +140,18 @@ def ground_parity(n_sites: int, g: float) -> str:
     parity block has a unique, positive ground state.  T commutes with H and
     with the parity and permutes the basis, so it maps that state to a
     positive ground state of the same block, itself: the state is
-    T-invariant and lies in the sector.  So the ground state, and any
-    near-degeneracy with the other parity's ground state, both show up
-    there.  Every translation orbit has one popcount parity, so the
-    parity of the ground vector is read off per column.
+    T-invariant and lies in the sector.  So the ground state is the lowest
+    level of the sector's even or odd block, whichever is lower, and a
+    near-degeneracy with the other parity's ground state shows up there too.
     """
     _check_sites(n_sites)
-    col, _, energies, vectors, _ = _sector_eigh(n_sites, g)
-    if energies[1] - energies[0] < 1e-10:
+    _check_finite(g=g)
+    sector = _parity_blocks(n_sites, g)
+    even, odd = sector.energies[:sector.even], sector.energies[sector.even:]
+    levels = np.sort(np.concatenate([even[:2], odd[:2]]))
+    if levels[1] - levels[0] < 1e-10:
         raise ValueError("ground space is degenerate; use the cat-state basis")
-    parity = np.empty(len(energies))
-    parity[col] = (-1.0) ** _popcount(n_sites)
-    expectation = float(parity @ vectors[:, 0] ** 2)
-    if abs(abs(expectation) - 1.0) > 1e-8:
-        raise ValueError("ground state has no definite fermion parity")
-    return "even" if expectation > 0 else "odd"
+    return "even" if even[0] < odd[0] else "odd"
 
 
 def _apply_cdag(psi: np.ndarray, n_sites: int, site: int) -> np.ndarray:
@@ -202,96 +231,152 @@ def _orbit_basis(n_sites: int):
     """The zero-momentum isometry P as ``(col, weight)``, two length-2^N arrays.
 
     Basis state s lies in column ``col[s]``, one column per translation orbit
-    (the cyclic rotations of s, numbered by their smallest member), with
-    weight ``1/sqrt(orbit size)``: column r of P is the normalized sum of the
-    states of orbit r.
+    (the cyclic rotations of s), with weight ``1/sqrt(orbit size)``: column r
+    of P is the normalized sum of the states of orbit r.  The orbits of even
+    popcount come first; within each parity they are numbered by their
+    smallest member.
     """
     states = np.arange(2**n_sites)
-    full = 2**n_sites - 1
-    rotations = np.array([((states << j) | (states >> (n_sites - j))) & full
-                          for j in range(n_sites)])
-    orbit_size = n_sites / (rotations == states).sum(axis=0)
-    col = np.unique(rotations.min(axis=0), return_inverse=True)[1]
-    return col, 1.0 / np.sqrt(orbit_size)
+    shift = np.arange(n_sites)[:, None]
+    rotations = ((states << shift) | (states >> (n_sites - shift))) & (2**n_sites - 1)
+    # the parity above the smallest member: the keys of the even orbits are the lower ones
+    key = rotations.min(axis=0) | (_popcount(n_sites) & 1) << n_sites
+    marked = np.zeros(2 << n_sites, dtype=int)
+    marked[key] = 1
+    col = np.cumsum(marked)[key] - 1
+    return col, 1.0 / np.sqrt(np.bincount(col)[col])
 
 
 def _sector_hamiltonian(n_sites: int, g: float, col: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``P^T H P`` for the Hamiltonian of build_hamiltonian, scatter-added without forming H."""
-    h = np.zeros((col.max() + 1,) * 2)
+    """``P^T H P`` for the Hamiltonian of build_hamiltonian, summed without forming H."""
+    r = col.max() + 1
+    bonds = np.array([(1 << j) | (1 << ((j + 1) % n_sites)) for j in range(n_sites)])
+    flipped = np.arange(2**n_sites) ^ bonds[:, None]
+    # -sum_j sigma^x_j sigma^x_{j+1}: the N bond flips of every state, in one sum
+    h = np.bincount((col * r + col[flipped]).ravel(), weights=(-weight * weight[flipped]).ravel(),
+                    minlength=r * r).reshape(r, r)
     # the field term is the same on every state of an orbit
-    h[col, col] = -g * (2.0 * _popcount(n_sites) - n_sites)
-    states = np.arange(2**n_sites)
-    for j in range(n_sites):
-        flipped = states ^ ((1 << j) | (1 << ((j + 1) % n_sites)))
-        np.add.at(h, (col, col[flipped]), -weight * weight[flipped])
+    field = np.empty(r)
+    field[col] = -g * (2.0 * _popcount(n_sites) - n_sites)
+    h.reshape(-1)[::r + 1] += field
     return h
 
 
-def _sector_eigh(n_sites: int, g: float):
-    """Orbit basis, eigenpairs of ``P^T H P``, and ``P^T`` of the +x ferro state."""
+class _ParityBlocks(NamedTuple):
+    """The zero-momentum sector at one field, split by fermion parity.
+
+    Orbits ``[:even]`` have even parity and the rest odd.  ``energies``
+    holds the levels of the even block, then those of the odd block, and
+    ``vectors`` the eigenvectors of each block.
+    """
+
+    n_sites: int
+    even: int
+    energies: np.ndarray
+    vectors: tuple
+    z_total: np.ndarray  # sum of sigma^z_j over the sites, per orbit
+    lower: tuple  # the blocks A_eo and A_oe of A = P^T sigma^-_1 P, which is zero within each block
+    ferro: np.ndarray  # P^T of the +x ferro state
+
+
+def _parity_blocks(n_sites: int, g: float) -> _ParityBlocks:
     col, weight = _orbit_basis(n_sites)
-    energies, vectors = np.linalg.eigh(_sector_hamiltonian(n_sites, g, col, weight))
+    r = col.max() + 1
+    # state 1, one up spin, is the smallest odd-parity state, so it opens the odd block
+    e = int(col[1])
+    h = _sector_hamiltonian(n_sites, g, col, weight)
+    (e_even, v_even), (e_odd, v_odd) = np.linalg.eigh(h[:e, :e]), np.linalg.eigh(h[e:, e:])
+    z_total = np.empty(r)
+    z_total[col] = 2.0 * _popcount(n_sites) - n_sites
+    # sigma^-_1 takes each state s with site 1 up (s odd) to s - 1
+    up = np.arange(1, 2**n_sites, 2)
+    lower = np.bincount(col[up - 1] * r + col[up], weights=weight[up - 1] * weight[up],
+                        minlength=r * r).reshape(r, r)
+    a_eo, a_oe = lower[:e, e:].copy(), lower[e:, :e].copy()
     # every amplitude of the ferro state is 2^(-N/2)
     ferro = np.bincount(col, weights=weight) / 2.0 ** (n_sites / 2)
-    return col, weight, energies, vectors, ferro
+    return _ParityBlocks(n_sites, e, np.concatenate([e_even, e_odd]), (v_even, v_odd),
+                         z_total, (a_eo, a_oe), ferro)
 
 
-def _magnetizations(n_sites: int, col: np.ndarray, weight: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(mx, my, mz) of each column of a block of orbit-basis coefficients.
+def _measure(sector: _ParityBlocks, c_even: np.ndarray, c_odd: np.ndarray) -> np.ndarray:
+    """(mx, my, mz) of each column of a block of sector coefficients, split by parity.
 
-    The block is mapped back to the spin basis, ``weight * coeffs[col]``, and
-    measured as a whole: mx = N <sigma^x_1>, my = N <sigma^y_1>, and mz the
-    sum of <sigma^z_j> over all sites.
+    mx = N <sigma^x_1> and my = N <sigma^y_1> come from ``<sigma^-_1>``
+    (with <up|sigma^y|down> = -i), mz is the sum of <sigma^z_j> over all
+    sites.
     """
-    psi = weight[:, None] * coeffs[col]
-    norm = np.linalg.norm(psi, axis=0)
+    e = sector.even
+    a_eo, a_oe = sector.lower
+    p_even, p_odd = np.abs(c_even) ** 2, np.abs(c_odd) ** 2
+    norm2 = p_even.sum(axis=0) + p_odd.sum(axis=0)
+    norm = np.sqrt(norm2)
     if not np.all(np.abs(norm - 1.0) <= 1e-12):
         raise ValueError(f"state not normalized: |psi| = {norm}")
-    psi /= norm
-    # sigma^x_1 and sigma^y_1 pair each even state s (site 1 down) with s + 1 (site 1 up);
-    # with <up|sigma^y|down> = -i
-    pair = (psi[0::2].conj() * psi[1::2]).sum(axis=0)
-    z_total = 2.0 * _popcount(n_sites) - n_sites
-    return np.column_stack([2 * n_sites * pair.real, -2 * n_sites * pair.imag,
-                            z_total @ np.abs(psi) ** 2])
+    lowered = ((c_even.conj() * (a_eo @ c_odd)).sum(axis=0)
+               + (c_odd.conj() * (a_oe @ c_even)).sum(axis=0)) / norm2
+    mz = (sector.z_total[:e] @ p_even + sector.z_total[e:] @ p_odd) / norm2
+    n = sector.n_sites
+    return np.column_stack([2 * n * lowered.real, -2 * n * lowered.imag, mz])
 
 
 def quench_trajectory(n_sites: int, g_f: float, times) -> np.ndarray:
     """Exact (mx, my, mz) samples after a quench from the +x ferro state.
 
-    Runs in the zero-momentum sector. All times of a block evolve together:
-    their eigenbasis coefficients form an (R, T) matrix, mapped to the orbit
-    basis by two real products with the real eigenvectors.
+    Runs in the two parity blocks of the zero-momentum sector. All times of
+    a block evolve together: per parity, their eigenbasis coefficients form
+    an (R, T) matrix, mapped to the orbit basis by two real products with
+    the block's real eigenvectors.
     """
     _check_sites(n_sites)
-    col, weight, energies, vectors, ferro = _sector_eigh(n_sites, g_f)
-    coeff0 = vectors.T @ ferro
+    _check_finite(g_f=g_f)
+    sector = _parity_blocks(n_sites, g_f)
+    e = sector.even
+    (v_even, v_odd), ferro = sector.vectors, sector.ferro
+    start = np.concatenate([v_even.T @ ferro[:e], v_odd.T @ ferro[e:]])
     times = np.asarray(times, dtype=float)
-    rows = []
-    for start in range(0, len(times), _TIME_BLOCK):
-        phased = np.exp(-1j * np.outer(energies, times[start:start + _TIME_BLOCK])) * coeff0[:, None]
-        rows.extend(_magnetizations(n_sites, col, weight, _real_times(vectors, phased)))
-    return np.array(rows)
+    rows = np.empty((len(times), 3))
+    for first in range(0, len(times), _TIME_BLOCK):
+        block = times[first:first + _TIME_BLOCK]
+        phased = np.exp(-1j * np.outer(sector.energies, block)) * start[:, None]
+        rows[first:first + len(block)] = _measure(sector, _real_times(v_even, phased[:e]),
+                                                  _real_times(v_odd, phased[e:]))
+    return rows
 
 
 def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks: int) -> np.ndarray:
     """Exact stroboscopic (mx, my, mz) just after each of the first n kicks.
 
-    Runs in the zero-momentum sector, where the kick is diagonal: the
-    popcount is the same for every state of an orbit.
+    Runs in the two parity blocks of the zero-momentum sector, where the
+    kick is diagonal: the popcount is the same for every state of an orbit.
+    Each block advances by one precomputed period, the evolution over tau
+    followed by the kick, and the state is renormalized after every kick.
     """
     _check_sites(n_sites)
-    col, weight, energies, vectors, psi = _sector_eigh(n_sites, g)
-    phases = np.exp(-1j * energies * tau)
-    phi = np.pi * (1.0 - epsilon)
-    kick_phase = np.empty(len(psi), dtype=complex)
-    kick_phase[col] = np.exp(-1j * (phi / 2.0) * (2.0 * _popcount(n_sites) - n_sites))
-    rows = []
-    for start in range(0, n_kicks, _TIME_BLOCK):
-        block = np.empty((len(psi), min(_TIME_BLOCK, n_kicks - start)), dtype=complex)
-        for i in range(block.shape[1]):
-            psi = kick_phase * _real_times(vectors, phases * _real_times(vectors.T, psi))
-            psi /= np.linalg.norm(psi)
-            block[:, i] = psi
-        rows.extend(_magnetizations(n_sites, col, weight, block))
-    return np.array(rows)
+    _check_finite(g=g, tau=tau, epsilon=epsilon)
+    if not isinstance(n_kicks, (int, np.integer)) or n_kicks < 0:
+        raise ValueError(f"n_kicks must be a nonnegative integer, got {n_kicks!r}")
+    sector = _parity_blocks(n_sites, g)
+    e = sector.even
+    (v_even, v_odd), ferro = sector.vectors, sector.ferro
+    # e^{-i (phi/2) sum_j sigma^z_j} after e^{-i H tau}, with phi = pi (1 - epsilon)
+    kick = np.exp(-1j * (np.pi * (1.0 - epsilon) / 2.0) * sector.z_total)[:, None]
+    phased = np.exp(-1j * sector.energies * tau)[:, None]
+    u_even = _real_times(v_even, phased[:e] * v_even.T)
+    u_odd = _real_times(v_odd, phased[e:] * v_odd.T)
+    u_even *= kick[:e]
+    u_odd *= kick[e:]
+    c_even, c_odd = ferro[:e], ferro[e:]
+    rows = np.empty((n_kicks, 3))
+    for first in range(0, n_kicks, _TIME_BLOCK):
+        count = min(_TIME_BLOCK, n_kicks - first)
+        b_even = np.empty((e, count), dtype=complex)
+        b_odd = np.empty((len(c_odd), count), dtype=complex)
+        for i in range(count):
+            c_even, c_odd = u_even @ c_even, u_odd @ c_odd
+            norm = math.sqrt(np.vdot(c_even, c_even).real + np.vdot(c_odd, c_odd).real)
+            c_even /= norm
+            c_odd /= norm
+            b_even[:, i], b_odd[:, i] = c_even, c_odd
+        rows[first:first + count] = _measure(sector, b_even, b_odd)
+    return rows

@@ -17,7 +17,14 @@ from isingring.oracle_ed import (
     kick_trajectory,
     quench_trajectory,
 )
-from tests_support import apply_kick, evolve_exact, ground_parity_full_space, measure, plus_modes
+from tests_support import (
+    apply_kick,
+    evolve_exact,
+    ground_parity_full_space,
+    isometry,
+    measure,
+    plus_modes,
+)
 
 
 def full_space_row(psi):
@@ -25,13 +32,6 @@ def full_space_row(psi):
     n = psi.n_sites
     return [n * measure(psi, "x", 1), n * measure(psi, "y", 1),
             sum(measure(psi, "z", j) for j in range(1, n + 1))]
-
-
-def isometry(col, weight):
-    """The dense 2^N x R matrix P of an orbit basis."""
-    p = np.zeros((len(col), col.max() + 1))
-    p[np.arange(len(col)), col] = weight
-    return p
 
 
 def parity_block(h, n_sites, parity):
@@ -194,6 +194,11 @@ class TestGroundParity:
         for g in np.linspace(-2.0, 2.0, 41):
             assert outcome(ground_parity, g) == outcome(ground_parity_full_space, g), g
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        with pytest.raises(ValueError, match="g must be finite"):
+            ground_parity(6, bad)
+
     def test_no_full_space_matrix_at_twelve_sites(self):
         # one dense 2^12 x 2^12 float matrix alone would take 134 MB
         tracemalloc.start()
@@ -272,6 +277,21 @@ class TestTrajectories:
         np.testing.assert_allclose(kick_trajectory(n, g, tau, eps, n_kicks), expected,
                                    rtol=0, atol=1e-12)
 
+    def test_long_kick_run_matches_full_space_evolution(self):
+        # 500 periods in the full 2^N space: evolve_exact's step with its eigendecomposition
+        # taken once (500 of them at N = 8 would take seconds), then apply_kick
+        n, g, tau, eps, n_kicks = 8, 0.7, 0.45, 0.08, 500
+        energies, vectors = np.linalg.eigh(build_hamiltonian(n, g))
+        period = vectors @ (np.exp(-1j * energies * tau)[:, None] * vectors.T)
+        psi = ferro_state(n)
+        expected = []
+        for _ in range(n_kicks):
+            evolved = period @ psi.amplitudes
+            psi = apply_kick(DenseState(n, evolved / np.linalg.norm(evolved)), np.pi * (1.0 - eps))
+            expected.append(full_space_row(psi))
+        np.testing.assert_allclose(kick_trajectory(n, g, tau, eps, n_kicks), expected,
+                                   rtol=0, atol=1e-11)
+
     @pytest.mark.parametrize("trajectory", [
         lambda n: quench_trajectory(n, 0.5, [0.0, 1.0]),
         lambda n: kick_trajectory(n, 0.5, 0.5, 0.02, 2),
@@ -280,6 +300,34 @@ class TestTrajectories:
         for n in (14, 7, 2):
             with pytest.raises(ValueError):
                 trajectory(n)
+
+    @pytest.mark.parametrize("rows", [
+        lambda: quench_trajectory(4, 0.5, []),
+        lambda: kick_trajectory(4, 0.5, 0.5, 0.02, 0),
+    ], ids=["quench", "kick"])
+    def test_empty_schedule_gives_no_rows(self, rows):
+        assert rows().shape == (0, 3)
+
+    @pytest.mark.parametrize("n_kicks", [-3, 2.0, 2.5, "2"])
+    def test_kick_count_must_be_a_nonnegative_integer(self, n_kicks):
+        with pytest.raises(ValueError, match="n_kicks"):
+            kick_trajectory(4, 0.5, 0.5, 0.02, n_kicks)
+
+    def test_numpy_integer_kick_count(self):
+        np.testing.assert_array_equal(kick_trajectory(4, 0.5, 0.5, 0.02, np.int64(3)),
+                                      kick_trajectory(4, 0.5, 0.5, 0.02, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, trajectory", [
+        ("g_f", lambda x: quench_trajectory(4, x, [0.0, 1.0])),
+        ("g", lambda x: kick_trajectory(4, x, 0.5, 0.02, 2)),
+        ("tau", lambda x: kick_trajectory(4, 0.5, x, 0.02, 2)),
+        ("epsilon", lambda x: kick_trajectory(4, 0.5, 0.5, x, 2)),
+    ], ids=["g_f", "g", "tau", "epsilon"])
+    def test_non_finite_parameter_rejected_up_front(self, name, trajectory, bad):
+        # raised before any eigensolve or phase, so no LinAlgError and no RuntimeWarning
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            trajectory(bad)
 
     def test_non_finite_time_fails_the_norm_check(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -295,6 +343,20 @@ class TestTrajectories:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    @pytest.mark.parametrize("trajectory", [
+        lambda: quench_trajectory(12, 0.5, np.linspace(0.0, 10.0, 21)),
+        lambda: kick_trajectory(12, 1.5, 0.3, 0.1, 50),
+    ], ids=["quench", "kick"])
+    def test_states_never_expand_into_the_spin_basis(self, trajectory):
+        # one block of _TIME_BLOCK states in the 2^12 spin basis would take 4.2 MB
+        tracemalloc.start()
+        try:
+            trajectory()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**12 * oracle_ed._TIME_BLOCK * 16
 
     def test_perfect_kick_alternation(self):
         rows = kick_trajectory(4, 0.0, 0.5, 0.0, 4)
@@ -340,3 +402,28 @@ class TestZeroMomentumSector:
         p = isometry(col, weight)
         ferro = ferro_state(n).amplitudes
         np.testing.assert_allclose(p @ (p.T @ ferro), ferro, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_hamiltonian_is_block_diagonal_in_parity(self, n):
+        # the even orbits are numbered first, and H has exact zeros between the parities
+        col, weight = oracle_ed._orbit_basis(n)
+        odd = np.zeros(col.max() + 1, dtype=bool)
+        odd[col] = oracle_ed._popcount(n) % 2 == 1
+        even = np.count_nonzero(~odd)
+        assert not odd[:even].any() and odd[even:].all()
+        h = oracle_ed._sector_hamiltonian(n, 0.6, col, weight)
+        assert np.count_nonzero(h[:even, even:]) == 0
+        assert np.count_nonzero(h[even:, :even]) == 0
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_lowering_operator_is_projected_full_operator(self, n):
+        # sigma^-_1 takes each state with site 1 up (odd s) to s - 1
+        full = np.zeros((2**n, 2**n))
+        full[np.arange(0, 2**n, 2), np.arange(1, 2**n, 2)] = 1.0
+        col, weight = oracle_ed._orbit_basis(n)
+        sector = oracle_ed._parity_blocks(n, 0.6)
+        e = sector.even
+        lower = np.zeros((col.max() + 1,) * 2)
+        lower[:e, e:], lower[e:, :e] = sector.lower
+        p = isometry(col, weight)
+        np.testing.assert_allclose(lower, p.T @ full @ p, rtol=0, atol=1e-15)

@@ -40,6 +40,10 @@ def test_library_never_imports_scipy():
         "assert 'mpmath' not in sys.modules",
         # the thread pool is imported only for threads > 1
         "assert 'concurrent.futures' not in sys.modules",
+        # the ED oracle and the command line are loaded only by the CLI and the tests
+        "assert 'isingring.oracle_ed' not in sys.modules",
+        "assert 'isingring.cli' not in sys.modules",
+        "assert 'argparse' not in sys.modules",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

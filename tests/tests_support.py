@@ -4,7 +4,8 @@ two-word ``<c_1>`` fill, the full bordered ``<c_1>`` matrix and its word
 fills, dict-operator BCS words, the per-word ``<c_1>``, the scalar
 contraction kernel, the explicit overlap formula, the per-mode propagator
 and mode Hamiltonians, full-space evolution, kicks, measurement,
-ground-state parity, and the parity gap as the chord sum in mpmath).  A
+ground-state parity, the dense zero-momentum isometry, and the parity gap
+as the chord sum in mpmath).  A
 reference operator is a pair ``(ann, cre)`` of dicts
 ``{ModeIndex: coefficient}``.  :class:`ModeIndex`, a mode named by sector
 and grid index, lives here because only these oracles use it; the engine
@@ -548,6 +549,13 @@ def measure(state: DenseState, axis: str, site: int) -> float:
         raise ValueError(f"site {site} out of range")
     acted = _apply_pauli(state.amplitudes, state.n_sites, axis, site)
     return float(np.real(np.vdot(state.amplitudes, acted)))
+
+
+def isometry(col, weight):
+    """The dense 2^N x R matrix P of an orbit basis ``(col, weight)``."""
+    p = np.zeros((len(col), col.max() + 1))
+    p[np.arange(len(col)), col] = weight
+    return p
 
 
 def _parity_diag(n_sites: int) -> np.ndarray:
