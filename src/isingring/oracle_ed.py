@@ -93,17 +93,9 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _popcounts() -> np.ndarray:
-    count = np.zeros(2**MAX_SITES, dtype=int)
-    for j in range(MAX_SITES):
-        # the states with bit j as their highest set bit repeat those below, one spin more
-        count[1 << j:2 << j] = count[:1 << j] + 1
-    count.flags.writeable = False
-    return count
-
-
 #: up spins of each basis state at N = MAX_SITES; a smaller ring's states are the first 2^N
-_POPCOUNT = _popcounts()
+_POPCOUNT = np.array([s.bit_count() for s in range(2**MAX_SITES)])
+_POPCOUNT.flags.writeable = False
 
 
 def _popcount(n_sites: int) -> np.ndarray:
