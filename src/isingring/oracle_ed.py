@@ -240,17 +240,24 @@ def _orbit_basis(n_sites: int):
 
 
 def _sector_hamiltonian(n_sites: int, g: float, col: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``P^T H P`` for the Hamiltonian of build_hamiltonian, summed without forming H."""
+    """``P^T H P`` for the Hamiltonian of build_hamiltonian, without forming H.
+
+    H commutes with T, so column r of ``P^T H P`` follows from any one member
+    s of orbit r: each bond flip of s that lands in orbit t stands for the
+    same flip of all 1/weight[r]^2 states of the orbit, each entering with
+    ``-weight[t] * weight[r]``, so it adds ``-weight[t] / weight[r]`` to
+    entry (t, r).
+    """
     r = col.max() + 1
+    # one state of each orbit; which one the assignment keeps does not matter
+    member = np.empty(r, dtype=int)
+    member[col] = np.arange(2**n_sites)
     bonds = np.array([(1 << j) | (1 << ((j + 1) % n_sites)) for j in range(n_sites)])
-    flipped = np.arange(2**n_sites) ^ bonds[:, None]
-    # -sum_j sigma^x_j sigma^x_{j+1}: the N bond flips of every state, in one sum
-    h = np.bincount((col * r + col[flipped]).ravel(), weights=(-weight * weight[flipped]).ravel(),
-                    minlength=r * r).reshape(r, r)
-    # the field term is the same on every state of an orbit
-    field = np.empty(r)
-    field[col] = -g * (2.0 * _popcount(n_sites) - n_sites)
-    h.reshape(-1)[::r + 1] += field
+    flipped = member ^ bonds[:, None]
+    h = np.bincount((col[flipped] * r + np.arange(r)).ravel(),
+                    weights=(-weight[flipped] / weight[member]).ravel(), minlength=r * r).reshape(r, r)
+    # -g sum_j sigma^z_j, the same on every state of an orbit
+    h.reshape(-1)[::r + 1] -= g * (2.0 * _popcount(n_sites)[member] - n_sites)
     return h
 
 
@@ -291,25 +298,25 @@ def _parity_blocks(n_sites: int, g: float) -> _ParityBlocks:
                          z_total, (a_eo, a_oe), ferro)
 
 
-def _measure(sector: _ParityBlocks, c_even: np.ndarray, c_odd: np.ndarray) -> np.ndarray:
-    """(mx, my, mz) of each column of a block of sector coefficients, split by parity.
+def _measure(sector: _ParityBlocks, c: np.ndarray) -> np.ndarray:
+    """(mx, my, mz) of each column of a block of sector coefficients.
 
-    mx = N <sigma^x_1> and my = N <sigma^y_1> come from ``<sigma^-_1>``
-    (with <up|sigma^y|down> = -i), mz is the sum of <sigma^z_j> over all
-    sites.
+    The rows ``[:sector.even]`` hold the even-parity component of a state
+    and the rest its odd-parity component.  mx = N <sigma^x_1> and
+    my = N <sigma^y_1> come from ``<sigma^-_1>`` (with
+    <up|sigma^y|down> = -i), mz is the sum of <sigma^z_j> over all sites.
     """
-    e = sector.even
-    a_eo, a_oe = sector.lower
-    p_even, p_odd = np.abs(c_even) ** 2, np.abs(c_odd) ** 2
-    norm2 = p_even.sum(axis=0) + p_odd.sum(axis=0)
+    probability = np.abs(c) ** 2
+    norm2 = probability.sum(axis=0)
     norm = np.sqrt(norm2)
     if not np.all(np.abs(norm - 1.0) <= 1e-12):
         raise ValueError(f"state not normalized: |psi| = {norm}")
+    (a_eo, a_oe), c_even, c_odd = sector.lower, c[:sector.even], c[sector.even:]
     lowered = ((c_even.conj() * (a_eo @ c_odd)).sum(axis=0)
                + (c_odd.conj() * (a_oe @ c_even)).sum(axis=0)) / norm2
-    mz = (sector.z_total[:e] @ p_even + sector.z_total[e:] @ p_odd) / norm2
     n = sector.n_sites
-    return np.column_stack([2 * n * lowered.real, -2 * n * lowered.imag, mz])
+    return np.column_stack([2 * n * lowered.real, -2 * n * lowered.imag,
+                            sector.z_total @ probability / norm2])
 
 
 def quench_trajectory(n_sites: int, g_f: float, times) -> np.ndarray:
@@ -331,8 +338,8 @@ def quench_trajectory(n_sites: int, g_f: float, times) -> np.ndarray:
     for first in range(0, len(times), _TIME_BLOCK):
         block = times[first:first + _TIME_BLOCK]
         phased = np.exp(-1j * np.outer(sector.energies, block)) * start[:, None]
-        rows[first:first + len(block)] = _measure(sector, _real_times(v_even, phased[:e]),
-                                                  _real_times(v_odd, phased[e:]))
+        rows[first:first + len(block)] = _measure(
+            sector, np.concatenate([_real_times(v_even, phased[:e]), _real_times(v_odd, phased[e:])]))
     return rows
 
 
@@ -362,13 +369,12 @@ def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks:
     rows = np.empty((n_kicks, 3))
     for first in range(0, n_kicks, _TIME_BLOCK):
         count = min(_TIME_BLOCK, n_kicks - first)
-        b_even = np.empty((e, count), dtype=complex)
-        b_odd = np.empty((len(c_odd), count), dtype=complex)
+        block = np.empty((len(ferro), count), dtype=complex)
         for i in range(count):
             c_even, c_odd = u_even @ c_even, u_odd @ c_odd
             norm = math.sqrt(np.vdot(c_even, c_even).real + np.vdot(c_odd, c_odd).real)
             c_even /= norm
             c_odd /= norm
-            b_even[:, i], b_odd[:, i] = c_even, c_odd
-        rows[first:first + count] = _measure(sector, b_even, b_odd)
+            block[:e, i], block[e:, i] = c_even, c_odd
+        rows[first:first + count] = _measure(sector, block)
     return rows
