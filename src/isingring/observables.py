@@ -98,6 +98,29 @@ makes that scale NaN or infinite, which raises ``ValueError``.
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
 stays regular when a mode passes through v = 0 (as happens under kicks).
+
+Batches.  The samples of a series share their grid and differ only in
+their amplitudes, and at small N each stage of a sample costs its few
+dozen numpy calls rather than their arithmetic.  So :func:`run_series`
+evolves each sample with one ``evolve_*`` call and then
+evaluates ``<c_1>`` of a batch of samples at once (:func:`_c1_stacks`,
+:func:`_c1_values`).  The batch's states are grouped by operand
+dimension, N + 1 + 2f for f rejected bra pairs, without padding; each
+group is one stack, a (B, dim, dim) array, assembled with the kappa cross
+block gathered once and eliminated by one
+:func:`isingring.wick.vacuum_expectation` call.  The pivot test, the pair
+product ``z 2^e`` and the power-of-two fold stay each state's own, and
+every value is bit for bit the one the state has alone.  A group of one
+state is assembled and eliminated as one matrix, without the stack's
+leading axis, so a series of one sample runs the steps of a single
+operand.  Each sample is then made by one
+``magnetization(state, c1)`` call.  A batch holds at most B samples with
+``B (N + 1)^2`` complex entries within ``_BATCH_BYTES`` (2 MiB): 21
+samples share a batch up to N = 78, 12 do at N = 100 and 3 at N = 200,
+and from N = 256 on each sample is a batch of its own, eliminated as one
+matrix.  With ``threads`` > 1 a batch is at most
+``1/threads`` of the schedule, so that every worker evaluates batches of
+its own.  A batch's arrays live only during its evaluation.
 """
 
 from __future__ import annotations
@@ -105,6 +128,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -126,6 +150,11 @@ _TERM_SIGNS = (1.0, 1.0, 1.0)
 #: fraction of the largest entry of its two rows (threshold pivoting; see the module docstring)
 PAIR_RTOL = 0.01
 
+#: run_series evaluates its samples in batches of B, with B (N + 1)^2 complex entries
+#: (16 bytes each) at most this many bytes, and at least one sample: 2 MiB, B = 12 at
+#: N = 100 and 3 at N = 200, was faster per sample than 4 MiB at both
+_BATCH_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class MagnetizationSample:
@@ -140,16 +169,117 @@ class MagnetizationSample:
 def _pair_product(alpha):
     """``prod(alpha)`` as ``(z, e)``, ``prod(alpha) = z 2^e`` with ``1/2 <= |z| < 1``.
 
-    After each factor the running product is divided by its own power of
-    two (``frexp``, then an exact ``ldexp``) and the power is added to the
-    integer ``e``, so no partial product leaves the double range.
+    ``alpha`` is an iterable of Python complex numbers.  After each factor
+    the running product is divided by its own power of two (``frexp``,
+    then an exact ``ldexp``) and the power is added to the integer ``e``,
+    so no partial product leaves the double range.
     """
     z, e = 1.0 + 0.0j, 0
-    for x in alpha.tolist():
+    for x in alpha:
         z *= x
         shift = math.frexp(abs(z))[1]
         z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
     return z, e
+
+
+def _c1_stacks(states) -> list:
+    """The ``<c_1>`` operands of states on one grid, as stacks of operands of equal dimension.
+
+    Returns ``(members, skew)`` for each dimension N + 1 + 2f that occurs:
+    the indices into ``states`` of the states with f rejected bra pairs,
+    ascending, and their operands as one (B, dim, dim) array, antisymmetric
+    by construction; a group of one state is its one (dim, dim) matrix.  The
+    kappa cross block is gathered once for all states; the pivot test, the
+    pair product z 2^e and the power-of-two fold are each state's own.  See
+    :func:`_c1_bordered` for the operand.
+    """
+    grid = states[0].grid
+    n = grid.n_sites
+    h = n // 2
+    s1, s2, s3 = _TERM_SIGNS
+    # the states' axis; one state is assembled without it, as the matrix it is
+    lead = (len(states),) if len(states) > 1 else ()
+    u_plus, v_plus, u_minus, v_minus = (
+        np.array([getattr(s, name) for s in states]) if lead else getattr(states[0], name)
+        for name in ("u_plus", "v_plus", "u_minus", "v_minus"))
+    # the parts that meet across sectors, at the grid's interleaved indices ann and cre: the
+    # bra pairs' annihilated parts c_{-k} and conj(v) c_k, ascending in k, and the ket's
+    # created parts v c^dag_k and c^dag_{-k}, then c^dag_0
+    a = np.ones(lead + (n,), dtype=complex)
+    np.conjugate(v_plus, out=a[..., 1::2])
+    b = np.ones(lead + (n - 1,), dtype=complex)
+    b[..., 0:-1:2] = v_minus
+
+    # within a sector only the two factors of a BCS pair contract, with kappa = 1
+    alpha = np.conj(u_plus)
+    # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
+    # meets only the ket and c^dag_0), word 2's border
+    rows = np.zeros(lead + (n, n + 1), dtype=complex)
+    rows[..., :n - 1] = contractions((grid.ann, grid.cre), (a, b), grid)
+    border = rows[..., n]
+    np.multiply(grid.ann_phase, a, out=border)
+    first = np.multiply(grid.cre_phase, b, out=b)
+
+    # the pivot test; a NaN or infinite entry fails it and stays in the operand
+    pair_rows = rows.reshape(lead + (h, 2, n + 1))
+    size = np.abs(alpha)
+    accepted = size > PAIR_RTOL * np.maximum(np.abs(pair_rows).max(axis=(-2, -1)), size)
+    kept = accepted.reshape(-1, h).tolist()
+    counts = [sum(x) for x in kept]
+    z, e = zip(*map(_pair_product, map(compress, alpha.reshape(-1, h).tolist(), kept)))
+    # the term signs and z enter the border columns together; word 1's c_1 stands before the
+    # later factors, so its column holds minus its contractions, and its last entry, at
+    # c^dag_0 (phase and coefficient 1), takes the k = 0 sign
+    z = np.array(z)[:, None] if lead else z[0]
+    border *= s3 * z
+    first *= -s2 * z
+    first[..., -1:] = -s1 * z
+
+    stacks = []
+    for count in sorted(set(counts), reverse=True):
+        members = [i for i, c in enumerate(counts) if c == count]
+        pivots, tested, group_alpha, group_first, minus = pair_rows, accepted, alpha, first, u_minus
+        if len(members) < len(states):
+            pick = members if len(members) > 1 else members[0]
+            pivots, tested, group_alpha, group_first, minus = (
+                x[pick] for x in (pivots, tested, group_alpha, group_first, minus))
+        group = (len(members),) if len(members) > 1 else ()
+        # S = U - U^T: U holds X = C2^T diag(1 / alpha) C1 over the accepted pairs' rows C1 and C2
+        # and, above the diagonal, the rejected pairs' rows in their order, word 1's border and
+        # the remaining pair entries
+        k = 2 * (h - count)
+        if k:
+            rejected = pivots[~tested].reshape(group + (k, n + 1))
+            pair_alpha = np.concatenate((group_alpha[~tested].reshape(group + (k // 2,)), minus), axis=-1)
+            pivots = pivots[tested].reshape(group + (count, 2, n + 1))
+            group_alpha = group_alpha[tested].reshape(group + (count,))
+        else:
+            pair_alpha = minus
+        dim = k + n + 1
+        upper = np.zeros(group + (dim, dim), dtype=complex)
+        np.matmul((pivots[..., 1, :] / group_alpha[..., None]).swapaxes(-1, -2), pivots[..., 0, :],
+                  out=upper[..., k:, k:])
+        if k:
+            upper[..., :k, k:] = rejected
+        upper[..., k:-2, -2] = group_first
+        # the pair entries (i, i + 1), even i < dim - 3, a strided view of each flat matrix
+        pairs = upper.reshape(group + (-1,))[..., 1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)]
+        pairs += pair_alpha
+        skew = upper - upper.swapaxes(-1, -2)
+
+        # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
+        # (scaled in place through named views, which ``x[:r] *= 2`` would assign back)
+        for member, i in zip(skew if group else [skew], members):
+            q, r = divmod(e[i], dim - 1)
+            if q:
+                member *= math.ldexp(1.0, 2 * q)
+            if r:
+                top, left = member[:r], member[:, :r]
+                top *= 2.0
+                left *= 2.0
+        stacks.append((members, skew))
+    # returned, not yielded: the assembly's temporaries are freed before the Pfaffians run
+    return stacks
 
 
 def _c1_bordered(state: SystemState) -> SkewMatrix:
@@ -169,85 +299,53 @@ def _c1_bordered(state: SystemState) -> SkewMatrix:
     rejected pairs, scaled so that its two bordered Pfaffians are those of
     the full matrix (see the module docstring).  The grid indices and the
     border phases are the grid's tables; only the amplitudes are per state.
+    It is the one matrix :func:`_c1_stacks` makes of the state.
     """
-    grid = state.grid
-    n = grid.n_sites
-    s1, s2, s3 = _TERM_SIGNS
-    # the parts that meet across sectors, at the grid's interleaved indices ann and cre: the
-    # bra pairs' annihilated parts c_{-k} and conj(v) c_k, ascending in k, and the ket's
-    # created parts v c^dag_k and c^dag_{-k}, then c^dag_0
-    a = np.ones(n, dtype=complex)
-    np.conjugate(state.v_plus, out=a[1::2])
-    b = np.ones(n - 1, dtype=complex)
-    b[0:-1:2] = state.v_minus
-
-    # within a sector only the two factors of a BCS pair contract, with kappa = 1
-    alpha = np.conj(state.u_plus)
-    # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
-    # meets only the ket and c^dag_0), word 2's border
-    rows = np.zeros((n, n + 1), dtype=complex)
-    rows[:, :n - 1] = contractions((grid.ann, grid.cre), (a, b), grid)
-    np.multiply(grid.ann_phase, a, out=rows[:, n])
-    first = grid.cre_phase * b
-
-    # the pivot test; a NaN or infinite entry fails it and stays in the operand
-    pair_rows = rows.reshape(n // 2, 2, n + 1)
-    size = np.abs(alpha)
-    accepted = size > PAIR_RTOL * np.maximum(np.abs(pair_rows).max(axis=(1, 2)), size)
-    every = np.count_nonzero(accepted) == n // 2
-    z, e = _pair_product(alpha if every else alpha[accepted])
-    # the term signs and z enter the border columns together; word 1's c_1 stands before the
-    # later factors, so its column holds minus its contractions, and its last entry, at
-    # c^dag_0 (phase and coefficient 1), takes the k = 0 sign
-    rows[:, n] *= s3 * z
-    first *= -s2 * z
-    first[-1] = -s1 * z
-
-    # S = U - U^T: U holds X = C2^T diag(1 / alpha) C1 over the accepted pairs' rows C1 and C2
-    # and, above the diagonal, the rejected pairs' rows in their order, word 1's border and
-    # the remaining pair entries
-    if every:
-        pivots, k, pair_alpha = pair_rows, 0, state.u_minus
-    else:
-        pivots, kept = pair_rows[accepted], ~accepted
-        rejected = pair_rows[kept].reshape(-1, n + 1)
-        k, pair_alpha = len(rejected), np.concatenate((alpha[kept], state.u_minus))
-        alpha = alpha[accepted]
-    dim = k + n + 1
-    upper = np.zeros((dim, dim), dtype=complex)
-    np.matmul((pivots[:, 1] / alpha[:, None]).T, pivots[:, 0], out=upper[k:, k:])
-    if k:
-        upper[:k, k:] = rejected
-    upper[k:-2, -2] = first
-    # the pair entries (i, i + 1), even i < dim - 3, a strided view of the flat matrix
-    upper.reshape(-1)[1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)] += pair_alpha
-    skew = upper - upper.T
-
-    # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
-    q, r = divmod(e, dim - 1)
-    if q:
-        skew *= math.ldexp(1.0, 2 * q)
-    if r:
-        skew[:r] *= 2.0
-        skew[:, :r] *= 2.0
+    ((_, skew),) = _c1_stacks([state])
     return SkewMatrix.antisymmetric(skew, border=2)
 
 
-def expectation_c1(state: SystemState) -> complex:
-    """Cross-parity matrix element ``<psi(t)| c_1 |psi(t)>``."""
-    first, second_adjoint = vacuum_expectation(_c1_bordered(state), border=2)
+def _c1_from_words(state: SystemState, first: complex, second_adjoint: complex) -> complex:
+    """``<psi(t)| c_1 |psi(t)>`` from the two bordered Pfaffians of the state's operand."""
     phase = cmath.exp(-1j * state.gamma)
     # the minus sign undoes moving c_1 (c_1^dag) past the N - 1 factors after it
     return -(phase * first + 1j * (phase * second_adjoint).conjugate()) / (2.0 * math.sqrt(state.grid.n_sites))
 
 
-def magnetization(state: SystemState) -> MagnetizationSample:
+def _c1_values(states) -> list:
+    """``<psi(t)| c_1 |psi(t)>`` of each of the states, one Pfaffian elimination per operand dimension.
+
+    A group of one is eliminated as the one matrix it is.  A range error
+    of one state's Pfaffian carries that state's index in ``states`` as
+    its ``member`` attribute.
+    """
+    values = [None] * len(states)
+    for members, skew in _c1_stacks(states):
+        try:
+            words = vacuum_expectation(SkewMatrix.antisymmetric(skew, border=2), border=2)
+        except FloatingPointError as error:
+            error.member = members[getattr(error, "member", 0)]
+            raise
+        for i, (first, second_adjoint) in zip(members, words if skew.ndim == 3 else [words]):
+            values[i] = _c1_from_words(states[i], first, second_adjoint)
+    return values
+
+
+def expectation_c1(state: SystemState) -> complex:
+    """Cross-parity matrix element ``<psi(t)| c_1 |psi(t)>``."""
+    return _c1_values([state])[0]
+
+
+def magnetization(state: SystemState, c1: complex | None = None) -> MagnetizationSample:
     """Site-summed (mx, my, mz) of the current state.
 
     mx and my come from the cross-parity ``<c_1>`` (with
     ``<c_1^dag> = conj <c_1>``); mz is diagonal in the BCS amplitudes.
+    ``c1`` is the state's ``<c_1>`` when it is known, as
+    :func:`run_series` knows it from a batch; by default it is evaluated.
     """
-    c1 = expectation_c1(state)
+    if c1 is None:
+        c1 = expectation_c1(state)
     n = state.grid.n_sites
     mz = (np.vdot(state.v_plus, state.v_plus) - np.vdot(state.u_plus, state.u_plus)
           + np.vdot(state.v_minus, state.v_minus) - np.vdot(state.u_minus, state.u_minus)).real
@@ -262,7 +360,15 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     kick.  Every sample is one closed-form propagation from the initial
     state (a Floquet power for kicks), so its value does not depend on the
     other schedule entries, and it is labelled by its own entry.
-    ``threads`` > 1 evaluates the samples in that many worker threads.
+
+    The samples are evaluated in batches of consecutive entries, at most
+    as many as keep B (N + 1)^2 complex entries within ``_BATCH_BYTES``
+    (see the module docstring); each batch's ``<c_1>`` takes one
+    assembly and one Pfaffian elimination per operand dimension, and each
+    member's value is the one it has alone, bit for bit.  ``threads`` > 1
+    evaluates the batches in that many worker threads, each batch at most
+    ``1/threads`` of the schedule so that every worker has one.  A range
+    error of a sample's Pfaffian names its schedule entry.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -275,18 +381,35 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     if driver.kind == "quench":
         if any(t < 0 for t in schedule):
             raise ValueError("quench sample times must be nonnegative")
-        states = [evolve_quench(base, driver.g_f, t) for t in schedule]
+
+        def evolve(t):
+            return evolve_quench(base, driver.g_f, t)
     else:
         if any(int(s) != s or s < 0 for s in schedule):
             raise ValueError("kick schedule entries must be nonnegative integers")
-        states = [evolve_kick_step(base, driver.g, driver.tau, driver.epsilon, int(n)) for n in schedule]
 
+        def evolve(n):
+            return evolve_kick_step(base, driver.g, driver.tau, driver.epsilon, int(n))
+
+    def evaluate(entries):
+        states = [evolve(x) for x in entries]
+        try:
+            values = _c1_values(states)
+        except FloatingPointError as error:
+            if getattr(error, "member", None) is None:
+                raise
+            raise FloatingPointError(f"schedule entry {entries[error.member]}: {error}") from error
+        # one module-level magnetization call per sample
+        return [magnetization(state, c1) for state, c1 in zip(states, values)]
+
+    size = max(1, min(_BATCH_BYTES // (16 * (grid.n_sites + 1) ** 2), -(-len(schedule) // threads)))
+    batches = [schedule[i:i + size] for i in range(0, len(schedule), size)]
     if threads > 1:
         # imported here: a serial series should not pay for the module
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(magnetization, states))
+            samples = [s for batch in pool.map(evaluate, batches) for s in batch]
     else:
-        samples = [magnetization(s) for s in states]
+        samples = [s for batch in map(evaluate, batches) for s in batch]
     return [MagnetizationSample(float(x), s.mx, s.my, s.mz) for x, s in zip(schedule, samples)]

@@ -20,11 +20,27 @@ over the rows the panel has eliminated since its first row k0.  Bringing a
 row up to date before it is read is then one product with those rows.  A
 pivot swap of rows and columns k + 1 and l swaps columns k + 1 and l of the
 eliminated rows too (``m[k0:, pair]``, not ``m[k:, pair]``), and the same
-two columns of f.  At the end of the panel the trailing block receives
-``f^T m[k0:ke]`` (ke the first row after the panel) from one matrix
-product.
+two columns of f.  f lives in the rows below m in one working array, so
+that one slice assignment swaps both.  At the end of the panel the
+trailing block receives ``f^T m[k0:ke]`` (ke the first row after the
+panel) from one matrix product.
 Every panel spans ``_BLOCK_STEPS`` steps, at every matrix size; the last
 one spans the steps that are left.
+
+Stacks.  ``pfaffian`` also takes a (B, n, n) stack of operands of one
+dimension and border, and returns the list of the B results.  There is
+one kernel: every vector operation of a step indexes the last two axes,
+so on a stack it runs once for all members (the row updates, the pivot
+search, the f rows and the panel product, as batched matrix products),
+and on one matrix it runs as on the stack of one without the leading
+axis.  The rest is each member's own, in Python scalars: its pivot and
+its ``PIVOT_RTOL`` threshold, its swaps, as slices of its own matrix, its
+sign and its pivot product.  Batched products make the same BLAS call per
+member as one matrix does, so a member's result is bit for bit the one it
+has alone.  At small n the cost of a step is that of its few dozen numpy
+calls, not their arithmetic, so a stack of B members costs far less than
+B matrices one after the other.  In place updates go through named views
+(``row += x``): ``m[k, k + 1:] += x`` would also assign the view back.
 
 The operand.  An array is validated by :class:`SkewMatrix`, which scans
 it for antisymmetry (``|M + M^T|``) and stores its symmetrized copy
@@ -63,6 +79,11 @@ plain Pfaffian of its own even matrix, taken from the operand.
 The pivot product is accumulated in Python complex arithmetic, which does
 not warn.  A product that is not finite, or falls below the smallest normal
 double, raises ``FloatingPointError`` instead of returning a silent NaN or 0.
+In a stack each member is tested against its own threshold and its own
+rows.  A member whose row is spent gets what it gets alone, exact zeros or
+its words' own Pfaffians, and leaves the stack, which goes on with the
+others.  A range error in a stack names the member, in its message and
+as the error's ``member`` attribute.
 """
 
 from __future__ import annotations
@@ -93,6 +114,11 @@ class SkewSymmetryError(ValueError):
     """Matrix violates antisymmetry beyond tolerance."""
 
 
+def _in_member(m: np.ndarray, i: int) -> str:
+    """The words that name member i of a stack in an error message; nothing for one matrix."""
+    return f" in stack member {i}" if m.ndim == 3 else ""
+
+
 class SkewMatrix:
     """Complex antisymmetric matrix, validated for :func:`pfaffian`.
 
@@ -107,18 +133,25 @@ class SkewMatrix:
     ``ASYMMETRY_RTOL`` times ``scale`` raises :class:`SkewSymmetryError`; a
     NaN or infinite entry raises ``ValueError``.  :meth:`antisymmetric`
     wraps a matrix that needs neither the scan nor the copy.
+
+    A (B, n, n) array is a stack of B such matrices: ``dim`` and ``border``
+    are each member's, ``scale`` is the array of the members' largest entry
+    magnitudes, each checked against its own member, and an error names
+    the member that raised it.
     """
 
     def __init__(self, entries, border: int = 0):
         m = self._wrap(entries, border)
-        asymmetry = float(np.abs(m + m.T).max())
-        if self.scale > 0.0 and asymmetry > ASYMMETRY_RTOL * self.scale:
+        transpose = np.swapaxes(m, -1, -2)
+        asymmetry = np.abs(m + transpose).max(axis=(-2, -1)).reshape(-1)
+        scale = np.reshape(self.scale, -1)
+        for i in np.flatnonzero(asymmetry > ASYMMETRY_RTOL * scale)[:1].tolist():
             raise SkewSymmetryError(
-                f"antisymmetry violated: max |M + M.T| = {asymmetry:.3e} "
-                f"(largest entry {self.scale:.3e})"
+                f"antisymmetry violated: max |M + M.T| = {asymmetry[i]:.3e} "
+                f"(largest entry {scale[i]:.3e})" + _in_member(m, i)
             )
-        self.entries = 0.5 * (m - m.T)
-        self.max_asymmetry = asymmetry
+        self.entries = 0.5 * (m - transpose)
+        self.max_asymmetry = float(asymmetry.max(initial=0.0))
 
     @classmethod
     def antisymmetric(cls, entries, border: int = 0) -> "SkewMatrix":
@@ -138,18 +171,23 @@ class SkewMatrix:
     def _wrap(self, entries, border: int) -> np.ndarray:
         """Take the entries as complex, check shape, border and finiteness, and record them."""
         m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise PfaffianDimensionError(f"expected a square matrix, got shape {m.shape}")
-        n = len(m)
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+            raise PfaffianDimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+        n = m.shape[-1]
         paired = n - border + (border > 0)
         if border < 0 or paired < 2 or paired % 2 != 0:
             raise PfaffianDimensionError(
                 f"dimension must be even and >= 2, got {n}" if border == 0 else
                 f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
             )
-        scale = float(np.abs(m).max())
-        if not math.isfinite(scale):
-            raise ValueError("matrix entries must be finite")
+        if m.ndim == 2:
+            scale = float(np.abs(m).max())
+            finite = math.isfinite(scale)
+        else:
+            scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+            finite = np.isfinite(scale).all()
+        if not finite:
+            raise ValueError("matrix entries must be finite" + _in_member(m, np.argmin(np.isfinite(scale))))
         self.entries, self.dim, self.border, self.scale, self.max_asymmetry = m, n, border, scale, 0.0
         return m
 
@@ -165,15 +203,55 @@ def _representable(z: complex) -> bool:
     return cmath.isfinite(z) and max(abs(z.real), abs(z.imag)) >= _TINY
 
 
+def _member_error(error: FloatingPointError, member: int) -> FloatingPointError:
+    """``error`` naming the stack member it came from, also as its ``member`` attribute."""
+    named = FloatingPointError(f"stack member {member}: {error}")
+    named.member = member
+    return named
+
+
+def _small_pivot(operand, border, m, f, k0, k, offsets, magnitude, sizes):
+    """The result of an operand whose pivot at step k is below its tolerance, or None.
+
+    ``m`` and ``f`` are the operand's working matrix, with this step's swap
+    done, and its rows of the panel's coefficients; ``offsets`` are its
+    pivot offsets up to this step.  None means the row is not spent: the
+    pivot is a true one, unless it is subnormal, which raises.  ``sizes``
+    is the cache of ``PIVOT_RTOL`` times the largest initial entry of each
+    leading row, formed on first use.
+    """
+    d = len(operand) - border
+    if sizes is None:
+        sizes = np.abs(operand[:d, :d]).max(axis=1) * PIVOT_RTOL
+    # the operand row now in each row of m
+    perm = list(range(d))
+    for i, r in enumerate(offsets, 1):
+        perm[2 * i - 1], perm[2 * i - 1 + r] = perm[2 * i - 1 + r], perm[2 * i - 1]
+    if magnitude > sizes[perm[k]]:
+        if magnitude < _TINY:
+            raise FloatingPointError(f"pivots below the smallest normal double ({magnitude:.3e})")
+        return None, sizes
+    if not border:
+        return 0.0 + 0.0j, sizes
+    # the rest of the leading block, brought up to date with the panel's pending updates
+    rest = slice(k + 1, d)
+    block = m[rest, rest] + f[:k - k0, rest].T @ m[k0:k, rest]
+    if (np.abs(block).max(axis=1) > sizes[perm[k + 1:]]).any():
+        # the spent row is the block's null direction, met only by the border columns
+        words = (np.r_[:d, c] for c in range(d, len(operand)))
+        return tuple(pfaffian(operand[np.ix_(w, w)]) for w in words), sizes
+    return (0.0 + 0.0j,) * border, sizes
+
+
 def pfaffian(a, border: int = 0):
-    """Pfaffian of a complex skew-symmetric matrix, or of several bordered ones.
+    """Pfaffian of a complex skew-symmetric matrix, or of several bordered ones; or of a stack of either.
 
     Parameters
     ----------
     a : SkewMatrix or array_like
-        Antisymmetric matrix.  Arrays are validated through
-        :class:`SkewMatrix` first; a ``SkewMatrix`` must carry the same
-        ``border``.
+        Antisymmetric matrix, or a (B, n, n) stack of B of them.  Arrays
+        are validated through :class:`SkewMatrix` first; a ``SkewMatrix``
+        must carry the same ``border``.
     border : int
         Number of trailing border columns.  With 0 the result is Pf(a).
         With b > 0 it is a tuple of b Pfaffians, the i-th of the even matrix
@@ -182,8 +260,10 @@ def pfaffian(a, border: int = 0):
 
     Returns
     -------
-    complex or tuple of complex
-        Pf(a), with the convention Pf([[0, x], [-x, 0]]) = x.
+    complex or tuple of complex, or a list of them
+        Pf(a), with the convention Pf([[0, x], [-x, 0]]) = x.  A stack
+        gives the list of its members' results, each what the member gives
+        alone, bit for bit.
 
     Raises
     ------
@@ -191,87 +271,112 @@ def pfaffian(a, border: int = 0):
         If a pivot, the product of the pivots, or a result whose last
         factor is nonzero, is not finite or falls below the smallest normal
         double, except a pivot that spends its row (at most ``PIVOT_RTOL``
-        times the row's largest initial entry).
+        times the row's largest initial entry).  For a stack the message
+        names the member, which is also the error's ``member`` attribute.
 
     Notes
     -----
-    O(n^3), with the trailing-block updates delayed over panels and the
-    pivots searched inside the leading block only.  A pivot at most
-    ``PIVOT_RTOL`` times the largest initial entry of its row leaves exact
-    zeros or, in a bordered matrix whose leading block is not spent, the
-    results' own plain Pfaffians; a larger pivot below the smallest normal
-    double raises ``FloatingPointError`` (see the module docstring).
+    O(n^3) per member, with the trailing-block updates delayed over panels
+    and the pivots searched inside the leading block only.  A pivot at
+    most ``PIVOT_RTOL`` times the largest initial entry of its row leaves
+    exact zeros or, in a bordered matrix whose leading block is not spent,
+    the results' own plain Pfaffians; a larger pivot below the smallest
+    normal double raises ``FloatingPointError`` (see the module docstring).
     """
     if not isinstance(a, SkewMatrix):
         a = SkewMatrix(a, border)
     elif a.border != border:
         raise PfaffianDimensionError(f"the SkewMatrix has {a.border} border columns, not {border}")
-    m = a.entries.copy()
-    n = len(m)
-    tol = max(PIVOT_RTOL * a.scale, _TINY)
+    # one kernel for a matrix and for a stack: every vector operation of a step indexes the
+    # rows and columns of the last two axes, so on a stack it runs once over all members
+    stacked = a.entries.ndim == 3
+    operands = a.entries if stacked else a.entries[None]
+    n = a.dim
+    tols = [max(PIVOT_RTOL * s, _TINY) for s in (a.scale.tolist() if stacked else [a.scale])]
 
     # the leading block, in which the pivots are searched, and the rows eliminated
     # from it: all but its last row (all but the last two of an even block)
     d = n - border
     e = d - 2 + d % 2
-    # each step's pivot offset, from which a pivot below tol replays the row permutation, and
-    # PIVOT_RTOL times the largest initial entry of each leading row, formed at that pivot
-    offsets, sizes = [], None
-    # the panel's pending updates: step j's (s, -r) / pivot in rows 2j, 2j + 1 (r, s = m[k:k + 2])
-    f = np.empty((2 * min(_BLOCK_STEPS, e // 2), n), dtype=complex)
-    coefficients = np.empty((2, 1), dtype=complex)
-    pf = 1.0 + 0.0j
+    # the operand of each member, and its result once its row is spent; each step's
+    # pivot offsets, from which a pivot below its tolerance replays the row permutation
+    members = list(range(len(operands)))
+    results, sizes = [None] * len(operands), [None] * len(operands)
+    offsets = []
+    # each member's working copy m of its operand in rows :n and below it f, the panel's pending
+    # updates: step j's (s, -r) / pivot in rows n + 2j, n + 2j + 1 (r, s = m[k:k + 2]), so a pivot
+    # swap of two columns of m's rows from k0 on is one slice assignment that swaps them in f too
+    w = np.empty(a.entries.shape[:-2] + (n + 2 * min(_BLOCK_STEPS, e // 2), n), dtype=complex)
+    w[..., :n, :] = a.entries
+    # each member's own (n + 2 steps) x n matrix, and f with an axis for the row it updates:
+    # fv[..., :2j, x] holds the (1, 2j) coefficients of row x
+    views, fv = list(w) if stacked else [w], w[..., None, n:, :]
+    # the members' 1 / pivot and -1 / pivot, member i's at 2i and 2i + 1 of the flat view
+    coefficients = np.empty(a.entries.shape[:-2] + (2, 1), dtype=complex)
+    flat = coefficients.reshape(-1)
+    pfs = [1.0 + 0.0j] * len(operands)
     for k0 in range(0, e, 2 * _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, (e - k0) // 2)
         for j in range(steps):
-            k = k0 + 2 * j
+            k, fk = k0 + 2 * j, n + 2 * j
+            # updates go through a named view: ``w[...] += x`` would also assign the view back
             if j:
-                m[k, k + 1:] += f[:2 * j, k] @ m[k0:k, k + 1:]
-            mag = np.abs(m[k, k + 1:d])
-            rel = int(mag.argmax())
-            if mag[rel] < tol:
-                if sizes is None:
-                    sizes = np.abs(a.entries[:d, :d]).max(axis=1) * PIVOT_RTOL
-                # the operand row now in each row of m
-                perm = list(range(d))
-                for i, r in enumerate(offsets, 1):
-                    perm[2 * i - 1], perm[2 * i - 1 + r] = perm[2 * i - 1 + r], perm[2 * i - 1]
-                if mag[rel] <= sizes[perm[k]]:
-                    if not border:
-                        return 0.0 + 0.0j
-                    # the rest of the leading block, brought up to date with the panel's pending updates
-                    rest = slice(k + 1, d)
-                    block = m[rest, rest] + f[:2 * j, rest].T @ m[k0:k, rest]
-                    if (np.abs(block).max(axis=1) > sizes[perm[k + 1:]]).any():
-                        # the spent row is the block's null direction, met only by the border columns
-                        words = (np.r_[:d, c] for c in range(d, n))
-                        return tuple(pfaffian(a.entries[np.ix_(w, w)]) for w in words)
-                    return (0.0 + 0.0j,) * border
-                if mag[rel] < _TINY:
-                    raise FloatingPointError(f"pivots below the smallest normal double ({mag[rel]:.3e})")
-            offsets.append(rel)
-            if rel:
-                # swap rows and columns k + 1 and k + 1 + rel, the columns also in the panel's rows and f
-                pair, flip = slice(k + 1, k + 2 + rel, rel), slice(k + 1 + rel, k, -rel)
-                m[pair, k:] = m[flip, k:]
-                m[k0:, pair] = m[k0:, flip]
-                f[:2 * j, pair] = f[:2 * j, flip]
-                pf = -pf
+                row = w[..., k:k + 1, k + 1:]
+                row += fv[..., :2 * j, k] @ w[..., k0:k, k + 1:]
+            rels = np.abs(w[..., k:k + 1, k + 1:d]).argmax(-1).ravel().tolist()
+            offsets.append(rels)
+            spent = []
+            for i, rel in enumerate(rels):
+                v = views[i]
+                # Python complex arithmetic: an over- or underflow here raises no numpy warning
+                pivot = v.item(k, k + 1 + rel)
+                if rel:
+                    # swap rows and columns k + 1 and k + 1 + rel, the columns also in the panel's rows and f
+                    pair, flip = slice(k + 1, k + 2 + rel, rel), slice(k + 1 + rel, k, -rel)
+                    v[pair, k:] = v[flip, k:]
+                    v[k0:fk, pair] = v[k0:fk, flip]
+                if abs(pivot) < tols[i]:
+                    member = members[i]
+                    try:
+                        result, sizes[member] = _small_pivot(
+                            operands[member], border, v[:n], v[n:], k0, k, [o[i] for o in offsets],
+                            abs(pivot), sizes[member])
+                    except FloatingPointError as error:
+                        raise _member_error(error, member) if stacked else error
+                    if result is not None:
+                        results[member] = result
+                        spent.append(i)
+                        continue
+                pfs[i] *= -pivot if rel else pivot
+                flat[2 * i] = inverse = 1.0 / pivot
+                flat[2 * i + 1] = -inverse
+            if spent:
+                # the spent members leave the stack
+                keep = [i for i in range(len(views)) if i not in spent]
+                if not keep:
+                    return results if stacked else results[0]
+                w, coefficients = w[keep], coefficients[keep]
+                views, fv, flat = list(w), w[:, None, n:], coefficients.reshape(-1)
+                members, pfs, tols = ([x[i] for i in keep] for x in (members, pfs, tols))
+                offsets = [[o[i] for i in keep] for o in offsets]
             if j:
-                m[k + 1, k + 2:] += f[:2 * j, k + 1] @ m[k0:k, k + 2:]
-            # Python complex arithmetic: an over- or underflow here raises no numpy warning
-            pivot = complex(m[k, k + 1])
-            pf *= pivot
-            coefficients[0, 0], coefficients[1, 0] = 1.0 / pivot, -1.0 / pivot
-            np.multiply(m[k:k + 2, k + 2:][::-1], coefficients, out=f[2 * j:2 * j + 2, k + 2:])
+                row = w[..., k + 1:k + 2, k + 2:]
+                row += fv[..., :2 * j, k + 1] @ w[..., k0:k, k + 2:]
+            # rows k + 1 and k, in that order
+            np.multiply(w[..., k + 1:k - 1 if k else None:-1, k + 2:], coefficients,
+                        out=w[..., fk:fk + 2, k + 2:])
         # the panel's delayed rank-2 updates
         ke = k0 + 2 * steps
-        m[ke:, ke:] += f[:2 * steps, ke:].T @ m[k0:ke, ke:]
+        trailing = w[..., ke:n, ke:]
+        trailing += np.swapaxes(w[..., n:n + 2 * steps, ke:], -1, -2) @ w[..., k0:ke, ke:]
     # the last block row: its entry right of the block, or its border entries
-    last = m[e, e + 1:].tolist()
-    values = [pf * x for x in last]
-    if not _representable(pf) or any(x and not _representable(v) for x, v in zip(last, values)):
-        raise FloatingPointError(
-            f"the product of the pivots ({pf}) or a result ({values}) over- or underflows double precision"
-        )
-    return tuple(values) if border else values[0]
+    lasts = w[..., e, e + 1:].tolist()
+    for member, pf, last in zip(members, pfs, lasts if stacked else [lasts]):
+        values = [pf * x for x in last]
+        if not _representable(pf) or any(x and not _representable(v) for x, v in zip(last, values)):
+            error = FloatingPointError(
+                f"the product of the pivots ({pf}) or a result ({values}) over- or underflows double precision"
+            )
+            raise _member_error(error, member) if stacked else error
+        results[member] = tuple(values) if border else values[0]
+    return results if stacked else results[0]

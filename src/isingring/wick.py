@@ -27,6 +27,11 @@ to the end (which multiplies the Pfaffian by the sign of the move) leaves
 a common leading block and one border column per word:
 ``vacuum_expectation(skew, border=b)`` evaluates all b words from one
 elimination of the block, in which the border columns only ride along.
+
+Words of equal length evaluate together as a stack: a (B, L, L) array of
+their matrices, or coefficient arrays with a leading axis in
+:func:`contractions`, gives the B results from one gather and one
+elimination of the stack (see :mod:`isingring.pfaffian`).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import MomentumGrid
-from .pfaffian import pfaffian
+from .pfaffian import SkewMatrix, pfaffian
 
 __all__ = ["contractions", "vacuum_expectation"]
 
@@ -47,12 +52,14 @@ def contractions(index, coeff, grid: MomentumGrid) -> np.ndarray:
     L factors of one word both are (2, L) arrays and the result is the
     word's L x L contraction matrix, of which the upper triangle counts;
     the annihilated parts of some factors against the created parts of
-    later ones give a rectangular block of it.  kappa is gathered from the
-    ring's table :attr:`MomentumGrid.kappa`, which every d = m - m' in
-    (-2N, 2N) indexes directly.
+    later ones give a rectangular block of it.  Coefficient arrays with a
+    leading axis give the blocks of a stack of words on the same indices,
+    from one gather.  kappa is gathered from the ring's table
+    :attr:`MomentumGrid.kappa`, which every d = m - m' in (-2N, 2N)
+    indexes directly.
     """
     ann, cre, a, b = map(np.asarray, (*index, *coeff))
-    return a[:, None] * grid.kappa[ann[:, None] - cre] * b
+    return a[..., :, None] * grid.kappa[ann[:, None] - cre] * b[..., None, :]
 
 
 def vacuum_expectation(skew: np.ndarray, border: int = 0):
@@ -67,15 +74,21 @@ def vacuum_expectation(skew: np.ndarray, border: int = 0):
     row and column come last: one of the b border columns each.  The result
     is then a tuple, the i-th entry being the expectation of word i times
     the sign of moving that factor to the end.  Without a border, an
-    odd-length word vanishes by parity and the empty word gives 1.
+    odd-length word vanishes by parity and the empty word gives 1; with
+    one, every word goes to :func:`isingring.pfaffian.pfaffian`, which
+    rejects a leading block that is not odd.
+
+    A (B, L, L) stack of such matrices, words of equal length, gives the
+    list of the B results from one elimination of the stack.
 
     The matrix need not be a word's own contraction matrix: any matrix with
     the same Pfaffians will do.  :mod:`isingring.observables` passes that of
     the ket word in the bra's Thouless vacuum, the Schur complement of the
     bra's BCS pairs, scaled so that its Pfaffians are the full words'.
     """
-    if not border and len(skew) % 2 != 0:
-        return 0.0 + 0.0j
-    if len(skew) == 0:
-        return 1.0 + 0.0j
-    return pfaffian(skew, border)
+    entries = skew.entries if isinstance(skew, SkewMatrix) else np.asarray(skew)
+    length = entries.shape[-1]
+    if border or (length and length % 2 == 0):
+        return pfaffian(skew, border)
+    value = 0.0 + 0.0j if length % 2 else 1.0 + 0.0j
+    return [value] * len(entries) if entries.ndim == 3 else value

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import isingring.wick
 from isingring import observables, oracle_ed
 from isingring.dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
 from isingring.model import MomentumGrid
@@ -15,7 +16,7 @@ from isingring.observables import (
     magnetization,
     run_series,
 )
-from isingring.pfaffian import pfaffian
+from isingring.pfaffian import SkewMatrix, pfaffian
 from isingring.wick import contractions
 from tests_support import (
     bcs_amplitudes,
@@ -434,6 +435,101 @@ class TestRunSeries:
 
     def test_empty_schedule(self):
         assert run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), []) == []
+
+
+class TestBatches:
+    """run_series evaluates <c_1> of its samples in stacks; each value is the one the sample has alone."""
+
+    def test_mixed_dimension_batch_equals_its_samples_alone(self):
+        # the g_f = 1 quench at N = 8 rejects a bra pair at some of its 21 times
+        times = 0.25 * np.arange(21)
+        driver, grid = DriverSpec("quench", g_f=1.0), MomentumGrid(8)
+        states = [evolve_quench(init_ferro(grid), 1.0, t) for t in times]
+        stacks = observables._c1_stacks(states)
+        assert len(stacks) >= 2 and sorted(i for members, _ in stacks for i in members) == list(range(21))
+        for members, skew in stacks:
+            for member, i in zip(skew if skew.ndim == 3 else [skew], members):
+                np.testing.assert_array_equal(member, _c1_bordered(states[i]).entries)
+        assert observables._c1_values(states) == [expectation_c1(s) for s in states]
+        assert run_series(driver, grid, times) == [
+            MagnetizationSample(t, m.mx, m.my, m.mz) for t, m in zip(times, map(magnetization, states))]
+
+    @pytest.mark.parametrize("n", [4, 10, 40])
+    def test_single_state_unchanged(self, n):
+        state = evolve_kick_step(init_ferro(MomentumGrid(n)), 0.5, 0.5, 0.02, 37)
+        c1 = expectation_c1(state)
+        assert observables._c1_values([state]) == [c1]
+        assert magnetization(state) == magnetization(state, c1)
+        (sample,) = run_series(DriverSpec("kick", g=0.5, tau=0.5, epsilon=0.02), MomentumGrid(n), [37])
+        assert sample == MagnetizationSample(37.0, *(getattr(magnetization(state), f) for f in ("mx", "my", "mz")))
+
+    @staticmethod
+    def poison(member):
+        """A ``wick.pfaffian`` whose operand ``member`` of a stack, or whose one matrix, gets subnormal borders."""
+        def poisoned(a, border=0):
+            entries = a.entries.copy()
+            target = entries[member] if entries.ndim == 3 else entries
+            target[:, -border:] *= 1e-310
+            target[-border:, :] *= 1e-310
+            return pfaffian(SkewMatrix.antisymmetric(entries, border), border)
+        return poisoned
+
+    def test_range_error_names_the_schedule_entry(self, monkeypatch):
+        driver, grid, times = DriverSpec("quench", g_f=0.5), MomentumGrid(8), [0.5, 1.0, 1.5, 2.0]
+        (members, _), = observables._c1_stacks([evolve_quench(init_ferro(grid), 0.5, t) for t in times])
+        assert members == [0, 1, 2, 3]
+        monkeypatch.setattr(isingring.wick, "pfaffian", self.poison(2))
+        with pytest.raises(FloatingPointError, match=r"schedule entry 1\.5: stack member 2: the product"):
+            run_series(driver, grid, times)
+        # a batch of one sample is eliminated as one matrix, and is named too
+        with pytest.raises(FloatingPointError, match=r"schedule entry 1\.0: the product"):
+            run_series(driver, grid, [1.0])
+
+    def test_batches_stay_within_the_byte_budget(self, monkeypatch):
+        batches = []
+        values = observables._c1_values
+
+        def recording(states):
+            batches.append(len(states))
+            return values(states)
+
+        driver, grid, times = DriverSpec("quench", g_f=1.5), MomentumGrid(40), np.linspace(0.0, 20.0, 21)
+        monkeypatch.setattr(observables, "_c1_values", recording)
+        whole = run_series(driver, grid, times)
+        # B (N + 1)^2 complex entries within the budget, and at least one sample per batch
+        assert batches == [21]
+        monkeypatch.setattr(observables, "_BATCH_BYTES", 3 * 16 * 41 ** 2)
+        batches.clear()
+        assert run_series(driver, grid, times) == whole and batches == [3] * 7
+        monkeypatch.setattr(observables, "_BATCH_BYTES", 1)
+        batches.clear()
+        assert run_series(driver, grid, times) == whole and batches == [1] * 21
+        # with threads, every worker has a batch of its own
+        monkeypatch.undo()
+        monkeypatch.setattr(observables, "_c1_values", recording)
+        batches.clear()
+        assert run_series(driver, grid, times, threads=2) == whole and sorted(batches) == [10, 11]
+
+    def test_validate_suite_takes_one_elimination_per_stack(self, monkeypatch):
+        # 13 cases of 20 or 21 samples; three quenches (g_f = 1 at N = 6, 8, 10) mix two dimensions
+        from isingring import cli
+
+        counts = dict.fromkeys(("samples", "words", "pfaffians"), 0)
+
+        def counting(module, name, key):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(observables, "magnetization", "samples")
+        counting(observables, "vacuum_expectation", "words")
+        counting(isingring.wick, "pfaffian", "pfaffians")
+        assert cli.validate_suite()["passed"]
+        assert counts == {"samples": 272, "words": 17, "pfaffians": 17}
 
 
 def test_sample_dataclass_fields():

@@ -6,6 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu
 
+import isingring.pfaffian
 import isingring.wick
 from isingring.dynamics import evolve_quench, init_ferro
 from isingring.model import MomentumGrid
@@ -487,3 +488,96 @@ def test_rank_deficient_block_gives_exact_zeros(d, seed, border, deficit):
     # a deficit larger than the block leaves it all zero
     a = random_bordered(d, border, seed, rank=max(d - deficit, 0))
     assert pfaffian(a, border) == (0.0 + 0.0j,) * border
+
+
+class TestStacks:
+    """A (B, n, n) stack is eliminated at once; each member's result is the one it has alone."""
+
+    @staticmethod
+    def members(n, border, scales, seed):
+        rng = np.random.default_rng(seed)
+        return [random_skew(n, rng) / np.sqrt(n) * scale for scale in scales]
+
+    @pytest.mark.parametrize("n, border, scales", [
+        # scales 1e200 apart, each member with its own PIVOT_RTOL threshold; the larger sizes
+        # keep the pivot products in the double range
+        (2, 0, (1e-100, 1.0, 1e100)), (6, 0, (1e-100, 1.0, 1e100)),
+        (3, 2, (1e-100, 1.0, 1e100)), (5, 2, (1e-60, 1.0, 1e60)),
+        (PANEL + 6, 0, (1e-8, 1.0, 1e8, 3.0)), (11, 2, (1e-8, 1.0, 1e8)),
+        (PANEL + 5, 2, (1e-8, 1.0, 1e8)), (10, 3, (0.5, 2.0)),
+    ])
+    def test_equals_each_member_alone_bit_for_bit(self, n, border, scales, monkeypatch):
+        members = self.members(n, border, scales, seed=n + border)
+        # no pivot of these members is small against the member's own largest entry, so none is
+        # measured again; a threshold taken over the whole stack would measure every pivot of
+        # the members smaller than the largest
+        small = []
+        monkeypatch.setattr(isingring.pfaffian, "_small_pivot", lambda *args: small.append(args))
+        stack = pfaffian(np.stack(members), border)
+        assert not small
+        assert isinstance(stack, list) and len(stack) == len(members)
+        assert stack == [pfaffian(m, border) for m in members]
+
+    def test_small_member_is_not_spent_by_a_large_one(self):
+        # the (1, 1e-14, 1) block-diagonal member, scaled by 1e-20, beside one scaled by 1e20:
+        # against a threshold of the whole stack every pivot of the small member would fail
+        a = np.zeros((6, 6))
+        for i, j, x in ((0, 1, 1.0), (2, 3, 1e-14), (4, 5, 1.0)):
+            a[i, j], a[j, i] = x, -x
+        stack = np.stack([a * 1e20, a * 1e-20])
+        assert pfaffian(stack) == [pfaffian(a * 1e20), pfaffian(a * 1e-20)]
+        assert pfaffian(stack)[1] == pytest.approx(1e-74, rel=1e-12)
+        # the same matrices as a 5 x 5 block with its last column as the border
+        assert pfaffian(stack, 1) == [pfaffian(a * s, 1) for s in (1e20, 1e-20)]
+
+    def test_spent_members_give_what_they_give_alone(self):
+        # exact zeros (a rank-deficient block), each word's own Pfaffian (a null row met only by
+        # the border), and ordinary members around them; the spent members leave the stack
+        d, border = 9, 2
+        zeros = random_bordered(d, border, 3, rank=4)
+        words = random_bordered(d, border, 17)
+        words[4, :d], words[:d, 4] = 0.0, 0.0
+        members = [random_bordered(d, border, 1), zeros, words, random_bordered(d, border, 2)]
+        alone = [pfaffian(m, border) for m in members]
+        assert alone[1] == (0.0 + 0.0j,) * border and 0.0 not in alone[2]
+        assert pfaffian(np.stack(members), border) == alone
+        # every member spent
+        assert pfaffian(np.stack([zeros, zeros]), border) == [alone[1]] * 2
+        assert pfaffian(np.zeros((3, 4, 4))) == [0.0] * 3
+
+    def test_range_error_names_the_member(self):
+        # the product of three pivots of 1e-150 underflows; its neighbours are fine
+        tiny = np.zeros((6, 6))
+        for i in (0, 2, 4):
+            tiny[i, i + 1], tiny[i + 1, i] = 1e-150, -1e-150
+        fine = random_skew(6, np.random.default_rng(4))
+        with pytest.raises(FloatingPointError, match="stack member 1: the product of the pivots") as raised:
+            pfaffian(np.stack([fine, tiny, fine]))
+        assert raised.value.member == 1
+        # a subnormal pivot, found in the small-pivot branch
+        subnormal = np.zeros((6, 6))
+        subnormal[0, 1], subnormal[2, 3], subnormal[4, 5] = 1e-310, 1e-300, 1e-300
+        subnormal = subnormal - subnormal.T
+        with pytest.raises(FloatingPointError, match="stack member 2: pivots") as raised:
+            pfaffian(np.stack([fine, fine, subnormal]))
+        assert raised.value.member == 2
+
+    def test_validation_names_the_member(self):
+        members = np.stack(self.members(4, 0, (1.0, 2.0, 3.0), seed=5))
+        operand = SkewMatrix(members)
+        assert operand.dim == len(operand) == 4
+        np.testing.assert_array_equal(operand.scale, np.abs(members).max(axis=(1, 2)))
+        poisoned = members.copy()
+        poisoned[2, 0, 3], poisoned[2, 3, 0] = np.nan, np.nan
+        with pytest.raises(ValueError, match="finite in stack member 2"):
+            SkewMatrix(poisoned)
+        with pytest.raises(ValueError, match="finite in stack member 2"):
+            SkewMatrix.antisymmetric(poisoned)
+        skewed = members.copy()
+        skewed[1, 0, 1] += 0.5
+        with pytest.raises(SkewSymmetryError, match="stack member 1"):
+            SkewMatrix(skewed)
+        with pytest.raises(PfaffianDimensionError):
+            SkewMatrix(members[None])
+        with pytest.raises(PfaffianDimensionError):
+            SkewMatrix(members[:, :3, :3])

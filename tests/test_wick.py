@@ -5,7 +5,8 @@ import pytest
 
 from isingring import oracle_ed
 from isingring.model import MomentumGrid, bogoliubov_angle
-from isingring.wick import contractions
+from isingring.pfaffian import PfaffianDimensionError, pfaffian
+from isingring.wick import contractions, vacuum_expectation
 from tests_support import (
     EVEN,
     ODD,
@@ -17,6 +18,7 @@ from tests_support import (
     contraction_kernel,
     dense_expectation,
     dense_kernel,
+    dense_skew,
     inner_product_Imn,
     ket_word,
     minus_modes,
@@ -169,6 +171,27 @@ class TestVacuumExpectation:
         assert dense_expectation(as_word([], 8)) == 1.0
         k = ModeIndex(EVEN, 1, 8)
         assert dense_expectation(as_word([({k: 1.0}, {})])) == 0.0
+
+    def test_empty_operand_with_a_border_is_rejected(self):
+        # the empty word is 1 only without border columns; with them there is no odd leading block
+        assert vacuum_expectation(np.zeros((0, 0))) == 1.0
+        for border in (1, 2):
+            with pytest.raises(PfaffianDimensionError):
+                vacuum_expectation(np.zeros((0, 0)), border=border)
+            with pytest.raises(PfaffianDimensionError):
+                pfaffian(np.zeros((0, 0)), border)
+
+    def test_stack_of_words(self):
+        # one result per word, each the word's own expectation
+        rng = np.random.default_rng(41)
+        words = [random_word(rng, 6, 4) for _ in range(3)]
+        skews = np.stack([dense_skew(w) for w in words])
+        values = vacuum_expectation(skews)
+        assert values == [vacuum_expectation(s) for s in skews]
+        for value, w in zip(values, words):
+            assert value == pytest.approx(dense_expectation(w), rel=1e-12)
+        assert vacuum_expectation(np.zeros((3, 5, 5))) == [0.0] * 3
+        assert vacuum_expectation(np.zeros((2, 0, 0))) == [1.0] * 2
 
     def test_single_pair(self):
         k = ModeIndex(ODD, 2, 8)

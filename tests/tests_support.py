@@ -566,19 +566,23 @@ def _parity_diag(n_sites: int) -> np.ndarray:
 def ground_parity_full_space(n_sites: int, g: float) -> str:
     """Fermion parity of the nondegenerate ground state, 'even' or 'odd'.
 
-    ``eigh`` of the full 2^N x 2^N Hamiltonian: the reference for
-    :func:`isingring.oracle_ed.ground_parity`, which diagonalizes in the
-    zero-momentum sector.
+    The reference for :func:`isingring.oracle_ed.ground_parity`, which
+    diagonalizes in the zero-momentum sector.  The full 2^N x 2^N
+    Hamiltonian conserves the fermion parity, so it is split by the parity
+    of each basis state into two blocks, whose eigenvalues together are its
+    spectrum; ``eigvalsh`` of each block gives its lowest levels.  The
+    ground space is degenerate when the two lowest levels of the whole
+    spectrum are within 1e-10, and the ground state otherwise has the
+    parity of the block that holds the lowest level.
     """
     _check_sites(n_sites)
-    energies, vectors = np.linalg.eigh(build_hamiltonian(n_sites, g))
-    if energies[1] - energies[0] < 1e-10:
+    h = build_hamiltonian(n_sites, g)
+    even = _parity_diag(n_sites) > 0
+    levels = sorted((energy, parity) for parity, block in (("even", even), ("odd", ~even))
+                    for energy in np.linalg.eigvalsh(h[np.ix_(block, block)])[:2])
+    if levels[1][0] - levels[0][0] < 1e-10:
         raise ValueError("ground space is degenerate; use the cat-state basis")
-    gs = vectors[:, 0]
-    expectation = float(np.sum(_parity_diag(n_sites) * np.abs(gs) ** 2))
-    if abs(abs(expectation) - 1.0) > 1e-8:
-        raise ValueError("ground state has no definite fermion parity")
-    return "even" if expectation > 0 else "odd"
+    return levels[0][1]
 
 
 def _gap_precise(x: float, n_sites: int) -> float:
