@@ -48,8 +48,11 @@ class SystemState:
 
     def __post_init__(self):
         h = self.grid.n_sites // 2
-        if len(self.u_plus) != h or len(self.u_minus) != h - 1:
-            raise ValueError("amplitude arrays do not match the grid")
+        # all four: the drift check below pairs the weights of any arrays of the right total length
+        expected = (h, h, h - 1, h - 1)
+        lengths = (len(self.u_plus), len(self.v_plus), len(self.u_minus), len(self.v_minus))
+        if lengths != expected:
+            raise ValueError(f"amplitude array lengths {lengths} do not match the grid's {expected}")
         # |u|^2 + |v|^2 of every mode of both sectors, in one pass
         weights = np.abs(np.concatenate((self.u_plus, self.u_minus, self.v_plus, self.v_minus))) ** 2
         drift = np.abs(weights[:2 * h - 1] + weights[2 * h - 1:] - 1.0).max()

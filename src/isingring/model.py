@@ -94,18 +94,18 @@ class MomentumGrid:
 
 def _ring_size(n_sites) -> int:
     """``n_sites`` as an int, checked to be even and >= 4, as a ``MomentumGrid`` needs."""
-    n = _integer_sites(n_sites)
+    n = _integer(n_sites, "n_sites")
     if n < 4 or n % 2 != 0:
         raise ValueError(f"n_sites must be even and >= 4, got {n}")
     return n
 
 
-def _integer_sites(n_sites) -> int:
-    """``n_sites`` as an int; a non-integer, even 8.0, raises ``ValueError``."""
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a non-integer, even 8.0, raises ``ValueError`` naming ``name``."""
     try:
-        return operator.index(n_sites)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"n_sites must be an integer, got {n_sites!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def dispersion(k, g: float):
@@ -260,7 +260,7 @@ def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):
     """
     if not (np.isfinite([jx, jy, jz]).all() and jx < jy <= 0.0 <= jz):
         raise ValueError(f"couplings must be finite with jx < jy <= 0 <= jz, got ({jx}, {jy}, {jz})")
-    if _integer_sites(n_sites) < 1:
+    if _integer(n_sites, "n_sites") < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
     h_star = math.sqrt(2.0) * math.sqrt(jz / 2.0 - jx / 2.0) * math.sqrt(jz - jy)
     if h_star == math.inf:

@@ -133,7 +133,7 @@ from itertools import compress
 import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
-from .model import MomentumGrid
+from .model import MomentumGrid, _integer
 from .pfaffian import SkewMatrix
 from .wick import contractions, vacuum_expectation
 
@@ -185,13 +185,27 @@ def _pair_product(alpha):
 def _c1_stacks(states) -> list:
     """The ``<c_1>`` operands of states on one grid, as stacks of operands of equal dimension.
 
-    Returns ``(members, skew)`` for each dimension N + 1 + 2f that occurs:
-    the indices into ``states`` of the states with f rejected bra pairs,
-    ascending, and their operands as one (B, dim, dim) array, antisymmetric
-    by construction; a group of one state is its one (dim, dim) matrix.  The
-    kappa cross block is gathered once for all states; the pivot test, the
-    pair product z 2^e and the power-of-two fold are each state's own.  See
-    :func:`_c1_bordered` for the operand.
+    A state's full bordered matrix has the 2N - 1 shared factors
+
+        <psi_e| (N factors), |psi_o> (N - 2 factors), c^dag_0
+
+    as its leading block and, as border columns, their contractions with
+    ``c_1`` on the odd grid (word 1, ``<psi_e| c_1 |psi_o>``) and with
+    ``c_1^dag`` on the even grid (the adjoint of word 2,
+    ``<psi_o| c_1 |psi_e>``); ``c_1`` enters without its ``N^{-1/2}``, which
+    sits in the coefficients.  The state's operand is its Schur complement
+    on the bra pairs that pass the pivot test: the rejected bra pairs, the
+    ket, ``c^dag_0`` and the two border columns, dimension N + 1 + 2f for f
+    rejected pairs, scaled so that its two bordered Pfaffians are those of
+    the full matrix (see the module docstring).
+
+    Returns ``(members, skew)`` for each dimension that occurs: the indices
+    into ``states`` of the states with f rejected bra pairs, ascending, and
+    their operands as one (B, dim, dim) array, antisymmetric by
+    construction; a group of one state is its one (dim, dim) matrix.  The
+    grid indices and the border phases are the grid's tables, and the kappa
+    cross block is gathered once for all states; the pivot test, the pair
+    product z 2^e and the power-of-two fold are each state's own.
     """
     grid = states[0].grid
     n = grid.n_sites
@@ -282,29 +296,6 @@ def _c1_stacks(states) -> list:
     return stacks
 
 
-def _c1_bordered(state: SystemState) -> SkewMatrix:
-    """Both ``<c_1>`` words as one bordered Pfaffian operand, reduced by the accepted bra pairs.
-
-    The full bordered matrix has the 2N - 1 shared factors
-
-        <psi_e| (N factors), |psi_o> (N - 2 factors), c^dag_0
-
-    as its leading block and, as border columns, their contractions with
-    ``c_1`` on the odd grid (word 1, ``<psi_e| c_1 |psi_o>``) and with
-    ``c_1^dag`` on the even grid (the adjoint of word 2,
-    ``<psi_o| c_1 |psi_e>``); ``c_1`` enters without its ``N^{-1/2}``, which
-    sits in the coefficients.  The returned operand is its Schur complement
-    on the bra pairs that pass the pivot test: the rejected bra pairs, the
-    ket, ``c^dag_0`` and the two border columns, dimension N + 1 + 2f for f
-    rejected pairs, scaled so that its two bordered Pfaffians are those of
-    the full matrix (see the module docstring).  The grid indices and the
-    border phases are the grid's tables; only the amplitudes are per state.
-    It is the one matrix :func:`_c1_stacks` makes of the state.
-    """
-    ((_, skew),) = _c1_stacks([state])
-    return SkewMatrix.antisymmetric(skew, border=2)
-
-
 def _c1_from_words(state: SystemState, first: complex, second_adjoint: complex) -> complex:
     """``<psi(t)| c_1 |psi(t)>`` from the two bordered Pfaffians of the state's operand."""
     phase = cmath.exp(-1j * state.gamma)
@@ -370,6 +361,7 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     ``1/threads`` of the schedule so that every worker has one.  A range
     error of a sample's Pfaffian names its schedule entry.
     """
+    threads = _integer(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     schedule = list(schedule)

@@ -116,6 +116,17 @@ class TestInitFerro:
                 0.0,
                 0.0,
             )
+        # v_plus one longer and v_minus one shorter: the concatenated weights still pair up
+        with pytest.raises(ValueError, match="do not match the grid"):
+            SystemState(
+                grid,
+                state.u_plus,
+                np.concatenate((state.v_plus, state.v_minus[:1])),
+                state.u_minus,
+                state.v_minus[1:],
+                0.0,
+                0.0,
+            )
 
     def test_nan_amplitude_rejected(self):
         grid = MomentumGrid(6)

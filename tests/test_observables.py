@@ -11,7 +11,6 @@ from isingring.dynamics import DriverSpec, SystemState, evolve_kick_step, evolve
 from isingring.model import MomentumGrid
 from isingring.observables import (
     MagnetizationSample,
-    _c1_bordered,
     expectation_c1,
     magnetization,
     run_series,
@@ -20,6 +19,7 @@ from isingring.pfaffian import SkewMatrix, pfaffian
 from isingring.wick import contractions
 from tests_support import (
     bcs_amplitudes,
+    c1_bordered,
     c1_bordered_reference,
     c1_words_dense,
     dense_expectation,
@@ -276,7 +276,7 @@ class TestOperand:
         # so the PIVOT_RTOL threshold is the one the scan of the full matrix would give
         monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
         for state in _sample_states(n) + _pair_states(n):
-            operand = _c1_bordered(state)
+            operand = c1_bordered(state)
             m = operand.entries
             assert np.array_equal(m, -m.T)
             assert operand.scale == np.abs(m).max()
@@ -327,7 +327,7 @@ class TestReducedOperand:
             # a word that vanishes (some do at N <= 6) is rounding noise in either path,
             # so below 1 % of the larger word the bound is 1e-14 of the larger word
             floor = 1e-2 * max(map(abs, references))
-            for value, reference in zip(pfaffian(_c1_bordered(state), border=2), references):
+            for value, reference in zip(pfaffian(c1_bordered(state), border=2), references):
                 assert abs(value - reference) <= 1e-12 * max(abs(reference), floor)
 
     @pytest.mark.parametrize("n", [4, 10, 48])
@@ -336,12 +336,12 @@ class TestReducedOperand:
         # N + 1 rows and columns, and two more per rejected bra pair (|u| < PAIR_RTOL)
         magnitudes = PAIR_MAGNITUDES[kind]
         rejected = sum(u < observables.PAIR_RTOL for u in np.resize(magnitudes, n // 2))
-        assert len(_c1_bordered(_pair_state(n, magnitudes, seed=1))) == n + 1 + 2 * rejected
+        assert len(c1_bordered(_pair_state(n, magnitudes, seed=1))) == n + 1 + 2 * rejected
 
     def test_quench_accepts_most_pairs(self):
         n = 100
         for t in (0.5, 3.7, 17.0, 60.0):
-            rejected = (len(_c1_bordered(evolve_quench(init_ferro(MomentumGrid(n)), 0.5, t))) - n - 1) // 2
+            rejected = (len(c1_bordered(evolve_quench(init_ferro(MomentumGrid(n)), 0.5, t))) - n - 1) // 2
             assert rejected <= 0.1 * n // 2
 
     def test_pair_product_far_below_the_double_range(self):
@@ -351,7 +351,7 @@ class TestReducedOperand:
         assert np.sum(np.log10(np.abs(state.u_plus))) == pytest.approx(-679.6, abs=0.1)
         reference = pfaffian(c1_bordered_reference(state), border=2)
         with np.errstate(all="raise"):
-            values = pfaffian(_c1_bordered(state), border=2)
+            values = pfaffian(c1_bordered(state), border=2)
         for value, expected in zip(values, reference):
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
@@ -410,7 +410,7 @@ class TestRunSeries:
         grid = MomentumGrid(40)
         assert run_series(driver, grid, schedule, threads=4) == run_series(driver, grid, schedule)
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 1.5])
     def test_thread_count_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
             run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), [0.5], threads=threads)
@@ -449,7 +449,7 @@ class TestBatches:
         assert len(stacks) >= 2 and sorted(i for members, _ in stacks for i in members) == list(range(21))
         for members, skew in stacks:
             for member, i in zip(skew if skew.ndim == 3 else [skew], members):
-                np.testing.assert_array_equal(member, _c1_bordered(states[i]).entries)
+                np.testing.assert_array_equal(member, c1_bordered(states[i]).entries)
         assert observables._c1_values(states) == [expectation_c1(s) for s in states]
         assert run_series(driver, grid, times) == [
             MagnetizationSample(t, m.mx, m.my, m.mz) for t, m in zip(times, map(magnetization, states))]

@@ -505,6 +505,8 @@ class TestStacks:
         (3, 2, (1e-100, 1.0, 1e100)), (5, 2, (1e-60, 1.0, 1e60)),
         (PANEL + 6, 0, (1e-8, 1.0, 1e8, 3.0)), (11, 2, (1e-8, 1.0, 1e8)),
         (PANEL + 5, 2, (1e-8, 1.0, 1e8)), (10, 3, (0.5, 2.0)),
+        # a stack of one
+        (6, 0, (1.0,)), (PANEL + 6, 0, (1e8,)), (11, 2, (1.0,)),
     ])
     def test_equals_each_member_alone_bit_for_bit(self, n, border, scales, monkeypatch):
         members = self.members(n, border, scales, seed=n + border)
@@ -544,6 +546,10 @@ class TestStacks:
         # every member spent
         assert pfaffian(np.stack([zeros, zeros]), border) == [alone[1]] * 2
         assert pfaffian(np.zeros((3, 4, 4))) == [0.0] * 3
+        # each as a stack of one
+        for member, result in zip(members, alone):
+            assert pfaffian(member[None], border) == [result]
+        assert pfaffian(np.zeros((1, 4, 4))) == [0.0]
 
     def test_range_error_names_the_member(self):
         # the product of three pivots of 1e-150 underflows; its neighbours are fine
@@ -561,6 +567,14 @@ class TestStacks:
         with pytest.raises(FloatingPointError, match="stack member 2: pivots") as raised:
             pfaffian(np.stack([fine, fine, subnormal]))
         assert raised.value.member == 2
+        # a stack of one names its member 0; one matrix raises the same error unnamed
+        for matrix, cause in ((tiny, "the product of the pivots"), (subnormal, "pivots")):
+            with pytest.raises(FloatingPointError, match=f"stack member 0: {cause}") as raised:
+                pfaffian(matrix[None])
+            assert raised.value.member == 0
+            with pytest.raises(FloatingPointError, match=f"^{cause}") as raised:
+                pfaffian(matrix)
+            assert not hasattr(raised.value, "member")
 
     def test_validation_names_the_member(self):
         members = np.stack(self.members(4, 0, (1.0, 2.0, 3.0), seed=5))

@@ -199,7 +199,7 @@ def c1_words_dense(state):
     """The engine's two ``<c_1>`` words as dense ``[(coefficient, FermionWord), ...]``.
 
     The words whose shared factors and ``c_1`` factors
-    ``observables._c1_bordered`` assembles as one bordered matrix, under the
+    ``c1_bordered`` assembles as one bordered matrix, under the
     current ``observables._TERM_SIGNS``, with ``c_1`` as one dense
     annihilator row:
 
@@ -247,6 +247,17 @@ def _fill_bra(index, coeff, modes, u, v):
     _fill_ket(index[::-1, ::-1], coeff[::-1, ::-1], modes, np.conj(u), np.conj(v))
 
 
+def c1_bordered(state) -> SkewMatrix:
+    """The engine's ``<c_1>`` operand of one state, as one bordered matrix.
+
+    The one matrix that ``observables._c1_stacks`` builds for the state
+    alone: both words' Schur complement on the accepted bra pairs, of
+    dimension N + 1 + 2f for f rejected pairs, with two border columns.
+    """
+    ((_, skew),) = observables._c1_stacks([state])
+    return SkewMatrix.antisymmetric(skew, border=2)
+
+
 def c1_bordered_reference(state) -> SkewMatrix:
     """The full (2N + 1) x (2N + 1) bordered contraction matrix of both ``<c_1>`` words.
 
@@ -257,7 +268,7 @@ def c1_bordered_reference(state) -> SkewMatrix:
     and the two border columns their contractions with ``c_1`` on the odd
     grid (word 1) and with ``c_1^dag`` on the even grid (the adjoint of
     word 2), under the current ``observables._TERM_SIGNS``.  Its bordered
-    Pfaffians are those of ``observables._c1_bordered(state)``, which
+    Pfaffians are those of ``c1_bordered(state)``, which
     eliminates the accepted bra pairs of this matrix in one Schur complement.
     It is filled from the words' factors, the bra in the adjoint's order
     (pairs in descending k), and shares no assembly code with the engine.
