@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MomentumGrid
+from .model import MomentumGrid, _real
 
 __all__ = ["SystemState", "DriverSpec", "init_ferro", "evolve_quench", "evolve_kick_step"]
 
@@ -80,8 +80,7 @@ class DriverSpec:
         if self.kind not in ("quench", "kick"):
             raise ValueError(f"kind must be 'quench' or 'kick', got {self.kind!r}")
         for name in ("g_f", "g", "tau", "epsilon"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _real(getattr(self, name), name)
 
 
 def init_ferro(grid: MomentumGrid) -> SystemState:

@@ -10,7 +10,9 @@ double precision; the exponentially small gap comes from a positive series.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +100,14 @@ def _ring_size(n_sites) -> int:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"n_sites must be even and >= 4, got {n}")
     return n
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a non-number, or one that is not finite as a double, raises ``ValueError`` naming ``name``."""
+    # a str, or an int past the double range, would reach numpy as an object and raise TypeError there
+    if not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+    return float(value)
 
 
 def _integer(value, name: str) -> int:

@@ -119,8 +119,21 @@ operand.  Each sample is then made by one
 samples share a batch up to N = 78, 12 do at N = 100 and 3 at N = 200,
 and from N = 256 on each sample is a batch of its own, eliminated as one
 matrix.  With ``threads`` > 1 a batch is at most
-``1/threads`` of the schedule, so that every worker evaluates batches of
-its own.  A batch's arrays live only during its evaluation.
+``1/threads`` of the schedule, and each worker evaluates a run of
+consecutive batches.
+
+Memory.  Each worker of a series owns one
+:class:`isingring.pfaffian.Workspace`, which lives as long as the
+``run_series`` call.  Every (dim x dim)-sized array of a batch is carved
+from it: the gathered kappa and the bra rows, the pivot test's
+magnitudes, U, S and the scaled rows, and the kernel's working array
+and panel product.  It is allocated once, at the first batch, with room
+for operands with up to one bra pair in eight rejected, and again only
+if a later batch needs more.  So the samples of a series reuse one block
+of memory, which the C allocator keeps instead of returning it to the
+system after each sample and faulting it back in for the next.
+:func:`expectation_c1` and :func:`magnetization` alone use a workspace
+of their own.
 """
 
 from __future__ import annotations
@@ -133,8 +146,8 @@ from itertools import compress
 import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
-from .model import MomentumGrid, _integer
-from .pfaffian import SkewMatrix
+from .model import MomentumGrid, _integer, _real
+from .pfaffian import _BLOCK_STEPS, SkewMatrix, Workspace
 from .wick import contractions, vacuum_expectation
 
 __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series"]
@@ -182,7 +195,7 @@ def _pair_product(alpha):
     return z, e
 
 
-def _c1_stacks(states) -> list:
+def _c1_stacks(states, workspace: Workspace | None = None) -> list:
     """The ``<c_1>`` operands of states on one grid, as stacks of operands of equal dimension.
 
     A state's full bordered matrix has the 2N - 1 shared factors
@@ -205,8 +218,11 @@ def _c1_stacks(states) -> list:
     construction; a group of one state is its one (dim, dim) matrix.  The
     grid indices and the border phases are the grid's tables, and the kappa
     cross block is gathered once for all states; the pivot test, the pair
-    product z 2^e and the power-of-two fold are each state's own.
+    product z 2^e and the power-of-two fold are each state's own.  Every
+    (dim x dim)-sized array is taken in ``workspace``; the operands stay
+    there, above its ``top``, and the rest is freed again.
     """
+    space = Workspace() if workspace is None else workspace
     grid = states[0].grid
     n = grid.n_sites
     h = n // 2
@@ -228,8 +244,9 @@ def _c1_stacks(states) -> list:
     alpha = np.conj(u_plus)
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
-    rows = np.zeros(lead + (n, n + 1), dtype=complex)
-    rows[..., :n - 1] = contractions((grid.ann, grid.cre), (a, b), grid)
+    rows = space.take(lead + (n, n + 1))
+    rows[..., n - 1] = 0.0
+    contractions((grid.ann, grid.cre), (a, b), grid, rows[..., :n - 1], space)
     border = rows[..., n]
     np.multiply(grid.ann_phase, a, out=border)
     first = np.multiply(grid.cre_phase, b, out=b)
@@ -237,7 +254,10 @@ def _c1_stacks(states) -> list:
     # the pivot test; a NaN or infinite entry fails it and stays in the operand
     pair_rows = rows.reshape(lead + (h, 2, n + 1))
     size = np.abs(alpha)
-    accepted = size > PAIR_RTOL * np.maximum(np.abs(pair_rows).max(axis=(-2, -1)), size)
+    mark = space.top
+    magnitudes = np.abs(rows, out=space.take(rows.shape, float)).reshape(lead + (h, 2 * n + 2))
+    accepted = size > PAIR_RTOL * np.maximum(magnitudes.max(axis=-1), size)
+    space.top = mark
     kept = accepted.reshape(-1, h).tolist()
     counts = [sum(x) for x in kept]
     z, e = zip(*map(_pair_product, map(compress, alpha.reshape(-1, h).tolist(), kept)))
@@ -249,37 +269,52 @@ def _c1_stacks(states) -> list:
     first *= -s2 * z
     first[..., -1:] = -s1 * z
 
+    # each bra pair's index among all states' pairs, which a group's pairs are gathered by
+    pair_index = np.arange(h * len(states)).reshape(accepted.shape)
     stacks = []
     for count in sorted(set(counts), reverse=True):
         members = [i for i, c in enumerate(counts) if c == count]
-        pivots, tested, group_alpha, group_first, minus = pair_rows, accepted, alpha, first, u_minus
-        if len(members) < len(states):
-            pick = members if len(members) > 1 else members[0]
-            pivots, tested, group_alpha, group_first, minus = (
-                x[pick] for x in (pivots, tested, group_alpha, group_first, minus))
         group = (len(members),) if len(members) > 1 else ()
+        k = 2 * (h - count)
+        dim = k + n + 1
+        # S stays in the workspace; everything taken after it is freed once S is formed
+        skew = space.take(group + (dim, dim))
+        mark = space.top
+        tested, group_alpha, group_first, minus, index = accepted, alpha, first, u_minus, pair_index
+        subset = len(members) < len(states)
+        if subset:
+            pick = members if group else members[0]
+            tested, group_alpha, group_first, minus, index = (
+                x[pick] for x in (tested, group_alpha, group_first, minus, index))
         # S = U - U^T: U holds X = C2^T diag(1 / alpha) C1 over the accepted pairs' rows C1 and C2
         # and, above the diagonal, the rejected pairs' rows in their order, word 1's border and
         # the remaining pair entries
-        k = 2 * (h - count)
-        if k:
-            rejected = pivots[~tested].reshape(group + (k, n + 1))
-            pair_alpha = np.concatenate((group_alpha[~tested].reshape(group + (k // 2,)), minus), axis=-1)
-            pivots = pivots[tested].reshape(group + (count, 2, n + 1))
+        if k or subset:
+            # the group's accepted and rejected pairs, gathered in the workspace from all states'
+            # pairs ("raise" would copy its out once more)
+            every, failed = pair_rows.reshape(-1, 2, n + 1), ~tested
+            kept_rows, rejected = (every.take(i, axis=0, out=space.take((len(i), 2, n + 1)), mode="clip")
+                                   for i in (index[tested], index[failed]))
+            kept_rows = kept_rows.reshape(group + (count, 2, n + 1))
+            c1, scaled = kept_rows[..., 0, :], kept_rows[..., 1, :]
+            rejected = rejected.reshape(group + (k, n + 1))
+            pair_alpha = np.concatenate((group_alpha[failed].reshape(group + (k // 2,)), minus), axis=-1)
             group_alpha = group_alpha[tested].reshape(group + (count,))
+            np.divide(scaled, group_alpha[..., None], out=scaled)
         else:
-            pair_alpha = minus
-        dim = k + n + 1
-        upper = np.zeros(group + (dim, dim), dtype=complex)
-        np.matmul((pivots[..., 1, :] / group_alpha[..., None]).swapaxes(-1, -2), pivots[..., 0, :],
-                  out=upper[..., k:, k:])
+            c1, pair_alpha = pair_rows[..., 0, :], minus
+            scaled = np.divide(pair_rows[..., 1, :], group_alpha[..., None], out=space.take(c1.shape))
+        upper = space.take(group + (dim, dim))
+        np.matmul(scaled.swapaxes(-1, -2), c1, out=upper[..., k:, k:])
         if k:
+            upper[..., :k] = 0
             upper[..., :k, k:] = rejected
         upper[..., k:-2, -2] = group_first
         # the pair entries (i, i + 1), even i < dim - 3, a strided view of each flat matrix
         pairs = upper.reshape(group + (-1,))[..., 1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)]
         pairs += pair_alpha
-        skew = upper - upper.swapaxes(-1, -2)
+        np.subtract(upper, upper.swapaxes(-1, -2), out=skew)
+        space.top = mark
 
         # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
         # (scaled in place through named views, which ``x[:r] *= 2`` would assign back)
@@ -292,7 +327,6 @@ def _c1_stacks(states) -> list:
                 top *= 2.0
                 left *= 2.0
         stacks.append((members, skew))
-    # returned, not yielded: the assembly's temporaries are freed before the Pfaffians run
     return stacks
 
 
@@ -303,17 +337,27 @@ def _c1_from_words(state: SystemState, first: complex, second_adjoint: complex) 
     return -(phase * first + 1j * (phase * second_adjoint).conjugate()) / (2.0 * math.sqrt(state.grid.n_sites))
 
 
-def _c1_values(states) -> list:
+def _c1_values(states, workspace: Workspace | None = None) -> list:
     """``<psi(t)| c_1 |psi(t)>`` of each of the states, one Pfaffian elimination per operand dimension.
 
     A group of one is eliminated as the one matrix it is.  A range error
     of one state's Pfaffian carries that state's index in ``states`` as
-    its ``member`` attribute.
+    its ``member`` attribute.  Every (dim x dim)-sized array of the
+    evaluation lives in ``workspace``, which it takes over whole: the
+    arrays of an earlier evaluation in it are overwritten.
     """
+    space = Workspace() if workspace is None else workspace
+    space.top = 0
+    # room for the rows, S, and the kernel's w and panel product, four (dim x dim) arrays and
+    # 2 _BLOCK_STEPS rows of f per state, at operand dimensions up to one bra pair in eight
+    # rejected; a larger operand makes the workspace grow
+    n = states[0].grid.n_sites
+    dim = n + 1 + n // 8
+    space.reserve(len(states) * (4 * dim + 2 * _BLOCK_STEPS) * dim)
     values = [None] * len(states)
-    for members, skew in _c1_stacks(states):
+    for members, skew in _c1_stacks(states, space):
         try:
-            words = vacuum_expectation(SkewMatrix.antisymmetric(skew, border=2), border=2)
+            words = vacuum_expectation(SkewMatrix.antisymmetric(skew, border=2, workspace=space), border=2)
         except FloatingPointError as error:
             error.member = members[getattr(error, "member", 0)]
             raise
@@ -365,8 +409,11 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     schedule = list(schedule)
-    if not np.all(np.isfinite(schedule)):
-        raise ValueError("schedule entries must be finite")
+    entries = np.asarray(schedule)
+    if entries.dtype.kind not in "iuf" or not np.isfinite(entries).all():
+        # a str, or an int past the int64 range, makes an array of objects; name the culprit
+        for x in schedule:
+            _real(x, "schedule entry")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     base = init_ferro(grid)
@@ -377,22 +424,28 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
         def evolve(t):
             return evolve_quench(base, driver.g_f, t)
     else:
-        if any(int(s) != s or s < 0 for s in schedule):
-            raise ValueError("kick schedule entries must be nonnegative integers")
+        for s in schedule:
+            # a count beyond 2^53 does not survive as the double that multiplies the Floquet angle
+            if int(s) != s or not 0 <= s <= 2**53:
+                raise ValueError(f"kick schedule entries must be integers in [0, 2^53], got {s!r}")
 
         def evolve(n):
             return evolve_kick_step(base, driver.g, driver.tau, driver.epsilon, int(n))
 
-    def evaluate(entries):
-        states = [evolve(x) for x in entries]
-        try:
-            values = _c1_values(states)
-        except FloatingPointError as error:
-            if getattr(error, "member", None) is None:
-                raise
-            raise FloatingPointError(f"schedule entry {entries[error.member]}: {error}") from error
-        # one module-level magnetization call per sample
-        return [magnetization(state, c1) for state, c1 in zip(states, values)]
+    def evaluate(batches):
+        # one worker's batches, one after the other in the worker's own workspace
+        workspace, samples = Workspace(), []
+        for entries in batches:
+            states = [evolve(x) for x in entries]
+            try:
+                values = _c1_values(states, workspace)
+            except FloatingPointError as error:
+                if getattr(error, "member", None) is None:
+                    raise
+                raise FloatingPointError(f"schedule entry {entries[error.member]}: {error}") from error
+            # one module-level magnetization call per sample
+            samples += [magnetization(state, c1) for state, c1 in zip(states, values)]
+        return samples
 
     size = max(1, min(_BATCH_BYTES // (16 * (grid.n_sites + 1) ** 2), -(-len(schedule) // threads)))
     batches = [schedule[i:i + size] for i in range(0, len(schedule), size)]
@@ -400,8 +453,11 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
         # imported here: a serial series should not pay for the module
         from concurrent.futures import ThreadPoolExecutor
 
+        # each worker evaluates a run of consecutive batches
+        share = max(1, -(-len(batches) // threads))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = [s for batch in pool.map(evaluate, batches) for s in batch]
+            runs = pool.map(evaluate, [batches[i:i + share] for i in range(0, len(batches), share)])
+            samples = [s for run in runs for s in run]
     else:
-        samples = [s for batch in map(evaluate, batches) for s in batch]
+        samples = evaluate(batches)
     return [MagnetizationSample(float(x), s.mx, s.my, s.mz) for x, s in zip(schedule, samples)]

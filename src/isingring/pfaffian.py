@@ -49,8 +49,17 @@ as the engine's bordered word matrix (see :mod:`isingring.observables`),
 enters through :meth:`SkewMatrix.antisymmetric`, which takes only its
 largest entry magnitude: no antisymmetry scan and no symmetrized copy.
 Every path keeps the shape and border checks and raises ``ValueError`` for
-a NaN or infinite entry.  :func:`pfaffian` eliminates in a private copy,
-so the operand stays as it was and can be read again.
+a NaN or infinite entry.
+
+Memory.  :func:`pfaffian` copies the operand into its working array w
+and eliminates there, so the operand stays as it was and can be read
+again.  w and the panel product ``f^T m[k0:ke]`` are taken in the
+operand's :class:`Workspace`, one flat buffer that an evaluation reuses
+for all of its (n x n)-sized arrays, and freed there at the end; an
+operand without one gets a new workspace per call.  So a caller that
+keeps one workspace, as each worker of
+:func:`isingring.observables.run_series` does, allocates no (n x n)-sized
+array per Pfaffian.
 
 Border columns.  ``pfaffian(a, border=b)`` searches the pivots only inside
 the leading block, of odd dimension d = n - b, and carries the last b
@@ -94,7 +103,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["SkewMatrix", "pfaffian", "PfaffianDimensionError", "SkewSymmetryError"]
+__all__ = ["SkewMatrix", "Workspace", "pfaffian", "PfaffianDimensionError", "SkewSymmetryError"]
 
 #: relative tolerance for the antisymmetry check at construction
 ASYMMETRY_RTOL = 1e-12
@@ -104,6 +113,38 @@ PIVOT_RTOL = 1e-13
 _BLOCK_STEPS = 32
 #: the smallest normal double: a smaller pivot product has lost digits
 _TINY = sys.float_info.min
+
+
+class Workspace:
+    """One flat complex buffer from which an evaluation carves its working arrays.
+
+    :meth:`take` returns a C-contiguous array of any shape and dtype over
+    the entries above ``top`` and raises ``top`` past them; setting ``top``
+    back to an earlier value frees everything taken since.  The buffer is
+    one allocation, made by :meth:`reserve` and made again, larger, only
+    when a request does not fit; an array taken before keeps the buffer it
+    lives in, and offsets stay the same in the new one.  A workspace
+    belongs to one thread at a time.
+    """
+
+    def __init__(self):
+        self.buffer, self.top = np.empty(0, dtype=complex), 0
+
+    def reserve(self, entries: int):
+        """Make room for ``entries`` complex entries above ``top``."""
+        if self.top + entries > self.buffer.size:
+            self.buffer = np.empty(self.top + entries, dtype=complex)
+
+    def take(self, shape, dtype=complex) -> np.ndarray:
+        """An uninitialized array of ``shape`` and ``dtype`` over the entries above ``top``."""
+        try:
+            array = np.ndarray(shape, dtype, self.buffer, 16 * self.top)
+        except TypeError:
+            # numpy's "buffer is too small"
+            self.reserve(-(-math.prod(shape) * np.dtype(dtype).itemsize // 16))
+            array = np.ndarray(shape, dtype, self.buffer, 16 * self.top)
+        self.top += -(-array.nbytes // 16)
+        return array
 
 
 class PfaffianDimensionError(ValueError):
@@ -154,7 +195,7 @@ class SkewMatrix:
         self.max_asymmetry = float(asymmetry.max(initial=0.0))
 
     @classmethod
-    def antisymmetric(cls, entries, border: int = 0) -> "SkewMatrix":
+    def antisymmetric(cls, entries, border: int = 0, workspace: Workspace | None = None) -> "SkewMatrix":
         """Wrap a matrix that is antisymmetric by construction, as it is.
 
         The caller guarantees ``entries == -entries.T`` exactly.  The
@@ -162,13 +203,15 @@ class SkewMatrix:
         input, and are not scanned for antisymmetry.  The shape and border
         are checked, and the largest entry magnitude becomes ``scale``; a
         NaN or infinite entry makes it NaN or infinite, which raises
-        ``ValueError``.
+        ``ValueError``.  A ``workspace`` travels with the operand:
+        :func:`pfaffian` carves its working arrays from it, and the
+        magnitudes behind ``scale`` are taken in it too.
         """
         self = cls.__new__(cls)
-        self._wrap(entries, border)
+        self._wrap(entries, border, workspace)
         return self
 
-    def _wrap(self, entries, border: int) -> np.ndarray:
+    def _wrap(self, entries, border: int, workspace: Workspace | None = None) -> np.ndarray:
         """Take the entries as complex, check shape, border and finiteness, and record them."""
         m = np.asarray(entries, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
@@ -180,15 +223,20 @@ class SkewMatrix:
                 f"dimension must be even and >= 2, got {n}" if border == 0 else
                 f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
             )
+        space = Workspace() if workspace is None else workspace
+        mark = space.top
+        magnitudes = np.abs(m, out=space.take(m.shape, float))
+        space.top = mark
         if m.ndim == 2:
-            scale = float(np.abs(m).max())
+            scale = float(magnitudes.max())
             finite = math.isfinite(scale)
         else:
-            scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+            scale = magnitudes.max(axis=(-2, -1), initial=0.0)
             finite = np.isfinite(scale).all()
         if not finite:
             raise ValueError("matrix entries must be finite" + _in_member(m, np.argmin(np.isfinite(scale))))
         self.entries, self.dim, self.border, self.scale, self.max_asymmetry = m, n, border, scale, 0.0
+        self.workspace = workspace
         return m
 
     def __len__(self):
@@ -306,7 +354,12 @@ def pfaffian(a, border: int = 0):
     # each member's working copy m of its operand in rows :n and below it f, the panel's pending
     # updates: step j's (s, -r) / pivot in rows n + 2j, n + 2j + 1 (r, s = m[k:k + 2]), so a pivot
     # swap of two columns of m's rows from k0 on is one slice assignment that swaps them in f too
-    w = np.empty(a.entries.shape[:-2] + (n + 2 * min(_BLOCK_STEPS, e // 2), n), dtype=complex)
+    space = Workspace() if a.workspace is None else a.workspace
+    mark = space.top
+    panel = 2 * min(_BLOCK_STEPS, e // 2)
+    w = space.take(a.entries.shape[:-2] + (n + panel, n))
+    # each panel's product f^T m goes to the leading rows and columns of the first, the largest
+    products = space.take(a.entries.shape[:-2] + (n - panel, n - panel))
     w[..., :n, :] = a.entries
     # each member's own (n + 2 steps) x n matrix, and f with an axis for the row it updates:
     # fv[..., :2j, x] holds the (1, 2j) coefficients of row x
@@ -354,8 +407,9 @@ def pfaffian(a, border: int = 0):
                 # the spent members leave the stack
                 keep = [i for i in range(len(views)) if i not in spent]
                 if not keep:
+                    space.top = mark
                     return results if stacked else results[0]
-                w, coefficients = w[keep], coefficients[keep]
+                w, coefficients, products = w[keep], coefficients[keep], products[:len(keep)]
                 views, fv, flat = list(w), w[:, None, n:], coefficients.reshape(-1)
                 members, pfs, tols = ([x[i] for i in keep] for x in (members, pfs, tols))
                 offsets = [[o[i] for i in keep] for o in offsets]
@@ -367,10 +421,13 @@ def pfaffian(a, border: int = 0):
                         out=w[..., fk:fk + 2, k + 2:])
         # the panel's delayed rank-2 updates
         ke = k0 + 2 * steps
+        product = np.matmul(np.swapaxes(w[..., n:n + 2 * steps, ke:], -1, -2), w[..., k0:ke, ke:],
+                            out=products[..., :n - ke, :n - ke])
         trailing = w[..., ke:n, ke:]
-        trailing += np.swapaxes(w[..., n:n + 2 * steps, ke:], -1, -2) @ w[..., k0:ke, ke:]
+        trailing += product
     # the last block row: its entry right of the block, or its border entries
     lasts = w[..., e, e + 1:].tolist()
+    space.top = mark
     for member, pf, last in zip(members, pfs, lasts if stacked else [lasts]):
         values = [pf * x for x in last]
         if not _representable(pf) or any(x and not _representable(v) for x, v in zip(last, values)):

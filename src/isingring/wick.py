@@ -39,12 +39,12 @@ from __future__ import annotations
 import numpy as np
 
 from .model import MomentumGrid
-from .pfaffian import SkewMatrix, pfaffian
+from .pfaffian import SkewMatrix, Workspace, pfaffian
 
 __all__ = ["contractions", "vacuum_expectation"]
 
 
-def contractions(index, coeff, grid: MomentumGrid) -> np.ndarray:
+def contractions(index, coeff, grid: MomentumGrid, out=None, workspace: Workspace | None = None) -> np.ndarray:
     """The matrix ``a_i kappa(m_i - m'_j) b_j`` of annihilated parts i against created parts j.
 
     ``index`` holds the annihilated and created grid indices ``(m, m')``,
@@ -57,9 +57,24 @@ def contractions(index, coeff, grid: MomentumGrid) -> np.ndarray:
     from one gather.  kappa is gathered from the ring's table
     :attr:`MomentumGrid.kappa`, which every d = m - m' in (-2N, 2N)
     indexes directly.
+
+    The result is written into ``out`` when it is given, and returned.  The
+    index differences, the gathered kappa and its product with ``a`` are
+    taken in ``workspace`` and freed there again.
     """
     ann, cre, a, b = map(np.asarray, (*index, *coeff))
-    return a[..., :, None] * grid.kappa[ann[:, None] - cre] * b[..., None, :]
+    shape = (len(ann), len(cre))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + shape, dtype=complex)
+    space = Workspace() if workspace is None else workspace
+    mark = space.top
+    difference = np.subtract(ann[:, None], cre, out=space.take(shape, np.intp))
+    # "wrap" is numpy's negative indexing for every d in (-2N, 2N), and writes straight into its out
+    kappa = grid.kappa.take(difference, out=space.take(shape), mode="wrap")
+    scaled = np.multiply(a[..., :, None], kappa, out=space.take(a.shape[:-1] + shape))
+    np.multiply(scaled, b[..., None, :], out=out)
+    space.top = mark
+    return out
 
 
 def vacuum_expectation(skew: np.ndarray, border: int = 0):

@@ -155,6 +155,17 @@ class TestDriverSpec:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             DriverSpec(kind, **{field: value})
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("quench", "g_f", "x"),
+        ("quench", "g_f", None),
+        ("kick", "tau", 10**400),
+        ("kick", "epsilon", 1j),
+    ])
+    def test_non_real_drive_rejected_naming_the_field(self, kind, field, value):
+        # numpy's isfinite would raise TypeError on each
+        with pytest.raises(ValueError, match=f"{field} must be finite and real, got {value!r}"):
+            DriverSpec(kind, **{field: value})
+
     def test_non_finite_field_caught_by_state_when_driving_directly(self):
         # the drivers bypass DriverSpec; the NaN-safe norm check stops them
         state = init_ferro(MomentumGrid(6))

@@ -1,5 +1,8 @@
 """Tests for the Pfaffian-based magnetization against the dense oracle."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +18,7 @@ from isingring.observables import (
     magnetization,
     run_series,
 )
-from isingring.pfaffian import SkewMatrix, pfaffian
+from isingring.pfaffian import SkewMatrix, Workspace, pfaffian
 from isingring.wick import contractions
 from tests_support import (
     bcs_amplitudes,
@@ -423,6 +426,15 @@ class TestRunSeries:
             run_series(driver, MomentumGrid(6), [-1.0, 0.5])
         with pytest.raises(ValueError):
             run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [1.5, 2.0])
+        # entries that numpy would take as objects: each error names the entry
+        with pytest.raises(ValueError, match="schedule entry must be finite and real, got '1.0'"):
+            run_series(driver, MomentumGrid(6), ["1.0"])
+        with pytest.raises(ValueError, match=f"got {10**400}"):
+            run_series(driver, MomentumGrid(6), [10**400])
+        with pytest.raises(ValueError, match=f"got {10**30}"):
+            run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [10**30])
+        # the largest kick count whose double is exact is taken
+        assert run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [2**53])[0].time == 2.0**53
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sample_time_rejected(self, bad):
@@ -435,6 +447,8 @@ class TestRunSeries:
 
     def test_empty_schedule(self):
         assert run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), []) == []
+        # no batch, so no worker's run of batches either
+        assert run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), [], threads=2) == []
 
 
 class TestBatches:
@@ -489,9 +503,9 @@ class TestBatches:
         batches = []
         values = observables._c1_values
 
-        def recording(states):
+        def recording(states, *workspace):
             batches.append(len(states))
-            return values(states)
+            return values(states, *workspace)
 
         driver, grid, times = DriverSpec("quench", g_f=1.5), MomentumGrid(40), np.linspace(0.0, 20.0, 21)
         monkeypatch.setattr(observables, "_c1_values", recording)
@@ -530,6 +544,87 @@ class TestBatches:
         counting(isingring.wick, "pfaffian", "pfaffians")
         assert cli.validate_suite()["passed"]
         assert counts == {"samples": 272, "words": 17, "pfaffians": 17}
+
+
+class TestWorkspace:
+    """Each worker of a series carves its samples' (dim x dim) arrays from one workspace."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """The workspaces run_series makes from now on, each recording its allocations and its threads."""
+        made = []
+
+        class Recording(Workspace):
+            def __init__(self):
+                super().__init__()
+                self.allocations, self.threads = [], set()
+                made.append(self)
+
+            def reserve(self, entries):
+                before = self.buffer
+                super().reserve(entries)
+                if self.buffer is not before:
+                    self.allocations.append(self.buffer.nbytes)
+
+            def take(self, shape, dtype=complex):
+                self.threads.add(threading.get_ident())
+                return super().take(shape, dtype)
+
+        monkeypatch.setattr(observables, "Workspace", Recording)
+        return made
+
+    @staticmethod
+    def peak(call) -> int:
+        """The peak of the bytes traced above the baseline while ``call()`` runs, after one warm-up call."""
+        call()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("time", [0.5, 1.0])
+    def test_a_sample_lives_in_its_workspace(self, time, monkeypatch):
+        # at N = 100 the quench to 0.5 rejects one bra pair at t = 0.5 and none at t = 1
+        made = self.recording(monkeypatch)
+        n, driver = 100, DriverSpec("quench", g_f=0.5)
+        peak = self.peak(lambda: run_series(driver, MomentumGrid(n), [time]))
+        assert [w.allocations for w in made] == [[made[0].buffer.nbytes]] * 2
+        # beyond the workspace only O(N) arrays, and numpy's iterator buffers of at most
+        # getbufsize() entries for each of three operands; a (dim x dim) float array is 82 KB
+        assert peak <= made[-1].buffer.nbytes + 3 * 16 * np.getbufsize() + 512 * n
+
+    def test_a_series_reuses_its_memory(self, monkeypatch):
+        # in batches of one sample, each sample reuses the memory of the one before it
+        monkeypatch.setattr(observables, "_BATCH_BYTES", 1)
+        driver, grid, times = DriverSpec("quench", g_f=0.5), MomentumGrid(200), np.linspace(0.5, 10.0, 12)
+        one = self.peak(lambda: run_series(driver, grid, times[:1]))
+        # the samples themselves, and the lists that hold them, are all that grows
+        assert self.peak(lambda: run_series(driver, grid, times)) <= one + 1024 * len(times)
+
+    @pytest.mark.parametrize("driver, schedule", [
+        (DriverSpec("quench", g_f=0.5), [0.5, 1.7, 2.9, 4.1]),
+        (DriverSpec("kick", g=0.5, tau=0.5, epsilon=0.02), [1, 37, 180, 500]),
+    ])
+    def test_workers_never_share_a_workspace(self, driver, schedule, monkeypatch):
+        # from N = 256 on every batch holds one sample, so each worker's batches follow one
+        # another in its workspace
+        grid = MomentumGrid(300)
+        made = self.recording(monkeypatch)
+        serial = run_series(driver, grid, schedule)
+        assert len(made) == 1 and len(made[0].allocations) == 1
+        made.clear()
+        assert run_series(driver, grid, schedule, threads=2) == serial
+        assert len(made) == 2 and all(len(w.allocations) == 1 and len(w.threads) == 1 for w in made)
+        # a sample alone, in a workspace of its own, is the series' sample
+        if driver.kind == "quench":
+            state = evolve_quench(init_ferro(grid), driver.g_f, schedule[-1])
+        else:
+            state = evolve_kick_step(init_ferro(grid), driver.g, driver.tau, driver.epsilon, schedule[-1])
+        alone = magnetization(state)
+        assert (alone.mx, alone.my, alone.mz) == (serial[-1].mx, serial[-1].my, serial[-1].mz)
 
 
 def test_sample_dataclass_fields():

@@ -48,3 +48,19 @@ def test_library_never_imports_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_no_module_level_buffers():
+    # the engine keeps no memory between calls: a workspace lives one run_series call at most
+    import numpy as np
+
+    from isingring import DriverSpec, MomentumGrid, dynamics, observables, pfaffian, run_series, wick
+
+    run_series(DriverSpec("quench", g_f=0.5), MomentumGrid(100), [0.5, 1.0], threads=2)
+    for module in (observables, wick, pfaffian, dynamics):
+        for name, value in vars(module).items():
+            if name == "__builtins__":
+                continue
+            held = list(value.values()) if isinstance(value, dict) else (
+                list(value) if isinstance(value, (list, tuple, set)) else [value])
+            assert not any(isinstance(x, (np.ndarray, pfaffian.Workspace)) for x in held), (module.__name__, name)
