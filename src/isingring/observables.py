@@ -126,12 +126,17 @@ Memory.  Each worker of a series owns one
 :class:`isingring.pfaffian.Workspace`, which lives as long as the
 ``run_series`` call.  Every (dim x dim)-sized array of a batch is carved
 from it: the gathered kappa and the bra rows, the pivot test's
-magnitudes, U, S and the scaled rows, and the kernel's working array
-and panel product.  It is allocated once, at the first batch, with room
-for operands with up to one bra pair in eight rejected, and again only
-if a later batch needs more.  So the samples of a series reuse one block
-of memory, which the C allocator keeps instead of returning it to the
-system after each sample and faulting it back in for the next.
+magnitudes, U, S and the gathered pair rows, and the kernel's working
+array and panel product.  It is allocated at the first batch, exactly as
+large as that batch needs (:func:`_c1_entries`).  The size follows from
+the operand dimensions, which the pivot test fixes only once the bra rows
+are in the workspace; so they are found before, from the rows' largest
+entries, which in a normalized state are their border entries (see the
+comment in :func:`_c1_stacks`).  A later batch that needs more makes the
+buffer again, at least twice as large, so a series allocates once or a
+few times, not once per batch.  So the samples of a series reuse one
+block of memory, which the C allocator keeps instead of returning it to
+the system after each sample and faulting it back in for the next.
 :func:`expectation_c1` and :func:`magnetization` alone use a workspace
 of their own.
 """
@@ -141,13 +146,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from collections import Counter
 from itertools import compress
 
 import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
 from .model import MomentumGrid, _integer, _real
-from .pfaffian import _BLOCK_STEPS, SkewMatrix, Workspace
+from .pfaffian import SkewMatrix, Workspace, working_entries
 from .wick import contractions, vacuum_expectation
 
 __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series"]
@@ -195,7 +201,28 @@ def _pair_product(alpha):
     return z, e
 
 
-def _c1_stacks(states, workspace: Workspace | None = None) -> list:
+def _c1_entries(n: int, counts) -> int:
+    """The workspace entries of one ``<c_1>`` evaluation of states with ``counts`` accepted bra pairs each.
+
+    The bra rows stay through the evaluation, and the operands above them;
+    above both, the larger of a group's assembly (U, and the pair rows
+    that a group with rejected pairs or of part of the states gathers) and
+    its elimination (:func:`isingring.pfaffian.working_entries`).  The
+    kappa gather and the pivot test's magnitudes, freed before the
+    operands are taken, need less than the operands and one elimination.
+    """
+    groups = Counter(counts)
+    operands = work = 0
+    for count, size in groups.items():
+        dim = 2 * (n // 2 - count) + n + 1
+        shape = ((size,) if size > 1 else ()) + (dim, dim)
+        gathered = size * n * (n + 1) if count < n // 2 or len(groups) > 1 else 0
+        operands += math.prod(shape)
+        work = max(work, math.prod(shape) + gathered, working_entries(shape, border=2))
+    return len(counts) * n * (n + 1) + operands + work
+
+
+def _c1_stacks(states, workspace: Workspace) -> list:
     """The ``<c_1>`` operands of states on one grid, as stacks of operands of equal dimension.
 
     A state's full bordered matrix has the 2N - 1 shared factors
@@ -219,10 +246,10 @@ def _c1_stacks(states, workspace: Workspace | None = None) -> list:
     grid indices and the border phases are the grid's tables, and the kappa
     cross block is gathered once for all states; the pivot test, the pair
     product z 2^e and the power-of-two fold are each state's own.  Every
-    (dim x dim)-sized array is taken in ``workspace``; the operands stay
+    (dim x dim)-sized array is taken in ``workspace``, which is reserved
+    for the whole evaluation first (:func:`_c1_entries`); the operands stay
     there, above its ``top``, and the rest is freed again.
     """
-    space = Workspace() if workspace is None else workspace
     grid = states[0].grid
     n = grid.n_sites
     h = n // 2
@@ -242,22 +269,28 @@ def _c1_stacks(states, workspace: Workspace | None = None) -> list:
 
     # within a sector only the two factors of a BCS pair contract, with kappa = 1
     alpha = np.conj(u_plus)
+    size = np.abs(alpha)
+    # the dimensions that the pivot test below gives, for the workspace's size: a bra pair's rows
+    # hold a kappa b, with |kappa| < 3/4 and, in a normalized state, |a|, |b| <= 1, and the border
+    # entries, of magnitude 1 in the first row, so these are the rows' largest entries
+    edges = np.abs(grid.ann_phase * a).reshape(lead + (h, 2)).max(axis=-1)
+    predicted = size > PAIR_RTOL * np.maximum(edges, size)
+    workspace.reserve(_c1_entries(n, predicted.reshape(-1, h).sum(axis=1).tolist()))
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
-    rows = space.take(lead + (n, n + 1))
+    rows = workspace.take(lead + (n, n + 1))
     rows[..., n - 1] = 0.0
-    contractions((grid.ann, grid.cre), (a, b), grid, rows[..., :n - 1], space)
+    contractions((grid.ann, grid.cre), (a, b), grid, rows[..., :n - 1], workspace)
     border = rows[..., n]
     np.multiply(grid.ann_phase, a, out=border)
     first = np.multiply(grid.cre_phase, b, out=b)
 
     # the pivot test; a NaN or infinite entry fails it and stays in the operand
     pair_rows = rows.reshape(lead + (h, 2, n + 1))
-    size = np.abs(alpha)
-    mark = space.top
-    magnitudes = np.abs(rows, out=space.take(rows.shape, float)).reshape(lead + (h, 2 * n + 2))
+    mark = workspace.top
+    magnitudes = np.abs(rows, out=workspace.take(rows.shape, float)).reshape(lead + (h, 2 * n + 2))
     accepted = size > PAIR_RTOL * np.maximum(magnitudes.max(axis=-1), size)
-    space.top = mark
+    workspace.top = mark
     kept = accepted.reshape(-1, h).tolist()
     counts = [sum(x) for x in kept]
     z, e = zip(*map(_pair_product, map(compress, alpha.reshape(-1, h).tolist(), kept)))
@@ -278,8 +311,8 @@ def _c1_stacks(states, workspace: Workspace | None = None) -> list:
         k = 2 * (h - count)
         dim = k + n + 1
         # S stays in the workspace; everything taken after it is freed once S is formed
-        skew = space.take(group + (dim, dim))
-        mark = space.top
+        skew = workspace.take(group + (dim, dim))
+        mark = workspace.top
         tested, group_alpha, group_first, minus, index = accepted, alpha, first, u_minus, pair_index
         subset = len(members) < len(states)
         if subset:
@@ -293,7 +326,7 @@ def _c1_stacks(states, workspace: Workspace | None = None) -> list:
             # the group's accepted and rejected pairs, gathered in the workspace from all states'
             # pairs ("raise" would copy its out once more)
             every, failed = pair_rows.reshape(-1, 2, n + 1), ~tested
-            kept_rows, rejected = (every.take(i, axis=0, out=space.take((len(i), 2, n + 1)), mode="clip")
+            kept_rows, rejected = (every.take(i, axis=0, out=workspace.take((len(i), 2, n + 1)), mode="clip")
                                    for i in (index[tested], index[failed]))
             kept_rows = kept_rows.reshape(group + (count, 2, n + 1))
             c1, scaled = kept_rows[..., 0, :], kept_rows[..., 1, :]
@@ -302,9 +335,10 @@ def _c1_stacks(states, workspace: Workspace | None = None) -> list:
             group_alpha = group_alpha[tested].reshape(group + (count,))
             np.divide(scaled, group_alpha[..., None], out=scaled)
         else:
-            c1, pair_alpha = pair_rows[..., 0, :], minus
-            scaled = np.divide(pair_rows[..., 1, :], group_alpha[..., None], out=space.take(c1.shape))
-        upper = space.take(group + (dim, dim))
+            # the only group, so the rows are divided where they are
+            c1, scaled, pair_alpha = pair_rows[..., 0, :], pair_rows[..., 1, :], minus
+            np.divide(scaled, group_alpha[..., None], out=scaled)
+        upper = workspace.take(group + (dim, dim))
         np.matmul(scaled.swapaxes(-1, -2), c1, out=upper[..., k:, k:])
         if k:
             upper[..., :k] = 0
@@ -314,7 +348,7 @@ def _c1_stacks(states, workspace: Workspace | None = None) -> list:
         pairs = upper.reshape(group + (-1,))[..., 1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)]
         pairs += pair_alpha
         np.subtract(upper, upper.swapaxes(-1, -2), out=skew)
-        space.top = mark
+        workspace.top = mark
 
         # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
         # (scaled in place through named views, which ``x[:r] *= 2`` would assign back)
@@ -337,7 +371,7 @@ def _c1_from_words(state: SystemState, first: complex, second_adjoint: complex) 
     return -(phase * first + 1j * (phase * second_adjoint).conjugate()) / (2.0 * math.sqrt(state.grid.n_sites))
 
 
-def _c1_values(states, workspace: Workspace | None = None) -> list:
+def _c1_values(states, workspace: Workspace) -> list:
     """``<psi(t)| c_1 |psi(t)>`` of each of the states, one Pfaffian elimination per operand dimension.
 
     A group of one is eliminated as the one matrix it is.  A range error
@@ -346,18 +380,11 @@ def _c1_values(states, workspace: Workspace | None = None) -> list:
     evaluation lives in ``workspace``, which it takes over whole: the
     arrays of an earlier evaluation in it are overwritten.
     """
-    space = Workspace() if workspace is None else workspace
-    space.top = 0
-    # room for the rows, S, and the kernel's w and panel product, four (dim x dim) arrays and
-    # 2 _BLOCK_STEPS rows of f per state, at operand dimensions up to one bra pair in eight
-    # rejected; a larger operand makes the workspace grow
-    n = states[0].grid.n_sites
-    dim = n + 1 + n // 8
-    space.reserve(len(states) * (4 * dim + 2 * _BLOCK_STEPS) * dim)
+    workspace.top = 0
     values = [None] * len(states)
-    for members, skew in _c1_stacks(states, space):
+    for members, skew in _c1_stacks(states, workspace):
         try:
-            words = vacuum_expectation(SkewMatrix.antisymmetric(skew, border=2, workspace=space), border=2)
+            words = vacuum_expectation(SkewMatrix.antisymmetric(skew, border=2, workspace=workspace), border=2)
         except FloatingPointError as error:
             error.member = members[getattr(error, "member", 0)]
             raise
@@ -368,7 +395,7 @@ def _c1_values(states, workspace: Workspace | None = None) -> list:
 
 def expectation_c1(state: SystemState) -> complex:
     """Cross-parity matrix element ``<psi(t)| c_1 |psi(t)>``."""
-    return _c1_values([state])[0]
+    return _c1_values([state], Workspace())[0]
 
 
 def magnetization(state: SystemState, c1: complex | None = None) -> MagnetizationSample:

@@ -59,7 +59,8 @@ for all of its (n x n)-sized arrays, and freed there at the end; an
 operand without one gets a new workspace per call.  So a caller that
 keeps one workspace, as each worker of
 :func:`isingring.observables.run_series` does, allocates no (n x n)-sized
-array per Pfaffian.
+array per Pfaffian; :func:`working_entries` tells it how many entries
+the kernel takes for an operand's shape.
 
 Border columns.  ``pfaffian(a, border=b)`` searches the pivots only inside
 the leading block, of odd dimension d = n - b, and carries the last b
@@ -103,7 +104,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["SkewMatrix", "Workspace", "pfaffian", "PfaffianDimensionError", "SkewSymmetryError"]
+__all__ = ["SkewMatrix", "Workspace", "pfaffian", "working_entries", "PfaffianDimensionError", "SkewSymmetryError"]
 
 #: relative tolerance for the antisymmetry check at construction
 ASYMMETRY_RTOL = 1e-12
@@ -121,19 +122,21 @@ class Workspace:
     :meth:`take` returns a C-contiguous array of any shape and dtype over
     the entries above ``top`` and raises ``top`` past them; setting ``top``
     back to an earlier value frees everything taken since.  The buffer is
-    one allocation, made by :meth:`reserve` and made again, larger, only
-    when a request does not fit; an array taken before keeps the buffer it
-    lives in, and offsets stay the same in the new one.  A workspace
-    belongs to one thread at a time.
+    one allocation, made by :meth:`reserve`.  A buffer that is too small is
+    made again, at least twice as large, so that a run of larger requests
+    costs one more allocation, not one each; an array taken before keeps
+    the buffer it lives in, and offsets stay the same in the new one.  A
+    workspace belongs to one thread at a time.
     """
 
     def __init__(self):
         self.buffer, self.top = np.empty(0, dtype=complex), 0
 
     def reserve(self, entries: int):
-        """Make room for ``entries`` complex entries above ``top``."""
+        """Make room for ``entries`` complex entries above ``top``: exactly, in a workspace without a buffer."""
         if self.top + entries > self.buffer.size:
-            self.buffer = np.empty(self.top + entries, dtype=complex)
+            size = self.top + entries
+            self.buffer = np.empty(max(size, 2 * self.buffer.size), dtype=complex)
 
     def take(self, shape, dtype=complex) -> np.ndarray:
         """An uninitialized array of ``shape`` and ``dtype`` over the entries above ``top``."""
@@ -141,10 +144,36 @@ class Workspace:
             array = np.ndarray(shape, dtype, self.buffer, 16 * self.top)
         except TypeError:
             # numpy's "buffer is too small"
-            self.reserve(-(-math.prod(shape) * np.dtype(dtype).itemsize // 16))
+            self.reserve(_entries(shape, dtype))
             array = np.ndarray(shape, dtype, self.buffer, 16 * self.top)
-        self.top += -(-array.nbytes // 16)
+        self.top += _entries(shape, dtype)
         return array
+
+
+def _entries(shape, dtype=complex) -> int:
+    """The complex entries, of 16 bytes, that an array of ``shape`` and ``dtype`` takes in a workspace."""
+    return -(-math.prod(shape) * np.dtype(dtype).itemsize // 16)
+
+
+def _working_shapes(shape, border: int):
+    """The shapes of the kernel's working array w and of its panel product, for an operand of ``shape``."""
+    n = shape[-1]
+    d = n - border
+    # a panel's rows of f: 2 per step, over the rows eliminated from the leading block
+    panel = 2 * min(_BLOCK_STEPS, (d - 2 + d % 2) // 2)
+    lead = tuple(shape[:-2])
+    # each panel's product f^T m goes to the leading rows and columns of the first, the largest
+    return lead + (n + panel, n), lead + (n - panel, n - panel)
+
+
+def working_entries(shape, border: int = 0) -> int:
+    """The workspace entries that :func:`pfaffian` takes for an operand of ``shape`` and ``border``.
+
+    It takes them above the workspace's ``top`` and frees them before it
+    returns.  :meth:`SkewMatrix.antisymmetric` takes fewer, the operand's
+    magnitudes, and frees them before.
+    """
+    return sum(map(math.prod, _working_shapes(shape, border)))
 
 
 class PfaffianDimensionError(ValueError):
@@ -223,10 +252,12 @@ class SkewMatrix:
                 f"dimension must be even and >= 2, got {n}" if border == 0 else
                 f"dimension {n} leaves no leading block of odd dimension before {border} border columns"
             )
-        space = Workspace() if workspace is None else workspace
-        mark = space.top
-        magnitudes = np.abs(m, out=space.take(m.shape, float))
-        space.top = mark
+        if workspace is None:
+            magnitudes = np.abs(m)
+        else:
+            mark = workspace.top
+            magnitudes = np.abs(m, out=workspace.take(m.shape, float))
+            workspace.top = mark
         if m.ndim == 2:
             scale = float(magnitudes.max())
             finite = math.isfinite(scale)
@@ -356,10 +387,7 @@ def pfaffian(a, border: int = 0):
     # swap of two columns of m's rows from k0 on is one slice assignment that swaps them in f too
     space = Workspace() if a.workspace is None else a.workspace
     mark = space.top
-    panel = 2 * min(_BLOCK_STEPS, e // 2)
-    w = space.take(a.entries.shape[:-2] + (n + panel, n))
-    # each panel's product f^T m goes to the leading rows and columns of the first, the largest
-    products = space.take(a.entries.shape[:-2] + (n - panel, n - panel))
+    w, products = map(space.take, _working_shapes(a.entries.shape, border))
     w[..., :n, :] = a.entries
     # each member's own (n + 2 steps) x n matrix, and f with an axis for the row it updates:
     # fv[..., :2j, x] holds the (1, 2j) coefficients of row x

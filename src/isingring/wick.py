@@ -48,9 +48,10 @@ def contractions(index, coeff, grid: MomentumGrid, out=None, workspace: Workspac
     """The matrix ``a_i kappa(m_i - m'_j) b_j`` of annihilated parts i against created parts j.
 
     ``index`` holds the annihilated and created grid indices ``(m, m')``,
-    each in [-N, N), and ``coeff`` their coefficients ``(a, b)``.  For the
-    L factors of one word both are (2, L) arrays and the result is the
-    word's L x L contraction matrix, of which the upper triangle counts;
+    each in [-N, N) (another raises ``IndexError``), and ``coeff`` their
+    coefficients ``(a, b)``.  For the L factors of one word both are
+    (2, L) arrays and the result is the word's L x L contraction matrix, of
+    which the upper triangle counts;
     the annihilated parts of some factors against the created parts of
     later ones give a rectangular block of it.  Coefficient arrays with a
     leading axis give the blocks of a stack of words on the same indices,
@@ -63,6 +64,10 @@ def contractions(index, coeff, grid: MomentumGrid, out=None, workspace: Workspac
     taken in ``workspace`` and freed there again.
     """
     ann, cre, a, b = map(np.asarray, (*index, *coeff))
+    n = grid.n_sites
+    # the gather below wraps any difference into the table, so an index outside it has to raise here
+    if not (-n <= min(ann.min(initial=0), cre.min(initial=0)) and max(ann.max(initial=0), cre.max(initial=0)) < n):
+        raise IndexError(f"grid indices must lie in [-{n}, {n})")
     shape = (len(ann), len(cre))
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + shape, dtype=complex)

@@ -459,12 +459,12 @@ class TestBatches:
         times = 0.25 * np.arange(21)
         driver, grid = DriverSpec("quench", g_f=1.0), MomentumGrid(8)
         states = [evolve_quench(init_ferro(grid), 1.0, t) for t in times]
-        stacks = observables._c1_stacks(states)
+        stacks = observables._c1_stacks(states, Workspace())
         assert len(stacks) >= 2 and sorted(i for members, _ in stacks for i in members) == list(range(21))
         for members, skew in stacks:
             for member, i in zip(skew if skew.ndim == 3 else [skew], members):
                 np.testing.assert_array_equal(member, c1_bordered(states[i]).entries)
-        assert observables._c1_values(states) == [expectation_c1(s) for s in states]
+        assert observables._c1_values(states, Workspace()) == [expectation_c1(s) for s in states]
         assert run_series(driver, grid, times) == [
             MagnetizationSample(t, m.mx, m.my, m.mz) for t, m in zip(times, map(magnetization, states))]
 
@@ -472,7 +472,7 @@ class TestBatches:
     def test_single_state_unchanged(self, n):
         state = evolve_kick_step(init_ferro(MomentumGrid(n)), 0.5, 0.5, 0.02, 37)
         c1 = expectation_c1(state)
-        assert observables._c1_values([state]) == [c1]
+        assert observables._c1_values([state], Workspace()) == [c1]
         assert magnetization(state) == magnetization(state, c1)
         (sample,) = run_series(DriverSpec("kick", g=0.5, tau=0.5, epsilon=0.02), MomentumGrid(n), [37])
         assert sample == MagnetizationSample(37.0, *(getattr(magnetization(state), f) for f in ("mx", "my", "mz")))
@@ -490,7 +490,7 @@ class TestBatches:
 
     def test_range_error_names_the_schedule_entry(self, monkeypatch):
         driver, grid, times = DriverSpec("quench", g_f=0.5), MomentumGrid(8), [0.5, 1.0, 1.5, 2.0]
-        (members, _), = observables._c1_stacks([evolve_quench(init_ferro(grid), 0.5, t) for t in times])
+        (members, _), = observables._c1_stacks([evolve_quench(init_ferro(grid), 0.5, t) for t in times], Workspace())
         assert members == [0, 1, 2, 3]
         monkeypatch.setattr(isingring.wick, "pfaffian", self.poison(2))
         with pytest.raises(FloatingPointError, match=r"schedule entry 1\.5: stack member 2: the product"):
@@ -503,9 +503,9 @@ class TestBatches:
         batches = []
         values = observables._c1_values
 
-        def recording(states, *workspace):
+        def recording(states, workspace):
             batches.append(len(states))
-            return values(states, *workspace)
+            return values(states, workspace)
 
         driver, grid, times = DriverSpec("quench", g_f=1.5), MomentumGrid(40), np.linspace(0.0, 20.0, 21)
         monkeypatch.setattr(observables, "_c1_values", recording)
@@ -557,7 +557,7 @@ class TestWorkspace:
         class Recording(Workspace):
             def __init__(self):
                 super().__init__()
-                self.allocations, self.threads = [], set()
+                self.allocations, self.threads, self.peak = [], set(), 0
                 made.append(self)
 
             def reserve(self, entries):
@@ -568,7 +568,9 @@ class TestWorkspace:
 
             def take(self, shape, dtype=complex):
                 self.threads.add(threading.get_ident())
-                return super().take(shape, dtype)
+                array = super().take(shape, dtype)
+                self.peak = max(self.peak, self.top)
+                return array
 
         monkeypatch.setattr(observables, "Workspace", Recording)
         return made
@@ -591,7 +593,9 @@ class TestWorkspace:
         made = self.recording(monkeypatch)
         n, driver = 100, DriverSpec("quench", g_f=0.5)
         peak = self.peak(lambda: run_series(driver, MomentumGrid(n), [time]))
+        # one allocation per call, exactly as large as the sample needs
         assert [w.allocations for w in made] == [[made[0].buffer.nbytes]] * 2
+        assert [w.peak for w in made] == [made[0].buffer.size] * 2
         # beyond the workspace only O(N) arrays, and numpy's iterator buffers of at most
         # getbufsize() entries for each of three operands; a (dim x dim) float array is 82 KB
         assert peak <= made[-1].buffer.nbytes + 3 * 16 * np.getbufsize() + 512 * n
@@ -603,6 +607,18 @@ class TestWorkspace:
         one = self.peak(lambda: run_series(driver, grid, times[:1]))
         # the samples themselves, and the lists that hold them, are all that grows
         assert self.peak(lambda: run_series(driver, grid, times)) <= one + 1024 * len(times)
+
+    def test_a_larger_batch_grows_the_workspace_once(self, monkeypatch):
+        # at N = 100 the quench to 0.5 rejects no bra pair at t = 1, 2 and 3, and one at t = 1.5 and 2.5
+        monkeypatch.setattr(observables, "_BATCH_BYTES", 1)
+        made = self.recording(monkeypatch)
+        driver, grid, times = DriverSpec("quench", g_f=0.5), MomentumGrid(100), [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert run_series(driver, grid, times) == [run_series(driver, grid, [t])[0] for t in times]
+        series, alone = made[0], made[1:]
+        # sized for the first sample, then at least doubled for the first that needs more
+        assert series.allocations[0] == alone[0].allocations[0]
+        assert series.allocations[1:] == [2 * series.allocations[0]]
+        assert series.peak == max(w.peak for w in alone)
 
     @pytest.mark.parametrize("driver, schedule", [
         (DriverSpec("quench", g_f=0.5), [0.5, 1.7, 2.9, 4.1]),

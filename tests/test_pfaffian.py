@@ -16,7 +16,9 @@ from isingring.pfaffian import (
     PfaffianDimensionError,
     SkewMatrix,
     SkewSymmetryError,
+    Workspace,
     pfaffian,
+    working_entries,
 )
 from tests_support import c1_bordered_reference, pfaffian_reference
 
@@ -595,3 +597,49 @@ class TestStacks:
             SkewMatrix(members[None])
         with pytest.raises(PfaffianDimensionError):
             SkewMatrix(members[:, :3, :3])
+
+
+class TestWorkspace:
+    """The flat buffer the kernel and the <c_1> engine carve their working arrays from."""
+
+    def test_a_miss_at_least_doubles_the_buffer(self):
+        space = Workspace()
+        space.reserve(100)
+        assert space.buffer.size == 100
+        first = space.take((6, 10))
+        first[...] = 7.0
+        buffers = [space.buffer]
+        # past the reservation: one new buffer, twice as large, for this take and the next ones
+        for _ in range(4):
+            space.take((2, 15), float)
+            if space.buffer is not buffers[-1]:
+                buffers.append(space.buffer)
+        assert [b.size for b in buffers] == [100, 200] and space.top == 60 + 4 * 15
+        # an array taken before keeps its buffer and its entries
+        assert (first == 7.0).all() and first.base is buffers[0]
+        space.top = 0
+        space.reserve(150)
+        assert space.buffer is buffers[-1]
+
+    @pytest.mark.parametrize("shape, border", [
+        ((2, 2), 0), ((11, 11), 2), ((PANEL + 3, PANEL + 3), 2), ((2 * PANEL + 5, 2 * PANEL + 5), 2),
+        ((3, 10, 10), 0), ((4, PANEL + 4, PANEL + 4), 0), ((2, 141, 141), 2),
+    ])
+    def test_working_entries_is_what_the_kernel_takes(self, shape, border):
+        class Watched(Workspace):
+            peak = 0
+
+            def take(self, shape, dtype=complex):
+                array = super().take(shape, dtype)
+                self.peak = max(self.peak, self.top)
+                return array
+
+        rng = np.random.default_rng(shape[-1])
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = m - np.swapaxes(m, -1, -2)
+        space = Watched()
+        space.reserve(working_entries(shape, border))
+        buffer = space.buffer
+        result = pfaffian(SkewMatrix.antisymmetric(m, border, workspace=space), border)
+        assert space.peak == working_entries(shape, border) and space.top == 0 and space.buffer is buffer
+        assert result == pfaffian(m, border)

@@ -145,6 +145,16 @@ class TestContractions:
                 )
 
 
+    @pytest.mark.parametrize("bad", [(0, 6), (-7, 1), (1, -7), (6, 0)])
+    def test_index_outside_the_grid_raises(self, bad):
+        # kappa's table would take any difference, wrapped, so the indices are checked first
+        grid, coeff = MomentumGrid(6), np.ones((2, 2))
+        with pytest.raises(IndexError, match=r"\[-6, 6\)"):
+            contractions(np.array([[bad[0], 1], [bad[1], 2]]), coeff, grid)
+        # the ends of the range are grid indices
+        assert contractions(np.array([[-6, 5], [5, -6]]), coeff, grid).shape == (2, 2)
+
+
 class TestContractPair:
     """A two-factor word's expectation is the contraction of the pair."""
 

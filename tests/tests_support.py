@@ -19,7 +19,7 @@ import numpy as np
 from isingring import observables
 from isingring.model import mode_coefficients
 from isingring.oracle_ed import DenseState, _check_sites, _popcount, build_hamiltonian
-from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, pfaffian
+from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, Workspace, pfaffian
 from isingring.wick import contractions, vacuum_expectation
 
 
@@ -254,7 +254,7 @@ def c1_bordered(state) -> SkewMatrix:
     alone: both words' Schur complement on the accepted bra pairs, of
     dimension N + 1 + 2f for f rejected pairs, with two border columns.
     """
-    ((_, skew),) = observables._c1_stacks([state])
+    ((_, skew),) = observables._c1_stacks([state], Workspace())
     return SkewMatrix.antisymmetric(skew, border=2)
 
 
