@@ -146,7 +146,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from collections import Counter
 from itertools import compress
 
 import numpy as np
@@ -211,14 +210,14 @@ def _c1_entries(n: int, counts) -> int:
     kappa gather and the pivot test's magnitudes, freed before the
     operands are taken, need less than the operands and one elimination.
     """
-    groups = Counter(counts)
     operands = work = 0
-    for count, size in groups.items():
+    for count in set(counts):
+        size = counts.count(count)
         dim = 2 * (n // 2 - count) + n + 1
-        shape = ((size,) if size > 1 else ()) + (dim, dim)
-        gathered = size * n * (n + 1) if count < n // 2 or len(groups) > 1 else 0
-        operands += math.prod(shape)
-        work = max(work, math.prod(shape) + gathered, working_entries(shape, border=2))
+        entries = size * dim * dim
+        gathered = size * n * (n + 1) if count < n // 2 or size < len(counts) else 0
+        operands += entries
+        work = max(work, entries + gathered, working_entries(((size,) if size > 1 else ()) + (dim, dim), 2))
     return len(counts) * n * (n + 1) + operands + work
 
 
@@ -270,12 +269,10 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     # within a sector only the two factors of a BCS pair contract, with kappa = 1
     alpha = np.conj(u_plus)
     size = np.abs(alpha)
-    # the dimensions that the pivot test below gives, for the workspace's size: a bra pair's rows
+    # the workspace is sized for the dimensions that the pivot test below gives: a bra pair's rows
     # hold a kappa b, with |kappa| < 3/4 and, in a normalized state, |a|, |b| <= 1, and the border
-    # entries, of magnitude 1 in the first row, so these are the rows' largest entries
-    edges = np.abs(grid.ann_phase * a).reshape(lead + (h, 2)).max(axis=-1)
-    predicted = size > PAIR_RTOL * np.maximum(edges, size)
-    workspace.reserve(_c1_entries(n, predicted.reshape(-1, h).sum(axis=1).tolist()))
+    # entries, the first row's of magnitude 1, so the largest entry of the rows is 1 to rounding
+    workspace.reserve(_c1_entries(n, (size > PAIR_RTOL).reshape(-1, h).sum(axis=1).tolist()))
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
     rows = workspace.take(lead + (n, n + 1))

@@ -144,15 +144,10 @@ class Workspace:
             array = np.ndarray(shape, dtype, self.buffer, 16 * self.top)
         except TypeError:
             # numpy's "buffer is too small"
-            self.reserve(_entries(shape, dtype))
+            self.reserve(-(-math.prod(shape) * np.dtype(dtype).itemsize // 16))
             array = np.ndarray(shape, dtype, self.buffer, 16 * self.top)
-        self.top += _entries(shape, dtype)
+        self.top += -(-array.nbytes // 16)
         return array
-
-
-def _entries(shape, dtype=complex) -> int:
-    """The complex entries, of 16 bytes, that an array of ``shape`` and ``dtype`` takes in a workspace."""
-    return -(-math.prod(shape) * np.dtype(dtype).itemsize // 16)
 
 
 def _working_shapes(shape, border: int):

@@ -65,8 +65,10 @@ def contractions(index, coeff, grid: MomentumGrid, out=None, workspace: Workspac
     """
     ann, cre, a, b = map(np.asarray, (*index, *coeff))
     n = grid.n_sites
-    # the gather below wraps any difference into the table, so an index outside it has to raise here
-    if not (-n <= min(ann.min(initial=0), cre.min(initial=0)) and max(ann.max(initial=0), cre.max(initial=0)) < n):
+    # the gather below wraps any difference into the table, so an index outside it raises here; the
+    # grid's own index tables are in range
+    if (ann is not grid.ann or cre is not grid.cre) and ann.size and cre.size and not (
+            -n <= min(ann.min(), cre.min()) and max(ann.max(), cre.max()) < n):
         raise IndexError(f"grid indices must lie in [-{n}, {n})")
     shape = (len(ann), len(cre))
     if out is None:
