@@ -272,6 +272,7 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     # the workspace is sized for the dimensions that the pivot test below gives: a bra pair's rows
     # hold a kappa b, with |kappa| < 3/4 and, in a normalized state, |a|, |b| <= 1, and the border
     # entries, the first row's of magnitude 1, so the largest entry of the rows is 1 to rounding
+    # (for a state where it is not, the workspace grows)
     workspace.reserve(_c1_entries(n, (size > PAIR_RTOL).reshape(-1, h).sum(axis=1).tolist()))
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border

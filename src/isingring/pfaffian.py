@@ -135,8 +135,7 @@ class Workspace:
     def reserve(self, entries: int):
         """Make room for ``entries`` complex entries above ``top``: exactly, in a workspace without a buffer."""
         if self.top + entries > self.buffer.size:
-            size = self.top + entries
-            self.buffer = np.empty(max(size, 2 * self.buffer.size), dtype=complex)
+            self.buffer = np.empty(max(self.top + entries, 2 * self.buffer.size), dtype=complex)
 
     def take(self, shape, dtype=complex) -> np.ndarray:
         """An uninitialized array of ``shape`` and ``dtype`` over the entries above ``top``."""

@@ -51,9 +51,9 @@ def contractions(index, coeff, grid: MomentumGrid, out=None, workspace: Workspac
     each in [-N, N) (another raises ``IndexError``), and ``coeff`` their
     coefficients ``(a, b)``.  For the L factors of one word both are
     (2, L) arrays and the result is the word's L x L contraction matrix, of
-    which the upper triangle counts;
-    the annihilated parts of some factors against the created parts of
-    later ones give a rectangular block of it.  Coefficient arrays with a
+    which the upper triangle counts; the annihilated parts of some factors
+    against the created parts of later ones give a rectangular block of
+    it.  Coefficient arrays with a
     leading axis give the blocks of a stack of words on the same indices,
     from one gather.  kappa is gathered from the ring's table
     :attr:`MomentumGrid.kappa`, which every d = m - m' in (-2N, 2N)
