@@ -140,7 +140,7 @@ def evolve_quench(state: SystemState, g_f: float, dt: float) -> SystemState:
     """
     if not 0 <= dt < np.inf:
         raise ValueError(f"dt must be finite and nonnegative, got {dt}")
-    return _propagate(state, g_f, dt)
+    return _propagate(state, _real(g_f, "g_f"), dt)
 
 
 def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float,
@@ -156,4 +156,5 @@ def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float,
     """
     if not isinstance(kicks, (int, np.integer)) or kicks < 0:
         raise ValueError(f"kicks must be a nonnegative integer, got {kicks!r}")
+    g, tau, epsilon = (_real(x, name) for x, name in ((g, "g"), (tau, "tau"), (epsilon, "epsilon")))
     return _propagate(state, g, tau, np.pi * (1.0 - epsilon), kicks)

@@ -56,17 +56,19 @@ has dimension N + 1 + 2f for f rejected pairs, and the Pfaffian kernel
 eliminates a leading block of N - 1 + 2f rows instead of 2N - 1.
 
 Pivot rule, and the audit of every division.  The engine divides only by
-accepted pair entries.  Pair k is accepted only if ``|alpha_k|`` exceeds
-``PAIR_RTOL`` times the largest entry of its two rows, ``alpha_k``
-included: threshold pivoting, a pivot chosen by magnitude.  Each of the
-pair's two rank-one terms then changes an entry by less than that
-largest entry over ``PAIR_RTOL``, so one pair grows the matrix by at most
-a factor 1 + 2 / ``PAIR_RTOL``, and the pairs' bounds add rather than
-compound.  A pair with u = 0, or with a NaN or infinite entry, fails the
-test, so it is never divided by and a non-finite entry stays in S; at
-v = 0 its second row holds only ``alpha_k``, and it adds nothing.  The
-kernel's ``PIVOT_RTOL`` test compares against the entries of S, and
-Pf(M) = 0 exactly when Pf(S) = 0.
+accepted pair entries.  Pair k is accepted when ``|alpha_k| = |u_k|``
+exceeds ``PAIR_RTOL``, and this is decided once, before any row is
+formed.  It is threshold pivoting, a pivot chosen by magnitude: a cross
+entry of the pair's rows is ``a kappa b`` with
+``|kappa| <= 1 / (N sin(pi / 2N)) <= 0.66`` and, in a normalized state,
+``|a|, |b| <= 1``, so the largest entry of the two rows is the first row's
+border entry, of magnitude 1.  Each of the pair's two rank-one terms then
+changes an entry by less than 1 / ``PAIR_RTOL``, so one pair grows the
+matrix by at most a factor 1 + 2 / ``PAIR_RTOL``, and the pairs' bounds
+add rather than compound.  A pair with u = 0 (or a NaN u) fails the test,
+so it is never divided by; at v = 0 its second row holds only
+``alpha_k``, and it adds nothing.  The kernel's ``PIVOT_RTOL`` test
+compares against the entries of S, and Pf(M) = 0 exactly when Pf(S) = 0.
 
 The exponent fold.  ``prod_k alpha_k`` leaves the double range at large
 N (about 1e-680 for 400 pairs with |u| = 0.02), so it is never formed as
@@ -85,9 +87,7 @@ The per-sample cost.  Everything that depends on N alone, the grid
 indices of the operand's parts, their border phases and the kappa table
 of the cross block, is a table of the state's
 :class:`isingring.model.MomentumGrid`, built with the grid; a sample
-forms only what depends on its amplitudes.  When every bra pair passes
-the pivot test, as it does for most states, S is assembled without the
-gathers of the rejected pairs.
+forms only what depends on its amplitudes.
 
 S reaches the Pfaffian as
 :meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, which takes its
@@ -102,43 +102,36 @@ stays regular when a mode passes through v = 0 (as happens under kicks).
 Batches.  The samples of a series share their grid and differ only in
 their amplitudes, and at small N each stage of a sample costs its few
 dozen numpy calls rather than their arithmetic.  So :func:`run_series`
-evolves each sample with one ``evolve_*`` call and then
-evaluates ``<c_1>`` of a batch of samples at once (:func:`_c1_stacks`,
-:func:`_c1_values`).  The batch's states are grouped by operand
-dimension, N + 1 + 2f for f rejected bra pairs, without padding; each
-group is one stack, a (B, dim, dim) array, assembled with the kappa cross
-block gathered once and eliminated by one
-:func:`isingring.wick.vacuum_expectation` call.  The pivot test, the pair
-product ``z 2^e`` and the power-of-two fold stay each state's own, and
-every value is bit for bit the one the state has alone.  A group of one
-state is assembled and eliminated as one matrix, without the stack's
-leading axis, so a series of one sample runs the steps of a single
-operand.  Each sample is then made by one
-``magnetization(state, c1)`` call.  A batch holds at most B samples with
-``B (N + 1)^2`` complex entries within ``_BATCH_BYTES`` (2 MiB): 21
-samples share a batch up to N = 78, 12 do at N = 100 and 3 at N = 200,
-and from N = 256 on each sample is a batch of its own, eliminated as one
-matrix.  With ``threads`` > 1 a batch is at most
-``1/threads`` of the schedule, and each worker evaluates a run of
-consecutive batches.
+evolves each sample with one ``evolve_*`` call and then evaluates
+``<c_1>`` of a batch of samples at once (:func:`_c1_stacks`,
+:func:`_c1_values`).  The batch's states are ordered by their count of
+accepted bra pairs, and each run of equal counts, operands of one
+dimension N + 1 + 2f, is one group, without padding: one (B, dim, dim)
+stack, assembled with the kappa cross block gathered once and eliminated
+by one :func:`isingring.wick.vacuum_expectation` call.  The pair product
+``z 2^e`` and the power-of-two fold stay each state's own, and every
+value is bit for bit the one the state has alone.  A group of one state
+is assembled and eliminated as one matrix, without the stack's leading
+axis, so a series of one sample runs the steps of a single operand.
+Each sample is then made by one ``magnetization(state, c1)`` call.  A
+batch holds at most B samples with ``B (N + 1)^2`` complex entries
+within ``_BATCH_BYTES`` (2 MiB): 21 samples share a batch up to N = 78,
+12 do at N = 100 and 3 at N = 200, and from N = 256 on each sample is a
+batch of its own.  With ``threads`` > 1 a batch is at most ``1/threads``
+of the schedule, and each worker evaluates a run of consecutive batches.
 
 Memory.  Each worker of a series owns one
 :class:`isingring.pfaffian.Workspace`, which lives as long as the
 ``run_series`` call.  Every (dim x dim)-sized array of a batch is carved
-from it: the gathered kappa and the bra rows, the pivot test's
-magnitudes, U, S and the gathered pair rows, and the kernel's working
-array and panel product.  It is allocated at the first batch, exactly as
-large as that batch needs (:func:`_c1_entries`).  The size follows from
-the operand dimensions, which the pivot test fixes only once the bra rows
-are in the workspace; so they are found before, from the rows' largest
-entries, which in a normalized state are their border entries (see the
-comment in :func:`_c1_stacks`).  A later batch that needs more makes the
-buffer again, at least twice as large, so a series allocates once or a
-few times, not once per batch.  So the samples of a series reuse one
-block of memory, which the C allocator keeps instead of returning it to
-the system after each sample and faulting it back in for the next.
-:func:`expectation_c1` and :func:`magnetization` alone use a workspace
-of their own.
+from it: the bra rows and the kappa gather, U and S, and the kernel's
+working array and panel product.  The pivot test fixes the operand
+dimensions before any of them is taken, so the workspace is reserved
+first, for exactly what the batch takes (:func:`_c1_entries`); a later
+batch that needs more makes it again, at least twice as large.  So the
+samples of a series reuse one block of memory, which the C allocator
+keeps instead of returning it to the system after each sample and
+faulting it back in for the next.  :func:`expectation_c1` and
+:func:`magnetization` alone use a workspace of their own.
 """
 
 from __future__ import annotations
@@ -146,12 +139,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
 
 import numpy as np
 
 from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
-from .model import MomentumGrid, _integer, _real
+from .model import MomentumGrid, _integer, _reals
 from .pfaffian import SkewMatrix, Workspace, working_entries
 from .wick import contractions, vacuum_expectation
 
@@ -164,8 +157,8 @@ __all__ = ["MagnetizationSample", "expectation_c1", "magnetization", "run_series
 # only as a fault-injection hook for the validation suite's negative control.
 _TERM_SIGNS = (1.0, 1.0, 1.0)
 
-#: a bra pair is eliminated in the Schur complement only if its entry exceeds this
-#: fraction of the largest entry of its two rows (threshold pivoting; see the module docstring)
+#: a bra pair is eliminated in the Schur complement only if its entry's magnitude |u_k| exceeds
+#: this, a fraction of its rows' largest entry, 1 (threshold pivoting; see the module docstring)
 PAIR_RTOL = 0.01
 
 #: run_series evaluates its samples in batches of B, with B (N + 1)^2 complex entries
@@ -204,20 +197,17 @@ def _c1_entries(n: int, counts) -> int:
     """The workspace entries of one ``<c_1>`` evaluation of states with ``counts`` accepted bra pairs each.
 
     The bra rows stay through the evaluation, and the operands above them;
-    above both, the larger of a group's assembly (U, and the pair rows
-    that a group with rejected pairs or of part of the states gathers) and
-    its elimination (:func:`isingring.pfaffian.working_entries`).  The
-    kappa gather and the pivot test's magnitudes, freed before the
-    operands are taken, need less than the operands and one elimination.
+    above both, the largest group's elimination
+    (:func:`isingring.pfaffian.working_entries`), which holds more than the
+    group's U.  The kappa gather, freed before the operands are taken,
+    needs less than the operands and one elimination.
     """
     operands = work = 0
     for count in set(counts):
         size = counts.count(count)
         dim = 2 * (n // 2 - count) + n + 1
-        entries = size * dim * dim
-        gathered = size * n * (n + 1) if count < n // 2 or size < len(counts) else 0
-        operands += entries
-        work = max(work, entries + gathered, working_entries(((size,) if size > 1 else ()) + (dim, dim), 2))
+        operands += size * dim * dim
+        work = max(work, working_entries(((size,) if size > 1 else ()) + (dim, dim), 2))
     return len(counts) * n * (n + 1) + operands + work
 
 
@@ -238,16 +228,14 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     rejected pairs, scaled so that its two bordered Pfaffians are those of
     the full matrix (see the module docstring).
 
-    Returns ``(members, skew)`` for each dimension that occurs: the indices
-    into ``states`` of the states with f rejected bra pairs, ascending, and
-    their operands as one (B, dim, dim) array, antisymmetric by
-    construction; a group of one state is its one (dim, dim) matrix.  The
-    grid indices and the border phases are the grid's tables, and the kappa
-    cross block is gathered once for all states; the pivot test, the pair
-    product z 2^e and the power-of-two fold are each state's own.  Every
-    (dim x dim)-sized array is taken in ``workspace``, which is reserved
-    for the whole evaluation first (:func:`_c1_entries`); the operands stay
-    there, above its ``top``, and the rest is freed again.
+    Returns ``(members, skew)`` for each dimension that occurs, fewest
+    rejected pairs first: the indices into ``states`` of the states with f
+    rejected bra pairs, ascending, and their operands as one (B, dim, dim)
+    array, antisymmetric by construction; a group of one state is its one
+    (dim, dim) matrix.  Every (dim x dim)-sized array is taken in
+    ``workspace``, which is reserved for the whole evaluation first
+    (:func:`_c1_entries`); the operands stay there, above its ``top``, and
+    the rest is freed again.
     """
     grid = states[0].grid
     n = grid.n_sites
@@ -258,6 +246,17 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     u_plus, v_plus, u_minus, v_minus = (
         np.array([getattr(s, name) for s in states]) if lead else getattr(states[0], name)
         for name in ("u_plus", "v_plus", "u_minus", "v_minus"))
+    # the pivot test, once per bra pair; a NaN fails it and stays in the operand
+    accepted = np.abs(u_plus) > PAIR_RTOL
+    counts = accepted.reshape(-1, h).sum(axis=1).tolist()
+    # the states in runs of equal counts, most accepted pairs first, so that each group is a slice
+    # (Python's stable sort: numpy's first argsort adds about 270 KB to the resident set)
+    order = sorted(range(len(states)), key=counts.__getitem__, reverse=True)
+    if lead:
+        u_plus, v_plus, u_minus, v_minus, accepted = (
+            x[order] for x in (u_plus, v_plus, u_minus, v_minus, accepted))
+    counts.sort(reverse=True)
+    workspace.reserve(_c1_entries(n, counts))
     # the parts that meet across sectors, at the grid's interleaved indices ann and cre: the
     # bra pairs' annihilated parts c_{-k} and conj(v) c_k, ascending in k, and the ket's
     # created parts v c^dag_k and c^dag_{-k}, then c^dag_0
@@ -266,14 +265,6 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     b = np.ones(lead + (n - 1,), dtype=complex)
     b[..., 0:-1:2] = v_minus
 
-    # within a sector only the two factors of a BCS pair contract, with kappa = 1
-    alpha = np.conj(u_plus)
-    size = np.abs(alpha)
-    # the workspace is sized for the dimensions that the pivot test below gives: a bra pair's rows
-    # hold a kappa b, with |kappa| < 3/4 and, in a normalized state, |a|, |b| <= 1, and the border
-    # entries, the first row's of magnitude 1, so the largest entry of the rows is 1 to rounding
-    # (for a state where it is not, the workspace grows)
-    workspace.reserve(_c1_entries(n, (size > PAIR_RTOL).reshape(-1, h).sum(axis=1).tolist()))
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
     rows = workspace.take(lead + (n, n + 1))
@@ -283,15 +274,9 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     np.multiply(grid.ann_phase, a, out=border)
     first = np.multiply(grid.cre_phase, b, out=b)
 
-    # the pivot test; a NaN or infinite entry fails it and stays in the operand
-    pair_rows = rows.reshape(lead + (h, 2, n + 1))
-    mark = workspace.top
-    magnitudes = np.abs(rows, out=workspace.take(rows.shape, float)).reshape(lead + (h, 2 * n + 2))
-    accepted = size > PAIR_RTOL * np.maximum(magnitudes.max(axis=-1), size)
-    workspace.top = mark
-    kept = accepted.reshape(-1, h).tolist()
-    counts = [sum(x) for x in kept]
-    z, e = zip(*map(_pair_product, map(compress, alpha.reshape(-1, h).tolist(), kept)))
+    # within a sector only the two factors of a BCS pair contract, with kappa = 1
+    alpha = np.conj(u_plus)
+    z, e = zip(*map(_pair_product, map(compress, alpha.reshape(-1, h).tolist(), accepted.reshape(-1, h).tolist())))
     # the term signs and z enter the border columns together; word 1's c_1 stands before the
     # later factors, so its column holds minus its contractions, and its last entry, at
     # c^dag_0 (phase and coefficient 1), takes the k = 0 sign
@@ -300,47 +285,34 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     first *= -s2 * z
     first[..., -1:] = -s1 * z
 
-    # each bra pair's index among all states' pairs, which a group's pairs are gathered by
-    pair_index = np.arange(h * len(states)).reshape(accepted.shape)
-    stacks = []
-    for count in sorted(set(counts), reverse=True):
-        members = [i for i, c in enumerate(counts) if c == count]
-        group = (len(members),) if len(members) > 1 else ()
+    stacks, start = [], 0
+    pair_rows = rows.reshape(lead + (h, 2, n + 1))
+    for count, run in groupby(counts):
+        stop = start + len(list(run))
+        group = (stop - start,) if stop - start > 1 else ()
+        pick = (slice(start, stop) if group else start,) if lead else ()
+        group_rows, group_alpha, kept, group_first, pair_alpha = (
+            x[pick] for x in (pair_rows, alpha, accepted, first, u_minus))
         k = 2 * (h - count)
         dim = k + n + 1
-        # S stays in the workspace; everything taken after it is freed once S is formed
+        # S stays in the workspace; U, taken after it, is freed once S is formed
         skew = workspace.take(group + (dim, dim))
         mark = workspace.top
-        tested, group_alpha, group_first, minus, index = accepted, alpha, first, u_minus, pair_index
-        subset = len(members) < len(states)
-        if subset:
-            pick = members if group else members[0]
-            tested, group_alpha, group_first, minus, index = (
-                x[pick] for x in (tested, group_alpha, group_first, minus, index))
-        # S = U - U^T: U holds X = C2^T diag(1 / alpha) C1 over the accepted pairs' rows C1 and C2
-        # and, above the diagonal, the rejected pairs' rows in their order, word 1's border and
-        # the remaining pair entries
-        if k or subset:
-            # the group's accepted and rejected pairs, gathered in the workspace from all states'
-            # pairs ("raise" would copy its out once more)
-            every, failed = pair_rows.reshape(-1, 2, n + 1), ~tested
-            kept_rows, rejected = (every.take(i, axis=0, out=workspace.take((len(i), 2, n + 1)), mode="clip")
-                                   for i in (index[tested], index[failed]))
-            kept_rows = kept_rows.reshape(group + (count, 2, n + 1))
-            c1, scaled = kept_rows[..., 0, :], kept_rows[..., 1, :]
-            rejected = rejected.reshape(group + (k, n + 1))
-            pair_alpha = np.concatenate((group_alpha[failed].reshape(group + (k // 2,)), minus), axis=-1)
-            group_alpha = group_alpha[tested].reshape(group + (count,))
-            np.divide(scaled, group_alpha[..., None], out=scaled)
-        else:
-            # the only group, so the rows are divided where they are
-            c1, scaled, pair_alpha = pair_rows[..., 0, :], pair_rows[..., 1, :], minus
-            np.divide(scaled, group_alpha[..., None], out=scaled)
+        # S = U - U^T: above the diagonal U holds the rejected pairs' rows in their order,
+        # X = C2^T diag(1 / alpha) C1 over the pairs' rows C1 and C2, word 1's border and the
+        # remaining pair entries
         upper = workspace.take(group + (dim, dim))
-        np.matmul(scaled.swapaxes(-1, -2), c1, out=upper[..., k:, k:])
+        c1, scaled = group_rows[..., 0, :], group_rows[..., 1, :]
         if k:
+            failed = ~kept
             upper[..., :k] = 0
-            upper[..., :k, k:] = rejected
+            upper[..., :k, k:] = group_rows[failed].reshape(group + (k, n + 1))
+            pair_alpha = np.concatenate((group_alpha[failed].reshape(group + (k // 2,)), pair_alpha), axis=-1)
+            # a rejected pair adds nothing to X: its C2 is zeroed, and divided by 1 instead of its alpha
+            scaled[failed] = 0
+            group_alpha = np.where(kept, group_alpha, 1.0)
+        np.divide(scaled, group_alpha[..., None], out=scaled)
+        np.matmul(scaled.swapaxes(-1, -2), c1, out=upper[..., k:, k:])
         upper[..., k:-2, -2] = group_first
         # the pair entries (i, i + 1), even i < dim - 3, a strided view of each flat matrix
         pairs = upper.reshape(group + (-1,))[..., 1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)]
@@ -350,7 +322,7 @@ def _c1_stacks(states, workspace: Workspace) -> list:
 
         # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
         # (scaled in place through named views, which ``x[:r] *= 2`` would assign back)
-        for member, i in zip(skew if group else [skew], members):
+        for member, i in zip(skew if group else [skew], range(start, stop)):
             q, r = divmod(e[i], dim - 1)
             if q:
                 member *= math.ldexp(1.0, 2 * q)
@@ -358,7 +330,8 @@ def _c1_stacks(states, workspace: Workspace) -> list:
                 top, left = member[:r], member[:, :r]
                 top *= 2.0
                 left *= 2.0
-        stacks.append((members, skew))
+        stacks.append((order[start:stop], skew))
+        start = stop
     return stacks
 
 
@@ -434,11 +407,7 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     schedule = list(schedule)
-    entries = np.asarray(schedule)
-    if entries.dtype.kind not in "iuf" or not np.isfinite(entries).all():
-        # a str, or an int past the int64 range, makes an array of objects; name the culprit
-        for x in schedule:
-            _real(x, "schedule entry")
+    _reals(schedule, "schedule entry")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     base = init_ferro(grid)

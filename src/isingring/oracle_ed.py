@@ -82,15 +82,12 @@ class DenseState:
             raise ValueError(f"state not normalized: |psi| = {norm}")
 
 
-def _check_sites(n_sites: int):
-    if n_sites < 4 or n_sites > MAX_SITES or n_sites % 2 != 0:
-        raise ValueError(f"n_sites must be even with 4 <= N <= {MAX_SITES}, got {n_sites}")
-
-
-def _check_finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _sites(n_sites) -> int:
+    """``n_sites`` as an int, a ring size of at most ``MAX_SITES``; another raises ``ValueError``."""
+    n = model._ring_size(n_sites)
+    if n > MAX_SITES:
+        raise ValueError(f"n_sites must be at most {MAX_SITES} for the dense oracle, got {n}")
+    return n
 
 
 #: up spins of each basis state at N = MAX_SITES; a smaller ring's states are the first 2^N
@@ -110,7 +107,7 @@ def _real_times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the periodic transverse-field Ising chain."""
-    _check_sites(n_sites)
+    n_sites = _sites(n_sites)
     dim = 2**n_sites
     states = np.arange(dim)
     h = np.zeros((dim, dim))
@@ -136,8 +133,7 @@ def ground_parity(n_sites: int, g: float) -> str:
     level of the sector's even or odd block, whichever is lower, and a
     near-degeneracy with the other parity's ground state shows up there too.
     """
-    _check_sites(n_sites)
-    _check_finite(g=g)
+    n_sites, g = _sites(n_sites), model._real(g, "g")
     sector = _parity_blocks(n_sites, g)
     even, odd = sector.energies[:sector.even], sector.energies[sector.even:]
     levels = np.sort(np.concatenate([even[:2], odd[:2]]))
@@ -175,7 +171,7 @@ def build_momentum_sgs(n_sites: int, sector: str, g: float) -> DenseState:
     operators (and, in the odd sector, the k = 0 occupation) to the
     all-down vacuum through the Jordan-Wigner map.
     """
-    _check_sites(n_sites)
+    n_sites = _sites(n_sites)
     grid = MomentumGrid(n_sites)
     psi = np.zeros(2**n_sites, dtype=complex)
     psi[0] = 1.0  # all spins down = fermion vacuum
@@ -196,7 +192,7 @@ def build_momentum_sgs(n_sites: int, sector: str, g: float) -> DenseState:
 
 def ferro_state(n_sites: int, direction: str = "right") -> DenseState:
     """Fully polarized product state along +x ('right') or -x ('left')."""
-    _check_sites(n_sites)
+    n_sites = _sites(n_sites)
     dim = 2**n_sites
     amp = np.full(dim, (1.0 / np.sqrt(2.0)) ** n_sites, dtype=complex)
     if direction == "left":
@@ -327,13 +323,12 @@ def quench_trajectory(n_sites: int, g_f: float, times) -> np.ndarray:
     an (R, T) matrix, mapped to the orbit basis by two real products with
     the block's real eigenvectors.
     """
-    _check_sites(n_sites)
-    _check_finite(g_f=g_f)
+    n_sites, g_f = _sites(n_sites), model._real(g_f, "g_f")
+    times = model._reals(times, "times entry")
     sector = _parity_blocks(n_sites, g_f)
     e = sector.even
     (v_even, v_odd), ferro = sector.vectors, sector.ferro
     start = np.concatenate([v_even.T @ ferro[:e], v_odd.T @ ferro[e:]])
-    times = np.asarray(times, dtype=float)
     rows = np.empty((len(times), 3))
     for first in range(0, len(times), _TIME_BLOCK):
         block = times[first:first + _TIME_BLOCK]
@@ -351,8 +346,8 @@ def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks:
     Each block advances by one precomputed period, the evolution over tau
     followed by the kick, and the state is renormalized after every kick.
     """
-    _check_sites(n_sites)
-    _check_finite(g=g, tau=tau, epsilon=epsilon)
+    n_sites = _sites(n_sites)
+    g, tau, epsilon = (model._real(x, name) for x, name in ((g, "g"), (tau, "tau"), (epsilon, "epsilon")))
     if not isinstance(n_kicks, (int, np.integer)) or n_kicks < 0:
         raise ValueError(f"n_kicks must be a nonnegative integer, got {n_kicks!r}")
     sector = _parity_blocks(n_sites, g)

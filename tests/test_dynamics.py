@@ -167,7 +167,7 @@ class TestDriverSpec:
             DriverSpec(kind, **{field: value})
 
     def test_non_finite_field_caught_by_state_when_driving_directly(self):
-        # the drivers bypass DriverSpec; the NaN-safe norm check stops them
+        # the drivers bypass DriverSpec and check their drive and dt themselves
         state = init_ferro(MomentumGrid(6))
         with pytest.raises(ValueError):
             evolve_quench(state, np.nan, 1.0)
@@ -182,6 +182,18 @@ class TestDriverSpec:
         with pytest.raises(ValueError, match="dt must be finite and nonnegative"), \
                 np.errstate(all="raise"):
             evolve_quench(init_ferro(MomentumGrid(6)), 0.5, dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.5"])
+    @pytest.mark.parametrize("name, drive", [
+        ("g_f", lambda state, x: evolve_quench(state, x, 1.0)),
+        ("g", lambda state, x: evolve_kick_step(state, x, 0.3, 0.02)),
+        ("tau", lambda state, x: evolve_kick_step(state, 0.5, x, 0.02)),
+        ("epsilon", lambda state, x: evolve_kick_step(state, 0.5, 0.3, x)),
+    ], ids=["g_f", "g", "tau", "epsilon"])
+    def test_bad_drive_rejected_before_any_trigonometry(self, name, drive, bad):
+        # checked as dt is: a NaN or inf never reaches sin, so no FloatingPointError either
+        with pytest.raises(ValueError, match=f"^{name} must be finite and real"), np.errstate(all="raise"):
+            drive(init_ferro(MomentumGrid(6)), bad)
 
     @pytest.mark.parametrize("kicks", [-1, 1.5, 2.0, "3", None])
     def test_bad_kick_count_rejected(self, kicks):

@@ -30,6 +30,7 @@ from tests_support import (
     evolve_exact,
     expectation_c1_reference,
     measure,
+    pair_rows_pivot_reference,
     pfaffian_reference,
 )
 
@@ -319,19 +320,33 @@ class TestOperand:
 class TestReducedOperand:
     """The Schur complement of the accepted bra pairs against the full bordered matrix."""
 
+    @staticmethod
+    def assert_matches_reference_pfaffians(state):
+        n = state.grid.n_sites
+        full = c1_bordered_reference(state).entries
+        references = [pfaffian_reference(full[np.ix_(even, even)])
+                      for even in (np.r_[:2 * n - 1, 2 * n - 1 + i] for i in range(2))]
+        # a word that vanishes (some do at N <= 6) is rounding noise in either path,
+        # so below 1 % of the larger word the bound is 1e-14 of the larger word
+        floor = 1e-2 * max(map(abs, references))
+        for value, reference in zip(pfaffian(c1_bordered(state), border=2), references):
+            assert abs(value - reference) <= 1e-12 * max(abs(reference), floor)
+
     @pytest.mark.parametrize("signs", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [4, 6, 10, 24, 26, 48, 100])
     def test_matches_reference_pfaffians(self, n, signs, monkeypatch):
         monkeypatch.setattr(observables, "_TERM_SIGNS", signs)
         for state in _sample_states(n) + _pair_states(n):
-            full = c1_bordered_reference(state).entries
-            references = [pfaffian_reference(full[np.ix_(even, even)])
-                          for even in (np.r_[:2 * n - 1, 2 * n - 1 + i] for i in range(2))]
-            # a word that vanishes (some do at N <= 6) is rounding noise in either path,
-            # so below 1 % of the larger word the bound is 1e-14 of the larger word
-            floor = 1e-2 * max(map(abs, references))
-            for value, reference in zip(pfaffian(c1_bordered(state), border=2), references):
-                assert abs(value - reference) <= 1e-12 * max(abs(reference), floor)
+            self.assert_matches_reference_pfaffians(state)
+
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_matches_reference_pfaffians_with_rejected_pairs_at_large_n(self, n):
+        # here X = C2^T diag(1 / alpha) C1, summed over every pair with a rejected pair's C2
+        # zeroed, rounds differently from a sum over the accepted pairs alone; 1 to 16 rejected
+        for g_f, t in ((1.5, 2.5), (1.0, 13.0)):
+            state = evolve_quench(init_ferro(MomentumGrid(n)), g_f, t)
+            assert len(c1_bordered(state)) > n + 1
+            self.assert_matches_reference_pfaffians(state)
 
     @pytest.mark.parametrize("n", [4, 10, 48])
     @pytest.mark.parametrize("kind", PAIR_MAGNITUDES)
@@ -357,6 +372,27 @@ class TestReducedOperand:
             values = pfaffian(c1_bordered(state), border=2)
         for value, expected in zip(values, reference):
             assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+class TestPivotRule:
+    """Each bra pair is decided once, by ``|u_k| > PAIR_RTOL``: threshold pivoting on its rows."""
+
+    @staticmethod
+    def states(n):
+        # besides the sample and pair states: v = 0 (|u| = 1) and u = 0 pairs, and pairs within
+        # 1e-9 of the threshold on either side
+        rtol = observables.PAIR_RTOL
+        edge = _pair_state(n, (1.0, 0.0, rtol * (1.0 - 1e-9), rtol * (1.0 + 1e-9), 0.5), seed=n + 7)
+        return _sample_states(n) + _pair_states(n) + [edge]
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 24, 26, 48, 100])
+    def test_decides_as_the_row_magnitude_rule(self, n):
+        for state in self.states(n):
+            accepted, largest = pair_rows_pivot_reference(state)
+            # a normalized pair's largest entry is its first row's border entry, of magnitude 1
+            np.testing.assert_allclose(largest, 1.0, rtol=0, atol=4 * np.finfo(float).eps)
+            np.testing.assert_array_equal(accepted, np.abs(state.u_plus) > observables.PAIR_RTOL)
+            assert len(c1_bordered(state)) == n + 1 + 2 * np.count_nonzero(~accepted)
 
 
 class TestAgainstUnblockedDenseWords:
@@ -459,8 +495,14 @@ class TestBatches:
         times = 0.25 * np.arange(21)
         driver, grid = DriverSpec("quench", g_f=1.0), MomentumGrid(8)
         states = [evolve_quench(init_ferro(grid), 1.0, t) for t in times]
+        # the accepted-pair counts are out of descending order (2 at t = 2, 3 at t = 4.25, 4
+        # elsewhere), so the groups' states are moved to make each group one run
+        counts = [np.count_nonzero(np.abs(s.u_plus) > observables.PAIR_RTOL) for s in states]
+        assert counts != sorted(counts, reverse=True)
         stacks = observables._c1_stacks(states, Workspace())
-        assert len(stacks) >= 2 and sorted(i for members, _ in stacks for i in members) == list(range(21))
+        # one stack per dimension, holding every state once
+        assert len(stacks) == len(set(counts)) == 3
+        assert sorted(i for members, _ in stacks for i in members) == list(range(21))
         for members, skew in stacks:
             for member, i in zip(skew if skew.ndim == 3 else [skew], members):
                 np.testing.assert_array_equal(member, c1_bordered(states[i]).entries)

@@ -194,10 +194,15 @@ class TestGroundParity:
         for g in np.linspace(-2.0, 2.0, 41):
             assert outcome(ground_parity, g) == outcome(ground_parity_full_space, g), g
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5"])
     def test_non_finite_field_rejected(self, bad):
         with pytest.raises(ValueError, match="g must be finite"):
             ground_parity(6, bad)
+
+    def test_size_validation(self):
+        for n in (14, 7, 8.0):
+            with pytest.raises(ValueError, match="n_sites must be"):
+                ground_parity(n, 0.5)
 
     def test_no_full_space_matrix_at_twelve_sites(self):
         # one dense 2^12 x 2^12 float matrix alone would take 134 MB
@@ -297,8 +302,9 @@ class TestTrajectories:
         lambda n: kick_trajectory(n, 0.5, 0.5, 0.02, 2),
     ], ids=["quench", "kick"])
     def test_size_validation(self, trajectory):
-        for n in (14, 7, 2):
-            with pytest.raises(ValueError):
+        # 8.0 and "8" would reach numpy's left_shift and raise TypeError there
+        for n in (14, 7, 2, 8.0, "8"):
+            with pytest.raises(ValueError, match="n_sites must be"):
                 trajectory(n)
 
     @pytest.mark.parametrize("rows", [
@@ -317,7 +323,7 @@ class TestTrajectories:
         np.testing.assert_array_equal(kick_trajectory(4, 0.5, 0.5, 0.02, np.int64(3)),
                                       kick_trajectory(4, 0.5, 0.5, 0.02, 3))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.5"])
     @pytest.mark.parametrize("name, trajectory", [
         ("g_f", lambda x: quench_trajectory(4, x, [0.0, 1.0])),
         ("g", lambda x: kick_trajectory(4, x, 0.5, 0.02, 2)),
@@ -329,9 +335,11 @@ class TestTrajectories:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             trajectory(bad)
 
-    def test_non_finite_time_fails_the_norm_check(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            quench_trajectory(4, 0.5, [0.0, np.nan])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5", None])
+    def test_non_finite_time_rejected_up_front(self, bad):
+        # named, where a NaN time used to warn and then fail the norm check of a NaN state
+        with pytest.raises(ValueError, match="^times entry must be finite and real"):
+            quench_trajectory(4, 0.5, [0.0, bad])
 
     def test_no_full_space_matrix_at_twelve_sites(self):
         # one dense 2^12 x 2^12 float matrix alone would take 134 MB

@@ -18,7 +18,7 @@ import numpy as np
 
 from isingring import observables
 from isingring.model import mode_coefficients
-from isingring.oracle_ed import DenseState, _check_sites, _popcount, build_hamiltonian
+from isingring.oracle_ed import DenseState, _popcount, _sites, build_hamiltonian
 from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, Workspace, pfaffian
 from isingring.wick import contractions, vacuum_expectation
 
@@ -251,8 +251,9 @@ def c1_bordered(state) -> SkewMatrix:
     """The engine's ``<c_1>`` operand of one state, as one bordered matrix.
 
     The one matrix that ``observables._c1_stacks`` builds for the state
-    alone: both words' Schur complement on the accepted bra pairs, of
-    dimension N + 1 + 2f for f rejected pairs, with two border columns.
+    alone: both words' Schur complement on the bra pairs with
+    ``|u_k| > PAIR_RTOL``, of dimension N + 1 + 2f for f rejected pairs,
+    with two border columns.
     """
     ((_, skew),) = observables._c1_stacks([state], Workspace())
     return SkewMatrix.antisymmetric(skew, border=2)
@@ -299,6 +300,24 @@ def c1_bordered_reference(state) -> SkewMatrix:
     skew[n:shared, shared] = first
     skew[:n, shared + 1] = second
     return SkewMatrix(skew - skew.T, border=2)
+
+
+def pair_rows_pivot_reference(state):
+    """Threshold pivoting on the bra pairs' rows of ``c1_bordered_reference(state)``, ascending in k.
+
+    Returns ``(accepted, largest)``: whether ``|alpha_k|`` exceeds
+    ``observables.PAIR_RTOL`` times the largest entry magnitude of the
+    pair's two rows, ``alpha_k`` included, and that largest magnitude.
+    This is the row-magnitude rule that the engine decides from
+    ``|u_k|`` alone.
+    """
+    n = state.grid.n_sites
+    full = c1_bordered_reference(state).entries
+    # the bra lists its pairs in descending k
+    rows = np.abs(full[:n]).reshape(n // 2, 2, -1)[::-1]
+    alpha = rows[:, 0, :n].max(axis=1)
+    largest = rows.max(axis=(1, 2))
+    return alpha > observables.PAIR_RTOL * largest, largest
 
 
 def bcs_amplitudes(rng, count, min_v=0.0):
@@ -586,7 +605,7 @@ def ground_parity_full_space(n_sites: int, g: float) -> str:
     spectrum are within 1e-10, and the ground state otherwise has the
     parity of the block that holds the lowest level.
     """
-    _check_sites(n_sites)
+    n_sites = _sites(n_sites)
     h = build_hamiltonian(n_sites, g)
     even = _parity_diag(n_sites) > 0
     levels = sorted((energy, parity) for parity, block in (("even", even), ("odd", ~even))
