@@ -53,6 +53,7 @@ def _write_outputs(args, header, rows, **fields):
 
 def refine_extremum(x: np.ndarray, y: np.ndarray, i: int):
     """Three-point parabolic refinement of a discrete extremum at index i."""
+    i = model._integer(i, "i")
     if i == 0 or i == len(x) - 1:
         return float(x[i]), float(y[i])
     x0, x1, x2 = x[i - 1], x[i], x[i + 1]
@@ -132,14 +133,13 @@ def validate_suite(threads=1):
 
 
 def _cmd_quench(args) -> int:
-    if not (np.isfinite(args.dt) and args.dt > 0.0):
-        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
-    if not (np.isfinite(args.tmax) and args.tmax >= 0.0):
-        raise ValueError(f"--tmax must be nonnegative and finite, got {args.tmax}")
+    dt, tmax = model._real(args.dt, "--dt"), model._real(args.tmax, "--tmax", lower=0)
+    if not dt > 0.0:
+        raise ValueError(f"--dt must be positive and finite, got {dt}")
     if args.validate and args.n > oracle_ed.MAX_SITES:
         raise ValueError(f"--validate requires N <= {oracle_ed.MAX_SITES}")
     n = args.n
-    times = np.arange(0.0, args.tmax + args.dt / 2, args.dt)
+    times = np.arange(0.0, tmax + dt / 2, dt)
     samples = run_series(DriverSpec("quench", g_f=args.gf), MomentumGrid(n), times, threads=args.threads)
     mx = np.array([s.mx / n for s in samples])
     # times always holds t = 0, and the rebound window always holds the last sample
@@ -159,21 +159,16 @@ def _cmd_quench(args) -> int:
 
 
 def _cmd_kick(args) -> int:
-    if args.kicks < 1:
-        raise ValueError(f"--kicks must be >= 1, got {args.kicks}")
-    n = args.n
+    n, kicks = args.n, model._integer(args.kicks, "--kicks", lower=1)
     samples = run_series(DriverSpec("kick", g=args.g, tau=args.tau, epsilon=args.epsilon),
-                         MomentumGrid(n), range(1, args.kicks + 1), threads=args.threads)
+                         MomentumGrid(n), range(1, kicks + 1), threads=args.threads)
     _write_outputs(args, ["n", "mx_over_n", "mz_over_n"], [(s.time, s.mx / n, s.mz / n) for s in samples])
     return 0
 
 
 def _scan_points(args) -> np.ndarray:
-    if not (np.isfinite(args.gmin) and np.isfinite(args.gmax)):
-        raise ValueError(f"--gmin and --gmax must be finite, got {args.gmin}, {args.gmax}")
-    if args.gsteps < 1:
-        raise ValueError(f"--gsteps must be >= 1, got {args.gsteps}")
-    return np.linspace(args.gmin, args.gmax, args.gsteps)
+    gmin, gmax = model._real(args.gmin, "--gmin"), model._real(args.gmax, "--gmax")
+    return np.linspace(gmin, gmax, model._integer(args.gsteps, "--gsteps", lower=1))
 
 
 def _cmd_gap(args) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MomentumGrid, _real
+from .model import MomentumGrid, _integer, _real
 
 __all__ = ["SystemState", "DriverSpec", "init_ferro", "evolve_quench", "evolve_kick_step"]
 
@@ -80,7 +80,7 @@ class DriverSpec:
         if self.kind not in ("quench", "kick"):
             raise ValueError(f"kind must be 'quench' or 'kick', got {self.kind!r}")
         for name in ("g_f", "g", "tau", "epsilon"):
-            _real(getattr(self, name), name)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
 
 def init_ferro(grid: MomentumGrid) -> SystemState:
@@ -89,6 +89,14 @@ def init_ferro(grid: MomentumGrid) -> SystemState:
     half = grid.momenta / 2.0
     u, v = np.sin(half).astype(complex), np.cos(half).astype(complex)
     return SystemState(grid, u[:h], v[:h], u[h:], v[h:], gamma=0.0, time=0.0)
+
+
+def _kick_count(kicks, name: str = "kicks") -> int:
+    """``kicks`` as an int in [0, 2^53]: a larger count is not exact as the double that scales the Floquet angle."""
+    n = _integer(kicks, name, lower=0)
+    if n > 2**53:
+        raise ValueError(f"{name} must be a nonnegative integer at most 2^53, got {n!r}")
+    return n
 
 
 def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: int = 1):
@@ -138,9 +146,7 @@ def evolve_quench(state: SystemState, g_f: float, dt: float) -> SystemState:
     The special-mode phase integrates to ``gamma -= 2 dt`` independently of
     ``g_f`` (the two diagonal special-mode entries sum to -4).
     """
-    if not 0 <= dt < np.inf:
-        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
-    return _propagate(state, _real(g_f, "g_f"), dt)
+    return _propagate(state, _real(g_f, "g_f"), _real(dt, "dt", lower=0))
 
 
 def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float,
@@ -154,7 +160,5 @@ def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float,
     only accumulates the Hamiltonian part -2 tau per kick.  Any number of
     kicks costs one closed-form Floquet power.
     """
-    if not isinstance(kicks, (int, np.integer)) or kicks < 0:
-        raise ValueError(f"kicks must be a nonnegative integer, got {kicks!r}")
     g, tau, epsilon = (_real(x, name) for x, name in ((g, "g"), (tau, "tau"), (epsilon, "epsilon")))
-    return _propagate(state, g, tau, np.pi * (1.0 - epsilon), kicks)
+    return _propagate(state, g, tau, np.pi * (1.0 - epsilon), _kick_count(kicks))

@@ -102,31 +102,34 @@ def _ring_size(n_sites) -> int:
     return n
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float; a non-number, or one that is not finite as a double, raises ``ValueError`` naming ``name``."""
-    # a str, or an int past the double range, would reach numpy as an object and raise TypeError there;
-    # float is tested first, since the ABC check alone takes about 0.4 us for a float
-    if not isinstance(value, (float, numbers.Real)) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite and real, got {value!r}")
+def _real(value, name: str, lower: float | None = None) -> float:
+    """``value`` as a float; a bool, a non-number, a non-finite or one below ``lower`` raises ValueError naming ``name``."""
+    # float is tested first, since the ABC check alone takes about 0.4 us for a float; a bool passes that check
+    if (not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, numbers.Real))
+            or not abs(value) <= sys.float_info.max or lower is not None and value < lower):
+        kind = "real" if lower is None else "nonnegative" if lower == 0 else f"at least {lower}"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
     return float(value)
 
 
 def _reals(values, name: str) -> np.ndarray:
     """``values`` as a float array; an entry that :func:`_real` rejects raises ``ValueError`` naming ``name``."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
-        # a str, or an int past the int64 range, makes an array of objects; name the culprit
-        for x in array.ravel().tolist():
-            _real(x, name)
-    return array.astype(float)
+    # a finite float or integer array passes whole; numpy would cast a bool or a str in a sequence to its dtype
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and np.isfinite(values).all():
+        return values.astype(float)
+    return np.array([_real(x, name) for x in values], dtype=float)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a non-integer, even 8.0, raises ``ValueError`` naming ``name``."""
+def _integer(value, name: str, lower: int | None = None) -> int:
+    """``value`` as an int; a bool, a non-integer (8.0 too) or one below ``lower`` raises ValueError naming ``name``."""
     try:
-        return operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or lower is not None and n < lower:
+        need = "a nonnegative integer" if lower == 0 else "an integer" if n is None else f"at least {lower}"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return n
 
 
 def dispersion(k, g: float):
@@ -145,6 +148,7 @@ def bogoliubov_angle(k: float, g: float):
     have diagonal two-level Hamiltonians and no angle; they raise
     ``ValueError``.
     """
+    k = _real(k, "k")
     if abs(np.sin(k)) < 1e-12:
         raise ValueError(f"no Bogoliubov angle for special mode k={k}")
     a, b = mode_coefficients(k, g)
@@ -156,7 +160,7 @@ def bogoliubov_angle(k: float, g: float):
 
 def mode_coefficients(k, g):
     """``(a, b) = (2 (cos k + g), -2 sin k)`` of ``H_k = [[a, b], [b, -a]]``, k scalar or array."""
-    return 2.0 * (np.cos(k) + g), -2.0 * np.sin(k)
+    return 2.0 * (np.cos(k) + _real(g, "g")), -2.0 * np.sin(k)
 
 
 def sgs_energies(grid: MomentumGrid, g: float):
@@ -174,7 +178,7 @@ def gap_delta(grid: MomentumGrid, g: float) -> float:
     j is half the dispersion at grid index N - j, which has the parity of j,
     so the odd and even chords sum the even and odd sectors' positive modes.
     """
-    return chord_excess(abs(g), grid.n_sites)
+    return chord_excess(abs(_real(g, "g")), grid.n_sites)
 
 
 #: half-width, in units of 1/N, of the window around x = 1 where the gap is the
@@ -193,9 +197,7 @@ def chord_excess(x: float, n_sites: int) -> float:
     positive Poisson series for x < 1 - 3/N, the chord sum for |1 - x| <= 3/N,
     and above it the reflection ``Delta(x) = x Delta(1/x) + x - 1``.
     """
-    if not 0 <= x < np.inf:
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    n = _ring_size(n_sites)
+    x, n = _real(x, "x", lower=0), _ring_size(n_sites)
     if abs(1.0 - x) <= _WINDOW / n:
         # chord j is sqrt((1 - x)^2 + 4 x sin^2(j h)), h = pi / 2N; chords 2i - 1 and 2i enter
         # as the difference of their squares over their sum, so no two large chords cancel
@@ -258,7 +260,7 @@ def cat_norm_identity(n_sites: int) -> float:
     state of the classical ring.
     """
     grid = MomentumGrid(n_sites)
-    return float(np.prod(np.sin(grid.momenta[:n_sites // 2] / 2.0)))
+    return float(np.prod(np.sin(grid.momenta[:grid.n_sites // 2] / 2.0)))
 
 
 def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):
@@ -279,10 +281,10 @@ def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):
     the power of two 2^e just above max |J|, an exact scaling in which no
     square overflows.
     """
-    if not (np.isfinite([jx, jy, jz]).all() and jx < jy <= 0.0 <= jz):
+    jx, jy, jz = (_real(j, name) for j, name in ((jx, "jx"), (jy, "jy"), (jz, "jz")))
+    if not jx < jy <= 0.0 <= jz:
         raise ValueError(f"couplings must be finite with jx < jy <= 0 <= jz, got ({jx}, {jy}, {jz})")
-    if _integer(n_sites, "n_sites") < 1:
-        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+    n_sites = _integer(n_sites, "n_sites", lower=1)
     h_star = math.sqrt(2.0) * math.sqrt(jz / 2.0 - jx / 2.0) * math.sqrt(jz - jy)
     if h_star == math.inf:
         raise ValueError(f"the factorizing field of ({jx}, {jy}, {jz}) exceeds the double range")

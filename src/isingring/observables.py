@@ -143,7 +143,7 @@ from itertools import compress, groupby
 
 import numpy as np
 
-from .dynamics import DriverSpec, SystemState, evolve_kick_step, evolve_quench, init_ferro
+from .dynamics import DriverSpec, SystemState, _kick_count, evolve_kick_step, evolve_quench, init_ferro
 from .model import MomentumGrid, _integer, _reals
 from .pfaffian import SkewMatrix, Workspace, working_entries
 from .wick import contractions, vacuum_expectation
@@ -403,11 +403,11 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     ``1/threads`` of the schedule so that every worker has one.  A range
     error of a sample's Pfaffian names its schedule entry.
     """
-    threads = _integer(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = _integer(threads, "threads", lower=1)
+    # every entry is checked before any work, as a real and, in a kick schedule, as a kick count
     schedule = list(schedule)
-    _reals(schedule, "schedule entry")
+    reals = _reals(schedule, "schedule entry").tolist()
+    schedule = [_kick_count(n, "kick schedule entry") for n in schedule] if driver.kind == "kick" else reals
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     base = init_ferro(grid)
@@ -418,13 +418,8 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
         def evolve(t):
             return evolve_quench(base, driver.g_f, t)
     else:
-        for s in schedule:
-            # a count beyond 2^53 does not survive as the double that multiplies the Floquet angle
-            if int(s) != s or not 0 <= s <= 2**53:
-                raise ValueError(f"kick schedule entries must be integers in [0, 2^53], got {s!r}")
-
         def evolve(n):
-            return evolve_kick_step(base, driver.g, driver.tau, driver.epsilon, int(n))
+            return evolve_kick_step(base, driver.g, driver.tau, driver.epsilon, n)
 
     def evaluate(batches):
         # one worker's batches, one after the other in the worker's own workspace

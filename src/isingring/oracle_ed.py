@@ -73,6 +73,7 @@ class DenseState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", model._integer(self.n_sites, "n_sites"))
         if self.n_sites > MAX_SITES:
             raise ValueError(f"dense oracle limited to N <= {MAX_SITES}")
         if self.amplitudes.shape != (2**self.n_sites,):
@@ -107,7 +108,7 @@ def _real_times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the periodic transverse-field Ising chain."""
-    n_sites = _sites(n_sites)
+    n_sites, g = _sites(n_sites), model._real(g, "g")
     dim = 2**n_sites
     states = np.arange(dim)
     h = np.zeros((dim, dim))
@@ -171,7 +172,7 @@ def build_momentum_sgs(n_sites: int, sector: str, g: float) -> DenseState:
     operators (and, in the odd sector, the k = 0 occupation) to the
     all-down vacuum through the Jordan-Wigner map.
     """
-    n_sites = _sites(n_sites)
+    n_sites, g = _sites(n_sites), model._real(g, "g")
     grid = MomentumGrid(n_sites)
     psi = np.zeros(2**n_sites, dtype=complex)
     psi[0] = 1.0  # all spins down = fermion vacuum
@@ -348,8 +349,7 @@ def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks:
     """
     n_sites = _sites(n_sites)
     g, tau, epsilon = (model._real(x, name) for x, name in ((g, "g"), (tau, "tau"), (epsilon, "epsilon")))
-    if not isinstance(n_kicks, (int, np.integer)) or n_kicks < 0:
-        raise ValueError(f"n_kicks must be a nonnegative integer, got {n_kicks!r}")
+    n_kicks = model._integer(n_kicks, "n_kicks", lower=0)
     sector = _parity_blocks(n_sites, g)
     e = sector.even
     (v_even, v_odd), ferro = sector.vectors, sector.ferro

@@ -104,6 +104,8 @@ import sys
 
 import numpy as np
 
+from .model import _integer
+
 __all__ = ["SkewMatrix", "Workspace", "pfaffian", "working_entries", "PfaffianDimensionError", "SkewSymmetryError"]
 
 #: relative tolerance for the antisymmetry check at construction
@@ -236,7 +238,7 @@ class SkewMatrix:
 
     def _wrap(self, entries, border: int, workspace: Workspace | None = None) -> np.ndarray:
         """Take the entries as complex, check shape, border and finiteness, and record them."""
-        m = np.asarray(entries, dtype=complex)
+        border, m = _integer(border, "border"), np.asarray(entries, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise PfaffianDimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
         n = m.shape[-1]
@@ -356,6 +358,7 @@ def pfaffian(a, border: int = 0):
     the results' own plain Pfaffians; a larger pivot below the smallest
     normal double raises ``FloatingPointError`` (see the module docstring).
     """
+    border = _integer(border, "border")
     if not isinstance(a, SkewMatrix):
         a = SkewMatrix(a, border)
     elif a.border != border:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MomentumGrid
+from .model import MomentumGrid, _integer
 from .pfaffian import SkewMatrix, Workspace, pfaffian
 
 __all__ = ["contractions", "vacuum_expectation"]
@@ -109,7 +109,7 @@ def vacuum_expectation(skew: np.ndarray, border: int = 0):
     bra's BCS pairs, scaled so that its Pfaffians are the full words'.
     """
     entries = skew.entries if isinstance(skew, SkewMatrix) else np.asarray(skew)
-    length = entries.shape[-1]
+    length, border = entries.shape[-1], _integer(border, "border")
     if border or (length and length % 2 == 0):
         return pfaffian(skew, border)
     value = 0.0 + 0.0j if length % 2 else 1.0 + 0.0j

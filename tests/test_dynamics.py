@@ -160,13 +160,16 @@ class TestDriverSpec:
         ("quench", "g_f", None),
         ("kick", "tau", 10**400),
         ("kick", "epsilon", 1j),
+        ("quench", "g_f", True),
+        ("kick", "g", "1"),
+        ("kick", "tau", False),
     ])
     def test_non_real_drive_rejected_naming_the_field(self, kind, field, value):
-        # numpy's isfinite would raise TypeError on each
+        # numpy's isfinite would raise TypeError on each; a bool is an int, but no field
         with pytest.raises(ValueError, match=f"{field} must be finite and real, got {value!r}"):
             DriverSpec(kind, **{field: value})
 
-    def test_non_finite_field_caught_by_state_when_driving_directly(self):
+    def test_drivers_reject_a_non_finite_drive_themselves(self):
         # the drivers bypass DriverSpec and check their drive and dt themselves
         state = init_ferro(MomentumGrid(6))
         with pytest.raises(ValueError):
@@ -176,14 +179,14 @@ class TestDriverSpec:
         with pytest.raises(ValueError):
             evolve_quench(state, 0.5, np.inf)
 
-    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, -0.1])
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, -0.1, True, "1"])
     def test_bad_dt_rejected_before_any_trigonometry(self, dt):
         # under errstate(all="raise") an inf reaching sin would raise FloatingPointError
         with pytest.raises(ValueError, match="dt must be finite and nonnegative"), \
                 np.errstate(all="raise"):
             evolve_quench(init_ferro(MomentumGrid(6)), 0.5, dt)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.5"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.5", True])
     @pytest.mark.parametrize("name, drive", [
         ("g_f", lambda state, x: evolve_quench(state, x, 1.0)),
         ("g", lambda state, x: evolve_kick_step(state, x, 0.3, 0.02)),
@@ -195,8 +198,9 @@ class TestDriverSpec:
         with pytest.raises(ValueError, match=f"^{name} must be finite and real"), np.errstate(all="raise"):
             drive(init_ferro(MomentumGrid(6)), bad)
 
-    @pytest.mark.parametrize("kicks", [-1, 1.5, 2.0, "3", None])
+    @pytest.mark.parametrize("kicks", [-1, 1.5, 2.0, "3", None, True, np.True_, 2**53 + 1])
     def test_bad_kick_count_rejected(self, kicks):
+        # beyond 2^53 the count is not exact as the double that scales the Floquet angle
         with pytest.raises(ValueError, match="kicks must be a nonnegative integer"):
             evolve_kick_step(init_ferro(MomentumGrid(6)), 0.5, 0.3, 0.02, kicks)
 

@@ -46,7 +46,7 @@ class TestGrid:
             with pytest.raises(ValueError):
                 MomentumGrid(n)
 
-    @pytest.mark.parametrize("n", [8.0, 8.5, "8"])
+    @pytest.mark.parametrize("n", [8.0, 8.5, "8", True, np.True_])
     def test_rejects_non_integer_size(self, n):
         # a float size used to pass here and fail later, slicing inside the engine
         with pytest.raises(ValueError, match="integer"):
@@ -296,15 +296,20 @@ class TestChordDiagnostic:
             chord_excess(0.3, 800)
         assert time.perf_counter() - start < 0.1
 
-    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, True, "1"])
     def test_non_finite_field_raises(self, x):
-        # no silent NaN from the chord sum
+        # no silent NaN from the chord sum; a bool or a str is no field either
         with pytest.raises(ValueError, match="finite"):
             chord_excess(x, 8)
         with pytest.raises(ValueError, match="finite"):
             delta_l(x, 8)
         with pytest.raises(ValueError, match="finite"):
             gap_delta(MomentumGrid(8), x)
+        # every scalar field g is checked where it enters, and named, not passed on as x or as a NaN
+        for field in (lambda g: gap_delta(MomentumGrid(8), g), lambda g: sgs_energies(MomentumGrid(8), g),
+                      lambda g: dispersion(0.3, g), lambda g: bogoliubov_angle(0.3, g)):
+            with pytest.raises(ValueError, match="^g must be finite and real"):
+                field(x)
 
 
 def test_cat_norm_identity():
@@ -353,13 +358,14 @@ class TestXYZFactorization:
             xyz_factorization(-1.0, 0.5, 1.0, 8)
 
     @pytest.mark.parametrize("couplings", [(-np.inf, 0.0, 0.0), (-4.0, 0.0, np.inf),
-                                           (-np.inf, -1.0, np.inf), (np.nan, 0.0, 0.0)])
+                                           (-np.inf, -1.0, np.inf), (np.nan, 0.0, 0.0),
+                                           (-4.0, 0.0, True), ("-4", 0.0, 0.0)])
     def test_non_finite_coupling_rejected(self, couplings):
         # an infinite coupling used to return nan or inf entries
         with pytest.raises(ValueError, match="finite"):
             xyz_factorization(*couplings, 8)
 
-    @pytest.mark.parametrize("n", [0, -3, 8.0])
+    @pytest.mark.parametrize("n", [0, -3, 8.0, True, "8"])
     def test_site_count_must_be_positive_integer(self, n):
         # n = 0 used to give overlap 1, and a negative n a power of the inverse ratio
         with pytest.raises(ValueError, match="n_sites"):

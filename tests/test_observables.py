@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -449,7 +450,7 @@ class TestRunSeries:
         grid = MomentumGrid(40)
         assert run_series(driver, grid, schedule, threads=4) == run_series(driver, grid, schedule)
 
-    @pytest.mark.parametrize("threads", [0, -3, 1.5])
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, True, "2"])
     def test_thread_count_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
             run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), [0.5], threads=threads)
@@ -469,8 +470,26 @@ class TestRunSeries:
             run_series(driver, MomentumGrid(6), [10**400])
         with pytest.raises(ValueError, match=f"got {10**30}"):
             run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [10**30])
+        with pytest.raises(ValueError, match=f"got {2**53 + 1}"):
+            run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [2**53 + 1])
+        # a bool is no time and no kick count, even among numbers, where numpy would cast it to one
+        for schedule in ([True], [0.25, True], [np.True_]):
+            with pytest.raises(ValueError, match="^schedule entry must be finite and real, got "):
+                run_series(driver, MomentumGrid(6), schedule)
+            with pytest.raises(ValueError, match="^schedule entry must be finite and real, got "):
+                run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), schedule)
+        with pytest.raises(ValueError, match="^schedule entry must be finite and real, got nan"):
+            run_series(driver, MomentumGrid(6), [float("nan")])
+        # a kick count is an integer, not a float of integer value
+        with pytest.raises(ValueError, match="^kick schedule entry must be a nonnegative integer, got 3.0"):
+            run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [1, 3.0])
         # the largest kick count whose double is exact is taken
         assert run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [2**53])[0].time == 2.0**53
+        # any other real is taken as its float: a Fraction samples bit for bit what 0.5 samples
+        half, grid = Fraction(1, 2), MomentumGrid(6)
+        assert run_series(driver, grid, [half]) == run_series(driver, grid, [0.5])
+        assert (magnetization(evolve_quench(init_ferro(grid), 1.0, half))
+                == magnetization(evolve_quench(init_ferro(grid), 1.0, 0.5)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sample_time_rejected(self, bad):

@@ -89,9 +89,11 @@ class TestHamiltonian:
         assert levels[1] == pytest.approx(e_plus + 2.0 * dispersion(k_top, g), abs=1e-9)
 
     def test_size_validation(self):
-        for n in (3, 2, 14):
+        for n in (3, 2, 14, True, "4"):
             with pytest.raises(ValueError):
                 build_hamiltonian(n, 1.0)
+        with pytest.raises(ValueError, match="^n_sites must be an integer, got True"):
+            DenseState(True, np.array([1.0, 0.0]))
 
 
 class TestDenseState:
@@ -194,7 +196,7 @@ class TestGroundParity:
         for g in np.linspace(-2.0, 2.0, 41):
             assert outcome(ground_parity, g) == outcome(ground_parity_full_space, g), g
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5", True])
     def test_non_finite_field_rejected(self, bad):
         with pytest.raises(ValueError, match="g must be finite"):
             ground_parity(6, bad)
@@ -303,7 +305,7 @@ class TestTrajectories:
     ], ids=["quench", "kick"])
     def test_size_validation(self, trajectory):
         # 8.0 and "8" would reach numpy's left_shift and raise TypeError there
-        for n in (14, 7, 2, 8.0, "8"):
+        for n in (14, 7, 2, 8.0, "8", True):
             with pytest.raises(ValueError, match="n_sites must be"):
                 trajectory(n)
 
@@ -314,7 +316,7 @@ class TestTrajectories:
     def test_empty_schedule_gives_no_rows(self, rows):
         assert rows().shape == (0, 3)
 
-    @pytest.mark.parametrize("n_kicks", [-3, 2.0, 2.5, "2"])
+    @pytest.mark.parametrize("n_kicks", [-3, 2.0, 2.5, "2", True])
     def test_kick_count_must_be_a_nonnegative_integer(self, n_kicks):
         with pytest.raises(ValueError, match="n_kicks"):
             kick_trajectory(4, 0.5, 0.5, 0.02, n_kicks)
@@ -323,19 +325,22 @@ class TestTrajectories:
         np.testing.assert_array_equal(kick_trajectory(4, 0.5, 0.5, 0.02, np.int64(3)),
                                       kick_trajectory(4, 0.5, 0.5, 0.02, 3))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.5"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.5", True])
     @pytest.mark.parametrize("name, trajectory", [
         ("g_f", lambda x: quench_trajectory(4, x, [0.0, 1.0])),
         ("g", lambda x: kick_trajectory(4, x, 0.5, 0.02, 2)),
         ("tau", lambda x: kick_trajectory(4, 0.5, x, 0.02, 2)),
         ("epsilon", lambda x: kick_trajectory(4, 0.5, 0.5, x, 2)),
-    ], ids=["g_f", "g", "tau", "epsilon"])
+        # the builders: a NaN field made a NaN matrix and a warning in a division
+        ("g", lambda x: build_hamiltonian(4, x)),
+        ("g", lambda x: build_momentum_sgs(4, "even", x)),
+    ], ids=["g_f", "g", "tau", "epsilon", "hamiltonian_g", "sgs_g"])
     def test_non_finite_parameter_rejected_up_front(self, name, trajectory, bad):
         # raised before any eigensolve or phase, so no LinAlgError and no RuntimeWarning
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             trajectory(bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5", None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5", None, True])
     def test_non_finite_time_rejected_up_front(self, bad):
         # named, where a NaN time used to warn and then fail the norm check of a NaN state
         with pytest.raises(ValueError, match="^times entry must be finite and real"):

@@ -238,6 +238,12 @@ def test_antisymmetric_operand_keeps_shape_border_and_finiteness_checks():
         poisoned[1, 3], poisoned[3, 1] = bad, -bad
         with pytest.raises(ValueError, match="finite"):
             SkewMatrix.antisymmetric(poisoned, border=2)
+    # a border count is an integer: a bool, a float or a str used to reach the dimension test or fail in it
+    for border in (True, 1.0, "1"):
+        for call in (lambda: SkewMatrix.antisymmetric(a, border), lambda: SkewMatrix(a, border),
+                     lambda: pfaffian(a, border=border), lambda: pfaffian(SkewMatrix.antisymmetric(a, 2), border)):
+            with pytest.raises(ValueError, match="^border must be an integer, got "):
+                call()
 
 
 def test_block_direct_sums_with_later_panel_events():

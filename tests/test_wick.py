@@ -190,6 +190,10 @@ class TestVacuumExpectation:
                 vacuum_expectation(np.zeros((0, 0)), border=border)
             with pytest.raises(PfaffianDimensionError):
                 pfaffian(np.zeros((0, 0)), border)
+        # a border count that is not an integer is named, not taken for 0 or 1
+        for border in (False, 0.0, True, "1"):
+            with pytest.raises(ValueError, match="^border must be an integer"):
+                vacuum_expectation(np.zeros((0, 0)), border=border)
 
     def test_stack_of_words(self):
         # one result per word, each the word's own expectation
