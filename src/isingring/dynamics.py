@@ -7,11 +7,10 @@ power of the one-period Floquet matrix per sample, not a loop over kicks.
 The odd-sector special modes are frozen in the occupation
 ``|vac>_{-pi} |0>``; only their accumulated phase ``gamma`` evolves.
 
-The modes advance in the order of the grid's ``momenta`` table, the
-even sector's positive modes and then the odd sector's, and their 2x2
-Hamiltonians come from its ``cos_k`` and ``sin_k`` tables, so a sample
-evaluates no function of k.  Each new state is checked once, over both
-sectors, for the drift of ``|u|^2 + |v|^2`` from 1.
+A state holds its modes in the order of the grid's ``momenta`` table,
+whose ``cos_k`` and ``sin_k`` tables give their 2x2 Hamiltonians, so a
+sample evaluates no function of k.  Each new state is checked once for
+the drift of ``|u|^2 + |v|^2`` from 1.
 """
 
 from __future__ import annotations
@@ -30,35 +29,45 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SystemState:
-    """Per-mode BCS amplitudes in both sectors plus the special-mode phase.
+    """Per-mode BCS amplitudes of both sectors plus the special-mode phase.
 
-    ``u_plus[i], v_plus[i]`` belong to the i-th positive even-sector
-    momentum (ascending); likewise ``u_minus, v_minus`` for the odd sector.
-    ``gamma`` is the accumulated special-mode phase (the odd-sector
-    component carries ``exp(-i gamma)``).
+    ``u[i], v[i]`` belong to the i-th momentum of ``grid.momenta``, the
+    even sector's positive momenta and then the odd sector's, both
+    ascending; ``u_plus, v_plus`` and ``u_minus, v_minus`` are read-only
+    views of them over each sector.  ``gamma`` is the accumulated
+    special-mode phase (the odd-sector component carries ``exp(-i gamma)``).
     """
 
     grid: MomentumGrid
-    u_plus: np.ndarray
-    v_plus: np.ndarray
-    u_minus: np.ndarray
-    v_minus: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     gamma: float
     time: float
 
+    u_plus = property(lambda self: _read_only(self.u[:len(self.grid.plus)]))
+    v_plus = property(lambda self: _read_only(self.v[:len(self.grid.plus)]))
+    u_minus = property(lambda self: _read_only(self.u[len(self.grid.plus):]))
+    v_minus = property(lambda self: _read_only(self.v[len(self.grid.plus):]))
+
     def __post_init__(self):
-        h = self.grid.n_sites // 2
-        # all four: the drift check below pairs the weights of any arrays of the right total length
-        expected = (h, h, h - 1, h - 1)
-        lengths = (len(self.u_plus), len(self.v_plus), len(self.u_minus), len(self.v_minus))
-        if lengths != expected:
-            raise ValueError(f"amplitude array lengths {lengths} do not match the grid's {expected}")
-        # |u|^2 + |v|^2 of every mode of both sectors, in one pass
-        weights = np.abs(np.concatenate((self.u_plus, self.u_minus, self.v_plus, self.v_minus))) ** 2
-        drift = np.abs(weights[:2 * h - 1] + weights[2 * h - 1:] - 1.0).max()
+        if not isinstance(self.grid, MomentumGrid):
+            raise ValueError(f"grid must be a MomentumGrid, got {self.grid!r}")
+        modes = (self.grid.n_sites - 1,)
+        shapes = (getattr(self.u, "shape", None), getattr(self.v, "shape", None))
+        if shapes != (modes, modes):
+            raise ValueError(f"amplitude array shapes {shapes} do not match the grid's {modes}")
+        for name in ("gamma", "time"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        drift = np.abs(np.abs(self.u) ** 2 + np.abs(self.v) ** 2 - 1.0).max()
         # negated so that a NaN drift fails the check too
         if not drift <= NORM_TOL:
             raise ValueError(f"mode normalization drift {drift:.3e} exceeds {NORM_TOL}")
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """``view`` with its writeable flag cleared, so that a sector view cannot write to its state."""
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -85,10 +94,8 @@ class DriverSpec:
 
 def init_ferro(grid: MomentumGrid) -> SystemState:
     """The +x fully polarized state: ``(u, v) = (sin k/2, cos k/2)`` per mode."""
-    h = grid.n_sites // 2
     half = grid.momenta / 2.0
-    u, v = np.sin(half).astype(complex), np.cos(half).astype(complex)
-    return SystemState(grid, u[:h], v[:h], u[h:], v[h:], gamma=0.0, time=0.0)
+    return SystemState(grid, np.sin(half).astype(complex), np.cos(half).astype(complex), gamma=0.0, time=0.0)
 
 
 def _kick_count(kicks, name: str = "kicks") -> int:
@@ -108,10 +115,7 @@ def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: 
     ``cos(n theta) I + sin(n theta) / sin(theta) (F - cos(theta) I)``; theta
     comes from atan2, which keeps full precision near ``F = +-I``.
     """
-    grid = state.grid
-    h = grid.n_sites // 2
-    u = np.concatenate([state.u_plus, state.u_minus])
-    v = np.concatenate([state.v_plus, state.v_minus])
+    grid, u, v = state.grid, state.u, state.v
     # minus (a, b) = mode_coefficients(k, g), from the tables
     minus_a, minus_b = -2.0 * (grid.cos_k + g), 2.0 * grid.sin_k
     w = np.hypot(minus_a, minus_b)  # >= 2 |sin k| > 0 on every normal mode
@@ -135,8 +139,7 @@ def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: 
                           out=np.zeros_like(sin_theta), where=sin_theta > 0)
         alpha = np.cos(kicks * theta) + 1j * ratio * alpha.imag
         beta = ratio * beta
-    u, v = alpha * u + beta * v, np.conj(alpha) * v - np.conj(beta) * u
-    return SystemState(grid, u[:h], v[:h], u[h:], v[h:],
+    return SystemState(grid, alpha * u + beta * v, np.conj(alpha) * v - np.conj(beta) * u,
                        state.gamma - 2.0 * t * kicks, state.time + t * kicks)
 
 

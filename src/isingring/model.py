@@ -112,6 +112,15 @@ def _real(value, name: str, lower: float | None = None) -> float:
     return float(value)
 
 
+def _complex(value, name: str) -> complex:
+    """``value`` as a complex; a bool, a non-number or a non-finite raises ValueError naming ``name``."""
+    # complex is tested first, as float is in _real; abs() of a finite complex can overflow, so each part is compared
+    if (not isinstance(value, complex) and (isinstance(value, bool) or not isinstance(value, numbers.Complex))
+            or not (abs(value.real) <= sys.float_info.max and abs(value.imag) <= sys.float_info.max)):
+        raise ValueError(f"{name} must be a finite complex number, got {value!r}")
+    return complex(value)
+
+
 def _reals(values, name: str) -> np.ndarray:
     """``values`` as a float array; an entry that :func:`_real` rejects raises ``ValueError`` naming ``name``."""
     # a finite float or integer array passes whole; numpy would cast a bool or a str in a sequence to its dtype

@@ -31,7 +31,8 @@ def random_state(rng, grid, zero_v_mode=None):
     minus = np.array(bcs_amplitudes(rng, n // 2 - 1))
     if zero_v_mode is not None:
         plus[zero_v_mode] = (np.exp(0.4j), 0.0)
-    return SystemState(grid, plus[:, 0], plus[:, 1], minus[:, 0], minus[:, 1], 0.3, 0.0)
+    amplitudes = np.concatenate((plus, minus))
+    return SystemState(grid, amplitudes[:, 0], amplitudes[:, 1], 0.3, 0.0)
 
 
 def max_deviation(state, amplitudes):
@@ -97,44 +98,61 @@ class TestInitFerro:
         grid = MomentumGrid(6)
         state = init_ferro(grid)
         with pytest.raises(ValueError):
-            SystemState(
-                grid,
-                2.0 * state.u_plus,
-                state.v_plus,
-                state.u_minus,
-                state.v_minus,
-                0.0,
-                0.0,
-            )
+            SystemState(grid, 2.0 * state.u, state.v, 0.0, 0.0)
         with pytest.raises(ValueError):
-            SystemState(
-                grid,
-                state.u_plus[:-1],
-                state.v_plus[:-1],
-                state.u_minus,
-                state.v_minus,
-                0.0,
-                0.0,
-            )
-        # v_plus one longer and v_minus one shorter: the concatenated weights still pair up
+            SystemState(grid, state.u[:-1], state.v[:-1], 0.0, 0.0)
+        # v as a column of the right length: |u|^2 + |v|^2 would broadcast to a square
         with pytest.raises(ValueError, match="do not match the grid"):
-            SystemState(
-                grid,
-                state.u_plus,
-                np.concatenate((state.v_plus, state.v_minus[:1])),
-                state.u_minus,
-                state.v_minus[1:],
-                0.0,
-                0.0,
-            )
+            SystemState(grid, state.u, state.v[:, None], 0.0, 0.0)
 
     def test_nan_amplitude_rejected(self):
         grid = MomentumGrid(6)
         state = init_ferro(grid)
-        u_plus = state.u_plus.copy()
-        u_plus[1] = np.nan
+        u = state.u.copy()
+        u[1] = np.nan
         with pytest.raises(ValueError, match="drift"):
-            SystemState(grid, u_plus, state.v_plus, state.u_minus, state.v_minus, 0.0, 0.0)
+            SystemState(grid, u, state.v, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid", 6), ("gamma", True), ("gamma", "0.5"), ("gamma", np.nan), ("gamma", np.inf),
+        ("time", np.True_), ("time", "x"), ("time", np.nan), ("time", -np.inf),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        state = init_ferro(MomentumGrid(6))
+        fields = {"grid": state.grid, "u": state.u, "v": state.v, "gamma": 0.0, "time": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SystemState(**fields)
+
+    def test_scalar_fields_stored_as_floats(self):
+        state = init_ferro(MomentumGrid(6))
+        other = SystemState(state.grid, state.u, state.v, np.float64(-0.5), 2)
+        assert (other.gamma, other.time) == (-0.5, 2.0)
+        assert type(other.gamma) is float and type(other.time) is float
+
+    def test_sector_views_share_memory_in_momenta_order(self, monkeypatch):
+        grid = MomentumGrid(10)
+        h = len(grid.plus)
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("the propagation concatenates its amplitudes")
+
+        # the propagation reads u and v whole, so it has nothing to concatenate
+        monkeypatch.setattr(np, "concatenate", no_copy)
+        states = [init_ferro(grid), evolve_quench(init_ferro(grid), 0.7, 1.3),
+                  evolve_kick_step(init_ferro(grid), 0.5, 0.5, 0.02, 9)]
+        monkeypatch.undo()
+        for state in states:
+            for whole, plus, minus in ((state.u, state.u_plus, state.u_minus),
+                                       (state.v, state.v_plus, state.v_minus)):
+                assert plus.base is whole and minus.base is whole
+                assert np.shares_memory(plus, whole) and np.shares_memory(minus, whole)
+                assert not plus.flags.writeable and not minus.flags.writeable
+                np.testing.assert_array_equal(np.concatenate((plus, minus)), whole)
+                assert len(plus) == h and len(minus) == len(grid.minus)
+        # u = sin(k / 2) over grid.momenta: the even sector's positive modes, then the odd sector's
+        np.testing.assert_array_equal(states[0].u, np.sin(grid.momenta / 2))
+        np.testing.assert_allclose(states[0].u_plus, np.sin(np.pi * grid.plus / 20))
+        np.testing.assert_allclose(states[0].u_minus, np.sin(np.pi * grid.minus / 20))
 
 
 class TestDriverSpec:
@@ -283,10 +301,8 @@ class TestKick:
         phase = np.exp(0.3j)
         other = SystemState(
             grid,
-            base.u_plus,
-            base.v_plus,
-            phase * base.u_minus,
-            phase * base.v_minus,
+            np.concatenate((base.u_plus, phase * base.u_minus)),
+            np.concatenate((base.v_plus, phase * base.v_minus)),
             base.gamma,
             base.time,
         )

@@ -179,7 +179,8 @@ def _random_state(n, seed):
     u_m, v_m = np.array(bcs_amplitudes(rng, n // 2 - 1)).T
     u_p[0], v_p[0] = np.exp(0.3j), 0.0
     u_m[-1], v_m[-1] = 1e-14, np.sqrt(1.0 - 1e-28) * np.exp(-1.1j)
-    return SystemState(grid, u_p, v_p, u_m, v_m, gamma=rng.uniform(-5, 5), time=0.0)
+    return SystemState(grid, np.concatenate((u_p, u_m)), np.concatenate((v_p, v_m)),
+                       gamma=rng.uniform(-5, 5), time=0.0)
 
 
 def _u_zero_state(n, seed):
@@ -188,7 +189,8 @@ def _u_zero_state(n, seed):
     u_p, v_p, u_m, v_m = (a.copy() for a in (state.u_plus, state.v_plus, state.u_minus, state.v_minus))
     u_p[-1], v_p[-1] = 0.0, np.exp(0.4j)
     u_m[0], v_m[0] = 0.0, np.exp(-0.9j)
-    return SystemState(state.grid, u_p, v_p, u_m, v_m, gamma=state.gamma, time=0.0)
+    return SystemState(state.grid, np.concatenate((u_p, u_m)), np.concatenate((v_p, v_m)),
+                       gamma=state.gamma, time=0.0)
 
 
 def _sample_states(n):
@@ -216,7 +218,8 @@ def _pair_state(n, magnitudes, seed):
         phases = np.exp(2j * np.pi * rng.random((2, count)))
         return u * phases[0], np.sqrt(1.0 - u**2) * phases[1]
 
-    return SystemState(MomentumGrid(n), *sector(n // 2), *sector(n // 2 - 1),
+    (u_p, v_p), (u_m, v_m) = sector(n // 2), sector(n // 2 - 1)
+    return SystemState(MomentumGrid(n), np.concatenate((u_p, u_m)), np.concatenate((v_p, v_m)),
                        gamma=rng.uniform(-5, 5), time=0.0)
 
 
@@ -293,10 +296,11 @@ class TestOperand:
     def test_non_finite_entry_raises(self, block, bad, monkeypatch):
         state = evolve_quench(init_ferro(MomentumGrid(10)), 0.5, 1.3)
         if block == "bra pair":
-            # a sector's u enters only the contraction of its BCS pair
-            state.u_plus[1] = bad
+            # a sector's u enters only the contraction of its BCS pair; u_plus and u_minus are
+            # read-only views of u, which holds the even sector's 5 modes and then the odd sector's
+            state.u[1] = bad
         elif block == "ket pair":
-            state.u_minus[1] = bad
+            state.u[5 + 1] = bad
         elif block == "cross":
             def poisoned(*args):
                 cross = contractions(*args)
@@ -490,6 +494,12 @@ class TestRunSeries:
         assert run_series(driver, grid, [half]) == run_series(driver, grid, [0.5])
         assert (magnetization(evolve_quench(init_ferro(grid), 1.0, half))
                 == magnetization(evolve_quench(init_ferro(grid), 1.0, 0.5)))
+        # a known <c_1> is a finite complex number; a bool is none
+        state = init_ferro(grid)
+        for bad in (True, np.True_, "1", complex("nan"), float("inf"), complex(0.5, float("inf"))):
+            with pytest.raises(ValueError, match="^c1 must be a finite complex number, got "):
+                magnetization(state, bad)
+        assert magnetization(state, 0.5) == magnetization(state, 0.5 + 0j)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_sample_time_rejected(self, bad):
