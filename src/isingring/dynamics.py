@@ -27,15 +27,17 @@ __all__ = ["SystemState", "DriverSpec", "init_ferro", "evolve_quench", "evolve_k
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemState:
     """Per-mode BCS amplitudes of both sectors plus the special-mode phase.
 
     ``u[i], v[i]`` belong to the i-th momentum of ``grid.momenta``, the
     even sector's positive momenta and then the odd sector's, both
     ascending; ``u_plus, v_plus`` and ``u_minus, v_minus`` are read-only
-    views of them over each sector.  ``gamma`` is the accumulated
-    special-mode phase (the odd-sector component carries ``exp(-i gamma)``).
+    views of them over each sector.  ``u`` and ``v`` must be complex128
+    arrays.  ``gamma`` is the accumulated special-mode phase (the
+    odd-sector component carries ``exp(-i gamma)``).  A state equals only
+    itself and hashes by identity.
     """
 
     grid: MomentumGrid
@@ -56,6 +58,10 @@ class SystemState:
         shapes = (getattr(self.u, "shape", None), getattr(self.v, "shape", None))
         if shapes != (modes, modes):
             raise ValueError(f"amplitude array shapes {shapes} do not match the grid's {modes}")
+        for name in ("u", "v"):
+            dtype = getattr(self, name).dtype
+            if dtype != complex:
+                raise ValueError(f"{name} must be a complex128 array, got dtype {dtype}")
         for name in ("gamma", "time"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         drift = np.abs(np.abs(self.u) ** 2 + np.abs(self.v) ** 2 - 1.0).max()

@@ -45,23 +45,17 @@ class MomentumGrid:
     modes, both ascending.
 
     Everything a magnetization sample needs that depends on N alone is
-    tabulated once, here, so that a sample computes none of it again:
+    tabulated once, here, so that a sample computes none of it again.
+    The module that reads a table says what it holds:
 
-    - ``momenta``: k of ``plus`` and then of ``minus``, the order in which
-      :mod:`isingring.dynamics` advances the modes, with ``cos_k`` and
-      ``sin_k``;
-    - ``ann`` and ``cre``: the interleaved grid indices of the annihilated
-      parts (the bra pairs' ``c_{-k}``, ``c_k``, N of them) and of the
-      created parts (the ket pairs' ``c^dag_q``, ``c^dag_{-q}``, then
-      ``c^dag_0``, N - 1 of them) of the ``<c_1>`` operand in
+    - ``momenta`` (k of ``plus``, then of ``minus``), ``cos_k`` and ``sin_k``:
+      the modes of :mod:`isingring.dynamics`;
+    - ``ann``, ``cre``, ``ann_phase`` and ``cre_phase``: the grid indices
+      and border phases of the ``<c_1>`` operand of
       :mod:`isingring.observables`;
-    - ``ann_phase`` and ``cre_phase``: ``exp(-i pi m / N)`` over ``ann`` and
-      ``exp(i pi m / N)`` over ``cre``, the Fourier phases of ``c_1^dag`` and
-      ``c_1`` at those modes, which give the operand's border columns;
-    - ``kappa``: the contraction kernel of :mod:`isingring.wick` over the
-      index differences d = m - m' in (-2N, 2N), 4N entries laid out so
-      that ``kappa[d]`` is kappa(d) under numpy's negative indexing: d >= 0
-      first, then d < 0 (and an unused 0 for d = -2N).
+    - ``kappa``: kappa(d) of :mod:`isingring.wick`, 4N entries, so that
+      ``kappa[d]`` under numpy's negative indexing is kappa(d) for every
+      d = m - m' in (-2N, 2N).
 
     The tables are read-only arrays of O(N) entries and not dataclass
     fields, so grids of one size compare and hash equal.

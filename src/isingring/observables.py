@@ -83,17 +83,11 @@ border column then gains exactly ``z 2^e``, so the returned operand's
 bordered Pfaffians are those of the full matrix.  A scaling by 2^0 is
 skipped.
 
-The per-sample cost.  Everything that depends on N alone, the grid
-indices of the operand's parts, their border phases and the kappa table
-of the cross block, is a table of the state's
-:class:`isingring.model.MomentumGrid`, built with the grid; a sample
-forms only what depends on its amplitudes.
-
-S reaches the Pfaffian as
-:meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, which takes its
-largest entry magnitude as the ``PIVOT_RTOL`` scale and skips the
-antisymmetry scan that an arbitrary matrix needs; a NaN or infinite entry
-makes that scale NaN or infinite, which raises ``ValueError``.
+The per-sample cost.  Everything that depends on N alone is a table of
+the state's :class:`isingring.model.MomentumGrid`; a sample forms only
+what depends on its amplitudes.  S, antisymmetric by construction,
+reaches the Pfaffian through
+:meth:`isingring.pfaffian.SkewMatrix.antisymmetric`, without a scan.
 
 Each BCS mode factor enters division-free through the identity
 ``eta^dag_k c^dag_{-k} |vac> = (u + v c^dag_k c^dag_{-k}) |vac>``, which
@@ -121,16 +115,12 @@ batch of its own.  With ``threads`` > 1 a batch is at most ``1/threads``
 of the schedule, and each worker evaluates a run of consecutive batches.
 
 Memory.  Each worker of a series owns one
-:class:`isingring.pfaffian.Workspace`, which lives as long as the
-``run_series`` call.  Every (dim x dim)-sized array of a batch is carved
-from it: the bra rows and the kappa gather, U and S, and the kernel's
-working array and panel product.  The pivot test fixes the operand
-dimensions before any of them is taken, so the workspace is reserved
-first, for exactly what the batch takes (:func:`_c1_entries`); a later
-batch that needs more makes it again, at least twice as large.  So the
-samples of a series reuse one block of memory, which the C allocator
-keeps instead of returning it to the system after each sample and
-faulting it back in for the next.  :func:`expectation_c1` and
+:class:`isingring.pfaffian.Workspace` for the ``run_series`` call, and
+takes every (dim x dim)-sized array of a batch in it, so the samples of a
+series reuse one block of memory instead of faulting a new one in for
+each sample.  The pivot test fixes the operand dimensions before any of
+them is taken, so :func:`_c1_entries` reserves the workspace first, for
+exactly what the batch takes.  :func:`expectation_c1` and
 :func:`magnetization` alone use a workspace of their own.
 """
 
@@ -212,24 +202,16 @@ def _c1_entries(n: int, counts) -> int:
 
 
 def _c1_stacks(states, workspace: Workspace) -> list:
-    """The ``<c_1>`` operands of states on one grid, as stacks of operands of equal dimension.
+    """The ``<c_1>`` operands S of states on one grid (see the module docstring), in stacks of equal dimension.
 
-    A state's operand is the Schur complement of its full bordered matrix
-    on the bra pairs that pass the pivot test (see the module docstring):
-    the rejected bra pairs, the ket, ``c^dag_0`` and the two border
-    columns, ``c_1`` on the odd grid (word 1) and ``c_1^dag`` on the even
-    grid (the adjoint of word 2), each without the ``N^{-1/2}`` of
-    ``c_1``.  It has dimension N + 1 + 2f for f rejected pairs, and it is
-    scaled so that its two bordered Pfaffians are those of the full matrix.
-
-    Returns ``(members, skew)`` for each dimension that occurs, fewest
-    rejected pairs first: the indices into ``states`` of the states with f
-    rejected bra pairs, ascending, and their operands as one (B, dim, dim)
-    array, antisymmetric by construction; a group of one state is its one
-    (dim, dim) matrix.  Every (dim x dim)-sized array is taken in
-    ``workspace``, which is reserved for the whole evaluation first
-    (:func:`_c1_entries`); the operands stay there, above its ``top``, and
-    the rest is freed again.
+    The border columns are ``c_1`` on the odd grid (word 1) and ``c_1^dag``
+    on the even grid (the adjoint of word 2), each without the ``N^{-1/2}``
+    of ``c_1``.  Returns ``(members, skew)`` for each dimension that
+    occurs, fewest rejected pairs first: the indices into ``states`` of the
+    states with f rejected bra pairs, ascending, and their operands as one
+    (B, dim, dim) array; a group of one state is its one (dim, dim) matrix.
+    The operands stay in ``workspace``, above its ``top``, and the rest is
+    freed again.
     """
     grid = states[0].grid
     n = grid.n_sites

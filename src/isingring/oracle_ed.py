@@ -1,10 +1,7 @@
 """Brute-force exact diagonalization in the spin basis.
 
-Independent oracle for N <= 12: exact quench/kick trajectories,
-ground-state parity checks, and the construction of the momentum-space
-sub-ground states in the spin basis (through the Jordan-Wigner map with the
-string over sites 1..j-1 and sigma^z = 2 c^dag c - 1, so spin-down is the
-fermion vacuum).  It shares no code with the Pfaffian engine.
+Independent oracle for N <= 12: exact quench/kick trajectories and
+ground-state parity checks.  It shares no code with the Pfaffian engine.
 
 The trajectories and ``ground_parity`` run in the zero-momentum sector of
 the translation T by one site.  For the trajectories this is exact: T
@@ -29,11 +26,6 @@ parity, so ``A = P^T sigma^-_1 P`` couples only the two blocks and
 ``<sigma^-_1> = c_e^dag A_eo c_o + c_o^dag A_oe c_e``: as in the paper, the
 parity-breaking magnetization is a matrix element between the sectors.
 
-The other helpers act on the full 2^N space: ``build_hamiltonian``, the
-reference the sector Hamiltonian is tested against, and the momentum-space
-sub-ground states, ferro states and cat states, in which the correspondence
-between momentum space and real space is checked.
-
 Basis convention: sigma^z product states, site 1 stored in the lowest-order
 bit, bit value 1 meaning spin up (occupied).
 """
@@ -41,46 +33,17 @@ bit, bit value 1 meaning spin up (occupied).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
-from .model import MomentumGrid
 
-__all__ = [
-    "DenseState",
-    "build_hamiltonian",
-    "ground_parity",
-    "build_momentum_sgs",
-    "ferro_state",
-    "cat_state",
-    "quench_trajectory",
-    "kick_trajectory",
-]
+__all__ = ["ground_parity", "quench_trajectory", "kick_trajectory"]
 
 MAX_SITES = 12
 #: times or kicks measured together by the trajectories, bounding their (orbits, T) arrays
 _TIME_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class DenseState:
-    """Normalized state vector in the full 2^N spin basis."""
-
-    n_sites: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_sites", model._integer(self.n_sites, "n_sites"))
-        if self.n_sites > MAX_SITES:
-            raise ValueError(f"dense oracle limited to N <= {MAX_SITES}")
-        if self.amplitudes.shape != (2**self.n_sites,):
-            raise ValueError("amplitude vector has wrong length")
-        norm = np.linalg.norm(self.amplitudes)
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
 
 
 def _sites(n_sites) -> int:
@@ -106,21 +69,6 @@ def _real_times(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return m @ z.real + 1j * (m @ z.imag)
 
 
-def build_hamiltonian(n_sites: int, g: float) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of the periodic transverse-field Ising chain."""
-    n_sites, g = _sites(n_sites), model._real(g, "g")
-    dim = 2**n_sites
-    states = np.arange(dim)
-    h = np.zeros((dim, dim))
-    # -g sum_j sigma^z_j
-    h[states, states] = -g * (2.0 * _popcount(n_sites) - n_sites)
-    # -sum_j sigma^x_j sigma^x_{j+1} with periodic closure
-    for j in range(n_sites):
-        mask = (1 << j) | (1 << ((j + 1) % n_sites))
-        h[states, states ^ mask] -= 1.0
-    return h
-
-
 def ground_parity(n_sites: int, g: float) -> str:
     """Fermion parity of the nondegenerate ground state, 'even' or 'odd'.
 
@@ -141,79 +89,6 @@ def ground_parity(n_sites: int, g: float) -> str:
     if levels[1] - levels[0] < 1e-10:
         raise ValueError("ground space is degenerate; use the cat-state basis")
     return "even" if even[0] < odd[0] else "odd"
-
-
-def _apply_cdag(psi: np.ndarray, n_sites: int, site: int) -> np.ndarray:
-    """Real-space fermion creation via the Jordan-Wigner string."""
-    dim = 2**n_sites
-    bit = 1 << (site - 1)
-    states = np.arange(dim)
-    empty = (states & bit) == 0
-    below = states & (bit - 1)
-    string = (-1) ** _popcount(n_sites)[below]
-    out = np.zeros(dim, dtype=complex)
-    src = states[empty]
-    out[src | bit] = string[empty] * psi[src]
-    return out
-
-
-def _apply_ckdag(psi: np.ndarray, n_sites: int, k: float) -> np.ndarray:
-    """Momentum-space creation ``(e^{i pi/4}/sqrt(N)) sum_j e^{ikj} c^dag_j``."""
-    out = np.zeros_like(psi, dtype=complex)
-    for j in range(1, n_sites + 1):
-        out += np.exp(1j * k * j) * _apply_cdag(psi, n_sites, j)
-    return np.exp(1j * np.pi / 4.0) / np.sqrt(n_sites) * out
-
-
-def build_momentum_sgs(n_sites: int, sector: str, g: float) -> DenseState:
-    """Momentum-space sub-ground state realized in the 2^N spin basis.
-
-    ``sector`` is 'even' or 'odd'.  Built by applying the per-mode BCS pair
-    operators (and, in the odd sector, the k = 0 occupation) to the
-    all-down vacuum through the Jordan-Wigner map.
-    """
-    n_sites, g = _sites(n_sites), model._real(g, "g")
-    grid = MomentumGrid(n_sites)
-    psi = np.zeros(2**n_sites, dtype=complex)
-    psi[0] = 1.0  # all spins down = fermion vacuum
-    if sector == "even":
-        modes = grid.plus
-    elif sector == "odd":
-        modes = grid.minus
-        psi = _apply_ckdag(psi, n_sites, 0.0)
-    else:
-        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    for k in np.pi * modes / n_sites:
-        sin_half, cos_half = model.bogoliubov_angle(k, g)
-        paired = _apply_ckdag(_apply_ckdag(psi, n_sites, -k), n_sites, k)
-        psi = cos_half * psi + sin_half * paired
-    psi /= np.linalg.norm(psi)
-    return DenseState(n_sites, psi)
-
-
-def ferro_state(n_sites: int, direction: str = "right") -> DenseState:
-    """Fully polarized product state along +x ('right') or -x ('left')."""
-    n_sites = _sites(n_sites)
-    dim = 2**n_sites
-    amp = np.full(dim, (1.0 / np.sqrt(2.0)) ** n_sites, dtype=complex)
-    if direction == "left":
-        amp *= (-1.0) ** _popcount(n_sites)
-    elif direction != "right":
-        raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
-    return DenseState(n_sites, amp)
-
-
-def cat_state(n_sites: int, parity: str) -> DenseState:
-    """Equal-weight superposition of the two ferromagnetic states."""
-    right = ferro_state(n_sites, "right").amplitudes
-    left = ferro_state(n_sites, "left").amplitudes
-    if parity == "even":
-        psi = (right + left) / np.sqrt(2.0)
-    elif parity == "odd":
-        psi = (right - left) / np.sqrt(2.0)
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return DenseState(n_sites, psi)
 
 
 def _orbit_basis(n_sites: int):
@@ -237,7 +112,7 @@ def _orbit_basis(n_sites: int):
 
 
 def _sector_hamiltonian(n_sites: int, g: float, col: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``P^T H P`` for the Hamiltonian of build_hamiltonian, without forming H.
+    """``P^T H P`` for ``H = -sum_j (sigma^x_j sigma^x_{j+1} + g sigma^z_j)``, without forming H.
 
     H commutes with T, so column r of ``P^T H P`` follows from any one member
     s of orbit r: each bond flip of s that lands in orbit t stands for the

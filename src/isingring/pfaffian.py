@@ -42,25 +42,12 @@ calls, not their arithmetic, so a stack of B members costs far less than
 B matrices one after the other.  In place updates go through named views
 (``row += x``): ``m[k, k + 1:] += x`` would also assign the view back.
 
-The operand.  An array is validated by :class:`SkewMatrix`, which scans
-it for antisymmetry (``|M + M^T|``) and stores its symmetrized copy
-``(M - M^T) / 2``.  A matrix that is antisymmetric by construction, such
-as the engine's bordered word matrix (see :mod:`isingring.observables`),
-enters through :meth:`SkewMatrix.antisymmetric`, which takes only its
-largest entry magnitude: no antisymmetry scan and no symmetrized copy.
-Every path keeps the shape and border checks and raises ``ValueError`` for
-a NaN or infinite entry.
-
-Memory.  :func:`pfaffian` copies the operand into its working array w
-and eliminates there, so the operand stays as it was and can be read
-again.  w and the panel product ``f^T m[k0:ke]`` are taken in the
-operand's :class:`Workspace`, one flat buffer that an evaluation reuses
-for all of its (n x n)-sized arrays, and freed there at the end; an
-operand without one gets a new workspace per call.  So a caller that
-keeps one workspace, as each worker of
-:func:`isingring.observables.run_series` does, allocates no (n x n)-sized
-array per Pfaffian; :func:`working_entries` tells it how many entries
-the kernel takes for an operand's shape.
+The operand is a :class:`SkewMatrix`, which validates it.  :func:`pfaffian`
+copies it into its working array w and eliminates there, so the operand
+stays as it was and can be read again.  w and the panel product
+``f^T m[k0:ke]`` are taken in the operand's :class:`Workspace` and freed
+there at the end (:func:`working_entries` counts them); an operand
+without one gets a new workspace per call.
 
 Border columns.  ``pfaffian(a, border=b)`` searches the pivots only inside
 the leading block, of odd dimension d = n - b, and carries the last b
@@ -91,9 +78,10 @@ not warn.  A product that is not finite, or falls below the smallest normal
 double, raises ``FloatingPointError`` instead of returning a silent NaN or 0.
 In a stack each member is tested against its own threshold and its own
 rows.  A member whose row is spent gets what it gets alone, exact zeros or
-its words' own Pfaffians, and leaves the stack, which goes on with the
-others.  A range error in a stack names the member, in its message and
-as the error's ``member`` attribute.
+its words' own Pfaffians, and stays in the stack: its working rows and
+coefficients are set to zero, so every later update of it adds exact
+zeros, and the others go on unchanged.  A range error in a stack names
+the member, in its message and as the error's ``member`` attribute.
 """
 
 from __future__ import annotations
@@ -374,9 +362,8 @@ def pfaffian(a, border: int = 0):
     # from it: all but its last row (all but the last two of an even block)
     d = n - border
     e = d - 2 + d % 2
-    # the operand of each member, and its result once its row is spent; each step's
-    # pivot offsets, from which a pivot below its tolerance replays the row permutation
-    members = list(range(len(operands)))
+    # each member's result once its row is spent; each step's pivot offsets, from which a
+    # pivot below its tolerance replays the row permutation
     results, sizes = [None] * len(operands), [None] * len(operands)
     offsets = []
     # each member's working copy m of its operand in rows :n and below it f, the panel's pending
@@ -403,8 +390,9 @@ def pfaffian(a, border: int = 0):
                 row += fv[..., :2 * j, k] @ w[..., k0:k, k + 1:]
             rels = np.abs(w[..., k:k + 1, k + 1:d]).argmax(-1).ravel().tolist()
             offsets.append(rels)
-            spent = []
             for i, rel in enumerate(rels):
+                if results[i] is not None:
+                    continue
                 v = views[i]
                 # Python complex arithmetic: an over- or underflow here raises no numpy warning
                 pivot = v.item(k, k + 1 + rel)
@@ -414,30 +402,24 @@ def pfaffian(a, border: int = 0):
                     v[pair, k:] = v[flip, k:]
                     v[k0:fk, pair] = v[k0:fk, flip]
                 if abs(pivot) < tols[i]:
-                    member = members[i]
                     try:
-                        result, sizes[member] = _small_pivot(
-                            operands[member], border, v[:n], v[n:], k0, k, [o[i] for o in offsets],
-                            abs(pivot), sizes[member])
+                        result, sizes[i] = _small_pivot(
+                            operands[i], border, v[:n], v[n:], k0, k, [o[i] for o in offsets],
+                            abs(pivot), sizes[i])
                     except FloatingPointError as error:
-                        raise _member_error(error, member) if stacked else error
+                        raise _member_error(error, i) if stacked else error
                     if result is not None:
-                        results[member] = result
-                        spent.append(i)
+                        results[i] = result
+                        if None not in results:
+                            space.top = mark
+                            return results if stacked else results[0]
+                        # a spent member stays in the stack as zeros, so every later update adds zeros
+                        v[...] = 0
+                        flat[2 * i] = flat[2 * i + 1] = 0
                         continue
                 pfs[i] *= -pivot if rel else pivot
                 flat[2 * i] = inverse = 1.0 / pivot
                 flat[2 * i + 1] = -inverse
-            if spent:
-                # the spent members leave the stack
-                keep = [i for i in range(len(views)) if i not in spent]
-                if not keep:
-                    space.top = mark
-                    return results if stacked else results[0]
-                w, coefficients, products = w[keep], coefficients[keep], products[:len(keep)]
-                views, fv, flat = list(w), w[:, None, n:], coefficients.reshape(-1)
-                members, pfs, tols = ([x[i] for i in keep] for x in (members, pfs, tols))
-                offsets = [[o[i] for i in keep] for o in offsets]
             if j:
                 row = w[..., k + 1:k + 2, k + 2:]
                 row += fv[..., :2 * j, k + 1] @ w[..., k0:k, k + 2:]
@@ -453,12 +435,14 @@ def pfaffian(a, border: int = 0):
     # the last block row: its entry right of the block, or its border entries
     lasts = w[..., e, e + 1:].tolist()
     space.top = mark
-    for member, pf, last in zip(members, pfs, lasts if stacked else [lasts]):
+    for i, (pf, last) in enumerate(zip(pfs, lasts if stacked else [lasts])):
+        if results[i] is not None:
+            continue
         values = [pf * x for x in last]
         if not _representable(pf) or any(x and not _representable(v) for x, v in zip(last, values)):
             error = FloatingPointError(
                 f"the product of the pivots ({pf}) or a result ({values}) over- or underflows double precision"
             )
-            raise _member_error(error, member) if stacked else error
-        results[member] = tuple(values) if border else values[0]
+            raise _member_error(error, i) if stacked else error
+        results[i] = tuple(values) if border else values[0]
     return results if stacked else results[0]

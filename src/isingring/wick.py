@@ -19,19 +19,9 @@ b_i c^dag_{m'_i}``, held as two (2, L) arrays: the grid indices ``(m, m')``
 and the coefficients ``(a, b)``, a zero coefficient leaving that part out.
 The contraction of factors i < j is ``a_i kappa(m_i - m'_j) b_j``, and the
 word's vacuum expectation is the Pfaffian of the antisymmetric L x L matrix
-with these contractions above the diagonal.
-
-Words that differ in one factor share every other contraction.  A
-Pfaffian is linear in any one row, so moving that factor's row and column
-to the end (which multiplies the Pfaffian by the sign of the move) leaves
-a common leading block and one border column per word:
-``vacuum_expectation(skew, border=b)`` evaluates all b words from one
-elimination of the block, in which the border columns only ride along.
-
-Words of equal length evaluate together as a stack: a (B, L, L) array of
-their matrices, or coefficient arrays with a leading axis in
-:func:`contractions`, gives the B results from one gather and one
-elimination of the stack (see :mod:`isingring.pfaffian`).
+with these contractions above the diagonal.  Words that differ in one
+factor, and words of equal length, evaluate together
+(:func:`vacuum_expectation`).
 """
 
 from __future__ import annotations
@@ -87,26 +77,19 @@ def contractions(index, coeff, grid: MomentumGrid, out=None, workspace: Workspac
 def vacuum_expectation(skew: np.ndarray, border: int = 0):
     """Vacuum expectation value of an ordered product of L factors, or of ``border`` such products.
 
-    ``skew`` is the word's antisymmetric contraction matrix, an array or a
-    :class:`isingring.pfaffian.SkewMatrix`, entry (i, j) for i < j being
-    the contraction of factors i and j (the upper triangle of
-    :func:`contractions`).  Wick's theorem makes the expectation its
-    Pfaffian.  With ``border`` = b > 0, ``skew`` holds b words that share
-    the factors of its leading block and differ in one more factor, whose
-    row and column come last: one of the b border columns each.  The result
-    is then a tuple, the i-th entry being the expectation of word i times
-    the sign of moving that factor to the end.  Without a border, an
-    odd-length word vanishes by parity and the empty word gives 1; with
-    one, every word goes to :func:`isingring.pfaffian.pfaffian`, which
-    rejects a leading block that is not odd.
-
-    A (B, L, L) stack of such matrices, words of equal length, gives the
-    list of the B results from one elimination of the stack.
-
-    The matrix need not be a word's own contraction matrix: any matrix with
-    the same Pfaffians will do.  :mod:`isingring.observables` passes that of
-    the ket word in the bra's Thouless vacuum, the Schur complement of the
-    bra's BCS pairs, scaled so that its Pfaffians are the full words'.
+    ``skew`` is the word's contraction matrix (the upper triangle of
+    :func:`contractions`), an array or a
+    :class:`isingring.pfaffian.SkewMatrix`, or any matrix with the same
+    Pfaffians, such as the operand of :mod:`isingring.observables`.  With
+    ``border`` = b > 0 it holds b words that share the factors of its
+    leading block and differ in one more factor, whose row and column come
+    last: one border column each.  The result is then a tuple, the i-th
+    entry being the expectation of word i times the sign of moving that
+    factor to the end.  A (B, L, L) stack of words of equal length gives
+    the list of the B results.  Without a border, an odd-length word
+    vanishes by parity and the empty word gives 1; with one, every word
+    goes to :func:`isingring.pfaffian.pfaffian`, which rejects a leading
+    block that is not odd.
     """
     entries = skew.entries if isinstance(skew, SkewMatrix) else np.asarray(skew)
     length, border = entries.shape[-1], _integer(border, "border")

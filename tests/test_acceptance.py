@@ -13,6 +13,7 @@ from isingring.dynamics import DriverSpec
 from isingring.model import MomentumGrid, cat_norm_identity, chord_excess, delta_l, gap_delta
 from isingring.observables import run_series
 from isingring.pfaffian import pfaffian
+from tests_support import build_hamiltonian, build_momentum_sgs, cat_state
 
 THREADS = 4
 
@@ -162,13 +163,13 @@ def test_criterion_07_cat_states_equal_momentum_ground_states():
     worst = 0.0
     for n in (4, 6, 8, 10):
         even_overlap = np.vdot(
-            oracle_ed.cat_state(n, "even").amplitudes,
-            oracle_ed.build_momentum_sgs(n, "even", 0.0).amplitudes,
+            cat_state(n, "even").amplitudes,
+            build_momentum_sgs(n, "even", 0.0).amplitudes,
         )
         odd_overlap = np.vdot(
-            oracle_ed.cat_state(n, "odd").amplitudes,
+            cat_state(n, "odd").amplitudes,
             np.exp(-1j * np.pi / 4.0)
-            * oracle_ed.build_momentum_sgs(n, "odd", 0.0).amplitudes,
+            * build_momentum_sgs(n, "odd", 0.0).amplitudes,
         )
         worst = max(worst, abs(even_overlap - 1.0), abs(odd_overlap - 1.0))
     _report(
@@ -186,7 +187,7 @@ def test_criterion_08_ground_state_parity_and_energy():
     for n in (4, 6, 8, 10):
         for g in (0.5, 1.0, 1.5):
             ok = ok and oracle_ed.ground_parity(n, g) == "even"
-            e_ground = np.linalg.eigvalsh(oracle_ed.build_hamiltonian(n, g))[0]
+            e_ground = np.linalg.eigvalsh(build_hamiltonian(n, g))[0]
             e_plus, _ = sgs_energies(MomentumGrid(n), g)
             worst = max(worst, abs(e_ground - e_plus))
     _report(

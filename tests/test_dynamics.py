@@ -116,12 +116,21 @@ class TestInitFerro:
     @pytest.mark.parametrize("field, value", [
         ("grid", 6), ("gamma", True), ("gamma", "0.5"), ("gamma", np.nan), ("gamma", np.inf),
         ("time", np.True_), ("time", "x"), ("time", np.nan), ("time", -np.inf),
+        # amplitudes of the right shape but not complex128, the real ones normalized as init_ferro's
+        ("u", np.array(["a"] * 5)), ("u", np.sin(MomentumGrid(6).momenta / 2.0)),
+        ("v", np.cos(MomentumGrid(6).momenta / 2.0)), ("v", np.ones(5, dtype=np.int64)),
     ])
     def test_bad_field_rejected(self, field, value):
         state = init_ferro(MomentumGrid(6))
         fields = {"grid": state.grid, "u": state.u, "v": state.v, "gamma": 0.0, "time": 0.0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SystemState(**fields)
+
+    def test_state_equals_only_itself(self):
+        grid = MomentumGrid(6)
+        state, twin = init_ferro(grid), init_ferro(grid)
+        assert state == state and state != twin
+        assert len({state, twin, state}) == 2
 
     def test_scalar_fields_stored_as_floats(self):
         state = init_ferro(MomentumGrid(6))

@@ -23,6 +23,7 @@ from isingring.pfaffian import SkewMatrix, Workspace, pfaffian
 from isingring.wick import contractions
 from tests_support import (
     bcs_amplitudes,
+    build_hamiltonian,
     c1_bordered,
     c1_bordered_reference,
     c1_words_dense,
@@ -30,6 +31,7 @@ from tests_support import (
     dense_skew,
     evolve_exact,
     expectation_c1_reference,
+    ferro_state,
     measure,
     pair_rows_pivot_reference,
     pfaffian_reference,
@@ -87,8 +89,8 @@ class TestAgainstDenseOracle:
         n = 6
         state = evolve_quench(init_ferro(MomentumGrid(n)), 1.3, 0.8)
         sample = magnetization(state)
-        h = oracle_ed.build_hamiltonian(n, 1.3)
-        psi = evolve_exact(oracle_ed.ferro_state(n), h, 0.8)
+        h = build_hamiltonian(n, 1.3)
+        psi = evolve_exact(ferro_state(n), h, 0.8)
         assert sample.mx == pytest.approx(n * measure(psi, "x", 1), abs=1e-10)
         assert sample.my == pytest.approx(n * measure(psi, "y", 1), abs=1e-10)
         mz_exact = sum(measure(psi, "z", j) for j in range(1, n + 1))

@@ -7,19 +7,15 @@ import pytest
 
 from isingring import oracle_ed
 from isingring.model import MomentumGrid, dispersion, sgs_energies
-from isingring.oracle_ed import (
+from isingring.oracle_ed import ground_parity, kick_trajectory, quench_trajectory
+from tests_support import (
     DenseState,
+    apply_kick,
     build_hamiltonian,
     build_momentum_sgs,
     cat_state,
-    ferro_state,
-    ground_parity,
-    kick_trajectory,
-    quench_trajectory,
-)
-from tests_support import (
-    apply_kick,
     evolve_exact,
+    ferro_state,
     ground_parity_full_space,
     isometry,
     measure,

@@ -540,17 +540,30 @@ class TestStacks:
         # the same matrices as a 5 x 5 block with its last column as the border
         assert pfaffian(stack, 1) == [pfaffian(a * s, 1) for s in (1e20, 1e-20)]
 
-    def test_spent_members_give_what_they_give_alone(self):
-        # exact zeros (a rank-deficient block), each word's own Pfaffian (a null row met only by
-        # the border), and ordinary members around them; the spent members leave the stack
-        d, border = 9, 2
+    @pytest.mark.parametrize("d", [9, PANEL + 7])
+    def test_spent_members_give_what_they_give_alone(self, d, monkeypatch):
+        # exact zeros (a rank-deficient block, spent at step k = 4), each word's own Pfaffian (a
+        # null row met only by the border, spent when the elimination reaches it at k = d - 5),
+        # and ordinary members around them; a spent member stays in the stack as zeros. At
+        # d = PANEL + 7 the null row is reached in the second panel, after a panel product
+        border, null = 2, d - 5
         zeros = random_bordered(d, border, 3, rank=4)
         words = random_bordered(d, border, 17)
-        words[4, :d], words[:d, 4] = 0.0, 0.0
+        words[null, :d], words[:d, null] = 0.0, 0.0
         members = [random_bordered(d, border, 1), zeros, words, random_bordered(d, border, 2)]
         alone = [pfaffian(m, border) for m in members]
         assert alone[1] == (0.0 + 0.0j,) * border and 0.0 not in alone[2]
+        spent_at, small_pivot = [], isingring.pfaffian._small_pivot
+
+        def recorded(*args):
+            result = small_pivot(*args)
+            if result[0] is not None:
+                spent_at.append(args[5])
+            return result
+
+        monkeypatch.setattr(isingring.pfaffian, "_small_pivot", recorded)
         assert pfaffian(np.stack(members), border) == alone
+        assert sorted(spent_at) == [4, null]
         # every member spent
         assert pfaffian(np.stack([zeros, zeros]), border) == [alone[1]] * 2
         assert pfaffian(np.zeros((3, 4, 4))) == [0.0] * 3

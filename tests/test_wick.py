@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from isingring import oracle_ed
 from isingring.model import MomentumGrid, bogoliubov_angle
 from isingring.pfaffian import PfaffianDimensionError, pfaffian
 from isingring.wick import contractions, vacuum_expectation
@@ -12,9 +11,11 @@ from tests_support import (
     ODD,
     FermionWord,
     ModeIndex,
+    _apply_ckdag,
     as_word,
     bcs_amplitudes,
     bra_word,
+    build_momentum_sgs,
     contraction_kernel,
     dense_expectation,
     dense_kernel,
@@ -311,15 +312,13 @@ class TestInnerProductImn:
             k = mode.momentum
             ket.append((mode, np.sin(k / 2.0), np.cos(k / 2.0)))
 
-        even = oracle_ed.build_momentum_sgs(n_sites, "even", 0.0).amplitudes
+        even = build_momentum_sgs(n_sites, "even", 0.0).amplitudes
         psi = np.zeros(2**n_sites, dtype=complex)
         psi[0] = 1.0
         for mode in minus_modes(grid):
             k = mode.momentum
             sin_half, cos_half = bogoliubov_angle(k, 0.0)
-            paired = oracle_ed._apply_ckdag(
-                oracle_ed._apply_ckdag(psi, n_sites, -k), n_sites, k
-            )
+            paired = _apply_ckdag(_apply_ckdag(psi, n_sites, -k), n_sites, k)
             psi = cos_half * psi + sin_half * paired
         dense = np.vdot(even, psi)
 

@@ -1,11 +1,13 @@
-"""Shared helpers for tests: the reference oracles (the unblocked Pfaffian,
-dense coefficient-array words and their dense contraction kernel, the dense
-two-word ``<c_1>`` fill, the full bordered ``<c_1>`` matrix and its word
-fills, dict-operator BCS words, the per-word ``<c_1>``, the scalar
-contraction kernel, the explicit overlap formula, the per-mode propagator
-and mode Hamiltonians, full-space evolution, kicks, measurement,
-ground-state parity, the dense zero-momentum isometry, and the parity gap
-as the chord sum in mpmath).  A
+"""Shared helpers for tests: the full 2^N spin-basis states and Hamiltonian
+(ferro, cat and momentum-space sub-ground states, in which the paper's
+correspondence between momentum space and real space is checked), and the
+reference oracles (the unblocked Pfaffian, dense coefficient-array words
+and their dense contraction kernel, the dense two-word ``<c_1>`` fill, the
+full bordered ``<c_1>`` matrix and its word fills, dict-operator BCS
+words, the per-word ``<c_1>``, the scalar contraction kernel, the explicit
+overlap formula, the per-mode propagator and mode Hamiltonians, full-space
+evolution, kicks, measurement, ground-state parity, the dense
+zero-momentum isometry, and the parity gap as the chord sum in mpmath).  A
 reference operator is a pair ``(ann, cre)`` of dicts
 ``{ModeIndex: coefficient}``.  :class:`ModeIndex`, a mode named by sector
 and grid index, lives here because only these oracles use it; the engine
@@ -16,11 +18,121 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isingring import observables
-from isingring.model import mode_coefficients
-from isingring.oracle_ed import DenseState, _popcount, _sites, build_hamiltonian
+from isingring import model, observables
+from isingring.model import MomentumGrid, mode_coefficients
+from isingring.oracle_ed import MAX_SITES, _popcount, _sites
 from isingring.pfaffian import PIVOT_RTOL, SkewMatrix, Workspace, pfaffian
 from isingring.wick import contractions, vacuum_expectation
+
+
+@dataclass(frozen=True)
+class DenseState:
+    """Normalized state vector in the full 2^N spin basis."""
+
+    n_sites: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_sites", model._integer(self.n_sites, "n_sites"))
+        if self.n_sites > MAX_SITES:
+            raise ValueError(f"dense oracle limited to N <= {MAX_SITES}")
+        if self.amplitudes.shape != (2**self.n_sites,):
+            raise ValueError("amplitude vector has wrong length")
+        norm = np.linalg.norm(self.amplitudes)
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"state not normalized: |psi| = {norm}")
+
+
+def build_hamiltonian(n_sites: int, g: float) -> np.ndarray:
+    """Dense 2^N x 2^N matrix of the periodic transverse-field Ising chain."""
+    n_sites, g = _sites(n_sites), model._real(g, "g")
+    dim = 2**n_sites
+    states = np.arange(dim)
+    h = np.zeros((dim, dim))
+    # -g sum_j sigma^z_j
+    h[states, states] = -g * (2.0 * _popcount(n_sites) - n_sites)
+    # -sum_j sigma^x_j sigma^x_{j+1} with periodic closure
+    for j in range(n_sites):
+        mask = (1 << j) | (1 << ((j + 1) % n_sites))
+        h[states, states ^ mask] -= 1.0
+    return h
+
+
+def _apply_cdag(psi: np.ndarray, n_sites: int, site: int) -> np.ndarray:
+    """Real-space fermion creation ``c^dag_site`` via the Jordan-Wigner map.
+
+    The string runs over sites 1..site-1 and sigma^z = 2 c^dag c - 1, so
+    spin-down is the fermion vacuum.
+    """
+    dim = 2**n_sites
+    bit = 1 << (site - 1)
+    states = np.arange(dim)
+    empty = (states & bit) == 0
+    below = states & (bit - 1)
+    string = (-1) ** _popcount(n_sites)[below]
+    out = np.zeros(dim, dtype=complex)
+    src = states[empty]
+    out[src | bit] = string[empty] * psi[src]
+    return out
+
+
+def _apply_ckdag(psi: np.ndarray, n_sites: int, k: float) -> np.ndarray:
+    """Momentum-space creation ``(e^{i pi/4}/sqrt(N)) sum_j e^{ikj} c^dag_j``."""
+    out = np.zeros_like(psi, dtype=complex)
+    for j in range(1, n_sites + 1):
+        out += np.exp(1j * k * j) * _apply_cdag(psi, n_sites, j)
+    return np.exp(1j * np.pi / 4.0) / np.sqrt(n_sites) * out
+
+
+def build_momentum_sgs(n_sites: int, sector: str, g: float) -> DenseState:
+    """Momentum-space sub-ground state realized in the 2^N spin basis.
+
+    ``sector`` is 'even' or 'odd'.  Built by applying the per-mode BCS pair
+    operators (and, in the odd sector, the k = 0 occupation) to the
+    all-down vacuum through the Jordan-Wigner map.
+    """
+    n_sites, g = _sites(n_sites), model._real(g, "g")
+    grid = MomentumGrid(n_sites)
+    psi = np.zeros(2**n_sites, dtype=complex)
+    psi[0] = 1.0  # all spins down = fermion vacuum
+    if sector == "even":
+        modes = grid.plus
+    elif sector == "odd":
+        modes = grid.minus
+        psi = _apply_ckdag(psi, n_sites, 0.0)
+    else:
+        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
+    for k in np.pi * modes / n_sites:
+        sin_half, cos_half = model.bogoliubov_angle(k, g)
+        paired = _apply_ckdag(_apply_ckdag(psi, n_sites, -k), n_sites, k)
+        psi = cos_half * psi + sin_half * paired
+    psi /= np.linalg.norm(psi)
+    return DenseState(n_sites, psi)
+
+
+def ferro_state(n_sites: int, direction: str = "right") -> DenseState:
+    """Fully polarized product state along +x ('right') or -x ('left')."""
+    n_sites = _sites(n_sites)
+    dim = 2**n_sites
+    amp = np.full(dim, (1.0 / np.sqrt(2.0)) ** n_sites, dtype=complex)
+    if direction == "left":
+        amp *= (-1.0) ** _popcount(n_sites)
+    elif direction != "right":
+        raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
+    return DenseState(n_sites, amp)
+
+
+def cat_state(n_sites: int, parity: str) -> DenseState:
+    """Equal-weight superposition of the two ferromagnetic states."""
+    right = ferro_state(n_sites, "right").amplitudes
+    left = ferro_state(n_sites, "left").amplitudes
+    if parity == "even":
+        psi = (right + left) / np.sqrt(2.0)
+    elif parity == "odd":
+        psi = (right - left) / np.sqrt(2.0)
+    else:
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return DenseState(n_sites, psi)
 
 
 #: sector labels: EVEN carries the half-integer grid, ODD the integer grid
