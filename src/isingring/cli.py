@@ -109,12 +109,15 @@ def validate_suite(threads=1):
     Quenches at N = 4, 6, 8, 10 to g_f = 0.5, 1, 1.5, sampled at
     t = 0, 0.25, ..., 5, and 20 kicks of (g, tau, epsilon) = (0.5, 0.5, 0.02)
     at N = 8.  A case passes when every component is within
-    ``VALIDATION_TOL`` of ED.  Returns a machine-readable report.
+    ``VALIDATION_TOL`` of ED.  Each ring size's ``MomentumGrid`` and ED
+    sector (:func:`isingring.oracle_ed.ring_sector`) are built once, for
+    all its cases.  Returns a machine-readable report.
     """
     report = {"tolerance": VALIDATION_TOL, "cases": [], "passed": True}
+    rings = {n: (MomentumGrid(n), oracle_ed.ring_sector(n)) for n in (4, 6, 8, 10)}
 
     def check(case, driver, schedule, exact):
-        samples = run_series(driver, MomentumGrid(case["n_sites"]), schedule, threads=threads)
+        samples = run_series(driver, rings[case["n_sites"]][0], schedule, threads=threads)
         dev = _ed_deviation(samples, exact)
         case.update({"max_dev_mx": float(dev[0]), "max_dev_my": float(dev[1]),
                      "max_dev_mz": float(dev[2]), "pass": bool(dev.max() < VALIDATION_TOL)})
@@ -122,13 +125,13 @@ def validate_suite(threads=1):
         report["passed"] = report["passed"] and case["pass"]
 
     times = 0.25 * np.arange(21)
-    for n in (4, 6, 8, 10):
+    for n, (_, sector) in rings.items():
         for g_f in (0.5, 1.0, 1.5):
             check({"driver": "quench", "n_sites": n, "g_f": g_f}, DriverSpec("quench", g_f=g_f),
-                  times, oracle_ed.quench_trajectory(n, g_f, times))
+                  times, oracle_ed.quench_trajectory(n, g_f, times, sector=sector))
     kick = {"g": 0.5, "tau": 0.5, "epsilon": 0.02}
     check({"driver": "kick", "n_sites": 8, **kick}, DriverSpec("kick", **kick), range(1, 21),
-          oracle_ed.kick_trajectory(8, n_kicks=20, **kick))
+          oracle_ed.kick_trajectory(8, n_kicks=20, sector=rings[8][1], **kick))
     return report
 
 

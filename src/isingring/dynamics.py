@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MomentumGrid, _integer, _real
+from .model import _PHASE_MAX, MomentumGrid, _field, _integer, _real
 
 __all__ = ["SystemState", "DriverSpec", "init_ferro", "evolve_quench", "evolve_kick_step"]
 
@@ -120,7 +120,15 @@ def _propagate(state: SystemState, g: float, t: float, phi: float = 0.0, kicks: 
     [[alpha, beta], [-conj beta, conj alpha]]`` is in SU(2).  Its power is
     ``cos(n theta) I + sin(n theta) / sin(theta) (F - cos(theta) I)``; theta
     comes from atan2, which keeps full precision near ``F = +-I``.
+
+    ``g`` has passed :func:`isingring.model._field`.  Every ``w`` is at most
+    ``2 (|g| + 1)``, so a bound ``2 (|g| + 1) |t| kicks`` above 2^1023, which
+    would let a phase ``w t`` or gamma leave the double range, raises
+    ``ValueError`` before any trigonometry.
     """
+    if not 2.0 * (abs(g) + 1.0) * abs(t) * kicks <= _PHASE_MAX:
+        span = f"time {t!r}" if kicks == 1 else f"{kicks} periods of time {t!r}"
+        raise ValueError(f"the mode phases at field {g!r} over {span} exceed 2^1023")
     grid, u, v = state.grid, state.u, state.v
     # minus (a, b) = mode_coefficients(k, g), from the tables
     minus_a, minus_b = -2.0 * (grid.cos_k + g), 2.0 * grid.sin_k
@@ -155,7 +163,7 @@ def evolve_quench(state: SystemState, g_f: float, dt: float) -> SystemState:
     The special-mode phase integrates to ``gamma -= 2 dt`` independently of
     ``g_f`` (the two diagonal special-mode entries sum to -4).
     """
-    return _propagate(state, _real(g_f, "g_f"), _real(dt, "dt", lower=0))
+    return _propagate(state, _field(g_f, "g_f"), _real(dt, "dt", lower=0))
 
 
 def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float,
@@ -169,5 +177,8 @@ def evolve_kick_step(state: SystemState, g: float, tau: float, epsilon: float,
     only accumulates the Hamiltonian part -2 tau per kick.  Any number of
     kicks costs one closed-form Floquet power.
     """
-    g, tau, epsilon = (_real(x, name) for x, name in ((g, "g"), (tau, "tau"), (epsilon, "epsilon")))
-    return _propagate(state, g, tau, np.pi * (1.0 - epsilon), _kick_count(kicks))
+    g, tau, epsilon = _field(g, "g"), _real(tau, "tau"), _real(epsilon, "epsilon")
+    phi = np.pi * (1.0 - epsilon)
+    if not abs(phi) <= _PHASE_MAX:
+        raise ValueError(f"the kick angle pi (1 - epsilon) at epsilon = {epsilon!r} exceeds 2^1023")
+    return _propagate(state, g, tau, phi, _kick_count(kicks))

@@ -115,12 +115,42 @@ def _complex(value, name: str) -> complex:
     return complex(value)
 
 
+def _sequence(values, name: str):
+    """``values`` itself, a one-dimensional sequence; an array of another shape or a number raises ValueError naming ``name``."""
+    if getattr(values, "ndim", 0 if isinstance(values, numbers.Number) else 1) != 1:
+        got = f"an array of shape {values.shape}" if isinstance(values, np.ndarray) else repr(values)
+        raise ValueError(f"{name} must be a one-dimensional sequence, got {got}")
+    return values
+
+
 def _reals(values, name: str) -> np.ndarray:
-    """``values`` as a float array; an entry that :func:`_real` rejects raises ``ValueError`` naming ``name``."""
+    """``values``, a one-dimensional sequence (:func:`_sequence`), as a float array.
+
+    An entry that :func:`_real` rejects raises ``ValueError`` naming ``<name> entry``.
+    """
+    _sequence(values, name)
     # a finite float or integer array passes whole; numpy would cast a bool or a str in a sequence to its dtype
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and np.isfinite(values).all():
         return values.astype(float)
-    return np.array([_real(x, name) for x in values], dtype=float)
+    return np.array([_real(x, f"{name} entry") for x in values], dtype=float)
+
+
+#: the largest magnitude a mode coefficient, an energy or a phase of a drive may reach: half the largest
+#: double, so that a bound on it computed with a few roundings cannot pass a value that overflows
+_PHASE_MAX = 2.0**1023
+
+
+def _field(g, name: str) -> float:
+    """``g`` as a float field with ``4 (|g| + 1) <= 2^1023``; another raises ValueError naming ``name``.
+
+    Every mode coefficient ``2 (cos k + g)`` and mode energy is at most
+    ``2 (|g| + 1)``, so they and their sums and differences, such as
+    ``bogoliubov_angle``'s ``lam + a``, stay within 2^1023.
+    """
+    g = _real(g, name)
+    if not 4.0 * (abs(g) + 1.0) <= _PHASE_MAX:
+        raise ValueError(f"{name} must satisfy 4 (|{name}| + 1) <= 2^1023, got {g!r}")
+    return g
 
 
 def _integer(value, name: str, lower: int | None = None) -> int:
@@ -163,12 +193,18 @@ def bogoliubov_angle(k: float, g: float):
 
 def mode_coefficients(k, g):
     """``(a, b) = (2 (cos k + g), -2 sin k)`` of ``H_k = [[a, b], [b, -a]]``, k scalar or array."""
-    return 2.0 * (np.cos(k) + _real(g, "g")), -2.0 * np.sin(k)
+    return 2.0 * (np.cos(k) + _field(g, "g")), -2.0 * np.sin(k)
 
 
 def sgs_energies(grid: MomentumGrid, g: float):
-    """Energies of the even and odd sub-ground states ``(e_plus, e_minus)``."""
-    h = grid.n_sites // 2
+    """Energies of the even and odd sub-ground states ``(e_plus, e_minus)``.
+
+    Each is a sum of at most N/2 mode energies of at most ``2 (|g| + 1)``,
+    so ``N (|g| + 1)`` above 2^1023 raises ``ValueError`` naming g.
+    """
+    g, h = _field(g, "g"), grid.n_sites // 2
+    if not grid.n_sites * (abs(g) + 1.0) <= _PHASE_MAX:
+        raise ValueError(f"the sub-ground-state energies at g = {g!r} exceed 2^1023 for N = {grid.n_sites}")
     e_plus = -float(dispersion(grid.momenta[:h], g).sum())
     e_minus = -float(dispersion(grid.momenta[h:], g).sum()) - 2.0
     return e_plus, e_minus

@@ -74,14 +74,20 @@ The exponent fold.  ``prod_k alpha_k`` leaves the double range at large
 N (about 1e-680 for 400 pairs with |u| = 0.02), so it is never formed as
 one double: :func:`_pair_product` keeps it as ``z 2^e``, a mantissa
 ``1/2 <= |z| < 1`` and an exact integer e, renormalizing with ``frexp``
-and ``ldexp``.  z multiplies both border columns.  2^e is spread over S as
-an exact power-of-two scaling: with L leading rows and
+and ``ldexp`` whenever the running product leaves (2^-500, 2^500), and
+once at the end.  z multiplies both border columns.  2^e is spread over S
+as an exact power-of-two scaling: with L leading rows and
 ``e = q (L + 1) + r``, ``0 <= r <= L``, entry (i, j) is multiplied by
 ``2^(t_i + t_j)``, where t is q + 1 on the first r rows and q on the rest
 and on the borders.  Each even matrix of the leading block and one
 border column then gains exactly ``z 2^e``, so the returned operand's
-bordered Pfaffians are those of the full matrix.  A scaling by 2^0 is
-skipped.
+bordered Pfaffians are those of the full matrix.  A stack takes its
+members' row scales 2^t as one (B, dim) array and multiplies by it
+twice, broadcast over the rows and over the columns.  A single matrix
+is multiplied by ``2^(2q)`` and then has its first r rows and columns
+doubled, and a scaling by 2^0 is skipped.  Every rescaling is exact
+while the entries stay normal, so a member's operand in a stack is bit
+for bit the one it has alone.
 
 The per-sample cost.  Everything that depends on N alone is a table of
 the state's :class:`isingring.model.MomentumGrid`; a sample forms only
@@ -134,7 +140,7 @@ from itertools import compress, groupby
 import numpy as np
 
 from .dynamics import DriverSpec, SystemState, _kick_count, evolve_kick_step, evolve_quench, init_ferro
-from .model import MomentumGrid, _complex, _integer, _reals
+from .model import MomentumGrid, _complex, _integer, _reals, _sequence
 from .pfaffian import SkewMatrix, Workspace, working_entries
 from .wick import contractions, vacuum_expectation
 
@@ -156,6 +162,10 @@ PAIR_RTOL = 0.01
 #: N = 100 and 3 at N = 200, was faster per sample than 4 MiB at both
 _BATCH_BYTES = 1 << 21
 
+#: _pair_product renormalizes its running product only outside this range of moduli; an accepted
+#: factor has PAIR_RTOL < |alpha| <= 1 + NORM_TOL, so no partial product leaves the normal range
+_PRODUCT_LOW, _PRODUCT_HIGH = 2.0**-500, 2.0**500
+
 
 @dataclass(frozen=True)
 class MagnetizationSample:
@@ -170,17 +180,26 @@ class MagnetizationSample:
 def _pair_product(alpha):
     """``prod(alpha)`` as ``(z, e)``, ``prod(alpha) = z 2^e`` with ``1/2 <= |z| < 1``.
 
-    ``alpha`` is an iterable of Python complex numbers.  After each factor
-    the running product is divided by its own power of two (``frexp``,
-    then an exact ``ldexp``) and the power is added to the integer ``e``,
-    so no partial product leaves the double range.
+    ``alpha`` is an iterable of Python complex numbers, each of modulus in
+    (2^-500, 2^500).  The running product is divided by its own power of
+    two (``frexp``, then an exact ``ldexp``), and the power added to the
+    integer ``e``, only when its modulus leaves (2^-500, 2^500), and once at
+    the end, so no partial product leaves the normal range.  Each rescaling
+    is exact, so ``(z, e)`` is the pair that renormalizing after every
+    factor gives.  The empty product is ``(1, 0)``.
     """
-    z, e = 1.0 + 0.0j, 0
-    for x in alpha:
+    z, e, factors = 1.0 + 0.0j, 0, 0
+    for factors, x in enumerate(alpha, 1):
         z *= x
-        shift = math.frexp(abs(z))[1]
-        z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
-    return z, e
+        if not _PRODUCT_LOW < abs(z) < _PRODUCT_HIGH:
+            z, e = _renormalized(z, e)
+    return _renormalized(z, e) if factors else (z, e)
+
+
+def _renormalized(z: complex, e: int):
+    """``z 2^e`` as ``(z 2^-s, e + s)``, with s the exponent of |z|, so that ``1/2 <= |z 2^-s| < 1``."""
+    shift = math.frexp(abs(z))[1]
+    return complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
 
 
 def _c1_entries(n: int, counts) -> int:
@@ -294,13 +313,19 @@ def _c1_stacks(states, workspace: Workspace) -> list:
         workspace.top = mark
 
         # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
-        # (scaled in place through named views, which ``x[:r] *= 2`` would assign back)
-        for member, i in zip(skew if group else [skew], range(start, stop)):
-            q, r = divmod(e[i], dim - 1)
+        if group:
+            # row i of member b gains 2^t, t = q_b + [i < r_b], and so does column i
+            q, r = np.divmod(e[start:stop], dim - 1)
+            scale = np.ldexp(1.0, q[:, None] + (np.arange(dim) < r[:, None]))
+            skew *= scale[:, :, None]
+            skew *= scale[:, None, :]
+        else:
+            # one matrix, scaled in place through named views, which ``x[:r] *= 2`` would assign back
+            q, r = divmod(e[start], dim - 1)
             if q:
-                member *= math.ldexp(1.0, 2 * q)
+                skew *= math.ldexp(1.0, 2 * q)
             if r:
-                top, left = member[:r], member[:, :r]
+                top, left = skew[:r], skew[:, :r]
                 top *= 2.0
                 left *= 2.0
         stacks.append((order[start:stop], skew))
@@ -375,8 +400,8 @@ def run_series(driver: DriverSpec, grid: MomentumGrid, schedule, threads: int = 
     """
     threads = _integer(threads, "threads", lower=1)
     # every entry is checked before any work, as a real and, in a kick schedule, as a kick count
-    schedule = list(schedule)
-    reals = _reals(schedule, "schedule entry").tolist()
+    schedule = list(_sequence(schedule, "schedule"))
+    reals = _reals(schedule, "schedule").tolist()
     schedule = [_kick_count(n, "kick schedule entry") for n in schedule] if driver.kind == "kick" else reals
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")

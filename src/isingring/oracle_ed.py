@@ -10,7 +10,12 @@ z of every spin alike, and the +x ferro state is T-invariant, so the state
 never leaves the eigenvalue-1 space of T.  ``ground_parity`` explains why
 the ground state of each parity lies there too.  That space is spanned by
 one normalized orbit sum per translation orbit of basis states (108 at
-N = 10 and 352 at N = 12, against 2^N).
+N = 10 and 352 at N = 12, against 2^N).  What of the sector depends on N
+alone (the bond part of the Hamiltonian, the sigma^-_1 blocks, the ferro
+state and the sigma^z totals) is one :func:`ring_sector`, which the
+trajectories of one ring size share through their ``sector`` argument:
+the validation suite builds one per ring size, and each trajectory adds
+only its field's term and eigensolves.
 
 Every orbit has a single popcount, so a single fermion parity, and both
 the Hamiltonian and the kick conserve the parity.  With the even orbits
@@ -39,7 +44,7 @@ import numpy as np
 
 from . import model
 
-__all__ = ["ground_parity", "quench_trajectory", "kick_trajectory"]
+__all__ = ["ground_parity", "quench_trajectory", "kick_trajectory", "ring_sector"]
 
 MAX_SITES = 12
 #: times or kicks measured together by the trajectories, bounding their (orbits, T) arrays
@@ -83,8 +88,10 @@ def ground_parity(n_sites: int, g: float) -> str:
     near-degeneracy with the other parity's ground state shows up there too.
     """
     n_sites, g = _sites(n_sites), model._real(g, "g")
-    sector = _parity_blocks(n_sites, g)
-    even, odd = sector.energies[:sector.even], sector.energies[sector.even:]
+    _energy_bound(n_sites, g, "g")
+    sector = ring_sector(n_sites)
+    energies, _ = _eigensystem(sector, g)
+    even, odd = energies[:sector.even], energies[sector.even:]
     levels = np.sort(np.concatenate([even[:2], odd[:2]]))
     if levels[1] - levels[0] < 1e-10:
         raise ValueError("ground space is degenerate; use the cat-state basis")
@@ -133,30 +140,34 @@ def _sector_hamiltonian(n_sites: int, g: float, col: np.ndarray, weight: np.ndar
     return h
 
 
-class _ParityBlocks(NamedTuple):
-    """The zero-momentum sector at one field, split by fermion parity.
+class _RingSector(NamedTuple):
+    """The zero-momentum sector of one ring size, all of it that does not depend on the field.
 
-    Orbits ``[:even]`` have even parity and the rest odd.  ``energies``
-    holds the levels of the even block, then those of the odd block, and
-    ``vectors`` the eigenvectors of each block.
+    Orbits ``[:even]`` have even parity and the rest odd.  Its arrays are
+    read-only, so one sector serves every trajectory of its ring size.
     """
 
     n_sites: int
     even: int
-    energies: np.ndarray
-    vectors: tuple
+    bonds: tuple  # the even and odd blocks of P^T H P at g = 0, the part of H that the field does not change
     z_total: np.ndarray  # sum of sigma^z_j over the sites, per orbit
     lower: tuple  # the blocks A_eo and A_oe of A = P^T sigma^-_1 P, which is zero within each block
     ferro: np.ndarray  # P^T of the +x ferro state
 
 
-def _parity_blocks(n_sites: int, g: float) -> _ParityBlocks:
+def ring_sector(n_sites: int) -> _RingSector:
+    """The field-independent part of the ring's zero-momentum sector, for ``sector=`` of the trajectories.
+
+    The bond part of the Hamiltonian, the sigma^-_1 blocks, the ferro
+    state and the sigma^z totals depend on N alone, so the trajectories of
+    one ring size can share them, and each only adds its field's
+    ``-g sum_j sigma^z_j`` and eigensolves.
+    """
+    n_sites = _sites(n_sites)
     col, weight = _orbit_basis(n_sites)
     r = col.max() + 1
     # state 1, one up spin, is the smallest odd-parity state, so it opens the odd block
     e = int(col[1])
-    h = _sector_hamiltonian(n_sites, g, col, weight)
-    (e_even, v_even), (e_odd, v_odd) = np.linalg.eigh(h[:e, :e]), np.linalg.eigh(h[e:, e:])
     z_total = np.empty(r)
     z_total[col] = 2.0 * _popcount(n_sites) - n_sites
     # sigma^-_1 takes each state s with site 1 up (s odd) to s - 1
@@ -166,11 +177,41 @@ def _parity_blocks(n_sites: int, g: float) -> _ParityBlocks:
     a_eo, a_oe = lower[:e, e:].copy(), lower[e:, :e].copy()
     # every amplitude of the ferro state is 2^(-N/2)
     ferro = np.bincount(col, weights=weight) / 2.0 ** (n_sites / 2)
-    return _ParityBlocks(n_sites, e, np.concatenate([e_even, e_odd]), (v_even, v_odd),
-                         z_total, (a_eo, a_oe), ferro)
+    h = _sector_hamiltonian(n_sites, 0.0, col, weight)
+    bonds = h[:e, :e].copy(), h[e:, e:].copy()
+    for table in (*bonds, z_total, a_eo, a_oe, ferro):
+        table.flags.writeable = False
+    return _RingSector(n_sites, e, bonds, z_total, (a_eo, a_oe), ferro)
 
 
-def _measure(sector: _ParityBlocks, c: np.ndarray) -> np.ndarray:
+def _with_sector(n_sites: int, sector) -> _RingSector:
+    """``sector``, checked to be ``ring_sector(n_sites)``'s, or by default that sector, built here."""
+    if sector is None:
+        return ring_sector(n_sites)
+    if not isinstance(sector, _RingSector) or sector.n_sites != n_sites:
+        got = f"the sector of N = {sector.n_sites}" if isinstance(sector, _RingSector) else type(sector).__name__
+        raise ValueError(f"sector must be ring_sector({n_sites}), got {got}")
+    return sector
+
+
+def _energy_bound(n_sites: int, g: float, name: str) -> float:
+    """``N (|g| + 1)``, a bound on every energy of H at field g; above 2^1023 it raises ValueError naming ``name``."""
+    bound = n_sites * (abs(g) + 1.0)
+    if not bound <= model._PHASE_MAX:
+        raise ValueError(f"{name} = {g!r} takes the energies of {n_sites} sites beyond 2^1023")
+    return bound
+
+
+def _eigensystem(sector: _RingSector, g: float):
+    """The levels of the sector's even block at field g, then those of its odd block, and each block's eigenvectors."""
+    e, z = sector.even, sector.z_total
+    # each block plus -g sum_j sigma^z_j, which is diagonal, as _sector_hamiltonian adds it
+    (e_even, v_even), (e_odd, v_odd) = (np.linalg.eigh(bonds - np.diag(g * z_block))
+                                        for bonds, z_block in zip(sector.bonds, (z[:e], z[e:])))
+    return np.concatenate([e_even, e_odd]), (v_even, v_odd)
+
+
+def _measure(sector: _RingSector, c: np.ndarray) -> np.ndarray:
     """(mx, my, mz) of each column of a block of sector coefficients.
 
     The rows ``[:sector.even]`` hold the even-parity component of a state
@@ -191,46 +232,59 @@ def _measure(sector: _ParityBlocks, c: np.ndarray) -> np.ndarray:
                             sector.z_total @ probability / norm2])
 
 
-def quench_trajectory(n_sites: int, g_f: float, times) -> np.ndarray:
+def quench_trajectory(n_sites: int, g_f: float, times, sector=None) -> np.ndarray:
     """Exact (mx, my, mz) samples after a quench from the +x ferro state.
 
-    Runs in the two parity blocks of the zero-momentum sector. All times of
-    a block evolve together: per parity, their eigenbasis coefficients form
-    an (R, T) matrix, mapped to the orbit basis by two real products with
-    the block's real eigenvectors.
+    Runs in the two parity blocks of the zero-momentum sector, ``sector``
+    if given (:func:`ring_sector` of ``n_sites``). All times of a block
+    evolve together: per parity, their eigenbasis coefficients form an
+    (R, T) matrix, mapped to the orbit basis by two real products with the
+    block's real eigenvectors.
     """
     n_sites, g_f = _sites(n_sites), model._real(g_f, "g_f")
-    times = model._reals(times, "times entry")
-    sector = _parity_blocks(n_sites, g_f)
-    e = sector.even
-    (v_even, v_odd), ferro = sector.vectors, sector.ferro
+    times = model._reals(times, "times")
+    # every phase E t is at most N (|g_f| + 1) |t|
+    span = float(np.abs(times).max(initial=0.0))
+    if not _energy_bound(n_sites, g_f, "g_f") * span <= model._PHASE_MAX:
+        raise ValueError(f"a times entry of magnitude {span!r} takes the phases E t at g_f = {g_f!r} beyond 2^1023")
+    sector = _with_sector(n_sites, sector)
+    energies, (v_even, v_odd) = _eigensystem(sector, g_f)
+    e, ferro = sector.even, sector.ferro
     start = np.concatenate([v_even.T @ ferro[:e], v_odd.T @ ferro[e:]])
     rows = np.empty((len(times), 3))
     for first in range(0, len(times), _TIME_BLOCK):
         block = times[first:first + _TIME_BLOCK]
-        phased = np.exp(-1j * np.outer(sector.energies, block)) * start[:, None]
+        phased = np.exp(-1j * np.outer(energies, block)) * start[:, None]
         rows[first:first + len(block)] = _measure(
             sector, np.concatenate([_real_times(v_even, phased[:e]), _real_times(v_odd, phased[e:])]))
     return rows
 
 
-def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks: int) -> np.ndarray:
+def kick_trajectory(n_sites: int, g: float, tau: float, epsilon: float, n_kicks: int,
+                    sector=None) -> np.ndarray:
     """Exact stroboscopic (mx, my, mz) just after each of the first n kicks.
 
-    Runs in the two parity blocks of the zero-momentum sector, where the
-    kick is diagonal: the popcount is the same for every state of an orbit.
-    Each block advances by one precomputed period, the evolution over tau
+    Runs in the two parity blocks of the zero-momentum sector, ``sector``
+    if given (:func:`ring_sector` of ``n_sites``), where the kick is
+    diagonal: the popcount is the same for every state of an orbit. Each
+    block advances by one precomputed period, the evolution over tau
     followed by the kick, and the state is renormalized after every kick.
     """
     n_sites = _sites(n_sites)
     g, tau, epsilon = (model._real(x, name) for x, name in ((g, "g"), (tau, "tau"), (epsilon, "epsilon")))
     n_kicks = model._integer(n_kicks, "n_kicks", lower=0)
-    sector = _parity_blocks(n_sites, g)
-    e = sector.even
-    (v_even, v_odd), ferro = sector.vectors, sector.ferro
+    # the phases E tau are at most N (|g| + 1) |tau|, and the kick's (phi/2) sigma^z totals N |phi| / 2
+    if not _energy_bound(n_sites, g, "g") * abs(tau) <= model._PHASE_MAX:
+        raise ValueError(f"tau = {tau!r} takes the phases E tau at g = {g!r} beyond 2^1023")
+    half_phi = np.pi * (1.0 - epsilon) / 2.0
+    if not n_sites * abs(half_phi) <= model._PHASE_MAX:
+        raise ValueError(f"epsilon = {epsilon!r} takes the kick phases of {n_sites} sites beyond 2^1023")
+    sector = _with_sector(n_sites, sector)
+    energies, (v_even, v_odd) = _eigensystem(sector, g)
+    e, ferro = sector.even, sector.ferro
     # e^{-i (phi/2) sum_j sigma^z_j} after e^{-i H tau}, with phi = pi (1 - epsilon)
-    kick = np.exp(-1j * (np.pi * (1.0 - epsilon) / 2.0) * sector.z_total)[:, None]
-    phased = np.exp(-1j * sector.energies * tau)[:, None]
+    kick = np.exp(-1j * half_phi * sector.z_total)[:, None]
+    phased = np.exp(-1j * energies * tau)[:, None]
     u_even = _real_times(v_even, phased[:e] * v_even.T)
     u_odd = _real_times(v_odd, phased[e:] * v_odd.T)
     u_even *= kick[:e]

@@ -338,6 +338,22 @@ class TestValidateSuite:
         assert len(report["cases"]) == 13
         assert report["passed"] is False
 
+    def test_one_sector_per_ring_size_gives_the_same_report(self, monkeypatch):
+        # the suite builds each ring size's ED sector once; each trajectory building its own
+        # gives the same report, byte for byte
+        from isingring import oracle_ed
+
+        built, ring_sector = [], oracle_ed.ring_sector
+        monkeypatch.setattr(oracle_ed, "ring_sector", lambda n: built.append(n) or ring_sector(n))
+        shared = json.dumps(validate_suite(), indent=2, sort_keys=True)
+        assert built == [4, 6, 8, 10]
+        for name in ("quench_trajectory", "kick_trajectory"):
+            trajectory = getattr(oracle_ed, name)
+            monkeypatch.setattr(oracle_ed, name, lambda *args, sector, _f=trajectory, **kwargs: _f(*args, **kwargs))
+        built.clear()
+        assert json.dumps(validate_suite(), indent=2, sort_keys=True) == shared
+        assert built == [4, 6, 8, 10] + [4] * 3 + [6] * 3 + [8] * 3 + [10] * 3 + [8]
+
     def test_validate_command_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["validate", "--out", str(out)]) == 0

@@ -225,6 +225,33 @@ class TestDriverSpec:
         with pytest.raises(ValueError, match=f"^{name} must be finite and real"), np.errstate(all="raise"):
             drive(init_ferro(MomentumGrid(6)), bad)
 
+    @pytest.mark.parametrize("drive, message", [
+        (lambda state: evolve_quench(state, 1e308, 1.0), r"^g_f must satisfy 4 \(\|g_f\| \+ 1\) <= 2\^1023, got 1e\+308"),
+        (lambda state: evolve_quench(state, 1e200, 1e200), r"^the mode phases at field 1e\+200 over time 1e\+200 exceed"),
+        (lambda state: evolve_quench(state, 0.5, 1e308), r"^the mode phases at field 0\.5 over time 1e\+308 exceed"),
+        (lambda state: evolve_kick_step(state, -1e308, 0.3, 0.02), r"^g must satisfy 4 \(\|g\| \+ 1\) <= 2\^1023"),
+        (lambda state: evolve_kick_step(state, 0.5, 1e300, 0.02, 10**10),
+         r"^the mode phases at field 0\.5 over 10000000000 periods of time 1e\+300 exceed"),
+        (lambda state: evolve_kick_step(state, 0.5, -1e308, 0.02), r"^the mode phases at field 0\.5 over time -1e\+308 exceed"),
+        (lambda state: evolve_kick_step(state, 0.5, 0.3, 1e308), r"^the kick angle pi \(1 - epsilon\) at epsilon = 1e\+308"),
+    ], ids=["g_f", "g_f_and_t", "t", "g", "kicks", "tau", "epsilon"])
+    def test_finite_drive_whose_phase_overflows_rejected(self, drive, message):
+        # finite, but a coefficient 2 (cos k + g), a phase w t or the kick angle would overflow: one
+        # ValueError naming the field or the time, before any trigonometry, and no warning
+        with pytest.raises(ValueError, match=message), np.errstate(all="raise"):
+            drive(init_ferro(MomentumGrid(6)))
+
+    def test_largest_field_runs_without_overflow(self):
+        # 4 (|g| + 1) <= 2^1023 holds at g = +-2^1021 and fails at the next double; sin(w t) / w
+        # may underflow there, which is no error
+        state = init_ferro(MomentumGrid(6))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for g in (2.0**1021, -(2.0**1021)):
+                assert np.isfinite(evolve_quench(state, g, 0.0).u).all()
+                assert np.isfinite(evolve_quench(state, g, 2.0**-3).u).all()
+        with pytest.raises(ValueError, match="^g_f must satisfy"):
+            evolve_quench(state, np.nextafter(2.0**1021, np.inf), 0.0)
+
     @pytest.mark.parametrize("kicks", [-1, 1.5, 2.0, "3", None, True, np.True_, 2**53 + 1])
     def test_bad_kick_count_rejected(self, kicks):
         # beyond 2^53 the count is not exact as the double that scales the Floquet angle

@@ -311,6 +311,23 @@ class TestChordDiagnostic:
             with pytest.raises(ValueError, match="^g must be finite and real"):
                 field(x)
 
+    def test_field_whose_energies_overflow_raises(self):
+        # finite, but 2 (cos k + g) or a sum of mode energies would overflow: no silent -inf, no warning
+        with np.errstate(all="raise"):
+            for field in (lambda g: sgs_energies(MomentumGrid(6), g), lambda g: dispersion(0.3, g),
+                          lambda g: bogoliubov_angle(0.3, g), lambda g: model.mode_coefficients(0.3, g)):
+                with pytest.raises(ValueError, match=r"^g must satisfy 4 \(\|g\| \+ 1\) <= 2\^1023"):
+                    field(1e308)
+            # each mode energy is finite here, but the sum of 50 is not
+            with pytest.raises(ValueError, match=r"^the sub-ground-state energies at g = 2e\+307 exceed"):
+                sgs_energies(MomentumGrid(100), 2e307)
+            assert np.isfinite(sgs_energies(MomentumGrid(6), 1e307)).all()
+        # the largest field: lam + a and lam - a in the Bogoliubov angle stay finite, and its
+        # smaller entry underflows, which is no error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for g, k in ((2.0**1021, 0.3), (-(2.0**1021), 2.5)):
+                assert np.isfinite(bogoliubov_angle(k, g)).all() and np.isfinite(dispersion(k, g))
+
 
 def test_cat_norm_identity():
     # prod sin(k/2) over positive even momenta = 2^{-(N-1)/2}

@@ -1,5 +1,6 @@
 """Tests for the Pfaffian-based magnetization against the dense oracle."""
 
+import math
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -381,6 +382,43 @@ class TestReducedOperand:
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
+def per_factor_product(alpha):
+    """``(z, e)`` of ``prod(alpha)`` renormalized after every factor, as ``_pair_product`` did before."""
+    z, e = 1.0 + 0.0j, 0
+    for x in alpha:
+        z *= x
+        shift = math.frexp(abs(z))[1]
+        z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
+    return z, e
+
+
+def _phased(moduli, seed):
+    """Python complex numbers of the given moduli with random phases."""
+    moduli = np.asarray(moduli, dtype=float)
+    return (moduli * np.exp(2j * np.pi * np.random.default_rng(seed).random(len(moduli)))).tolist()
+
+
+class TestPairProduct:
+    """``_pair_product`` renormalizes only outside (2^-500, 2^500), and at the end; each rescaling is exact."""
+
+    @pytest.mark.parametrize("factors", [
+        # 0.02^400 = 2^-2257 crosses the lower threshold four times
+        _phased([0.02] * 400, seed=1),
+        # within 1e-10 of 1 on either side, and at the pivot threshold
+        _phased(1.0 + 1e-10 * np.random.default_rng(2).uniform(-1, 1, 1000), seed=3),
+        _phased(observables.PAIR_RTOL * (1.0 + 1e-9 * np.arange(1, 301)), seed=4),
+        # up through the upper threshold and down again
+        _phased([2.0**300] * 10 + [2.0**-300] * 20 + [0.7] * 5, seed=5),
+        _phased([2.0**499, 2.0**-499] * 50, seed=6),
+        [0.5j], [1.0 + 0.0j], [],
+    ], ids=["small", "near_one", "threshold", "large", "alternating", "one", "unit", "empty"])
+    def test_equals_the_per_factor_loop(self, factors):
+        z, e = observables._pair_product(iter(factors))
+        expected_z, expected_e = per_factor_product(factors)
+        assert (z.real.hex(), z.imag.hex(), e) == (expected_z.real.hex(), expected_z.imag.hex(), expected_e)
+        assert 0.5 <= abs(z) < 1.0 or factors == []
+
+
 class TestPivotRule:
     """Each bra pair is decided once, by ``|u_k| > PAIR_RTOL``: threshold pivoting on its rows."""
 
@@ -512,6 +550,22 @@ class TestRunSeries:
         with pytest.raises(ValueError, match="finite"):
             run_series(DriverSpec("kick", g=0.1, tau=0.2), MomentumGrid(6), [1, float("inf")])
 
+    @pytest.mark.parametrize("schedule", [np.array(0.5), np.zeros((2, 2)), np.zeros((3, 1)), 0.5, np.float64(1.0)])
+    def test_schedule_must_be_one_dimensional(self, schedule):
+        with pytest.raises(ValueError, match="^schedule must be a one-dimensional sequence, got "):
+            run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), schedule)
+
+    @pytest.mark.parametrize("driver, schedule, message", [
+        (DriverSpec("quench", g_f=1e308), [1.0], r"^g_f must satisfy 4 \(\|g_f\| \+ 1\) <= 2\^1023"),
+        (DriverSpec("quench", g_f=0.5), [0.0, 1e308], r"^the mode phases at field 0\.5 over time 1e\+308"),
+        (DriverSpec("kick", g=0.5, tau=1e300, epsilon=0.02), [1, 10**10],
+         r"^the mode phases at field 0\.5 over 10000000000 periods of time 1e\+300"),
+    ], ids=["field", "time", "kicks"])
+    def test_finite_drive_whose_phase_overflows_rejected(self, driver, schedule, message):
+        # a ValueError naming the field or the time, before any trigonometry, and no warning
+        with pytest.raises(ValueError, match=message), np.errstate(all="raise"):
+            run_series(driver, MomentumGrid(6), schedule)
+
     def test_empty_schedule(self):
         assert run_series(DriverSpec("quench", g_f=1.0), MomentumGrid(6), []) == []
         # no batch, so no worker's run of batches either
@@ -596,6 +650,32 @@ class TestBatches:
         monkeypatch.setattr(observables, "_c1_values", recording)
         batches.clear()
         assert run_series(driver, grid, times, threads=2) == whole and sorted(batches) == [10, 11]
+
+    @pytest.mark.parametrize("magnitudes, dim", [((0.9,), 11), ((0.3, 0.005, 0.9), 15)],
+                             ids=["accepted", "rejected_pairs"])
+    def test_stack_fold_equals_each_members_scalar_fold(self, magnitudes, dim, monkeypatch):
+        # N = 10, every bra pair accepted (dim 11) or two of five rejected (dim 15); the members'
+        # exponents e = q (dim - 1) + r have q = r = 0, r alone, q alone, both, and q < 0
+        states = [_pair_state(10, magnitudes, seed) for seed in range(6)]
+        exponents = [q * (dim - 1) + r for q, r in ((0, 0), (0, 5), (2, 0), (2, 5), (-1, 3), (-3, 0))]
+        pair_product = observables._pair_product
+        chosen = {}
+        for state, e in zip(states, exponents):
+            alpha = np.conj(state.u_plus)
+            chosen[pair_product(alpha[np.abs(alpha) > observables.PAIR_RTOL].tolist())[0]] = e
+        assert len(chosen) == 6
+
+        def with_chosen_exponent(alpha):
+            z, _ = pair_product(alpha)
+            return z, chosen[z]
+
+        monkeypatch.setattr(observables, "_pair_product", with_chosen_exponent)
+        (members, stack), = observables._c1_stacks(states, Workspace())
+        assert stack.shape == (6, dim, dim)
+        for i, member in zip(members, stack):
+            # a state alone is one matrix, which takes the scalar fold
+            (_, alone), = observables._c1_stacks([states[i]], Workspace())
+            assert alone.ndim == 2 and member.tobytes() == alone.tobytes()
 
     def test_validate_suite_takes_one_elimination_per_stack(self, monkeypatch):
         # 13 cases of 20 or 21 samples; three quenches (g_f = 1 at N = 6, 8, 10) mix two dimensions

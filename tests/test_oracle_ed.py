@@ -342,6 +342,45 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="^times entry must be finite and real"):
             quench_trajectory(4, 0.5, [0.0, bad])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: quench_trajectory(4, 0.5, [0.0, 1e308]), r"^a times entry of magnitude 1e\+308 takes the phases E t at g_f = 0\.5"),
+        (lambda: quench_trajectory(4, 1e308, [0.0]), r"^g_f = 1e\+308 takes the energies of 4 sites"),
+        (lambda: kick_trajectory(4, 1e308, 0.5, 0.02, 2), r"^g = 1e\+308 takes the energies"),
+        (lambda: kick_trajectory(4, 0.5, -1e308, 0.02, 2), r"^tau = -1e\+308 takes the phases E tau"),
+        (lambda: kick_trajectory(4, 0.5, 0.5, 1e308, 2), r"^epsilon = 1e\+308 takes the kick phases"),
+        (lambda: ground_parity(4, 1e308), r"^g = 1e\+308 takes the energies"),
+    ], ids=["time", "g_f", "g", "tau", "epsilon", "ground_parity"])
+    def test_finite_drive_whose_phase_overflows_rejected(self, call, message):
+        # an energy or a phase E t beyond the double range was a NaN state and a warning
+        with pytest.raises(ValueError, match=message), np.errstate(all="raise"):
+            call()
+
+    @pytest.mark.parametrize("times", [np.zeros((2, 2)), np.array(0.5), np.zeros((0, 3)), 0.5])
+    def test_times_must_be_one_dimensional(self, times):
+        with pytest.raises(ValueError, match="^times must be a one-dimensional sequence, got "):
+            quench_trajectory(4, 0.5, times)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_shared_sector_gives_the_same_rows(self, n):
+        sector = oracle_ed.ring_sector(n)
+        times = np.linspace(0.0, 3.0, 7)
+        for g_f in (0.5, 1.5):
+            np.testing.assert_array_equal(quench_trajectory(n, g_f, times, sector=sector),
+                                          quench_trajectory(n, g_f, times))
+        np.testing.assert_array_equal(kick_trajectory(n, 0.5, 0.5, 0.02, 9, sector=sector),
+                                      kick_trajectory(n, 0.5, 0.5, 0.02, 9))
+        # shared between trajectories, so no trajectory may write to it
+        arrays = (*sector.bonds, sector.z_total, *sector.lower, sector.ferro)
+        assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("sector, got", [(lambda: oracle_ed.ring_sector(6), "the sector of N = 6"),
+                                             (lambda: "sector", "str")])
+    def test_sector_of_another_ring_rejected(self, sector, got):
+        for trajectory in (lambda s: quench_trajectory(4, 0.5, [0.0], sector=s),
+                           lambda s: kick_trajectory(4, 0.5, 0.5, 0.02, 1, sector=s)):
+            with pytest.raises(ValueError, match=rf"^sector must be ring_sector\(4\), got {got}$"):
+                trajectory(sector())
+
     def test_no_full_space_matrix_at_twelve_sites(self):
         # one dense 2^12 x 2^12 float matrix alone would take 134 MB
         tracemalloc.start()
@@ -430,7 +469,7 @@ class TestZeroMomentumSector:
         full = np.zeros((2**n, 2**n))
         full[np.arange(0, 2**n, 2), np.arange(1, 2**n, 2)] = 1.0
         col, weight = oracle_ed._orbit_basis(n)
-        sector = oracle_ed._parity_blocks(n, 0.6)
+        sector = oracle_ed.ring_sector(n)
         e = sector.even
         lower = np.zeros((col.max() + 1,) * 2)
         lower[:e, e:], lower[e:, :e] = sector.lower
