@@ -51,9 +51,26 @@ def _write_outputs(args, header, rows, **fields):
         fh.write("\n")
 
 
-def refine_extremum(x: np.ndarray, y: np.ndarray, i: int):
-    """Three-point parabolic refinement of a discrete extremum at index i."""
+def _series(x, y):
+    """``x`` and ``y`` as float arrays of one length, at least 1, with finite entries; else ValueError naming them."""
+    x, y = model._reals(x, "x"), model._reals(y, "y")
+    if len(x) != len(y) or not len(x):
+        raise ValueError(f"x and y must be nonempty and of one length, got lengths {len(x)} and {len(y)}")
+    return x, y
+
+
+def refine_extremum(x, y, i: int):
+    """Three-point parabolic refinement of a discrete extremum at index i.
+
+    ``x`` and ``y`` are a nonempty series of finite reals, of one length,
+    and i an index into them in [0, len(x)); another raises ``ValueError``
+    naming i, x or y.  A sample at either end, or on a flat parabola
+    (three collinear points), is returned as it is.
+    """
+    x, y = _series(x, y)
     i = model._integer(i, "i")
+    if not 0 <= i < len(x):
+        raise ValueError(f"i must lie in [0, {len(x)}), got {i}")
     if i == 0 or i == len(x) - 1:
         return float(x[i]), float(y[i])
     x0, x1, x2 = x[i - 1], x[i], x[i + 1]
@@ -69,8 +86,7 @@ def refine_extremum(x: np.ndarray, y: np.ndarray, i: int):
 
 
 def _windowed_extremum(x, y, window, pick):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _series(x, y)
     if window is None:
         idx = np.arange(len(x))
     else:
@@ -87,13 +103,18 @@ def refined_minimum(x, y, window=None):
 
     The discrete argmin (optionally restricted to ``window = (lo, hi)``) is
     sharpened by three-point parabolic interpolation; neighbors just outside
-    the window still inform the refinement.
+    the window still inform the refinement.  A window holding no sample
+    gives None.  ``x`` and ``y`` are checked as :func:`refine_extremum`
+    checks them.
     """
     return _windowed_extremum(x, y, window, np.argmin)
 
 
 def refined_maximum(x, y, window=None):
-    """Refined (abscissa, value) of the sampled maximum; see refined_minimum."""
+    """Refined (abscissa, value) of the sampled maximum; see refined_minimum.
+
+    A window holding no sample gives None.
+    """
     return _windowed_extremum(x, y, window, np.argmax)
 
 

@@ -192,7 +192,13 @@ def bogoliubov_angle(k: float, g: float):
 
 
 def mode_coefficients(k, g):
-    """``(a, b) = (2 (cos k + g), -2 sin k)`` of ``H_k = [[a, b], [b, -a]]``, k scalar or array."""
+    """``(a, b) = (2 (cos k + g), -2 sin k)`` of ``H_k = [[a, b], [b, -a]]``.
+
+    k is a finite real or a one-dimensional sequence of them; another
+    raises ``ValueError`` naming k, as a field g that :func:`_field`
+    rejects does naming g.
+    """
+    k = _real(k, "k") if np.ndim(k) == 0 else _reals(k, "k")
     return 2.0 * (np.cos(k) + _field(g, "g")), -2.0 * np.sin(k)
 
 
@@ -296,10 +302,15 @@ def cat_norm_identity(n_sites: int) -> float:
 
     Equals ``(1/sqrt(2))^(N-1)`` for every even N; this normalization fixes
     the phase relating the even cat state to the momentum-space sub-ground
-    state of the classical ring.
+    state of the classical ring.  Below the smallest normal double, from
+    N = 2046 on, it raises ``FloatingPointError``.
     """
     grid = MomentumGrid(n_sites)
-    return float(np.prod(np.sin(grid.momenta[:grid.n_sites // 2] / 2.0)))
+    # every factor is at most 1, so a normal product has only normal partial products
+    value = float(np.prod(np.sin(grid.momenta[:grid.n_sites // 2] / 2.0)))
+    if value < sys.float_info.min:
+        raise FloatingPointError(f"the cat-state norm at N = {grid.n_sites} is below the double range")
+    return value
 
 
 def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):

@@ -81,13 +81,17 @@ as an exact power-of-two scaling: with L leading rows and
 ``2^(t_i + t_j)``, where t is q + 1 on the first r rows and q on the rest
 and on the borders.  Each even matrix of the leading block and one
 border column then gains exactly ``z 2^e``, so the returned operand's
-bordered Pfaffians are those of the full matrix.  A stack takes its
-members' row scales 2^t as one (B, dim) array and multiplies by it
-twice, broadcast over the rows and over the columns.  A single matrix
-is multiplied by ``2^(2q)`` and then has its first r rows and columns
-doubled, and a scaling by 2^0 is skipped.  Every rescaling is exact
-while the entries stay normal, so a member's operand in a stack is bit
-for bit the one it has alone.
+bordered Pfaffians are those of the full matrix.  The scaling is applied
+to the parts S is assembled from, not to S: the ket's coefficients b
+carry 2^t of their rows into the kappa gather, and so into C1, C2, X and
+word 1's border column; z carries the borders' 2^q into both border
+columns; each rejected row takes its 2^t and each pair entry
+``2^(t_i + t_(i+1))``.  That is O((1 + f) N) scalings per state, for f
+rejected pairs, instead of one of each of the (N + 1 + 2f)^2 entries of
+S.  Each is by an exact power of two, so while the entries stay normal
+every entry of S is bit for bit the one a scaling of S after its
+assembly gives, and a member's operand in a stack is the one it has
+alone.
 
 The per-sample cost.  Everything that depends on N alone is a table of
 the state's :class:`isingring.model.MomentumGrid`; a sample forms only
@@ -110,9 +114,10 @@ dimension N + 1 + 2f, is one group, without padding: one (B, dim, dim)
 stack, assembled with the kappa cross block gathered once and eliminated
 by one :func:`isingring.wick.vacuum_expectation` call.  The pair product
 ``z 2^e`` and the power-of-two fold stay each state's own, and every
-value is bit for bit the one the state has alone.  A group of one state
-is assembled and eliminated as one matrix, without the stack's leading
-axis, so a series of one sample runs the steps of a single operand.
+value is bit for bit the one the state has alone.  Every group is
+assembled as a stack, a group of one state as a stack of one; a group of
+one is eliminated as its one matrix, so a series of one sample runs the
+kernel's steps of a single operand.
 Each sample is then made by one ``magnetization(state, c1)`` call.  A
 batch holds at most B samples with ``B (N + 1)^2`` complex entries
 within ``_BATCH_BYTES`` (2 MiB): 21 samples share a batch up to N = 78,
@@ -228,106 +233,98 @@ def _c1_stacks(states, workspace: Workspace) -> list:
     of ``c_1``.  Returns ``(members, skew)`` for each dimension that
     occurs, fewest rejected pairs first: the indices into ``states`` of the
     states with f rejected bra pairs, ascending, and their operands as one
-    (B, dim, dim) array; a group of one state is its one (dim, dim) matrix.
-    The operands stay in ``workspace``, above its ``top``, and the rest is
-    freed again.
+    (B, dim, dim) array, a group of one state included.  Each operand
+    carries its state's ``2^e``, folded into the parts it is assembled
+    from.  The operands stay in ``workspace``, above its ``top``, and the
+    rest is freed again.
     """
     grid = states[0].grid
     n = grid.n_sites
     h = n // 2
     s1, s2, s3 = _TERM_SIGNS
-    # the states' axis; one state is assembled without it, as the matrix it is
-    lead = (len(states),) if len(states) > 1 else ()
-    u, v = (np.array([getattr(s, name) for s in states]) if lead else getattr(states[0], name) for name in "uv")
+    u, v = (np.array([getattr(s, name) for s in states]) for name in "uv")
     # the pivot test, once per bra pair; a NaN fails it and stays in the operand
-    accepted = np.abs(u[..., :h]) > PAIR_RTOL
-    counts = accepted.reshape(-1, h).sum(axis=1).tolist()
+    accepted = np.abs(u[:, :h]) > PAIR_RTOL
+    counts = accepted.sum(axis=1).tolist()
     # the states in runs of equal counts, most accepted pairs first, so that each group is a slice
     # (Python's stable sort: numpy's first argsort adds about 270 KB to the resident set)
     order = sorted(range(len(states)), key=counts.__getitem__, reverse=True)
-    if lead:
-        u, v, accepted = (x[order] for x in (u, v, accepted))
+    u, v, accepted = (x.take(order, axis=0) for x in (u, v, accepted))
     counts.sort(reverse=True)
     workspace.reserve(_c1_entries(n, counts))
+
+    # within a sector only the two factors of a BCS pair contract, with kappa = 1
+    alpha = np.conj(u[:, :h])
+    z, e = zip(*map(_pair_product, map(compress, alpha.tolist(), accepted.tolist())))
+    # 2^e over each operand's rows: with dim - 1 = 2 (n - count) and e = q (dim - 1) + r, row i
+    # gains 2^t, t_i = q + [i < r].  An operand's k = n - 2 count rejected rows come first, then
+    # the ket's parts and the borders.  One table of 2^t serves every member: its column c is
+    # row c - most + k, for the most rejected rows of any member, so the ket's parts are columns
+    # [most, most + n - 1), the borders column most + n, and t = q + 1 before r - k + most
+    most = n - 2 * counts[-1]
+    q, shift = np.array([(x // (2 * (n - c)), x % (2 * (n - c)) + 2 * (c - counts[-1]))
+                         for x, c in zip(e, counts)]).T
+    scale = np.ldexp(1.0, q[:, None] + (np.arange(most + n + 1) < shift[:, None]))
     # the parts that meet across sectors, at the grid's interleaved indices ann and cre: the
     # bra pairs' annihilated parts c_{-k} and conj(v) c_k, ascending in k, and the ket's
-    # created parts v c^dag_k and c^dag_{-k}, then c^dag_0
-    a = np.ones(lead + (n,), dtype=complex)
-    np.conjugate(v[..., :h], out=a[..., 1::2])
-    b = np.ones(lead + (n - 1,), dtype=complex)
-    b[..., 0:-1:2] = v[..., h:]
+    # created parts v c^dag_k and c^dag_{-k}, then c^dag_0, which carry their 2^t into every
+    # entry they make
+    a = np.ones((len(states), n), dtype=complex)
+    np.conjugate(v[:, :h], out=a[:, 1::2])
+    b = scale[:, most:most + n - 1].astype(complex)
+    b[:, 0:-1:2] *= v[:, h:]
 
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
-    rows = workspace.take(lead + (n, n + 1))
+    rows = workspace.take((len(states), n, n + 1))
     rows[..., n - 1] = 0.0
     contractions((grid.ann, grid.cre), (a, b), grid, rows[..., :n - 1], workspace)
     border = rows[..., n]
     np.multiply(grid.ann_phase, a, out=border)
     first = np.multiply(grid.cre_phase, b, out=b)
-
-    # within a sector only the two factors of a BCS pair contract, with kappa = 1
-    alpha = np.conj(u[..., :h])
-    z, e = zip(*map(_pair_product, map(compress, alpha.reshape(-1, h).tolist(), accepted.reshape(-1, h).tolist())))
-    # the term signs and z enter the border columns together; word 1's c_1 stands before the
-    # later factors, so its column holds minus its contractions, and its last entry, at
-    # c^dag_0 (phase and coefficient 1), takes the k = 0 sign
-    z = np.array(z)[:, None] if lead else z[0]
+    # the term signs and z 2^q, the borders' share of 2^e, enter the border columns together;
+    # word 1's c_1 stands before the later factors, so its column holds minus its contractions,
+    # and its last entry, at c^dag_0 (phase and coefficient 1), takes the k = 0 sign
+    z = np.array(z)[:, None] * scale[:, -1:]
     border *= s3 * z
-    first *= -s2 * z
-    first[..., -1:] = -s1 * z
+    first[:, :-1] *= -s2 * z
+    first[:, -1:] *= -s1 * z
 
     stacks, start = [], 0
-    pair_rows = rows.reshape(lead + (h, 2, n + 1))
+    pair_rows = rows.reshape(-1, h, 2, n + 1)
     for count, run in groupby(counts):
         stop = start + len(list(run))
-        group = (stop - start,) if stop - start > 1 else ()
-        pick = (slice(start, stop) if group else start,) if lead else ()
         group_rows, group_alpha, kept, group_first, pair_alpha = (
-            x[pick] for x in (pair_rows, alpha, accepted, first, u[..., h:]))
+            x[start:stop] for x in (pair_rows, alpha, accepted, first, u[:, h:]))
         k = 2 * (h - count)
         dim = k + n + 1
+        # 2^t of the group's rows but the last three, which hold no pair entry and no rejected row
+        group_scale = scale[start:stop, most - k:most + n - 2]
         # S stays in the workspace; U, taken after it, is freed once S is formed
-        skew = workspace.take(group + (dim, dim))
+        skew = workspace.take((stop - start, dim, dim))
         mark = workspace.top
         # S = U - U^T: above the diagonal U holds the rejected pairs' rows in their order,
         # X = C2^T diag(1 / alpha) C1 over the pairs' rows C1 and C2, word 1's border and the
         # remaining pair entries
-        upper = workspace.take(group + (dim, dim))
-        c1, scaled = group_rows[..., 0, :], group_rows[..., 1, :]
+        upper = workspace.take(skew.shape)
+        c1, scaled = group_rows[:, :, 0], group_rows[:, :, 1]
         if k:
             failed = ~kept
             upper[..., :k] = 0
-            upper[..., :k, k:] = group_rows[failed].reshape(group + (k, n + 1))
-            pair_alpha = np.concatenate((group_alpha[failed].reshape(group + (k // 2,)), pair_alpha), axis=-1)
+            np.multiply(group_rows[failed].reshape(-1, k, n + 1), group_scale[:, :k, None], out=upper[:, :k, k:])
+            pair_alpha = np.concatenate((group_alpha[failed].reshape(-1, k // 2), pair_alpha), axis=-1)
             # a rejected pair adds nothing to X: its C2 is zeroed, and divided by 1 instead of its alpha
             scaled[failed] = 0
             group_alpha = np.where(kept, group_alpha, 1.0)
         np.divide(scaled, group_alpha[..., None], out=scaled)
-        np.matmul(scaled.swapaxes(-1, -2), c1, out=upper[..., k:, k:])
-        upper[..., k:-2, -2] = group_first
-        # the pair entries (i, i + 1), even i < dim - 3, a strided view of each flat matrix
-        pairs = upper.reshape(group + (-1,))[..., 1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)]
-        pairs += pair_alpha
+        np.matmul(scaled.swapaxes(-1, -2), c1, out=upper[:, k:, k:])
+        upper[:, k:-2, -2] = group_first
+        # the pair entries (i, i + 1), even i < dim - 3, a strided view of each flat matrix; each
+        # gains 2^(t_i + t_(i+1))
+        pairs = upper.reshape(stop - start, -1)[:, 1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)]
+        pairs += pair_alpha * group_scale[:, 0::2] * group_scale[:, 1::2]
         np.subtract(upper, upper.swapaxes(-1, -2), out=skew)
         workspace.top = mark
-
-        # 2^e spread over the leading rows and either border: each even Pfaffian gains it exactly
-        if group:
-            # row i of member b gains 2^t, t = q_b + [i < r_b], and so does column i
-            q, r = np.divmod(e[start:stop], dim - 1)
-            scale = np.ldexp(1.0, q[:, None] + (np.arange(dim) < r[:, None]))
-            skew *= scale[:, :, None]
-            skew *= scale[:, None, :]
-        else:
-            # one matrix, scaled in place through named views, which ``x[:r] *= 2`` would assign back
-            q, r = divmod(e[start], dim - 1)
-            if q:
-                skew *= math.ldexp(1.0, 2 * q)
-            if r:
-                top, left = skew[:r], skew[:, :r]
-                top *= 2.0
-                left *= 2.0
         stacks.append((order[start:stop], skew))
         start = stop
     return stacks
@@ -343,21 +340,23 @@ def _c1_from_words(state: SystemState, first: complex, second_adjoint: complex) 
 def _c1_values(states, workspace: Workspace) -> list:
     """``<psi(t)| c_1 |psi(t)>`` of each of the states, one Pfaffian elimination per operand dimension.
 
-    A group of one is eliminated as the one matrix it is.  A range error
-    of one state's Pfaffian carries that state's index in ``states`` as
-    its ``member`` attribute.  Every (dim x dim)-sized array of the
-    evaluation lives in ``workspace``, which it takes over whole: the
-    arrays of an earlier evaluation in it are overwritten.
+    A group of one is eliminated as the one matrix it is, its stack's
+    only member, so a single operand runs the kernel's matrix path.  A
+    range error of one state's Pfaffian carries that state's index in
+    ``states`` as its ``member`` attribute.  Every (dim x dim)-sized array
+    of the evaluation lives in ``workspace``, which it takes over whole:
+    the arrays of an earlier evaluation in it are overwritten.
     """
     workspace.top = 0
     values = [None] * len(states)
     for members, skew in _c1_stacks(states, workspace):
+        operand = skew if len(members) > 1 else skew[0]
         try:
-            words = vacuum_expectation(SkewMatrix.antisymmetric(skew, border=2, workspace=workspace), border=2)
+            words = vacuum_expectation(SkewMatrix.antisymmetric(operand, border=2, workspace=workspace), border=2)
         except FloatingPointError as error:
             error.member = members[getattr(error, "member", 0)]
             raise
-        for i, (first, second_adjoint) in zip(members, words if skew.ndim == 3 else [words]):
+        for i, (first, second_adjoint) in zip(members, words if operand.ndim == 3 else [words]):
             values[i] = _c1_from_words(states[i], first, second_adjoint)
     return values
 

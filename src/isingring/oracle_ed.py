@@ -118,14 +118,14 @@ def _orbit_basis(n_sites: int):
     return col, 1.0 / np.sqrt(np.bincount(col)[col])
 
 
-def _sector_hamiltonian(n_sites: int, g: float, col: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``P^T H P`` for ``H = -sum_j (sigma^x_j sigma^x_{j+1} + g sigma^z_j)``, without forming H.
+def _sector_bonds(n_sites: int, col: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``P^T H P`` for the bond part ``H = -sum_j sigma^x_j sigma^x_{j+1}``, without forming H.
 
     H commutes with T, so column r of ``P^T H P`` follows from any one member
     s of orbit r: each bond flip of s that lands in orbit t stands for the
     same flip of all 1/weight[r]^2 states of the orbit, each entering with
     ``-weight[t] * weight[r]``, so it adds ``-weight[t] / weight[r]`` to
-    entry (t, r).
+    entry (t, r).  The field's term is diagonal; :func:`_blocks` adds it.
     """
     r = col.max() + 1
     # one state of each orbit; which one the assignment keeps does not matter
@@ -133,11 +133,8 @@ def _sector_hamiltonian(n_sites: int, g: float, col: np.ndarray, weight: np.ndar
     member[col] = np.arange(2**n_sites)
     bonds = np.array([(1 << j) | (1 << ((j + 1) % n_sites)) for j in range(n_sites)])
     flipped = member ^ bonds[:, None]
-    h = np.bincount((col[flipped] * r + np.arange(r)).ravel(),
-                    weights=(-weight[flipped] / weight[member]).ravel(), minlength=r * r).reshape(r, r)
-    # -g sum_j sigma^z_j, the same on every state of an orbit
-    h.reshape(-1)[::r + 1] -= g * (2.0 * _popcount(n_sites)[member] - n_sites)
-    return h
+    return np.bincount((col[flipped] * r + np.arange(r)).ravel(),
+                       weights=(-weight[flipped] / weight[member]).ravel(), minlength=r * r).reshape(r, r)
 
 
 class _RingSector(NamedTuple):
@@ -177,7 +174,7 @@ def ring_sector(n_sites: int) -> _RingSector:
     a_eo, a_oe = lower[:e, e:].copy(), lower[e:, :e].copy()
     # every amplitude of the ferro state is 2^(-N/2)
     ferro = np.bincount(col, weights=weight) / 2.0 ** (n_sites / 2)
-    h = _sector_hamiltonian(n_sites, 0.0, col, weight)
+    h = _sector_bonds(n_sites, col, weight)
     bonds = h[:e, :e].copy(), h[e:, e:].copy()
     for table in (*bonds, z_total, a_eo, a_oe, ferro):
         table.flags.writeable = False
@@ -202,12 +199,15 @@ def _energy_bound(n_sites: int, g: float, name: str) -> float:
     return bound
 
 
+def _blocks(sector: _RingSector, g: float) -> list:
+    """The even and odd blocks of ``P^T H P`` at field g: the bond blocks plus ``-g sum_j sigma^z_j``, diagonal."""
+    e, z = sector.even, sector.z_total
+    return [bonds - np.diag(g * z_block) for bonds, z_block in zip(sector.bonds, (z[:e], z[e:]))]
+
+
 def _eigensystem(sector: _RingSector, g: float):
     """The levels of the sector's even block at field g, then those of its odd block, and each block's eigenvectors."""
-    e, z = sector.even, sector.z_total
-    # each block plus -g sum_j sigma^z_j, which is diagonal, as _sector_hamiltonian adds it
-    (e_even, v_even), (e_odd, v_odd) = (np.linalg.eigh(bonds - np.diag(g * z_block))
-                                        for bonds, z_block in zip(sector.bonds, (z[:e], z[e:])))
+    (e_even, v_even), (e_odd, v_odd) = map(np.linalg.eigh, _blocks(sector, g))
     return np.concatenate([e_even, e_odd]), (v_even, v_odd)
 
 

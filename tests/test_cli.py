@@ -44,6 +44,31 @@ class TestExtremumHelpers:
         assert refine_extremum(x, y, 0) == (0.0, 0.0)
         assert refine_extremum(x, y, 4) == (4.0, 4.0)
 
+    def test_flat_parabola_returns_the_sample(self):
+        # three collinear points: no curvature to refine by
+        x = np.arange(5.0)
+        assert refine_extremum(x, [0.0, 1.0, 2.0, 3.0, 4.0], 2) == (2.0, 2.0)
+        assert refine_extremum(x, [3.0, 3.0, 3.0, 3.0, 3.0], 1) == (1.0, 3.0)
+
+    @pytest.mark.parametrize("i", [-1, 5, 7])
+    def test_index_outside_the_series_raises(self, i):
+        # numpy would wrap -1 round to the last samples and reject 5 with an IndexError
+        with pytest.raises(ValueError, match=rf"^i must lie in \[0, 5\), got {i}$"):
+            refine_extremum(np.arange(5.0), [3.0, 1.0, 0.0, 1.0, 3.0], i)
+
+    @pytest.mark.parametrize("x, y, message", [
+        (np.arange(5.0), [3.0, 1.0, 0.0, 1.0], "^x and y must be nonempty and of one length, got lengths 5 and 4$"),
+        ([], [], "^x and y must be nonempty and of one length, got lengths 0 and 0$"),
+        (np.arange(5.0), [1.0, np.nan, 0.0, 1.0, 2.0], "^y entry must be finite and real, got nan$"),
+        ([0.0, 1.0, np.inf], [1.0, 0.0, 1.0], "^x entry must be finite and real, got inf$"),
+    ], ids=["short_y", "empty", "nan_y", "inf_x"])
+    def test_bad_series_raises(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            refine_extremum(x, y, 0)
+        for refined in (refined_minimum, refined_maximum):
+            with pytest.raises(ValueError, match=message):
+                refined(x, y)
+
 
 class TestQuenchCommand:
     def test_writes_csv_and_summary(self, tmp_path):
@@ -280,6 +305,21 @@ class TestConfigFile:
         cfg.write_text("n = 6\nbogus = 1\n")
         assert main(["quench", "--config", str(cfg)]) == 2
 
+    def test_switch_in_config_file(self, tmp_path):
+        # a store_true flag is turned on by a true value; the summary then holds the validation
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 6\ngf = 0.5\ntmax = 1.0\ndt = 0.5\nvalidate = yes\nout = {tmp_path / 'q.csv'}\n")
+        assert main(["quench", "--config", str(cfg)]) == 0
+        with open(tmp_path / "q.summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["config"]["validate"] is True
+        assert summary["validation"]["pass"] is True
+        assert summary["validation"]["max_abs_deviation"] < 1e-8
+        cfg.write_text(f"n = 6\ngf = 0.5\ntmax = 1.0\ndt = 0.5\nvalidate = no\nout = {tmp_path / 'q.csv'}\n")
+        assert main(["quench", "--config", str(cfg)]) == 0
+        with open(tmp_path / "q.summary.json") as fh:
+            assert "validation" not in json.load(fh)
+
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
@@ -353,6 +393,18 @@ class TestValidateSuite:
         built.clear()
         assert json.dumps(validate_suite(), indent=2, sort_keys=True) == shared
         assert built == [4, 6, 8, 10] + [4] * 3 + [6] * 3 + [8] * 3 + [10] * 3 + [8]
+
+    def test_validate_command_fails_on_corruption(self, tmp_path, capsys, monkeypatch):
+        # a flipped k = 0 sign breaks every case; the command still writes its report, then exits 1
+        monkeypatch.setattr(observables, "_TERM_SIGNS", (-1.0, 1.0, 1.0))
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "13 case(s) failed validation\n"
+        with open(out) as fh:
+            report = json.load(fh)
+        assert report["passed"] is False and not any(case["pass"] for case in report["cases"])
+        assert json.loads(captured.out) == report
 
     def test_validate_command_writes_report(self, tmp_path):
         out = tmp_path / "report.json"

@@ -126,6 +126,20 @@ class TestDispersion:
             assert evals[1] == pytest.approx(dispersion(k, g), abs=1e-12)
             assert evals[0] == pytest.approx(-dispersion(k, g), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf, True, "0.1", np.array([0.1, np.nan]),
+                                   [0.1, np.inf], np.zeros((2, 2))])
+    def test_bad_momentum_raises(self, k):
+        # no silent NaN and no numpy warning: k is checked as bogoliubov_angle checks it
+        with np.errstate(all="raise"):
+            for function in (dispersion, model.mode_coefficients):
+                with pytest.raises(ValueError, match="^k (entry )?must be "):
+                    function(k, 0.5)
+
+    def test_momentum_array_accepted(self):
+        k = np.array([0.1, 1.2, -2.0])
+        np.testing.assert_array_equal(dispersion(k, 0.5), [dispersion(x, 0.5) for x in k])
+        np.testing.assert_array_equal(dispersion(list(k), 0.5), dispersion(k, 0.5))
+
     @pytest.mark.parametrize("g", [1e155, 1e200, -1e200])
     def test_sector_energies_finite_at_large_fields(self, g):
         # each mode energy is about 2 |g|, and g^2 is beyond the double range
@@ -335,6 +349,14 @@ def test_cat_norm_identity():
         assert cat_norm_identity(n) == pytest.approx(
             (1.0 / np.sqrt(2.0)) ** (n - 1), rel=1e-12
         )
+
+
+def test_cat_norm_below_the_double_range_raises():
+    # 2^-1021.5 at N = 2044 is the last normal value; at N = 2046 it is subnormal, at 5000 zero
+    assert cat_norm_identity(2044) == pytest.approx(2.0**-1021.5, rel=1e-12)
+    for n in (2046, 5000):
+        with pytest.raises(FloatingPointError, match=rf"^the cat-state norm at N = {n} is below the double range"):
+            cat_norm_identity(n)
 
 
 class TestXYZFactorization:

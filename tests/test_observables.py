@@ -33,6 +33,7 @@ from tests_support import (
     evolve_exact,
     expectation_c1_reference,
     ferro_state,
+    fold_after_assembly,
     measure,
     pair_rows_pivot_reference,
     pfaffian_reference,
@@ -307,7 +308,7 @@ class TestOperand:
         elif block == "cross":
             def poisoned(*args):
                 cross = contractions(*args)
-                cross[3, 2] = bad
+                cross[..., 3, 2] = bad
                 calls.append(cross.shape)
                 return cross
 
@@ -321,8 +322,9 @@ class TestOperand:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             expectation_c1(state)
         if block == "cross":
-            # the operand's cross block is the one gather, the N bra rows against the N - 1 ket parts
-            assert calls == [(10, 9)]
+            # the operand's cross block is the one gather, the N bra rows against the N - 1 ket parts,
+            # of the state's stack of one
+            assert calls == [(1, 10, 9)]
 
 
 class TestReducedOperand:
@@ -589,7 +591,7 @@ class TestBatches:
         assert len(stacks) == len(set(counts)) == 3
         assert sorted(i for members, _ in stacks for i in members) == list(range(21))
         for members, skew in stacks:
-            for member, i in zip(skew if skew.ndim == 3 else [skew], members):
+            for member, i in zip(skew, members):
                 np.testing.assert_array_equal(member, c1_bordered(states[i]).entries)
         assert observables._c1_values(states, Workspace()) == [expectation_c1(s) for s in states]
         assert run_series(driver, grid, times) == [
@@ -671,11 +673,13 @@ class TestBatches:
 
         monkeypatch.setattr(observables, "_pair_product", with_chosen_exponent)
         (members, stack), = observables._c1_stacks(states, Workspace())
-        assert stack.shape == (6, dim, dim)
-        for i, member in zip(members, stack):
-            # a state alone is one matrix, which takes the scalar fold
-            (_, alone), = observables._c1_stacks([states[i]], Workspace())
-            assert alone.ndim == 2 and member.tobytes() == alone.tobytes()
+        assert stack.shape == (6, dim, dim) and members == list(range(6))
+        alone = [observables._c1_stacks([state], Workspace())[0][1][0] for state in states]
+        # the same operands assembled without 2^e, then folded after assembly, one member at a time
+        monkeypatch.setattr(observables, "_pair_product", lambda alpha: (pair_product(alpha)[0], 0))
+        (_, bare), = observables._c1_stacks(states, Workspace())
+        for member, single, unfolded, e in zip(stack, alone, bare, exponents):
+            assert member.tobytes() == single.tobytes() == fold_after_assembly(unfolded, e).tobytes()
 
     def test_validate_suite_takes_one_elimination_per_stack(self, monkeypatch):
         # 13 cases of 20 or 21 samples; three quenches (g_f = 1 at N = 6, 8, 10) mix two dimensions

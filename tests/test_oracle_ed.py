@@ -430,17 +430,20 @@ class TestZeroMomentumSector:
 
     @pytest.mark.parametrize("g", [0.0, 0.6, 1.7])
     def test_sector_hamiltonian_is_projected_full_hamiltonian(self, g):
+        # the two parity blocks that the trajectories diagonalize, against P^T H P of the full H
         n = 8
         col, weight = oracle_ed._orbit_basis(n)
         p = isometry(col, weight)
-        np.testing.assert_allclose(oracle_ed._sector_hamiltonian(n, g, col, weight),
-                                   p.T @ build_hamiltonian(n, g) @ p, rtol=0, atol=1e-13)
+        sector = oracle_ed.ring_sector(n)
+        e = sector.even
+        h = np.zeros((col.max() + 1,) * 2)
+        h[:e, :e], h[e:, e:] = oracle_ed._blocks(sector, g)
+        np.testing.assert_allclose(h, p.T @ build_hamiltonian(n, g) @ p, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("g", [0.0, 0.6, 1.7])
     def test_sector_spectrum_within_full_spectrum(self, g):
         n = 8
-        col, weight = oracle_ed._orbit_basis(n)
-        sector = np.linalg.eigvalsh(oracle_ed._sector_hamiltonian(n, g, col, weight))
+        sector, _ = oracle_ed._eigensystem(oracle_ed.ring_sector(n), g)
         full = np.linalg.eigvalsh(build_hamiltonian(n, g))
         assert np.abs(sector[:, None] - full[None, :]).min(axis=1).max() < 1e-12
 
@@ -459,9 +462,25 @@ class TestZeroMomentumSector:
         odd[col] = oracle_ed._popcount(n) % 2 == 1
         even = np.count_nonzero(~odd)
         assert not odd[:even].any() and odd[even:].all()
-        h = oracle_ed._sector_hamiltonian(n, 0.6, col, weight)
-        assert np.count_nonzero(h[:even, even:]) == 0
-        assert np.count_nonzero(h[even:, :even]) == 0
+        # the field's term is diagonal, so only the bonds could couple the parities
+        bonds = oracle_ed._sector_bonds(n, col, weight)
+        assert np.count_nonzero(bonds[:even, even:]) == 0
+        assert np.count_nonzero(bonds[even:, :even]) == 0
+        # the blocks diagonalized at a field are the bonds' diagonal blocks plus a diagonal
+        sector = oracle_ed.ring_sector(n)
+        assert sector.even == even
+        for block, bond_block in zip(oracle_ed._blocks(sector, 0.6), (bonds[:even, :even], bonds[even:, even:])):
+            off = ~np.eye(len(block), dtype=bool)
+            assert np.array_equal(block[off], bond_block[off])
+
+    def test_measure_rejects_a_block_that_is_not_normalized(self):
+        sector = oracle_ed.ring_sector(6)
+        block = np.column_stack([sector.ferro, sector.ferro]).astype(complex)
+        # the +x ferro state, one sample of N <sigma^x_1> = N
+        np.testing.assert_allclose(oracle_ed._measure(sector, block[:, :1]), [[6.0, 0.0, 0.0]], atol=1e-12)
+        block[:, 1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match=r"^state not normalized: \|psi\| = "):
+            oracle_ed._measure(sector, block)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_lowering_operator_is_projected_full_operator(self, n):

@@ -362,13 +362,27 @@ def _fill_bra(index, coeff, modes, u, v):
 def c1_bordered(state) -> SkewMatrix:
     """The engine's ``<c_1>`` operand of one state, as one bordered matrix.
 
-    The one matrix that ``observables._c1_stacks`` builds for the state
-    alone: both words' Schur complement on the bra pairs with
+    The one member of the stack that ``observables._c1_stacks`` builds for
+    the state alone: both words' Schur complement on the bra pairs with
     ``|u_k| > PAIR_RTOL``, of dimension N + 1 + 2f for f rejected pairs,
     with two border columns.
     """
-    ((_, skew),) = observables._c1_stacks([state], Workspace())
+    ((_, (skew,)),) = observables._c1_stacks([state], Workspace())
     return SkewMatrix.antisymmetric(skew, border=2)
+
+
+def fold_after_assembly(skew, e: int) -> np.ndarray:
+    """``skew`` with ``2^e`` spread over its rows and columns, as a scaling of the assembled matrix.
+
+    With ``e = q (dim - 1) + r`` entry (i, j) is multiplied by
+    ``2^(t_i + t_j)``, t_i = q + [i < r], first over the rows and then
+    over the columns.  ``observables._c1_stacks`` folds ``2^e`` into the
+    parts it assembles S from instead, which must give this scaling of
+    the operand assembled without ``2^e``, bit for bit.
+    """
+    q, r = divmod(e, skew.shape[-1] - 1)
+    scale = np.ldexp(1.0, q + (np.arange(skew.shape[-1]) < r))
+    return skew * scale[:, None] * scale
 
 
 def c1_bordered_reference(state) -> SkewMatrix:
