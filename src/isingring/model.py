@@ -326,20 +326,29 @@ def xyz_factorization(jx: float, jy: float, jz: float, n_sites: int):
     h* = sqrt((jz - jx)(jz - jy)) is the product of sqrt(2) and the square
     roots of ``(jz - jx) / 2`` and ``jz - jy`` (since jx < jy, the second
     difference exceeds the double range only if h* does), and an h*
-    beyond the double range raises ``ValueError``.  beta* and the overlap
-    depend on the coupling ratios only, so they are evaluated in units of
-    the power of two 2^e just above max |J|, an exact scaling in which no
-    square overflows.
+    beyond the double range raises ``ValueError``.  beta* is
+    ``-(sqrt(d^2 + 4 h*^2) + 2 h*) / d`` with ``d = jx - jy < 0``, equal to
+    ``-d / (sqrt(d^2 + 4 h*^2) - 2 h*)`` but free of its cancellation when
+    |d| << h*: with ``r = h* / |d|`` it is ``s + 2 r``,
+    ``s = hypot(1, 2 r)``, and a beta* beyond the double range raises
+    ``ValueError``.  Likewise ``(beta* - 1) / (beta* + 1) = 2 r / (1 + s)``,
+    free of the cancellation of beta* - 1 when r << 1.  An overlap below
+    the smallest normal double raises ``FloatingPointError``, except the
+    exact 0 at beta* = 1.
     """
     jx, jy, jz = (_real(j, name) for j, name in ((jx, "jx"), (jy, "jy"), (jz, "jz")))
     if not jx < jy <= 0.0 <= jz:
         raise ValueError(f"couplings must be finite with jx < jy <= 0 <= jz, got ({jx}, {jy}, {jz})")
     n_sites = _integer(n_sites, "n_sites", lower=1)
     h_star = math.sqrt(2.0) * math.sqrt(jz / 2.0 - jx / 2.0) * math.sqrt(jz - jy)
-    if h_star == math.inf:
-        raise ValueError(f"the factorizing field of ({jx}, {jy}, {jz}) exceeds the double range")
-    e = np.frexp(max(-jx, jz))[1]
-    x, y, h = np.ldexp([jx, jy, h_star], -e)
-    beta_star = -(x - y) / (np.sqrt((x - y) ** 2 + 4.0 * h**2) - 2.0 * h)
-    overlap = ((1.0 - beta_star) / (1.0 + beta_star)) ** n_sites
-    return h_star, float(beta_star), float(overlap)
+    ratio = h_star / (jy - jx)
+    root = math.hypot(1.0, 2.0 * ratio)
+    # an infinite h* makes beta* infinite too
+    beta_star, q = root + 2.0 * ratio, 2.0 * ratio / (1.0 + root)
+    if beta_star == math.inf:
+        name = "the factorizing field" if h_star == math.inf else "beta*"
+        raise ValueError(f"{name} of ({jx}, {jy}, {jz}) exceeds the double range")
+    overlap = (-q) ** n_sites if q else 0.0
+    if q and abs(overlap) < sys.float_info.min:
+        raise FloatingPointError(f"the overlap of ({jx}, {jy}, {jz}) at N = {n_sites} is below the double range")
+    return h_star, beta_star, overlap

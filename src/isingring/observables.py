@@ -70,28 +70,12 @@ so it is never divided by; at v = 0 its second row holds only
 ``alpha_k``, and it adds nothing.  The kernel's ``PIVOT_RTOL`` test
 compares against the entries of S, and Pf(M) = 0 exactly when Pf(S) = 0.
 
-The exponent fold.  ``prod_k alpha_k`` leaves the double range at large
-N (about 1e-680 for 400 pairs with |u| = 0.02), so it is never formed as
-one double: :func:`_pair_product` keeps it as ``z 2^e``, a mantissa
-``1/2 <= |z| < 1`` and an exact integer e, renormalizing with ``frexp``
-and ``ldexp`` whenever the running product leaves (2^-500, 2^500), and
-once at the end.  z multiplies both border columns.  2^e is spread over S
-as an exact power-of-two scaling: with L leading rows and
-``e = q (L + 1) + r``, ``0 <= r <= L``, entry (i, j) is multiplied by
-``2^(t_i + t_j)``, where t is q + 1 on the first r rows and q on the rest
-and on the borders.  Each even matrix of the leading block and one
-border column then gains exactly ``z 2^e``, so the returned operand's
-bordered Pfaffians are those of the full matrix.  The scaling is applied
-to the parts S is assembled from, not to S: the ket's coefficients b
-carry 2^t of their rows into the kappa gather, and so into C1, C2, X and
-word 1's border column; z carries the borders' 2^q into both border
-columns; each rejected row takes its 2^t and each pair entry
-``2^(t_i + t_(i+1))``.  That is O((1 + f) N) scalings per state, for f
-rejected pairs, instead of one of each of the (N + 1 + 2f)^2 entries of
-S.  Each is by an exact power of two, so while the entries stay normal
-every entry of S is bit for bit the one a scaling of S after its
-assembly gives, and a member's operand in a stack is the one it has
-alone.
+The pair product.  ``prod_k alpha_k`` leaves the double range at large
+N (about 1e-680 for 400 pairs with |u| = 0.02), so it is never formed
+here: the alpha_k go with S to the Pfaffian as the pivots eliminated
+before it (``SkewMatrix.antisymmetric(..., pivots=)``, 1 for a rejected
+pair), and the kernel keeps their product and its own as one ``z 2^e``
+and checks only the results.  S itself is the plain Schur complement.
 
 The per-sample cost.  Everything that depends on N alone is a table of
 the state's :class:`isingring.model.MomentumGrid`; a sample forms only
@@ -112,9 +96,9 @@ evolves each sample with one ``evolve_*`` call and then evaluates
 accepted bra pairs, and each run of equal counts, operands of one
 dimension N + 1 + 2f, is one group, without padding: one (B, dim, dim)
 stack, assembled with the kappa cross block gathered once and eliminated
-by one :func:`isingring.wick.vacuum_expectation` call.  The pair product
-``z 2^e`` and the power-of-two fold stay each state's own, and every
-value is bit for bit the one the state has alone.  Every group is
+by one :func:`isingring.wick.vacuum_expectation` call, each operand with
+its own row of pivots, so that every value is bit for bit the one the
+state has alone.  Every group is
 assembled as a stack, a group of one state as a stack of one; a group of
 one is eliminated as its one matrix, so a series of one sample runs the
 kernel's steps of a single operand.
@@ -140,7 +124,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -167,10 +151,6 @@ PAIR_RTOL = 0.01
 #: N = 100 and 3 at N = 200, was faster per sample than 4 MiB at both
 _BATCH_BYTES = 1 << 21
 
-#: _pair_product renormalizes its running product only outside this range of moduli; an accepted
-#: factor has PAIR_RTOL < |alpha| <= 1 + NORM_TOL, so no partial product leaves the normal range
-_PRODUCT_LOW, _PRODUCT_HIGH = 2.0**-500, 2.0**500
-
 
 @dataclass(frozen=True)
 class MagnetizationSample:
@@ -180,31 +160,6 @@ class MagnetizationSample:
     mx: float
     my: float
     mz: float
-
-
-def _pair_product(alpha):
-    """``prod(alpha)`` as ``(z, e)``, ``prod(alpha) = z 2^e`` with ``1/2 <= |z| < 1``.
-
-    ``alpha`` is an iterable of Python complex numbers, each of modulus in
-    (2^-500, 2^500).  The running product is divided by its own power of
-    two (``frexp``, then an exact ``ldexp``), and the power added to the
-    integer ``e``, only when its modulus leaves (2^-500, 2^500), and once at
-    the end, so no partial product leaves the normal range.  Each rescaling
-    is exact, so ``(z, e)`` is the pair that renormalizing after every
-    factor gives.  The empty product is ``(1, 0)``.
-    """
-    z, e, factors = 1.0 + 0.0j, 0, 0
-    for factors, x in enumerate(alpha, 1):
-        z *= x
-        if not _PRODUCT_LOW < abs(z) < _PRODUCT_HIGH:
-            z, e = _renormalized(z, e)
-    return _renormalized(z, e) if factors else (z, e)
-
-
-def _renormalized(z: complex, e: int):
-    """``z 2^e`` as ``(z 2^-s, e + s)``, with s the exponent of |z|, so that ``1/2 <= |z 2^-s| < 1``."""
-    shift = math.frexp(abs(z))[1]
-    return complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
 
 
 def _c1_entries(n: int, counts) -> int:
@@ -230,13 +185,13 @@ def _c1_stacks(states, workspace: Workspace) -> list:
 
     The border columns are ``c_1`` on the odd grid (word 1) and ``c_1^dag``
     on the even grid (the adjoint of word 2), each without the ``N^{-1/2}``
-    of ``c_1``.  Returns ``(members, skew)`` for each dimension that
-    occurs, fewest rejected pairs first: the indices into ``states`` of the
-    states with f rejected bra pairs, ascending, and their operands as one
-    (B, dim, dim) array, a group of one state included.  Each operand
-    carries its state's ``2^e``, folded into the parts it is assembled
-    from.  The operands stay in ``workspace``, above its ``top``, and the
-    rest is freed again.
+    of ``c_1``.  Returns ``(members, skew, pivots)`` for each dimension
+    that occurs, fewest rejected pairs first: the indices into ``states``
+    of the states with f rejected bra pairs, ascending, their operands as
+    one (B, dim, dim) array, a group of one state included, and the
+    (B, N/2) pivots eliminated before them, ``alpha_k`` of each accepted
+    bra pair and 1 for each rejected one.  The operands stay in
+    ``workspace``, above its ``top``, and the rest is freed again.
     """
     grid = states[0].grid
     n = grid.n_sites
@@ -255,40 +210,24 @@ def _c1_stacks(states, workspace: Workspace) -> list:
 
     # within a sector only the two factors of a BCS pair contract, with kappa = 1
     alpha = np.conj(u[:, :h])
-    z, e = zip(*map(_pair_product, map(compress, alpha.tolist(), accepted.tolist())))
-    # 2^e over each operand's rows: with dim - 1 = 2 (n - count) and e = q (dim - 1) + r, row i
-    # gains 2^t, t_i = q + [i < r].  An operand's k = n - 2 count rejected rows come first, then
-    # the ket's parts and the borders.  One table of 2^t serves every member: its column c is
-    # row c - most + k, for the most rejected rows of any member, so the ket's parts are columns
-    # [most, most + n - 1), the borders column most + n, and t = q + 1 before r - k + most
-    most = n - 2 * counts[-1]
-    q, shift = np.array([(x // (2 * (n - c)), x % (2 * (n - c)) + 2 * (c - counts[-1]))
-                         for x, c in zip(e, counts)]).T
-    scale = np.ldexp(1.0, q[:, None] + (np.arange(most + n + 1) < shift[:, None]))
     # the parts that meet across sectors, at the grid's interleaved indices ann and cre: the
     # bra pairs' annihilated parts c_{-k} and conj(v) c_k, ascending in k, and the ket's
-    # created parts v c^dag_k and c^dag_{-k}, then c^dag_0, which carry their 2^t into every
-    # entry they make
-    a = np.ones((len(states), n), dtype=complex)
+    # created parts v c^dag_k and c^dag_{-k}, then c^dag_0
+    a, b = np.ones((len(states), n), dtype=complex), np.ones((len(states), n - 1), dtype=complex)
     np.conjugate(v[:, :h], out=a[:, 1::2])
-    b = scale[:, most:most + n - 1].astype(complex)
-    b[:, 0:-1:2] *= v[:, h:]
+    b[:, 0:-1:2] = v[:, h:]
 
     # the bra rows over the later columns: the ket and c^dag_0, word 1's border (which
     # meets only the ket and c^dag_0), word 2's border
     rows = workspace.take((len(states), n, n + 1))
     rows[..., n - 1] = 0.0
     contractions((grid.ann, grid.cre), (a, b), grid, rows[..., :n - 1], workspace)
-    border = rows[..., n]
-    np.multiply(grid.ann_phase, a, out=border)
+    np.multiply(s3 * grid.ann_phase, a, out=rows[..., n])
     first = np.multiply(grid.cre_phase, b, out=b)
-    # the term signs and z 2^q, the borders' share of 2^e, enter the border columns together;
     # word 1's c_1 stands before the later factors, so its column holds minus its contractions,
     # and its last entry, at c^dag_0 (phase and coefficient 1), takes the k = 0 sign
-    z = np.array(z)[:, None] * scale[:, -1:]
-    border *= s3 * z
-    first[:, :-1] *= -s2 * z
-    first[:, -1:] *= -s1 * z
+    first[:, :-1] *= -s2
+    first[:, -1] *= -s1
 
     stacks, start = [], 0
     pair_rows = rows.reshape(-1, h, 2, n + 1)
@@ -298,8 +237,6 @@ def _c1_stacks(states, workspace: Workspace) -> list:
             x[start:stop] for x in (pair_rows, alpha, accepted, first, u[:, h:]))
         k = 2 * (h - count)
         dim = k + n + 1
-        # 2^t of the group's rows but the last three, which hold no pair entry and no rejected row
-        group_scale = scale[start:stop, most - k:most + n - 2]
         # S stays in the workspace; U, taken after it, is freed once S is formed
         skew = workspace.take((stop - start, dim, dim))
         mark = workspace.top
@@ -311,7 +248,7 @@ def _c1_stacks(states, workspace: Workspace) -> list:
         if k:
             failed = ~kept
             upper[..., :k] = 0
-            np.multiply(group_rows[failed].reshape(-1, k, n + 1), group_scale[:, :k, None], out=upper[:, :k, k:])
+            upper[:, :k, k:] = group_rows[failed].reshape(-1, k, n + 1)
             pair_alpha = np.concatenate((group_alpha[failed].reshape(-1, k // 2), pair_alpha), axis=-1)
             # a rejected pair adds nothing to X: its C2 is zeroed, and divided by 1 instead of its alpha
             scaled[failed] = 0
@@ -319,13 +256,12 @@ def _c1_stacks(states, workspace: Workspace) -> list:
         np.divide(scaled, group_alpha[..., None], out=scaled)
         np.matmul(scaled.swapaxes(-1, -2), c1, out=upper[:, k:, k:])
         upper[:, k:-2, -2] = group_first
-        # the pair entries (i, i + 1), even i < dim - 3, a strided view of each flat matrix; each
-        # gains 2^(t_i + t_(i+1))
+        # the pair entries (i, i + 1), even i < dim - 3, a strided view of each flat matrix
         pairs = upper.reshape(stop - start, -1)[:, 1:(dim - 3) * (dim + 1) + 1:2 * (dim + 1)]
-        pairs += pair_alpha * group_scale[:, 0::2] * group_scale[:, 1::2]
+        pairs += pair_alpha
         np.subtract(upper, upper.swapaxes(-1, -2), out=skew)
         workspace.top = mark
-        stacks.append((order[start:stop], skew))
+        stacks.append((order[start:stop], skew, group_alpha))
         start = stop
     return stacks
 
@@ -349,14 +285,15 @@ def _c1_values(states, workspace: Workspace) -> list:
     """
     workspace.top = 0
     values = [None] * len(states)
-    for members, skew in _c1_stacks(states, workspace):
-        operand = skew if len(members) > 1 else skew[0]
+    for members, skew, pivots in _c1_stacks(states, workspace):
+        # a group of one is eliminated as its one matrix
+        lone = 0 if len(members) == 1 else slice(None)
         try:
-            words = vacuum_expectation(SkewMatrix.antisymmetric(operand, border=2, workspace=workspace), border=2)
+            words = vacuum_expectation(SkewMatrix.antisymmetric(skew[lone], 2, workspace, pivots[lone]), border=2)
         except FloatingPointError as error:
             error.member = members[getattr(error, "member", 0)]
             raise
-        for i, (first, second_adjoint) in zip(members, words if operand.ndim == 3 else [words]):
+        for i, (first, second_adjoint) in zip(members, [words] if len(members) == 1 else words):
             values[i] = _c1_from_words(states[i], first, second_adjoint)
     return values
 

@@ -59,6 +59,17 @@ block row and its border column, so its Pfaffian is that border entry
 times the pivot product.  Wick words that differ in one factor give such
 matrices (see :mod:`isingring.observables`).
 
+Pivots eliminated before the operand.  An operand may be a Schur
+complement, whose rows eliminated before it leave their pivots behind:
+``SkewMatrix.antisymmetric(..., pivots=)`` carries them, a (p,) row for a
+matrix and a (B, p) array for a stack, and every result is multiplied by
+their product.  The given pivots and the kernel's own are multiplied in
+Python complex arithmetic, which does not warn, into one product kept as
+``z 2^e`` (:func:`_pair_product`), so it never leaves the double range on
+the way.  Only the results are checked, once, as ``z 2^e`` times each last
+entry: one that is not finite, or falls below the smallest normal double,
+raises ``FloatingPointError`` instead of returning a silent NaN or 0.
+
 Small pivots.  Each step tests its largest pivot once, against
 ``PIVOT_RTOL`` times the largest initial entry magnitude or the smallest
 normal double, whichever is larger.  A pivot that fails is measured
@@ -72,10 +83,8 @@ matrix singular, and its Pfaffian is exactly 0.  In a bordered matrix a
 spent row gives exact zeros too if every other row of the leading block
 is spent by the same rule; if not, the spent row is the odd block's null
 direction, which only the border columns meet, and each result is the
-plain Pfaffian of its own even matrix, taken from the operand.
-The pivot product is accumulated in Python complex arithmetic, which does
-not warn.  A product that is not finite, or falls below the smallest normal
-double, raises ``FloatingPointError`` instead of returning a silent NaN or 0.
+plain Pfaffian of its own even matrix, taken from the operand and its
+pivots.
 In a stack each member is tested against its own threshold and its own
 rows.  A member whose row is spent gets what it gets alone, exact zeros or
 its words' own Pfaffians, and stays in the stack: its working rows and
@@ -102,8 +111,11 @@ ASYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-13
 #: the updates are delayed over panels of this many elimination steps (2 rows and columns each)
 _BLOCK_STEPS = 32
-#: the smallest normal double: a smaller pivot product has lost digits
+#: the smallest normal double: a smaller pivot or result has lost digits
 _TINY = sys.float_info.min
+#: _pair_product renormalizes a factor or its running product only outside this range of moduli,
+#: so that no product of two leaves the normal range
+_PRODUCT_LOW, _PRODUCT_HIGH = 2.0**-500, 2.0**500
 
 
 class Workspace:
@@ -186,7 +198,8 @@ class SkewMatrix:
     the input as ``scale`` and the largest asymmetry found.  Asymmetry beyond
     ``ASYMMETRY_RTOL`` times ``scale`` raises :class:`SkewSymmetryError`; a
     NaN or infinite entry raises ``ValueError``.  :meth:`antisymmetric`
-    wraps a matrix that needs neither the scan nor the copy.
+    wraps a matrix that needs neither the scan nor the copy, and may give
+    it the ``pivots`` of rows eliminated before it.
 
     A (B, n, n) array is a stack of B such matrices: ``dim`` and ``border``
     are each member's, ``scale`` is the array of the members' largest entry
@@ -208,7 +221,7 @@ class SkewMatrix:
         self.max_asymmetry = float(asymmetry.max(initial=0.0))
 
     @classmethod
-    def antisymmetric(cls, entries, border: int = 0, workspace: Workspace | None = None) -> "SkewMatrix":
+    def antisymmetric(cls, entries, border: int = 0, workspace: Workspace | None = None, pivots=()) -> "SkewMatrix":
         """Wrap a matrix that is antisymmetric by construction, as it is.
 
         The caller guarantees ``entries == -entries.T`` exactly.  The
@@ -218,14 +231,18 @@ class SkewMatrix:
         NaN or infinite entry makes it NaN or infinite, which raises
         ``ValueError``.  A ``workspace`` travels with the operand:
         :func:`pfaffian` carves its working arrays from it, and the
-        magnitudes behind ``scale`` are taken in it too.
+        magnitudes behind ``scale`` are taken in it too.  ``pivots`` are
+        the pivots of the rows eliminated before the operand, which
+        multiply every result: a (p,) row for a matrix and a (B, p) array
+        for a stack, or any array that reshapes to it.  Each must be finite
+        and nonzero, or ``ValueError`` is raised.
         """
         self = cls.__new__(cls)
-        self._wrap(entries, border, workspace)
+        self._wrap(entries, border, workspace, pivots)
         return self
 
-    def _wrap(self, entries, border: int, workspace: Workspace | None = None) -> np.ndarray:
-        """Take the entries as complex, check shape, border and finiteness, and record them."""
+    def _wrap(self, entries, border: int, workspace: Workspace | None = None, pivots=()) -> np.ndarray:
+        """Take the entries as complex, check shape, border, pivots and finiteness, and record them."""
         border, m = _integer(border, "border"), np.asarray(entries, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise PfaffianDimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
@@ -250,8 +267,12 @@ class SkewMatrix:
             finite = np.isfinite(scale).all()
         if not finite:
             raise ValueError("matrix entries must be finite" + _in_member(m, np.argmin(np.isfinite(scale))))
+        pivots = np.asarray(pivots, dtype=complex).reshape(m.shape[:-2] + (-1,))
+        usable = (np.isfinite(pivots) & (pivots != 0)).all(axis=-1)
+        if not usable.all():
+            raise ValueError("pivots must be finite and nonzero" + _in_member(m, np.argmin(usable)))
         self.entries, self.dim, self.border, self.scale, self.max_asymmetry = m, n, border, scale, 0.0
-        self.workspace = workspace
+        self.pivots, self.workspace = pivots, workspace
         return m
 
     def __len__(self):
@@ -261,9 +282,42 @@ class SkewMatrix:
         return f"SkewMatrix(dim={self.dim}, border={self.border}, max_asymmetry={self.max_asymmetry:.3e})"
 
 
-def _representable(z: complex) -> bool:
-    """Finite, and not below the smallest normal double, where digits are lost."""
-    return cmath.isfinite(z) and max(abs(z.real), abs(z.imag)) >= _TINY
+def _pair_product(factors, e: int = 0):
+    """``prod(factors) 2^e`` as ``(z, e')``, ``= z 2^e'`` with ``1/2 <= |z| < 1``.
+
+    ``factors`` is an iterable of Python complex numbers.  A factor whose
+    modulus is outside (2^-500, 2^500) is divided by its own power of two
+    (``frexp``, then an exact ``ldexp``) before it is multiplied in, and so
+    is the running product when it leaves that range, and once at the
+    end, the powers going to the integer exponent; so no product of two
+    leaves the normal range.  Each rescaling is exact, so ``(z, e')`` is
+    the pair that renormalizing after every factor gives.  The empty
+    product is ``(1, e)``.
+    """
+    z, count = 1.0 + 0.0j, 0
+    for count, x in enumerate(factors, 1):
+        if not _PRODUCT_LOW < abs(x) < _PRODUCT_HIGH:
+            x, e = _renormalized(x, e)
+        z *= x
+        if not _PRODUCT_LOW < abs(z) < _PRODUCT_HIGH:
+            z, e = _renormalized(z, e)
+    return _renormalized(z, e) if count else (z, e)
+
+
+def _renormalized(z: complex, e: int):
+    """``z 2^e`` as ``(z 2^-s, e + s)``, with s the exponent of |z|, so that ``1/2 <= |z 2^-s| < 1``."""
+    shift = math.frexp(abs(z))[1]
+    return complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
+
+
+def _double(z: complex, e: int):
+    """``z 2^e`` as a complex, for ``1/2 <= |z| < 1``, or None where it leaves the double range.
+
+    That is where its modulus passes the largest double, or both its parts
+    fall below the smallest normal one, where digits are lost.
+    """
+    value = complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) if e <= 1024 else math.inf
+    return value if cmath.isfinite(value) and max(abs(value.real), abs(value.imag)) >= _TINY else None
 
 
 def _member_error(error: FloatingPointError, member: int) -> FloatingPointError:
@@ -273,7 +327,7 @@ def _member_error(error: FloatingPointError, member: int) -> FloatingPointError:
     return named
 
 
-def _small_pivot(operand, border, m, f, k0, k, offsets, magnitude, sizes):
+def _small_pivot(operand, border, m, f, k0, k, offsets, magnitude, sizes, pivots):
     """The result of an operand whose pivot at step k is below its tolerance, or None.
 
     ``m`` and ``f`` are the operand's working matrix, with this step's swap
@@ -281,7 +335,8 @@ def _small_pivot(operand, border, m, f, k0, k, offsets, magnitude, sizes):
     pivot offsets up to this step.  None means the row is not spent: the
     pivot is a true one, unless it is subnormal, which raises.  ``sizes``
     is the cache of ``PIVOT_RTOL`` times the largest initial entry of each
-    leading row, formed on first use.
+    leading row, formed on first use, and ``pivots`` the operand's pivots
+    eliminated before it.
     """
     d = len(operand) - border
     if sizes is None:
@@ -302,7 +357,7 @@ def _small_pivot(operand, border, m, f, k0, k, offsets, magnitude, sizes):
     if (np.abs(block).max(axis=1) > sizes[perm[k + 1:]]).any():
         # the spent row is the block's null direction, met only by the border columns
         words = (np.r_[:d, c] for c in range(d, len(operand)))
-        return tuple(pfaffian(operand[np.ix_(w, w)]) for w in words), sizes
+        return tuple(pfaffian(SkewMatrix.antisymmetric(operand[np.ix_(w, w)], pivots=pivots)) for w in words), sizes
     return (0.0 + 0.0j,) * border, sizes
 
 
@@ -324,27 +379,21 @@ def pfaffian(a, border: int = 0):
     Returns
     -------
     complex or tuple of complex, or a list of them
-        Pf(a), with the convention Pf([[0, x], [-x, 0]]) = x.  A stack
-        gives the list of its members' results, each what the member gives
-        alone, bit for bit.
+        Pf(a) times the product of ``a.pivots``, with the convention
+        Pf([[0, x], [-x, 0]]) = x.  A stack gives the list of its members'
+        results, each what the member gives alone, bit for bit.
 
     Raises
     ------
     FloatingPointError
-        If a pivot, the product of the pivots, or a result whose last
+        If a pivot that does not spend its row, or a result whose last
         factor is nonzero, is not finite or falls below the smallest normal
-        double, except a pivot that spends its row (at most ``PIVOT_RTOL``
-        times the row's largest initial entry).  For a stack the message
-        names the member, which is also the error's ``member`` attribute.
+        double.  For a stack the message names the member, which is also
+        the error's ``member`` attribute.
 
     Notes
     -----
-    O(n^3) per member, with the trailing-block updates delayed over panels
-    and the pivots searched inside the leading block only.  A pivot at
-    most ``PIVOT_RTOL`` times the largest initial entry of its row leaves
-    exact zeros or, in a bordered matrix whose leading block is not spent,
-    the results' own plain Pfaffians; a larger pivot below the smallest
-    normal double raises ``FloatingPointError`` (see the module docstring).
+    O(n^3) per member; see the module docstring.
     """
     border = _integer(border, "border")
     if not isinstance(a, SkewMatrix):
@@ -363,8 +412,11 @@ def pfaffian(a, border: int = 0):
     d = n - border
     e = d - 2 + d % 2
     # each member's result once its row is spent; each step's pivot offsets, from which a
-    # pivot below its tolerance replays the row permutation
+    # pivot below its tolerance replays the row permutation; each member's pivots, those given
+    # and then its own
     results, sizes = [None] * len(operands), [None] * len(operands)
+    given = a.pivots if stacked else a.pivots[None]
+    factors = given.tolist()
     offsets = []
     # each member's working copy m of its operand in rows :n and below it f, the panel's pending
     # updates: step j's (s, -r) / pivot in rows n + 2j, n + 2j + 1 (r, s = m[k:k + 2]), so a pivot
@@ -379,7 +431,6 @@ def pfaffian(a, border: int = 0):
     # the members' 1 / pivot and -1 / pivot, member i's at 2i and 2i + 1 of the flat view
     coefficients = np.empty(a.entries.shape[:-2] + (2, 1), dtype=complex)
     flat = coefficients.reshape(-1)
-    pfs = [1.0 + 0.0j] * len(operands)
     for k0 in range(0, e, 2 * _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, (e - k0) // 2)
         for j in range(steps):
@@ -405,7 +456,7 @@ def pfaffian(a, border: int = 0):
                     try:
                         result, sizes[i] = _small_pivot(
                             operands[i], border, v[:n], v[n:], k0, k, [o[i] for o in offsets],
-                            abs(pivot), sizes[i])
+                            abs(pivot), sizes[i], given[i])
                     except FloatingPointError as error:
                         raise _member_error(error, i) if stacked else error
                     if result is not None:
@@ -417,7 +468,7 @@ def pfaffian(a, border: int = 0):
                         v[...] = 0
                         flat[2 * i] = flat[2 * i + 1] = 0
                         continue
-                pfs[i] *= -pivot if rel else pivot
+                factors[i].append(-pivot if rel else pivot)
                 flat[2 * i] = inverse = 1.0 / pivot
                 flat[2 * i + 1] = -inverse
             if j:
@@ -435,14 +486,14 @@ def pfaffian(a, border: int = 0):
     # the last block row: its entry right of the block, or its border entries
     lasts = w[..., e, e + 1:].tolist()
     space.top = mark
-    for i, (pf, last) in enumerate(zip(pfs, lasts if stacked else [lasts])):
+    for i, last in enumerate(lasts if stacked else [lasts]):
         if results[i] is not None:
             continue
-        values = [pf * x for x in last]
-        if not _representable(pf) or any(x and not _representable(v) for x, v in zip(last, values)):
-            error = FloatingPointError(
-                f"the product of the pivots ({pf}) or a result ({values}) over- or underflows double precision"
-            )
+        z, power = _pair_product(factors[i])
+        # each last entry is one more factor of its result; an exact 0 is a true 0
+        values = [_double(*_pair_product((z, x), power)) if x else 0j for x in last]
+        if None in values:
+            error = FloatingPointError(f"the product of the pivots ({z} 2^{power}) times {last} leaves the double range")
             raise _member_error(error, i) if stacked else error
         results[i] = tuple(values) if border else values[0]
     return results if stacked else results[0]

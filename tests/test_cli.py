@@ -257,6 +257,15 @@ class TestScanCommands:
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n, jx, jy, jz", [("8", "-1e-300", "0", "1e300"), ("100000", "-1", "-0.5", "0.5")],
+                             ids=["beta", "overlap"])
+    def test_unrepresentable_xyz_point_rejected_without_output(self, tmp_path, capsys, n, jx, jy, jz):
+        # beta* beyond the double range used to be written as nan, and an underflowing overlap as 0
+        rc = main(["xyz", f"--n={n}", f"--jx={jx}", f"--jy={jy}", f"--jz={jz}", "--out", str(tmp_path / "xyz.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["gap", "deltal"])
     def test_large_field_writes_a_finite_value(self, tmp_path, command):
         # g^2 is beyond the double range; the scan must still write a finite value

@@ -433,15 +433,48 @@ class TestXYZFactorization:
     @pytest.mark.parametrize("couplings", [(-1e150, -1e-200, 0.0), (-1.0, -1e-310, 0.0), (-1.0, 0.0, 1e-310),
                                            (-1e308, 0.0, 1e308)])
     def test_field_over_a_wide_coupling_range(self, couplings):
-        # h* = sqrt((jz - jx)(jz - jy)) stays accurate where that product would leave the double range
+        # h* = sqrt((jz - jx)(jz - jy)) stays accurate where that product would leave the double range;
+        # at N = 1 the overlap, down to 1e-175 here, is in the double range too
         jx, jy, jz = couplings
         expected = float(mpmath.sqrt((mpmath.mpf(jz) - jx) * (mpmath.mpf(jz) - jy)))
-        assert xyz_factorization(*couplings, 8)[0] == pytest.approx(expected, rel=1e-15)
+        assert xyz_factorization(*couplings, 1)[0] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("couplings", [(-1.5e308, 0.0, 1.5e308), (-1.7e308, -1e308, 1.7e308)])
     def test_field_beyond_double_range_rejected(self, couplings):
         with pytest.raises(ValueError, match="double range"):
             xyz_factorization(*couplings, 8)
+
+    @pytest.mark.parametrize("couplings, n", [
+        # jy - jx << h*: sqrt(d^2 + 4 h^2) - 2 h cancels; 1e-9 used to give beta* = inf and a NaN overlap,
+        # and 1e-6 a beta* 0.19 % off
+        ((-1.0, -1.0 + 1e-9, 1.0), 8), ((-1.0, -1.0 + 1e-6, 1.0), 8),
+        # h* << jy - jx: beta* - 1 cancels in the overlap
+        ((-1.0, -1e-12, 1e-12), 8),
+        ((-2.0, -1.0, 0.5), 4), ((-3.3, -1.2, 0.7), 1000), ((-1.0, -0.5, 0.5), 1000),
+    ])
+    def test_beta_and_overlap_match_high_precision(self, couplings, n):
+        with mpmath.workdps(50):
+            x, y, z = map(mpmath.mpf, couplings)
+            h = mpmath.sqrt((z - x) * (z - y))
+            beta = -(x - y) / (mpmath.sqrt((x - y) ** 2 + 4 * h**2) - 2 * h)
+            overlap = ((1 - beta) / (1 + beta)) ** n
+        _, beta_star, value = xyz_factorization(*couplings, n)
+        assert beta_star == pytest.approx(float(beta), rel=1e-12)
+        assert value == pytest.approx(float(overlap), rel=1e-12)
+
+    def test_beta_beyond_double_range_rejected(self):
+        # beta* is about 4e600: it used to be returned as (1e300, nan, nan)
+        with pytest.raises(ValueError, match=r"^beta\* of \(-1e-300, 0\.0, 1e\+300\) exceeds the double range"):
+            xyz_factorization(-1e-300, 0.0, 1e300, 8)
+
+    def test_overlap_below_double_range_raises(self):
+        # a nonzero overlap of about 1e-8800 used to be returned as 0.0; at beta* = 1 the 0 is exact
+        with pytest.raises(FloatingPointError, match=r"^the overlap of \(-1\.0, -0\.5, 0\.5\) at N = 100000"):
+            xyz_factorization(-1.0, -0.5, 0.5, 100000)
+        # h* = 1e-155 against jy - jx = 1: the overlap is about 1e-1240 at N = 8
+        with pytest.raises(FloatingPointError, match="below the double range"):
+            xyz_factorization(-1.0, -1e-310, 0.0, 8)
+        assert xyz_factorization(-4.0, 0.0, 0.0, 100001) == (0.0, 1.0, 0.0)
 
     def test_single_site_and_numpy_integer_accepted(self):
         _, beta_star, overlap = xyz_factorization(-2.0, -1.0, 0.5, 1)

@@ -1,6 +1,5 @@
 """Tests for the Pfaffian-based magnetization against the dense oracle."""
 
-import math
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -33,7 +32,6 @@ from tests_support import (
     evolve_exact,
     expectation_c1_reference,
     ferro_state,
-    fold_after_assembly,
     measure,
     pair_rows_pivot_reference,
     pfaffian_reference,
@@ -384,43 +382,6 @@ class TestReducedOperand:
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
-def per_factor_product(alpha):
-    """``(z, e)`` of ``prod(alpha)`` renormalized after every factor, as ``_pair_product`` did before."""
-    z, e = 1.0 + 0.0j, 0
-    for x in alpha:
-        z *= x
-        shift = math.frexp(abs(z))[1]
-        z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
-    return z, e
-
-
-def _phased(moduli, seed):
-    """Python complex numbers of the given moduli with random phases."""
-    moduli = np.asarray(moduli, dtype=float)
-    return (moduli * np.exp(2j * np.pi * np.random.default_rng(seed).random(len(moduli)))).tolist()
-
-
-class TestPairProduct:
-    """``_pair_product`` renormalizes only outside (2^-500, 2^500), and at the end; each rescaling is exact."""
-
-    @pytest.mark.parametrize("factors", [
-        # 0.02^400 = 2^-2257 crosses the lower threshold four times
-        _phased([0.02] * 400, seed=1),
-        # within 1e-10 of 1 on either side, and at the pivot threshold
-        _phased(1.0 + 1e-10 * np.random.default_rng(2).uniform(-1, 1, 1000), seed=3),
-        _phased(observables.PAIR_RTOL * (1.0 + 1e-9 * np.arange(1, 301)), seed=4),
-        # up through the upper threshold and down again
-        _phased([2.0**300] * 10 + [2.0**-300] * 20 + [0.7] * 5, seed=5),
-        _phased([2.0**499, 2.0**-499] * 50, seed=6),
-        [0.5j], [1.0 + 0.0j], [],
-    ], ids=["small", "near_one", "threshold", "large", "alternating", "one", "unit", "empty"])
-    def test_equals_the_per_factor_loop(self, factors):
-        z, e = observables._pair_product(iter(factors))
-        expected_z, expected_e = per_factor_product(factors)
-        assert (z.real.hex(), z.imag.hex(), e) == (expected_z.real.hex(), expected_z.imag.hex(), expected_e)
-        assert 0.5 <= abs(z) < 1.0 or factors == []
-
-
 class TestPivotRule:
     """Each bra pair is decided once, by ``|u_k| > PAIR_RTOL``: threshold pivoting on its rows."""
 
@@ -589,10 +550,12 @@ class TestBatches:
         stacks = observables._c1_stacks(states, Workspace())
         # one stack per dimension, holding every state once
         assert len(stacks) == len(set(counts)) == 3
-        assert sorted(i for members, _ in stacks for i in members) == list(range(21))
-        for members, skew in stacks:
-            for member, i in zip(skew, members):
-                np.testing.assert_array_equal(member, c1_bordered(states[i]).entries)
+        assert sorted(i for members, _, _ in stacks for i in members) == list(range(21))
+        for members, skew, pivots in stacks:
+            for member, member_pivots, i in zip(skew, pivots, members):
+                alone = c1_bordered(states[i])
+                np.testing.assert_array_equal(member, alone.entries)
+                np.testing.assert_array_equal(member_pivots, alone.pivots)
         assert observables._c1_values(states, Workspace()) == [expectation_c1(s) for s in states]
         assert run_series(driver, grid, times) == [
             MagnetizationSample(t, m.mx, m.my, m.mz) for t, m in zip(times, map(magnetization, states))]
@@ -614,12 +577,12 @@ class TestBatches:
             target = entries[member] if entries.ndim == 3 else entries
             target[:, -border:] *= 1e-310
             target[-border:, :] *= 1e-310
-            return pfaffian(SkewMatrix.antisymmetric(entries, border), border)
+            return pfaffian(SkewMatrix.antisymmetric(entries, border, pivots=a.pivots), border)
         return poisoned
 
     def test_range_error_names_the_schedule_entry(self, monkeypatch):
         driver, grid, times = DriverSpec("quench", g_f=0.5), MomentumGrid(8), [0.5, 1.0, 1.5, 2.0]
-        (members, _), = observables._c1_stacks([evolve_quench(init_ferro(grid), 0.5, t) for t in times], Workspace())
+        (members, _, _), = observables._c1_stacks([evolve_quench(init_ferro(grid), 0.5, t) for t in times], Workspace())
         assert members == [0, 1, 2, 3]
         monkeypatch.setattr(isingring.wick, "pfaffian", self.poison(2))
         with pytest.raises(FloatingPointError, match=r"schedule entry 1\.5: stack member 2: the product"):
@@ -655,31 +618,19 @@ class TestBatches:
 
     @pytest.mark.parametrize("magnitudes, dim", [((0.9,), 11), ((0.3, 0.005, 0.9), 15)],
                              ids=["accepted", "rejected_pairs"])
-    def test_stack_fold_equals_each_members_scalar_fold(self, magnitudes, dim, monkeypatch):
-        # N = 10, every bra pair accepted (dim 11) or two of five rejected (dim 15); the members'
-        # exponents e = q (dim - 1) + r have q = r = 0, r alone, q alone, both, and q < 0
+    def test_stack_members_equal_their_states_alone(self, magnitudes, dim):
+        # N = 10, every bra pair accepted (dim 11) or two of five rejected (dim 15): each member's
+        # operand and pivots are those of its state alone, byte for byte
         states = [_pair_state(10, magnitudes, seed) for seed in range(6)]
-        exponents = [q * (dim - 1) + r for q, r in ((0, 0), (0, 5), (2, 0), (2, 5), (-1, 3), (-3, 0))]
-        pair_product = observables._pair_product
-        chosen = {}
-        for state, e in zip(states, exponents):
+        (members, stack, pivots), = observables._c1_stacks(states, Workspace())
+        assert stack.shape == (6, dim, dim) and pivots.shape == (6, 5) and members == list(range(6))
+        for member, member_pivots, state in zip(stack, pivots, states):
+            (_, (single,), (single_pivots,)), = observables._c1_stacks([state], Workspace())
+            assert member.tobytes() == single.tobytes()
+            assert member_pivots.tobytes() == single_pivots.tobytes()
+            # alpha_k of each accepted pair, 1 of each rejected one
             alpha = np.conj(state.u_plus)
-            chosen[pair_product(alpha[np.abs(alpha) > observables.PAIR_RTOL].tolist())[0]] = e
-        assert len(chosen) == 6
-
-        def with_chosen_exponent(alpha):
-            z, _ = pair_product(alpha)
-            return z, chosen[z]
-
-        monkeypatch.setattr(observables, "_pair_product", with_chosen_exponent)
-        (members, stack), = observables._c1_stacks(states, Workspace())
-        assert stack.shape == (6, dim, dim) and members == list(range(6))
-        alone = [observables._c1_stacks([state], Workspace())[0][1][0] for state in states]
-        # the same operands assembled without 2^e, then folded after assembly, one member at a time
-        monkeypatch.setattr(observables, "_pair_product", lambda alpha: (pair_product(alpha)[0], 0))
-        (_, bare), = observables._c1_stacks(states, Workspace())
-        for member, single, unfolded, e in zip(stack, alone, bare, exponents):
-            assert member.tobytes() == single.tobytes() == fold_after_assembly(unfolded, e).tobytes()
+            np.testing.assert_array_equal(member_pivots, np.where(np.abs(alpha) > observables.PAIR_RTOL, alpha, 1.0))
 
     def test_validate_suite_takes_one_elimination_per_stack(self, monkeypatch):
         # 13 cases of 20 or 21 samples; three quenches (g_f = 1 at N = 6, 8, 10) mix two dimensions

@@ -1,5 +1,7 @@
 """Tests for the blocked Parlett-Reid Pfaffian and the SkewMatrix wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -10,9 +12,10 @@ import isingring.pfaffian
 import isingring.wick
 from isingring.dynamics import evolve_quench, init_ferro
 from isingring.model import MomentumGrid
-from isingring.observables import expectation_c1
+from isingring.observables import PAIR_RTOL, expectation_c1
 from isingring.pfaffian import (
     _BLOCK_STEPS,
+    _pair_product,
     PfaffianDimensionError,
     SkewMatrix,
     SkewSymmetryError,
@@ -616,6 +619,141 @@ class TestStacks:
             SkewMatrix(members[None])
         with pytest.raises(PfaffianDimensionError):
             SkewMatrix(members[:, :3, :3])
+
+
+def per_factor_product(alpha):
+    """``(z, e)`` of ``prod(alpha)`` renormalized after every factor, as ``_pair_product`` did before."""
+    z, e = 1.0 + 0.0j, 0
+    for x in alpha:
+        z *= x
+        shift = math.frexp(abs(z))[1]
+        z, e = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)), e + shift
+    return z, e
+
+
+def _phased(moduli, seed):
+    """Python complex numbers of the given moduli with random phases."""
+    moduli = np.asarray(moduli, dtype=float)
+    return (moduli * np.exp(2j * np.pi * np.random.default_rng(seed).random(len(moduli)))).tolist()
+
+
+class TestPairProduct:
+    """``_pair_product`` renormalizes a factor or the product only outside (2^-500, 2^500), and at the end.
+
+    Each rescaling is exact.
+    """
+
+    @pytest.mark.parametrize("factors", [
+        # 0.02^400 = 2^-2257 crosses the lower threshold four times
+        _phased([0.02] * 400, seed=1),
+        # within 1e-10 of 1 on either side, and at the pivot threshold
+        _phased(1.0 + 1e-10 * np.random.default_rng(2).uniform(-1, 1, 1000), seed=3),
+        _phased(PAIR_RTOL * (1.0 + 1e-9 * np.arange(1, 301)), seed=4),
+        # up through the upper threshold and down again
+        _phased([2.0**300] * 10 + [2.0**-300] * 20 + [0.7] * 5, seed=5),
+        _phased([2.0**499, 2.0**-499] * 50, seed=6),
+        [0.5j], [1.0 + 0.0j], [],
+    ], ids=["small", "near_one", "threshold", "large", "alternating", "one", "unit", "empty"])
+    def test_equals_the_per_factor_loop(self, factors):
+        z, e = _pair_product(iter(factors))
+        expected_z, expected_e = per_factor_product(factors)
+        assert (z.real.hex(), z.imag.hex(), e) == (expected_z.real.hex(), expected_z.imag.hex(), expected_e)
+        assert 0.5 <= abs(z) < 1.0 or factors == []
+
+
+
+def block_diagonal(*blocks):
+    """The skew matrix with the 2 x 2 blocks ``[[0, x], [-x, 0]]`` of the given x on its diagonal."""
+    a = np.zeros((2 * len(blocks),) * 2)
+    for i, x in enumerate(blocks):
+        a[2 * i, 2 * i + 1], a[2 * i + 1, 2 * i] = x, -x
+    return a
+
+
+class TestPivots:
+    """Pivots eliminated before the operand and the kernel's own multiply into one product ``z 2^e``."""
+
+    def test_pivots_far_outside_the_double_range_give_their_exact_product(self):
+        # 2^1200 2^-1200 = 1, where a plain product of the pivots overflows
+        assert pfaffian(block_diagonal(2.0**600, 2.0**600, 2.0**-600, 2.0**-600)) == 1.0
+        # 2^499 is inside (2^-500, 2^500): a product renormalized only after each multiply would
+        # reach 2^1099 at the next factor, so 2^600 is renormalized before it is multiplied in
+        assert pfaffian(block_diagonal(2.0**499, 2.0**600, 2.0**-700)) == 2.0**399
+        # the same products with some of the pivots given, eliminated before the operand
+        for blocks, given in (((2.0**-600, 2.0**-600), (2.0**600, 2.0**600)), ((2.0**-700,), (2.0**499, 2.0**600))):
+            operand = SkewMatrix.antisymmetric(block_diagonal(*blocks), pivots=given)
+            assert pfaffian(operand) == (1.0 if len(blocks) == 2 else 2.0**399)
+
+    def test_pivots_multiply_every_result(self):
+        a = random_bordered(7, 2, 3)
+        given = [2.0, -0.5j, 3.0 + 1.0j]
+        plain = pfaffian(a, 2)
+        values = pfaffian(SkewMatrix.antisymmetric(a, 2, pivots=given), 2)
+        assert values == pytest.approx(tuple(np.prod(given) * x for x in plain), rel=1e-14, abs=0)
+        # the operand stays as it was, and the default is no pivots
+        assert pfaffian(SkewMatrix.antisymmetric(a, 2), 2) == plain
+        assert SkewMatrix(a, 2).pivots.shape == (0,) and SkewMatrix(np.stack([a, a]), 2).pivots.shape == (2, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf), 0.0])
+    def test_non_finite_or_zero_pivot_rejected(self, bad):
+        a = random_skew(4, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="^pivots must be finite and nonzero$"):
+            SkewMatrix.antisymmetric(a, pivots=[1.0, bad])
+        with pytest.raises(ValueError, match="finite and nonzero in stack member 1"):
+            SkewMatrix.antisymmetric(np.stack([a, a, a]), pivots=[[1.0, 2.0], [1.0, bad], [3.0, 4.0]])
+
+    def test_pivots_take_one_row_per_member(self):
+        a = random_skew(4, np.random.default_rng(1))
+        assert SkewMatrix.antisymmetric(a, pivots=2.0).pivots.shape == (1,)
+        assert SkewMatrix.antisymmetric(np.stack([a, a]), pivots=[1.0, 2.0, 3.0, 4.0]).pivots.shape == (2, 2)
+        # three pivots do not split into two members' rows
+        with pytest.raises(ValueError):
+            SkewMatrix.antisymmetric(np.stack([a, a]), pivots=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n, border", [(6, 0), (PANEL + 6, 0), (11, 2), (PANEL + 5, 2)])
+    def test_stack_members_give_what_they_give_alone(self, n, border):
+        # each member with its own pivots, some far from 1, so that the product renormalizes
+        rng = np.random.default_rng(n)
+        members = np.stack([random_skew(n, rng) / np.sqrt(n) for _ in range(3)])
+        given = [[0.3, 2.0**700, -1.5j * 2.0**-690], [2.0**-600, 2.0**550, 0.7], [1.0, 1.0, 1.0]]
+        stack = pfaffian(SkewMatrix.antisymmetric(members, border, pivots=given), border)
+        assert stack == [pfaffian(SkewMatrix.antisymmetric(m, border, pivots=p), border)
+                         for m, p in zip(members, given)]
+
+    @pytest.mark.parametrize("d", [9, PANEL + 7])
+    def test_spent_members_give_their_words_times_their_pivots(self, d):
+        # the members of TestStacks.test_spent_members_give_what_they_give_alone: a rank-deficient
+        # block gives exact zeros whatever its pivots, and a null row met only by the border each
+        # word's plain Pfaffian times the member's pivot product, through _small_pivot
+        border, null = 2, d - 5
+        zeros = random_bordered(d, border, 3, rank=4)
+        words = random_bordered(d, border, 17)
+        words[null, :d], words[:d, null] = 0.0, 0.0
+        members = np.stack([random_bordered(d, border, 1), zeros, words])
+        given = [[1.5, -2.0], [2.0**-600, 2.0**-600], [0.25j, 3.0]]
+        values = pfaffian(SkewMatrix.antisymmetric(members, border, pivots=given), border)
+        assert values[1] == (0.0,) * border
+        for i, value in enumerate(values[2]):
+            even = np.r_[:d, d + i]
+            expected = 0.75j * pfaffian_reference(words[np.ix_(even, even)])
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
+        assert values == [pfaffian(SkewMatrix.antisymmetric(m, border, pivots=p), border)
+                          for m, p in zip(members, given)]
+
+    def test_range_error_names_the_member(self):
+        # pivots of 1e-200 times a Pfaffian of order 1 underflow; of 1e200, overflow
+        a = random_skew(6, np.random.default_rng(4)) / np.sqrt(6)
+        for given in ([1e-200, 1e-200], [1e200, 1e200]):
+            pivots = [[1.0, 1.0], given, [1.0, 1.0]]
+            with pytest.raises(FloatingPointError, match="stack member 1: the product of the pivots") as raised:
+                pfaffian(SkewMatrix.antisymmetric(np.stack([a, a, a]), pivots=pivots))
+            assert raised.value.member == 1
+            with pytest.raises(FloatingPointError, match="^the product of the pivots") as raised:
+                pfaffian(SkewMatrix.antisymmetric(a, pivots=given))
+            assert not hasattr(raised.value, "member")
+        # a true zero stays a zero, whatever the product of the pivots
+        zero_last = block_diagonal(1.0, 1.0, 0.0)
+        assert pfaffian(SkewMatrix.antisymmetric(zero_last, pivots=[1e-200, 1e-200])) == 0.0
 
 
 class TestWorkspace:
